@@ -15,7 +15,7 @@ minimize energy).  It provides:
 """
 
 from .weights import Weight, ZERO, wsum
-from .network import Assignment, Network, ParseError, parse_network, serialize_network
+from .network import Network, ParseError, parse_network, serialize_network
 from .fixtures import (
     chain2i,
     example51,
@@ -46,7 +46,6 @@ from .rules import (
     NodeRole,
     activation_step,
     boltzmann_step,
-    classify_legality,
     classify_role,
     cutset_goodness_step,
     goodness_step,
@@ -55,7 +54,6 @@ from .rules import (
     tree_direct_step,
 )
 from .schedulers import (
-    ActivationEvent,
     CentralRandom,
     CentralRoundRobin,
     FairExclusion,
@@ -67,22 +65,23 @@ from .schedulers import (
     parse_scheduler,
 )
 from .engine import (
-    DominancePair,
     RunResult,
     TraceEvent,
     apply_event,
     assignment_of,
     build_view,
-    cutset_dominance_experiment,
-    dominance_experiment,
     illegal_count,
     initial_registers,
-    non_tree_nodes,
     perturb,
     replay_deltas,
-    result_line,
     run,
-    trace_line,
 )
+from .experiments import (
+    DominancePair,
+    cutset_dominance_experiment,
+    dominance_experiment,
+    non_tree_nodes,
+)
+from .cli import result_line, trace_line
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import experiments
-from .engine import result_line, run, trace_line
+from .engine import RunResult, TraceEvent, run
 from .fixtures import fixture, illegal_ring
 from .network import parse_network
 from .oracle import (
@@ -25,10 +25,38 @@ from .oracle import (
     cutset_exact_optimize,
     greedy_cutset,
     plan_from_members,
+    # Not called here: perfbench/layers.py resolves cli.tree_conditioned_max by name.
     tree_conditioned_max,
 )
 from .schedulers import parse_scheduler
 from .weights import Weight
+
+
+def _delta_text(node: int, field: str, value) -> str:
+    if field == "points_to":
+        return f"{node}:p={'|'.join(str(j) for j in sorted(value)) or '-'}"
+    if field == "cutset_g1":
+        body = "|".join(f"{j}:{w}" for j, w in value)
+        return f"{node}:cg1={body}"
+    return f"{node}:{field}={value}"
+
+
+def trace_line(ev: TraceEvent) -> str:
+    """One TSV line per event: step, pass, ids, goodness, illegal count, deltas."""
+    ids = ",".join(str(i) for i in sorted(ev.ids))
+    deltas = ",".join(_delta_text(*d) for d in ev.deltas)
+    illegal = "" if ev.illegal is None else str(ev.illegal)
+    goodness = "" if ev.goodness is None else str(ev.goodness)
+    return f"{ev.step}\t{ev.pass_idx}\t{ids}\t{goodness}\t{illegal}\t{deltas}"
+
+
+def result_line(result: RunResult) -> str:
+    """The run's summary line: RESULT stable=.. passes=.. goodness=.. assignment=.."""
+    bits = "".join(str(b) for b in result.assignment)
+    return (
+        f"RESULT stable={int(result.stable)} passes={result.passes_used} "
+        f"goodness={result.goodness_final} assignment={bits}"
+    )
 
 
 def _load_network(args):
@@ -98,13 +126,8 @@ def cmd_oracle(args) -> int:
     print(f"OPT goodness={report.gmax} count={len(report.argmax)}")
     for a in report.argmax:
         print("".join(str(b) for b in a))
-    if cutset:
-        members = sorted(cutset)
-        for code in range(1 << len(members)):
-            y = {node: (code >> (len(members) - 1 - idx)) & 1 for idx, node in enumerate(members)}
-            value, _ = tree_conditioned_max(net, y)
-            bits = "".join(str(y[node]) for node in members)
-            print(f"COND y={bits} goodness={value}")
+    for bits, value in report.conditionings:
+        print(f"COND y={''.join(str(b) for b in bits)} goodness={value}")
     return 0
 
 

@@ -179,8 +179,7 @@ def perturb(net: Network, regs: Sequence, seed: int, g_range: tuple[Weight, Weig
     """
     rng = random.Random(seed)
     if g_range is None:
-        m = sum(abs(w.micros) for _, _, w in net.edges())
-        m += sum(abs(net.bias(i).micros) for i in net.nodes())
+        m = net.magnitude_micros()
         lo, hi = -m, m
     else:
         lo, hi = g_range[0].micros, g_range[1].micros
@@ -237,6 +236,8 @@ def run(
         raise ValueError(f"unknown rule {rule!r}")
     if rule == "boltzmann" and temperature is None:
         raise ValueError("boltzmann rule needs a temperature")
+    if rule == "boltzmann" and seed is None and rule_seed is None:
+        raise ValueError("boltzmann rule needs a seed or rule_seed")
     if cutset is None:
         cutset = net.cutset if rule == "activate-with-cutset" else frozenset()
     n = net.n
@@ -295,102 +296,4 @@ def run(
         converged_pass=(last_change // n + 1) if last_change >= 0 else 0,
         registers=regs,
         trace=trace,
-    )
-
-
-# ---------------------------------------------------------------------------
-# paired-run experiments
-
-
-@dataclass(frozen=True)
-class DominancePair:
-    """Paired stable goodness values plus whether the pair is comparable
-    (both stable and agreeing on the reference node set)."""
-
-    g_better: Weight
-    g_base: Weight
-    comparable: bool
-    reference_nodes: frozenset[int]
-
-
-def non_tree_nodes(net: Network, regs: Sequence) -> frozenset[int]:
-    """Nodes left outside any directed tree: two or more non-pointing neighbors."""
-    out = set()
-    for i in net.nodes():
-        non_pointing = sum(1 for j, _ in net.neighbors(i) if i not in regs[j].points_to)
-        if non_pointing >= 2:
-            out.add(i)
-    return frozenset(out)
-
-
-def dominance_experiment(net: Network, seed: int, scheduler_factory, max_passes: int = 200) -> DominancePair:
-    """Tree rule vs threshold rule from one shared random start.
-
-    Comparable means both runs went stable and agree on every node the
-    tree rule left outside its trees; for such pairs the tree rule's
-    goodness is guaranteed to be at least the threshold rule's.
-    """
-    base = run(net, "hopfield", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
-    tree = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
-    ref = non_tree_nodes(net, tree.registers)
-    comparable = (
-        base.stable
-        and tree.stable
-        and all(base.assignment[i - 1] == tree.assignment[i - 1] for i in ref)
-    )
-    return DominancePair(tree.goodness_final, base.goodness_final, comparable, ref)
-
-
-def cutset_dominance_experiment(
-    net: Network,
-    members: frozenset[int],
-    seed: int,
-    scheduler_factory,
-    max_passes: int = 200,
-) -> DominancePair:
-    """Cutset-conditioned rule vs plain tree rule on matched cutset values."""
-    base = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
-    cut = run(
-        net,
-        "activate-with-cutset",
-        scheduler_factory(),
-        init="random",
-        seed=seed,
-        max_passes=max_passes,
-        cutset=members,
-    )
-    comparable = (
-        base.stable
-        and cut.stable
-        and all(base.assignment[i - 1] == cut.assignment[i - 1] for i in members)
-    )
-    return DominancePair(cut.goodness_final, base.goodness_final, comparable, members)
-
-
-# ---------------------------------------------------------------------------
-# trace formatting (External interface: one TSV line per event)
-
-
-def _delta_text(node: int, field: str, value) -> str:
-    if field == "points_to":
-        return f"{node}:p={'|'.join(str(j) for j in sorted(value)) or '-'}"
-    if field == "cutset_g1":
-        body = "|".join(f"{j}:{w}" for j, w in value)
-        return f"{node}:cg1={body}"
-    return f"{node}:{field}={value}"
-
-
-def trace_line(ev: TraceEvent) -> str:
-    ids = ",".join(str(i) for i in sorted(ev.ids))
-    deltas = ",".join(_delta_text(*d) for d in ev.deltas)
-    illegal = "" if ev.illegal is None else str(ev.illegal)
-    goodness = "" if ev.goodness is None else str(ev.goodness)
-    return f"{ev.step}\t{ev.pass_idx}\t{ids}\t{goodness}\t{illegal}\t{deltas}"
-
-
-def result_line(result: RunResult) -> str:
-    bits = "".join(str(b) for b in result.assignment)
-    return (
-        f"RESULT stable={int(result.stable)} passes={result.passes_used} "
-        f"goodness={result.goodness_final} assignment={bits}"
     )

@@ -1,4 +1,5 @@
-"""Reproducible experiment harnesses behind the `demo` CLI command.
+"""Reproducible experiment harnesses behind the `demo` CLI command,
+and the paired-run dominance experiments they build on.
 
 Each demo returns a small result object with a `passed` flag and the
 measurements that justify it, so tests and the CLI share one
@@ -9,13 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .engine import apply_event, assignment_of, initial_registers, perturb, run
 from .fixtures import chain2i, illegal_ring, random_network, ring6
 from .network import Network
 from .oracle import brute_force_optima, greedy_cutset, tree_conditioned_max
 from .schedulers import CentralRoundRobin, FairExclusion, Scripted, SynchronousAll
-from .engine import cutset_dominance_experiment, dominance_experiment
 from .weights import Weight
 
 
@@ -25,6 +26,71 @@ class DemoResult:
     passed: bool
     lines: list[str] = field(default_factory=list)
     inconclusive: bool = False
+
+
+@dataclass(frozen=True)
+class DominancePair:
+    """Paired stable goodness values plus whether the pair is comparable
+    (both stable and agreeing on the reference node set)."""
+
+    g_better: Weight
+    g_base: Weight
+    comparable: bool
+    reference_nodes: frozenset[int]
+
+
+def non_tree_nodes(net: Network, regs: Sequence) -> frozenset[int]:
+    """Nodes left outside any directed tree: two or more non-pointing neighbors."""
+    out = set()
+    for i in net.nodes():
+        non_pointing = sum(1 for j, _ in net.neighbors(i) if i not in regs[j].points_to)
+        if non_pointing >= 2:
+            out.add(i)
+    return frozenset(out)
+
+
+def dominance_experiment(net: Network, seed: int, scheduler_factory, max_passes: int = 200) -> DominancePair:
+    """Tree rule vs threshold rule from one shared random start.
+
+    Comparable means both runs went stable and agree on every node the
+    tree rule left outside its trees; for such pairs the tree rule's
+    goodness is guaranteed to be at least the threshold rule's.
+    """
+    base = run(net, "hopfield", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
+    tree = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
+    ref = non_tree_nodes(net, tree.registers)
+    comparable = (
+        base.stable
+        and tree.stable
+        and all(base.assignment[i - 1] == tree.assignment[i - 1] for i in ref)
+    )
+    return DominancePair(tree.goodness_final, base.goodness_final, comparable, ref)
+
+
+def cutset_dominance_experiment(
+    net: Network,
+    members: frozenset[int],
+    seed: int,
+    scheduler_factory,
+    max_passes: int = 200,
+) -> DominancePair:
+    """Cutset-conditioned rule vs plain tree rule on matched cutset values."""
+    base = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
+    cut = run(
+        net,
+        "activate-with-cutset",
+        scheduler_factory(),
+        init="random",
+        seed=seed,
+        max_passes=max_passes,
+        cutset=members,
+    )
+    comparable = (
+        base.stable
+        and cut.stable
+        and all(base.assignment[i - 1] == cut.assignment[i - 1] for i in members)
+    )
+    return DominancePair(cut.goodness_final, base.goodness_final, comparable, members)
 
 
 def symmetry_lock_demo(i_values=(3, 4, 5), steps: int = 10_000) -> DemoResult:

@@ -16,8 +16,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .weights import Weight, ZERO, wsum
 
-Assignment = tuple  # tuple of 0/1 ints, one per node
-
 
 class ParseError(ValueError):
     """Raised on a malformed network file; carries the 1-based line number."""
@@ -97,6 +95,10 @@ class Network:
 
     def bias(self, i: int) -> Weight:
         return self._bias[i]
+
+    def magnitude_micros(self) -> int:
+        """sum |w| + sum |theta| in micros: a bound on |goodness| of any assignment."""
+        return sum(abs(w.micros) for w in self._edges.values()) + sum(abs(b.micros) for b in self._bias)
 
     # -- objective ---------------------------------------------------------
 

@@ -4,8 +4,9 @@ Everything here works on immutable Networks and is deliberately
 independent of the distributed simulator: brute-force scans enumerate
 raw assignments, and the conditioned solver runs plain dynamic
 programming on the forest left after fixing the cutset.  Scans are
-vectorized with numpy on int64 micro-units, which keeps them exact
-(all magnitudes stay far below 2**63).
+vectorized with numpy on int64 micro-units.  They refuse any network
+whose sum |w| + sum |theta| reaches 2**62 micros, which bounds every
+partial sum they form, so an accepted scan never wraps.
 """
 
 from __future__ import annotations
@@ -23,15 +24,22 @@ _CHUNK = 1 << 18
 BRUTE_FORCE_MAX_NODES = 26
 STABILITY_SCAN_MAX_NODES = 22
 CUTSET_MAX_SIZE = 20
+INT64_SCAN_MAX_MICROS = 1 << 62
 
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Exact maximum goodness, the assignments attaining it, and scan size."""
+    """Exact maximum goodness, the assignments attaining it, and scan size.
+
+    A cutset optimization also fills `conditionings`: one
+    (cutset bits in ascending node order, conditioned maximum) row per
+    conditioning, in enumeration order.
+    """
 
     gmax: Weight
     argmax: tuple[tuple[int, ...], ...]
     states_scanned: int
+    conditionings: tuple[tuple[tuple[int, ...], Weight], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,11 @@ class CutsetPlan:
 
 # ---------------------------------------------------------------------------
 # exhaustive scans
+
+
+def _check_int64_safe(net: Network) -> None:
+    if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS:
+        raise ValueError("weights too large for an exact int64 scan (sum |w| + sum |theta| >= 2**62 micros)")
 
 
 def _bit_matrix(ks: np.ndarray, free: Sequence[int], n: int, fixed: Mapping[int, int]) -> np.ndarray:
@@ -69,6 +82,7 @@ def _goodness_column(net: Network, bits: np.ndarray) -> np.ndarray:
 
 
 def _scan(net: Network, fixed: Mapping[int, int]) -> OptimumReport:
+    _check_int64_safe(net)
     free = [i for i in net.nodes() if i not in fixed]
     total = 1 << len(free)
     best = None
@@ -108,6 +122,7 @@ def hopfield_local_optima(net: Network) -> tuple[tuple[int, ...], ...]:
     """All assignments stable under the threshold rule, by exhaustive scan."""
     if net.n > STABILITY_SCAN_MAX_NODES:
         raise ValueError(f"stability scan capped at {STABILITY_SCAN_MAX_NODES} nodes, got {net.n}")
+    _check_int64_safe(net)
     n = net.n
     wmat = np.zeros((n, n), dtype=np.int64)
     for i, j, w in net.edges():
@@ -142,22 +157,36 @@ def conditioned_optimum(net: Network, plan: CutsetPlan, y: Mapping[int, int]) ->
 # cutset construction and validation
 
 
-def is_acyclic_without(net: Network, members: frozenset[int] | set[int]) -> bool:
-    """True iff deleting the given nodes leaves a forest (strip-to-empty test)."""
-    alive = set(net.nodes()) - set(members)
-    deg = {i: sum(1 for j, _ in net.neighbors(i) if j in alive) for i in alive}
-    queue = [i for i in alive if deg[i] <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive:
+def _forest_walk(net: Network, skip: frozenset[int]) -> list[tuple[list[int], dict[int, int]]]:
+    """BFS (order, parent) of each tree left after deleting `skip`, rooted at
+    its lowest id; `parent` (0 at a root) is shared by all trees.  Raises
+    ValueError when a cycle survives the deletion."""
+    parent: dict[int, int] = {}
+    trees = []
+    for root in net.nodes():
+        if root in skip or root in parent:
             continue
-        alive.discard(v)
-        for j, _ in net.neighbors(v):
-            if j in alive:
-                deg[j] -= 1
-                if deg[j] <= 1:
-                    queue.append(j)
-    return not alive
+        parent[root] = 0
+        order = [root]
+        for v in order:  # grows while iterated: breadth-first
+            for j, _ in net.neighbors(v):
+                if j in skip or j == parent[v]:
+                    continue
+                if j in parent:
+                    raise ValueError("fixed set does not cut all cycles")
+                parent[j] = v
+                order.append(j)
+        trees.append((order, parent))
+    return trees
+
+
+def is_acyclic_without(net: Network, members: frozenset[int] | set[int]) -> bool:
+    """True iff deleting the given nodes leaves a forest."""
+    try:
+        _forest_walk(net, frozenset(members))
+    except ValueError:
+        return False
+    return True
 
 
 def greedy_cutset(net: Network) -> CutsetPlan:
@@ -200,26 +229,6 @@ def plan_from_members(net: Network, members) -> CutsetPlan:
 # exact conditioned tree optimization (nonserial dynamic programming)
 
 
-def _forest_components(net: Network, skip: frozenset[int]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in net.nodes():
-        if start in skip or start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        pos = 0
-        while pos < len(comp):
-            v = comp[pos]
-            pos += 1
-            for j, _ in net.neighbors(v):
-                if j not in skip and j not in seen:
-                    seen.add(j)
-                    comp.append(j)
-        comps.append(comp)
-    return comps
-
-
 def tree_conditioned_max(net: Network, y: Mapping[int, int]) -> tuple[Weight, tuple[int, ...]]:
     """Exact max goodness given fixed values y, via DP on the remaining forest.
 
@@ -229,8 +238,7 @@ def tree_conditioned_max(net: Network, y: Mapping[int, int]) -> tuple[Weight, tu
     matching the >= convention of the threshold rules.
     """
     skip = frozenset(y)
-    if not is_acyclic_without(net, skip):
-        raise ValueError("fixed set does not cut all cycles")
+    trees = _forest_walk(net, skip)
     const = sum(net.bias(i).micros * y[i] for i in skip)
     for i, j, w in net.edges():
         if i in skip and j in skip:
@@ -248,18 +256,8 @@ def tree_conditioned_max(net: Network, y: Mapping[int, int]) -> tuple[Weight, tu
 
     assign = {i: int(y[i]) for i in skip}
     total = const
-    for comp in _forest_components(net, skip):
-        root = comp[0]
-        parent: dict[int, int] = {root: 0}
-        order = [root]
-        pos = 0
-        while pos < len(order):
-            v = order[pos]
-            pos += 1
-            for j, _ in net.neighbors(v):
-                if j not in skip and j not in parent:
-                    parent[j] = v
-                    order.append(j)
+    for order, parent in trees:
+        root = order[0]
         s0 = {v: 0 for v in order}
         s1 = {v: 0 for v in order}
         g0 = {}
@@ -286,7 +284,8 @@ def cutset_exact_optimize(net: Network, plan: CutsetPlan) -> OptimumReport:
 
     Each of the 2**|Y| fixed assignments to the cutset is solved exactly
     by forest DP; the best conditioning(s) win.  Matches brute force in
-    gmax, with one witness assignment per optimal conditioning.
+    gmax, with one witness assignment per optimal conditioning, and
+    reports every conditioning's maximum in `conditionings`.
     """
     if not plan.acyclic_after_removal or not is_acyclic_without(net, plan.members):
         raise ValueError("cutset plan does not leave an acyclic network")
@@ -296,12 +295,14 @@ def cutset_exact_optimize(net: Network, plan: CutsetPlan) -> OptimumReport:
     k = len(members)
     best: Weight | None = None
     witnesses: list[tuple[int, ...]] = []
+    rows = []
     for code in range(1 << k):
-        y = {node: (code >> (k - 1 - idx)) & 1 for idx, node in enumerate(members)}
-        value, witness = tree_conditioned_max(net, y)
+        bits = tuple((code >> (k - 1 - idx)) & 1 for idx in range(k))
+        value, witness = tree_conditioned_max(net, dict(zip(members, bits)))
+        rows.append((bits, value))
         if best is None or value > best:
             best = value
             witnesses = [witness]
         elif value == best:
             witnesses.append(witness)
-    return OptimumReport(best, tuple(sorted(set(witnesses))), 1 << k)
+    return OptimumReport(best, tuple(sorted(set(witnesses))), 1 << k, tuple(rows))

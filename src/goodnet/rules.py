@@ -262,7 +262,3 @@ def legality_map(net: Network, pointers: Mapping[int, frozenset[int]]) -> dict[i
             non_pointing = net.degree(i) - pointing
             result[i] = Legality.CANDIDATE if non_pointing <= 1 else Legality.ILLEGAL
     return result
-
-
-def classify_legality(net: Network, pointers: Mapping[int, frozenset[int]], i: int) -> Legality:
-    return legality_map(net, pointers)[i]

@@ -15,16 +15,9 @@ is a parameter, conventionally 2n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .network import Network
-
-
-@dataclass(frozen=True)
-class ActivationEvent:
-    step: int
-    ids: frozenset[int]
 
 
 class Scheduler:
@@ -163,10 +156,6 @@ def parse_scheduler(text: str, seed: int = 0) -> Scheduler:
 # fairness checks on finite traces
 
 
-def _ids_of(event) -> frozenset[int]:
-    return event.ids if isinstance(event, ActivationEvent) else frozenset(event)
-
-
 def _every_window_hits(flags: list[bool], window: int) -> bool:
     """True iff every length-`window` contiguous span contains a True."""
     if window <= 0:
@@ -188,7 +177,7 @@ def check_fairness(trace: Iterable, window: int, n: int | None = None) -> bool:
     `n` defaults to the highest id observed; pass it explicitly to catch
     nodes the trace never activates at all.
     """
-    events = [_ids_of(e) for e in trace]
+    events = [frozenset(e) for e in trace]
     if not events:
         raise ValueError("trace is empty")
     if n is None:
@@ -203,7 +192,7 @@ def check_fairness(trace: Iterable, window: int, n: int | None = None) -> bool:
 def check_fair_exclusion(trace: Iterable, net: Network, window: int) -> bool:
     """For every edge {i,j}, both 'i without j' and 'j without i' occur in
     every length-`window` span."""
-    events = [_ids_of(e) for e in trace]
+    events = [frozenset(e) for e in trace]
     if not events:
         raise ValueError("trace is empty")
     for i, j, _ in net.edges():

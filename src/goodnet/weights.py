@@ -69,10 +69,8 @@ class Weight:
 
     def __mul__(self, other):
         """Scale by an integer (activation bits, counts); Weight*Weight is undefined."""
-        if isinstance(other, int) and not isinstance(other, bool):
+        if isinstance(other, int):
             return Weight(self.micros * other)
-        if isinstance(other, bool):
-            return Weight(self.micros * int(other))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -41,6 +41,20 @@ def enumerate_hopfield_stable(net: Network):
     return sorted(stable)
 
 
+def is_forest_without(net: Network, members) -> bool:
+    """Forest test by counting: |E'| == |V'| - #components after deleting members."""
+    alive = [i for i in net.nodes() if i not in members]
+    edges = [(i, j) for i, j, _ in net.edges() if i not in members and j not in members]
+    label = {i: i for i in alive}
+    for i, j in edges:
+        old, new = label[j], label[i]
+        if old != new:
+            for v in alive:
+                if label[v] == old:
+                    label[v] = new
+    return len(edges) == len(alive) - len(set(label.values()))
+
+
 def W(x: int) -> Weight:
     return Weight.from_int(x)
 

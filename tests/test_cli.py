@@ -93,6 +93,23 @@ def test_oracle_example51_conditioning_table(capsys):
     assert "COND y=1 goodness=250.7" in lines
 
 
+def test_oracle_cutset_auto_prints_the_conditioning_table(capsys, tmp_path):
+    import goodnet
+
+    for seed in range(5):
+        net = goodnet.random_network("sparse", 25, m=4, seed=seed)
+        path = tmp_path / f"sparse{seed}.net"
+        path.write_text(goodnet.serialize_network(net))
+        code, out, _ = run_cli(capsys, "oracle", "--net", str(path), "--cutset", "auto")
+        assert code == 0
+        report = goodnet.cutset_exact_optimize(net, goodnet.greedy_cutset(net))
+        expected = [
+            f"COND y={''.join(str(b) for b in bits)} goodness={value}" for bits, value in report.conditionings
+        ]
+        assert [line for line in out.splitlines() if line.startswith("COND")] == expected
+        assert len(expected) == 2 ** len(goodnet.greedy_cutset(net).members)
+
+
 def test_oracle_size_cap(capsys):
     import goodnet
 

@@ -209,6 +209,13 @@ def test_budget_exhaustion_is_not_an_error():
     assert result.passes_used == 3
 
 
+def test_boltzmann_requires_a_seed():
+    with pytest.raises(ValueError, match="seed"):
+        run(fig1(), "boltzmann", CentralRoundRobin(), temperature=W(1))
+    seeded = run(fig1(), "boltzmann", CentralRoundRobin(), temperature=W(1), max_passes=1, seed=0)
+    assert seeded.events == 5
+
+
 def test_boltzmann_requires_temperature():
     with pytest.raises(ValueError):
         run(fig1(), "boltzmann", CentralRoundRobin())

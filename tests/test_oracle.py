@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goodnet import (
     CutsetPlan,
@@ -16,13 +17,14 @@ from goodnet import (
     hopfield_local_optima,
     is_acyclic_without,
     is_hopfield_stable,
+    parse_network,
     plan_from_members,
     random_network,
     ring6,
     tree_conditioned_max,
 )
 
-from helpers import D, W, enumerate_hopfield_stable, enumerate_optima
+from helpers import D, W, enumerate_hopfield_stable, enumerate_optima, is_forest_without
 
 
 def test_brute_force_fig1():
@@ -51,6 +53,24 @@ def test_brute_force_matches_plain_enumeration():
         gmax, argmax = enumerate_optima(net)
         assert report.gmax == gmax
         assert list(report.argmax) == argmax
+
+
+def test_int64_scans_refuse_wrapping_weights():
+    # sum |w| + sum |theta| is 1.8e19 micros: an int64 scan would wrap
+    net = parse_network("nodes 3\nedge 1 2 9000000000000\nedge 2 3 9000000000000\nbias 1 1\n")
+    with pytest.raises(ValueError, match="int64"):
+        brute_force_optima(net)
+    with pytest.raises(ValueError, match="int64"):
+        hopfield_local_optima(net)
+    report = cutset_exact_optimize(net, plan_from_members(net, set()))
+    assert report.gmax == D("18000000000001")
+    assert report.argmax == ((1, 1, 1),)
+
+
+def test_int64_scan_limit_is_exact():
+    assert brute_force_optima(Network(1, biases={1: Weight((1 << 62) - 1)})).gmax == Weight((1 << 62) - 1)
+    with pytest.raises(ValueError, match="int64"):
+        brute_force_optima(Network(1, biases={1: Weight(1 << 62)}))
 
 
 def test_brute_force_size_cap():
@@ -173,6 +193,40 @@ def test_cutset_exact_matches_brute_force():
         assert report.gmax == brute.gmax, (n, m)
         for witness in report.argmax:
             assert net.goodness(witness) == brute.gmax
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_forest_walk_matches_edge_count_reference(data):
+    n = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(0, min(6, (n - 1) * (n - 2) // 2)))
+    net = random_network("sparse", n, m=m, seed=data.draw(st.integers(0, 2**32 - 1)))
+    skip = data.draw(st.frozensets(st.integers(1, n)))
+    y = {i: data.draw(st.integers(0, 1)) for i in sorted(skip)}
+    forest = is_forest_without(net, skip)
+    assert is_acyclic_without(net, skip) == forest
+    if not forest:
+        with pytest.raises(ValueError, match="does not cut all cycles"):
+            tree_conditioned_max(net, y)
+        return
+    value, witness = tree_conditioned_max(net, y)
+    assert value == conditioned_optimum(net, CutsetPlan(skip, True), y).gmax
+    assert net.goodness(witness) == value
+    assert all(witness[i - 1] == y[i] for i in skip)
+
+
+def test_cutset_conditionings_table():
+    rng = random.Random(7)
+    for _ in range(20):
+        net = random_network("sparse", rng.randint(4, 30), m=rng.randint(0, 5), seed=rng.randrange(2**32))
+        plan = greedy_cutset(net)
+        members = sorted(plan.members)
+        report = cutset_exact_optimize(net, plan)
+        assert [bits for bits, _ in report.conditionings] == list(itertools.product((0, 1), repeat=len(members)))
+        for bits, value in report.conditionings:
+            assert value == tree_conditioned_max(net, dict(zip(members, bits)))[0]
+        assert max(value for _, value in report.conditionings) == report.gmax
+    assert brute_force_optima(fig1()).conditionings == ()
 
 
 def test_tree_conditioned_max_against_enumeration():

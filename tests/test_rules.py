@@ -15,7 +15,6 @@ from goodnet import (
     activation_step,
     boltzmann_step,
     build_view,
-    classify_legality,
     classify_role,
     cutset_goodness_step,
     example51,
@@ -335,7 +334,6 @@ def test_legality_illegal_ring_all_candidates():
     net, pointers = illegal_ring(5)
     lmap = legality_map(net, pointers)
     assert all(v is Legality.CANDIDATE for v in lmap.values())
-    assert classify_legality(net, pointers, 1) is Legality.CANDIDATE
 
 
 def test_legality_pointer_rings_are_not_legal():
