@@ -247,11 +247,15 @@ def run(
 
     trace: list[TraceEvent] | None = [] if collect_trace else None
     last_change = -1
-    last_activated = {i: -1 for i in net.nodes()}
+    last_activated = [-1] * (n + 1)
+    fresh = 0  # distinct units activated after the last change
     stable = False
     step = -1
-    illegal = illegal_count(net, regs) if track_illegal else None
-    pointers_dirty = False
+    illegal = illegal_count(net, regs) if track_illegal and trace is not None else None
+    if trace is not None:
+        # running goodness, updated by each flip's O(degree) gain
+        xs = [0, *assignment_of(regs)]
+        g = net.goodness(xs[1:]).micros
 
     max_events = max_passes * n
     for step in range(max_events):
@@ -261,26 +265,30 @@ def run(
         deltas = apply_event(net, regs, ids, rule, cutset, rng, temperature)
         if deltas:
             last_change = step
+            fresh = 0
+        else:
+            fresh += sum(1 for i in ids if last_activated[i] <= last_change)
         for i in ids:
             last_activated[i] = step
         if trace is not None:
-            if track_illegal:
-                pointers_dirty = pointers_dirty or any(f == "points_to" for _, f, _ in deltas)
-                if pointers_dirty:
-                    illegal = illegal_count(net, regs)
-                    pointers_dirty = False
+            for i, field, value in deltas:
+                if field == "x":
+                    gain = net.bias(i).micros + sum(w.micros for j, w in net.neighbors(i) if xs[j])
+                    xs[i] = value
+                    g += gain if value else -gain
+            if track_illegal and any(f == "points_to" for _, f, _ in deltas):
+                illegal = illegal_count(net, regs)
             trace.append(
                 TraceEvent(
                     step=step,
                     pass_idx=step // n + 1,
                     ids=ids,
-                    goodness=net.goodness(assignment_of(regs)),
+                    goodness=Weight(g),
                     illegal=illegal,
                     deltas=deltas,
                 )
             )
-        quiet = step - last_change
-        if quiet >= window and all(t > last_change for t in last_activated.values()):
+        if step - last_change >= window and fresh == n:
             stable = True
             break
 

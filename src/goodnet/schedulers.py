@@ -28,22 +28,40 @@ class Scheduler:
 
 
 class CentralRoundRobin(Scheduler):
-    """Singletons cycling through a fixed order (ascending ids by default)."""
+    """Singletons cycling through a fixed order (ascending ids by default).
+
+    A custom order must name every unit 1..n (repeats allowed): one that
+    skips a unit could never let a run stabilize.  The order is checked
+    once per `n`, on the first call with that `n`.
+    """
 
     kind = "central-rr"
 
     def __init__(self, order: Sequence[int] | None = None):
         self.order = tuple(order) if order is not None else None
         self._cursor = 0
+        self._checked_n: int | None = None
 
-    def next_set(self, n: int) -> frozenset[int]:
-        order = self.order if self.order is not None else tuple(range(1, n + 1))
-        for i in order:
+    def _check(self, n: int) -> None:
+        if self.order is None:
+            return
+        for i in self.order:
             if not 1 <= i <= n:
                 raise ValueError(f"round-robin order references node {i} outside 1..{n}")
-        pick = order[self._cursor % len(order)]
+        missing = set(range(1, n + 1)).difference(self.order)
+        if missing:
+            raise ValueError(f"round-robin order never schedules node {min(missing)} of 1..{n}")
+
+    def next_set(self, n: int) -> frozenset[int]:
+        if n != self._checked_n:
+            self._check(n)
+            self._checked_n = n
+        if self.order is None:
+            pick = self._cursor % n + 1
+        else:
+            pick = self.order[self._cursor % len(self.order)]
         self._cursor += 1
-        return frozenset({pick})
+        return frozenset((pick,))
 
 
 class CentralRandom(Scheduler):

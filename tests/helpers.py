@@ -7,7 +7,7 @@ shortcuts.
 
 import itertools
 
-from goodnet import Network, Weight
+from goodnet import Legality, Network, Weight
 
 
 def enumerate_optima(net: Network):
@@ -53,6 +53,42 @@ def is_forest_without(net: Network, members) -> bool:
                 if label[v] == old:
                     label[v] = new
     return len(edges) == len(alive) - len(set(label.values()))
+
+
+def legality_map_fixpoint(net: Network, pointers) -> dict:
+    """Reference legality classification: sweep all nodes until no new one turns legal."""
+    legal: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for i in net.nodes():
+            if i in legal:
+                continue
+            own = pointers.get(i, frozenset())
+            nbs = [j for j, _ in net.neighbors(i)]
+            if len(own) == 0:
+                ok = all(i in pointers.get(j, frozenset()) and j in legal for j in nbs)
+            elif len(own) == 1 and next(iter(own)) in nbs:
+                parent = next(iter(own))
+                ok = all(
+                    i in pointers.get(j, frozenset()) and j in legal
+                    for j in nbs
+                    if j != parent
+                )
+            else:
+                ok = False
+            if ok:
+                legal.add(i)
+                changed = True
+    result = {}
+    for i in net.nodes():
+        if i in legal:
+            result[i] = Legality.LEGAL
+        else:
+            pointing = sum(1 for j, _ in net.neighbors(i) if i in pointers.get(j, frozenset()))
+            non_pointing = net.degree(i) - pointing
+            result[i] = Legality.CANDIDATE if non_pointing <= 1 else Legality.ILLEGAL
+    return result
 
 
 def W(x: int) -> Weight:

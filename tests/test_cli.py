@@ -34,6 +34,12 @@ def test_run_missing_file(capsys):
     assert "error" in err
 
 
+def test_run_rejects_round_robin_order_that_skips_units(capsys):
+    code, out, err = run_cli(capsys, "run", "--fixture", "ring6", "--sched", "central-rr:1,2,3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "never schedules node 4" in err
+
+
 def test_run_budget_exhaustion_exit_2(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--fixture", "fig1", "--rule", "boltzmann",

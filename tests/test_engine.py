@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goodnet import (
+    CentralRandom,
     CentralRoundRobin,
     FairExclusion,
     Network,
@@ -17,6 +19,7 @@ from goodnet import (
     dominance_experiment,
     example51,
     fig1,
+    greedy_cutset,
     illegal_count,
     illegal_ring,
     initial_registers,
@@ -286,3 +289,72 @@ def test_scripted_run_example51_escapes_both_local_optima():
     it = iter(levels)
     assert all(any(lv == w for lv in it) for w in wanted)
     assert result.assignment == (1, 1, 1, 1, 1)
+
+
+def naive_stop(trace, n, window):
+    """(stop step or None, first step with a quiet window) recomputed from a trace.
+
+    A run stops at the first step that ends a quiet window of `window`
+    events and by which every unit has run since the last change.
+    """
+    last_change = -1
+    ran = set()
+    window_open = None
+    for ev in trace:
+        if ev.deltas:
+            last_change = ev.step
+            ran = set()
+        else:
+            ran |= ev.ids
+        if ev.step - last_change >= window:
+            if window_open is None:
+                window_open = ev.step
+            if len(ran) == n:
+                return ev.step, window_open
+    return None, window_open
+
+
+SCHEDULERS = {
+    "central-rr": lambda seed: CentralRoundRobin(),
+    "central-random": CentralRandom,
+    "sync-all": lambda seed: SynchronousAll(),
+    "fair-excl": FairExclusion,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_traced_goodness_and_stop_rule_match_naive_recomputation(data):
+    n = data.draw(st.integers(1, 9))
+    m = data.draw(st.integers(0, min(4, (n - 1) * (n - 2) // 2)))
+    net = random_network("sparse", n, m=m, seed=data.draw(st.integers(0, 2**32 - 1)))
+    rule = data.draw(st.sampled_from(["activate", "activate-with-cutset", "hopfield", "boltzmann"]))
+    seed = data.draw(st.integers(0, 2**16))
+    scheduler = SCHEDULERS[data.draw(st.sampled_from(sorted(SCHEDULERS)))](seed)
+    cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
+    init = data.draw(st.sampled_from(["zeros", "random", "preset"]))
+    preset = perturb(net, initial_registers(net, "zeros", cutset), seed) if init == "preset" else None
+    window = data.draw(st.one_of(st.none(), st.integers(1, 3 * n)))
+    max_passes = data.draw(st.integers(1, 30))
+    result = run(
+        net, rule, scheduler, init=init, seed=seed, temperature=W(1), cutset=cutset,
+        preset=preset, window=window, max_passes=max_passes, collect_trace=True,
+    )
+    regs = preset if preset is not None else initial_registers(net, init, cutset, seed)
+    for ev in result.trace:
+        regs = replay_deltas(regs, [ev])
+        assert ev.goodness == net.goodness(assignment_of(regs))
+    stop, _ = naive_stop(result.trace, n, window if window is not None else 2 * n)
+    changes = [ev.step for ev in result.trace if ev.deltas]
+    assert result.stable == (stop is not None)
+    assert result.events == len(result.trace) == (stop + 1 if stop is not None else max_passes * n)
+    assert result.last_change_step == (changes[-1] if changes else -1)
+
+
+def test_central_random_run_stops_after_its_quiet_window_opens():
+    # node coverage, not the window, ends this run: 36 quiet events pass
+    # before every unit has run again on the final state
+    result = run(fig1(), "activate", CentralRandom(4), collect_trace=True)
+    stop, window_open = naive_stop(result.trace, 5, 10)
+    assert result.stable and result.events == stop + 1 == 60
+    assert window_open == 23

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goodnet import (
     ActivationRegister,
@@ -29,7 +30,7 @@ from goodnet import (
     CentralRoundRobin,
 )
 
-from helpers import D, W
+from helpers import D, W, legality_map_fixpoint
 
 ZERO_REG = ActivationRegister()
 
@@ -344,6 +345,51 @@ def test_legality_pointer_rings_are_not_legal():
     assert lmap[2] is Legality.LEGAL  # symmetric; resolved by the next step
     ring, ptrs = illegal_ring(3)
     assert all(v is not Legality.LEGAL for v in legality_map(ring, ptrs).values())
+
+
+def pointers_toward(net, root):
+    """Parent pointers of a BFS tree of root's component, aimed at root."""
+    parent = {root: frozenset()}
+    order = [root]
+    for v in order:
+        for j, _ in net.neighbors(v):
+            if j not in parent:
+                parent[j] = frozenset({v})
+                order.append(j)
+    return parent
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_legality_worklist_matches_fixpoint_reference(data):
+    kind = data.draw(st.sampled_from(["sparse", "ring", "tree"]))
+    n = data.draw(st.integers(3 if kind == "ring" else 1, 12))
+    m = data.draw(st.integers(0, min(5, (n - 1) * (n - 2) // 2))) if kind == "sparse" else 0
+    net = random_network(kind, n, m=m, seed=data.draw(st.integers(0, 2**32 - 1)))
+    # Start from pointers toward one root, so legal subtrees occur, then
+    # disturb some nodes: clear, re-aim at a neighbor or a non-neighbor,
+    # point at several, drop the entry, or form a mutual pair.
+    pointers = pointers_toward(net, data.draw(st.integers(1, n)))
+    if kind == "ring" and data.draw(st.booleans()):
+        pointers = {i: frozenset({i % n + 1}) for i in net.nodes()}  # one-way ring
+    for i in net.nodes():
+        nbs = [j for j, _ in net.neighbors(i)]
+        move = data.draw(st.sampled_from(["keep", "keep", "clear", "neighbor", "stranger", "several", "drop", "mutual"]))
+        if move == "clear":
+            pointers[i] = frozenset()
+        elif move == "neighbor" and nbs:
+            pointers[i] = frozenset({data.draw(st.sampled_from(nbs))})
+        elif move == "stranger":
+            pointers[i] = frozenset({data.draw(st.integers(1, n))})
+        elif move == "several":
+            pool = nbs if len(nbs) > 1 and data.draw(st.booleans()) else list(net.nodes())
+            pointers[i] = data.draw(st.frozensets(st.sampled_from(pool), min_size=2)) if n > 1 else frozenset()
+        elif move == "drop":
+            pointers.pop(i, None)
+        elif move == "mutual" and nbs:
+            j = data.draw(st.sampled_from(nbs))
+            pointers[i], pointers[j] = frozenset({j}), frozenset({i})
+    assert legality_map(net, pointers) == legality_map_fixpoint(net, pointers)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from goodnet import (
     check_fairness,
     parse_scheduler,
     random_network,
+    ring6,
+    run,
 )
 
 from helpers import W
@@ -30,6 +32,19 @@ def test_central_rr_custom_order():
     assert [next(iter(s)) for s in trace] == [3, 2, 1, 4, 5]
     with pytest.raises(ValueError):
         CentralRoundRobin((9,)).next_set(3)
+    # the order is checked again whenever the node count changes
+    sched = CentralRoundRobin((2, 1))
+    assert sched.next_set(2) == frozenset({2})
+    with pytest.raises(ValueError):
+        sched.next_set(3)
+    assert sched.next_set(2) == frozenset({1})
+
+
+def test_central_rr_rejects_orders_that_skip_a_unit():
+    with pytest.raises(ValueError, match="never schedules node 4"):
+        run(ring6(), "activate", CentralRoundRobin((1, 2, 3)))
+    # repeats are fine as long as every unit is named
+    assert run(ring6(), "activate", CentralRoundRobin((1, 2, 3, 4, 5, 6, 1))).stable
 
 
 def test_sync_all_emits_everything():
