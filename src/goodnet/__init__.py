@@ -14,7 +14,7 @@ minimize energy).  It provides:
   experiment harnesses for the known negative results and guarantees.
 """
 
-from .weights import Weight, ZERO, wsum
+from .weights import Weight
 from .network import Network, ParseError, parse_network, serialize_network
 from .fixtures import (
     chain2i,
@@ -27,7 +27,6 @@ from .fixtures import (
 )
 from .oracle import (
     CutsetPlan,
-    OptimumReport,
     brute_force_optima,
     conditioned_optimum,
     cutset_exact_optimize,
@@ -57,7 +56,6 @@ from .schedulers import (
     CentralRandom,
     CentralRoundRobin,
     FairExclusion,
-    Scheduler,
     Scripted,
     SynchronousAll,
     check_fair_exclusion,
@@ -65,8 +63,6 @@ from .schedulers import (
     parse_scheduler,
 )
 from .engine import (
-    RunResult,
-    TraceEvent,
     apply_event,
     assignment_of,
     build_view,
@@ -77,7 +73,6 @@ from .engine import (
     run,
 )
 from .experiments import (
-    DominancePair,
     cutset_dominance_experiment,
     dominance_experiment,
     non_tree_nodes,

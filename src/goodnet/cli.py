@@ -33,11 +33,14 @@ from .weights import Weight
 
 
 def _delta_text(node: int, field: str, value) -> str:
+    """One register change; goodness values are micros, printed as decimals."""
     if field == "points_to":
         return f"{node}:p={'|'.join(str(j) for j in sorted(value)) or '-'}"
     if field == "cutset_g1":
-        body = "|".join(f"{j}:{w}" for j, w in value)
+        body = "|".join(f"{j}:{Weight(g)}" for j, g in value)
         return f"{node}:cg1={body}"
+    if field in ("g0", "g1"):
+        return f"{node}:{field}={Weight(value)}"
     return f"{node}:{field}={value}"
 
 
@@ -45,9 +48,7 @@ def trace_line(ev: TraceEvent) -> str:
     """One TSV line per event: step, pass, ids, goodness, illegal count, deltas."""
     ids = ",".join(str(i) for i in sorted(ev.ids))
     deltas = ",".join(_delta_text(*d) for d in ev.deltas)
-    illegal = "" if ev.illegal is None else str(ev.illegal)
-    goodness = "" if ev.goodness is None else str(ev.goodness)
-    return f"{ev.step}\t{ev.pass_idx}\t{ids}\t{goodness}\t{illegal}\t{deltas}"
+    return f"{ev.step}\t{ev.pass_idx}\t{ids}\t{ev.goodness}\t{ev.illegal}\t{deltas}"
 
 
 def result_line(result: RunResult) -> str:
@@ -100,7 +101,6 @@ def cmd_run(args) -> int:
         preset=preset,
         max_passes=args.max_passes,
         collect_trace=want_trace,
-        track_illegal=want_trace,
     )
     lines = [trace_line(ev) for ev in result.trace] if want_trace else []
     if args.trace:
@@ -138,6 +138,8 @@ def cmd_demo(args) -> int:
         return 1
     kwargs = {}
     if args.name in ("selfstab", "dominance"):
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         kwargs = {"trials": args.trials, "seed": args.seed}
     result = demo(**kwargs)
     for line in result.lines:

@@ -46,8 +46,8 @@ class TraceEvent:
     step: int
     pass_idx: int
     ids: frozenset[int]
-    goodness: Weight | None
-    illegal: int | None
+    goodness: Weight
+    illegal: int
     deltas: tuple[tuple[int, str, object], ...]
 
 
@@ -71,8 +71,8 @@ def build_view(
     cutset: frozenset[int],
     own: ActivationRegister | None = None,
 ) -> LocalView:
-    nbs = tuple(NeighborView(j, w, regs[j]) for j, w in net.neighbors(i))
-    return LocalView(i, net.bias(i), i in cutset, own if own is not None else regs[i], nbs)
+    nbs = tuple(NeighborView(j, w.micros, regs[j]) for j, w in net.neighbors(i))
+    return LocalView(i, net.bias(i).micros, i in cutset, own if own is not None else regs[i], nbs)
 
 
 def _unit_update(
@@ -95,7 +95,7 @@ def _unit_update(
     if view.is_cutset:
         g0, pairs = cutset_goodness_step(view)
         x = activation_step(view)
-        return ActivationRegister(x=x, g0=g0, g1=Weight(0), points_to=new_points, cutset_g1=pairs)
+        return ActivationRegister(x=x, g0=g0, g1=0, points_to=new_points, cutset_g1=pairs)
     g0, g1 = goodness_step(view)
     x = activation_step(view)
     return ActivationRegister(x=x, g0=g0, g1=g1, points_to=new_points, cutset_g1=None)
@@ -171,28 +171,24 @@ def initial_registers(
     raise ValueError(f"unknown init mode {init!r}")
 
 
-def perturb(net: Network, regs: Sequence, seed: int, g_range: tuple[Weight, Weight] | None = None) -> list:
+def perturb(net: Network, regs: Sequence, seed: int) -> list:
     """Randomize every register field; deterministic per seed.
 
-    Goodness values default to the attainable envelope
+    Goodness values are drawn from the attainable envelope
     [-(sum|w| + sum|theta|), +(sum|w| + sum|theta|)].
     """
     rng = random.Random(seed)
-    if g_range is None:
-        m = net.magnitude_micros()
-        lo, hi = -m, m
-    else:
-        lo, hi = g_range[0].micros, g_range[1].micros
+    m = net.magnitude_micros()
     out: list = [None]
     for i in net.nodes():
         old = regs[i]
         x = rng.randint(0, 1)
-        g0 = Weight(rng.randint(lo, hi))
-        g1 = Weight(rng.randint(lo, hi))
+        g0 = rng.randint(-m, m)
+        g1 = rng.randint(-m, m)
         points = frozenset(j for j, _ in net.neighbors(i) if rng.random() < 0.5)
         cutset_g1 = None
         if old.cutset_g1 is not None:
-            cutset_g1 = tuple((j, Weight(rng.randint(lo, hi))) for j, _ in net.neighbors(i))
+            cutset_g1 = tuple((j, rng.randint(-m, m)) for j, _ in net.neighbors(i))
         out.append(ActivationRegister(x=x, g0=g0, g1=g1, points_to=points, cutset_g1=cutset_g1))
     return out
 
@@ -219,31 +215,34 @@ def run(
     *,
     max_passes: int = 100,
     seed: int | None = None,
-    rule_seed: int | None = None,
     temperature=None,
     cutset: frozenset[int] | None = None,
     preset=None,
     window: int | None = None,
     collect_trace: bool = False,
-    track_illegal: bool = False,
 ) -> RunResult:
     """Iterate scheduler events until a quiet window or the pass budget.
 
     `cutset` defaults to the network's declared cutset for the
-    activate-with-cutset rule and to the empty set otherwise.
+    activate-with-cutset rule and to the empty set otherwise.  A
+    collected trace carries the running goodness and illegal count.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     if rule == "boltzmann" and temperature is None:
         raise ValueError("boltzmann rule needs a temperature")
-    if rule == "boltzmann" and seed is None and rule_seed is None:
-        raise ValueError("boltzmann rule needs a seed or rule_seed")
+    if rule == "boltzmann" and seed is None:
+        raise ValueError("boltzmann rule needs a seed")
     if cutset is None:
         cutset = net.cutset if rule == "activate-with-cutset" else frozenset()
+    else:
+        cutset = net.check_cutset(cutset)
     n = net.n
     window = window if window is not None else 2 * n
     regs = initial_registers(net, init, cutset, seed, preset)
-    rng = random.Random(rule_seed if rule_seed is not None else seed)
+    rng = random.Random(seed)
 
     trace: list[TraceEvent] | None = [] if collect_trace else None
     last_change = -1
@@ -251,8 +250,8 @@ def run(
     fresh = 0  # distinct units activated after the last change
     stable = False
     step = -1
-    illegal = illegal_count(net, regs) if track_illegal and trace is not None else None
     if trace is not None:
+        illegal = illegal_count(net, regs)
         # running goodness, updated by each flip's O(degree) gain
         xs = [0, *assignment_of(regs)]
         g = net.goodness(xs[1:]).micros
@@ -276,7 +275,7 @@ def run(
                     gain = net.bias(i).micros + sum(w.micros for j, w in net.neighbors(i) if xs[j])
                     xs[i] = value
                     g += gain if value else -gain
-            if track_illegal and any(f == "points_to" for _, f, _ in deltas):
+            if any(f == "points_to" for _, f, _ in deltas):
                 illegal = illegal_count(net, regs)
             trace.append(
                 TraceEvent(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .weights import Weight, ZERO, wsum
+from .weights import Weight
 
 
 class ParseError(ValueError):
@@ -53,20 +53,17 @@ class Network:
             if key in edge_map:
                 raise ValueError(f"duplicate edge {key}")
             edge_map[key] = w
-        bias_list = [ZERO] * (n + 1)
+        bias_list = [Weight(0)] * (n + 1)
         for i, b in (biases or {}).items():
             if not 1 <= i <= n:
                 raise ValueError(f"bias references node {i} outside 1..{n}")
             bias_list[i] = b
-        cutset_set = frozenset(cutset)
-        for i in cutset_set:
-            if not 1 <= i <= n:
-                raise ValueError(f"cutset references node {i} outside 1..{n}")
+        object.__setattr__(self, "n", n)
+        cutset_set = self.check_cutset(cutset)
         adj: list[list[tuple[int, Weight]]] = [[] for _ in range(n + 1)]
         for (i, j), w in edge_map.items():
             adj[i].append((j, w))
             adj[j].append((i, w))
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_edges", dict(sorted(edge_map.items())))
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "_bias", tuple(bias_list))
@@ -85,6 +82,14 @@ class Network:
 
     def neighbors(self, i: int) -> tuple[tuple[int, Weight], ...]:
         return self._adj[i]
+
+    def check_cutset(self, members: Iterable[int]) -> frozenset[int]:
+        """The members as a frozenset; ValueError if one lies outside 1..n."""
+        members = frozenset(members)
+        for i in sorted(members):
+            if not 1 <= i <= self.n:
+                raise ValueError(f"cutset references node {i} outside 1..{self.n}")
+        return members
 
     def degree(self, i: int) -> int:
         return len(self._adj[i])
@@ -124,7 +129,7 @@ class Network:
     def local_field(self, i: int, a: Sequence[int]) -> Weight:
         """Weighted sum of active neighbors, sum_j w_ij * X_j."""
         self.check_assignment(a)
-        return wsum(w for j, w in self._adj[i] if a[j - 1])
+        return Weight(sum(w.micros for j, w in self._adj[i] if a[j - 1]))
 
     # -- misc ----------------------------------------------------------------
 

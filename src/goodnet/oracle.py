@@ -222,7 +222,8 @@ def greedy_cutset(net: Network) -> CutsetPlan:
 
 
 def plan_from_members(net: Network, members) -> CutsetPlan:
-    return CutsetPlan(frozenset(members), is_acyclic_without(net, frozenset(members)))
+    members = net.check_cutset(members)
+    return CutsetPlan(members, is_acyclic_without(net, members))
 
 
 # ---------------------------------------------------------------------------

@@ -29,38 +29,39 @@ from enum import Enum
 from typing import Mapping
 
 from .network import Network
-from .weights import Weight, ZERO
 
 
 @dataclass(frozen=True)
 class ActivationRegister:
     """One unit's shared state: activation bit, goodness pair, pointers.
 
-    ``points_to`` holds the ids of neighbors this unit sees as parents
-    (at most one for a settled non-cutset unit).  ``cutset_g1`` is the
-    per-neighbor conditional goodness published by designated cutset
-    units, and None everywhere else.
+    Goodness values are integer micros (millionths, as in
+    :class:`~goodnet.weights.Weight`).  ``points_to`` holds the ids of
+    neighbors this unit sees as parents (at most one for a settled
+    non-cutset unit).  ``cutset_g1`` is the per-neighbor conditional
+    goodness published by designated cutset units, and None everywhere
+    else.
     """
 
     x: int = 0
-    g0: Weight = ZERO
-    g1: Weight = ZERO
+    g0: int = 0
+    g1: int = 0
     points_to: frozenset[int] = frozenset()
-    cutset_g1: tuple[tuple[int, Weight], ...] | None = None
+    cutset_g1: tuple[tuple[int, int], ...] | None = None
 
-    def g1_toward(self, reader: int) -> Weight:
+    def g1_toward(self, reader: int) -> int:
         """Goodness-if-reader-on as published to a particular neighbor."""
         if self.cutset_g1 is None:
             return self.g1
         for j, value in self.cutset_g1:
             if j == reader:
                 return value
-        return ZERO
+        return 0
 
 
 def zero_register(net: Network, i: int, cutset: frozenset[int]) -> ActivationRegister:
     if i in cutset:
-        pairs = tuple((j, ZERO) for j, _ in net.neighbors(i))
+        pairs = tuple((j, 0) for j, _ in net.neighbors(i))
         return ActivationRegister(cutset_g1=pairs)
     return ActivationRegister()
 
@@ -68,16 +69,17 @@ def zero_register(net: Network, i: int, cutset: frozenset[int]) -> ActivationReg
 @dataclass(frozen=True)
 class NeighborView:
     id: int
-    weight: Weight
+    weight: int  # micros
     reg: ActivationRegister
 
 
 @dataclass(frozen=True)
 class LocalView:
-    """Everything unit ``node`` may legally read in one activation."""
+    """Everything unit ``node`` may legally read in one activation;
+    weights and bias in micros."""
 
     node: int
-    bias: Weight
+    bias: int
     is_cutset: bool
     own: ActivationRegister
     neighbors: tuple[NeighborView, ...]
@@ -125,7 +127,7 @@ def tree_direct_step(view: LocalView) -> frozenset[int]:
 # goodness propagation
 
 
-def goodness_step(view: LocalView) -> tuple[Weight, Weight]:
+def goodness_step(view: LocalView) -> tuple[int, int]:
     """Recompute (g0, g1) from pointing neighbors; meaningful on tree units.
 
     With no pointing neighbors this degenerates to the leaf values
@@ -136,22 +138,18 @@ def goodness_step(view: LocalView) -> tuple[Weight, Weight]:
     s1 = 0
     for nb in view.neighbors:
         if view.points_at_me(nb):
-            s0 += nb.reg.g0.micros
-            s1 += nb.reg.g1_toward(view.node).micros
-    parent_w = sum(nb.weight.micros for nb in view.neighbors if nb.id in view.own.points_to)
-    theta = view.bias.micros
-    g0 = max(s0, s1 + theta)
-    g1 = max(s0, s1 + theta + parent_w)
-    return Weight(g0), Weight(g1)
+            s0 += nb.reg.g0
+            s1 += nb.reg.g1_toward(view.node)
+    parent_w = sum(nb.weight for nb in view.neighbors if nb.id in view.own.points_to)
+    return max(s0, s1 + view.bias), max(s0, s1 + view.bias + parent_w)
 
 
-def cutset_goodness_step(view: LocalView) -> tuple[Weight, tuple[tuple[int, Weight], ...]]:
+def cutset_goodness_step(view: LocalView) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Cutset units publish fixed-activation goodness: g0 = x*theta and,
     toward each neighbor j, x*(theta + w_ij)."""
     x = view.own.x
-    g0 = view.bias * x
-    pairs = tuple((nb.id, (view.bias + nb.weight) * x) for nb in view.neighbors)
-    return g0, pairs
+    pairs = tuple((nb.id, x * (view.bias + nb.weight)) for nb in view.neighbors)
+    return x * view.bias, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +158,8 @@ def cutset_goodness_step(view: LocalView) -> tuple[Weight, tuple[tuple[int, Weig
 
 def hopfield_step(view: LocalView) -> int:
     """Threshold rule: on iff the weighted input meets -theta (ties on)."""
-    field = sum(nb.weight.micros * nb.reg.x for nb in view.neighbors)
-    return 1 if field >= -view.bias.micros else 0
+    field = sum(nb.weight * nb.reg.x for nb in view.neighbors)
+    return 1 if field >= -view.bias else 0
 
 
 def activation_step(view: LocalView) -> int:
@@ -181,23 +179,24 @@ def activation_step(view: LocalView) -> int:
     s = 0
     for nb in view.neighbors:
         if view.points_at_me(nb):
-            s += nb.reg.g1_toward(view.node).micros - nb.reg.g0.micros
+            s += nb.reg.g1_toward(view.node) - nb.reg.g0
         if nb.id in view.own.points_to:
-            s += nb.weight.micros * nb.reg.x
-    return 1 if s >= -view.bias.micros else 0
+            s += nb.weight * nb.reg.x
+    return 1 if s >= -view.bias else 0
 
 
-def boltzmann_step(view: LocalView, temperature: Weight | float, rng) -> int:
+def boltzmann_step(view: LocalView, temperature, rng) -> int:
     """Stochastic rule: on with probability sigmoid((field + theta) / T).
 
     The only rule allowed to leave exact arithmetic; the sigmoid is
     evaluated in binary floating point against a uniform draw.
+    ``temperature`` is anything ``float()`` accepts, such as a Weight.
     """
     t = float(temperature)
     if t <= 0:
         raise ValueError(f"temperature must be positive, got {t}")
-    field = sum(nb.weight.micros * nb.reg.x for nb in view.neighbors)
-    s = (field + view.bias.micros) / 1e6
+    field = sum(nb.weight * nb.reg.x for nb in view.neighbors)
+    s = (field + view.bias) / 1e6
     p = 1.0 / (1.0 + math.exp(-s / t))
     return 1 if rng.random() < p else 0
 

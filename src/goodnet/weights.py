@@ -1,11 +1,12 @@
-"""Exact fixed-point arithmetic for connection weights and unit biases.
+"""Exact six-decimal values for connection weights and unit biases.
 
 Threshold rules of the form ``sum >= -theta`` and max-recurrences over
 goodness values must be decided exactly; binary floats cannot represent
 decimals like 0.1 and would make tie decisions platform-dependent.  A
-:class:`Weight` stores an integer number of millionths, so addition,
-negation and comparison are exact for any decimal with at most six
-fractional digits.
+:class:`Weight` stores an integer number of millionths ("micros").  The
+rules and solvers compute on those integers directly; a Weight appears
+where a value is parsed, printed, compared or returned, and its
+comparisons, addition and negation are exact.
 """
 
 from __future__ import annotations
@@ -50,50 +51,24 @@ class Weight:
     def __add__(self, other):
         if isinstance(other, Weight):
             return Weight(self.micros + other.micros)
-        if other == 0:  # lets sum() start from 0
-            return Weight(self.micros)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Weight):
-            return Weight(self.micros - other.micros)
         return NotImplemented
 
     def __neg__(self):
         return Weight(-self.micros)
 
-    def __abs__(self):
-        return Weight(abs(self.micros))
-
-    def __mul__(self, other):
-        """Scale by an integer (activation bits, counts); Weight*Weight is undefined."""
-        if isinstance(other, int):
-            return Weight(self.micros * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, Weight):
             return self.micros == other.micros
-        if other == 0:
-            return self.micros == 0
         return NotImplemented
 
     def __lt__(self, other):
         if isinstance(other, Weight):
             return self.micros < other.micros
-        if other == 0:
-            return self.micros < 0
         return NotImplemented
 
     def __le__(self, other):
         if isinstance(other, Weight):
             return self.micros <= other.micros
-        if other == 0:
-            return self.micros <= 0
         return NotImplemented
 
     def __gt__(self, other):
@@ -107,9 +82,6 @@ class Weight:
     def __hash__(self):
         return hash(("Weight", self.micros))
 
-    def __bool__(self):
-        return self.micros != 0
-
     def __float__(self):
         return self.micros / SCALE
 
@@ -122,14 +94,3 @@ class Weight:
 
     def __repr__(self):
         return f"Weight({str(self)})"
-
-
-ZERO = Weight(0)
-
-
-def wsum(values) -> Weight:
-    """Exact sum of an iterable of Weights (empty sum is zero)."""
-    total = 0
-    for v in values:
-        total += v.micros
-    return Weight(total)

@@ -97,3 +97,8 @@ def W(x: int) -> Weight:
 
 def D(text: str) -> Weight:
     return Weight.from_decimal(text)
+
+
+def M(value: int | str) -> int:
+    """Integer micros of a whole number or a decimal literal: M(2), M("-0.1")."""
+    return Weight.from_decimal(str(value)).micros

@@ -38,7 +38,7 @@ from goodnet import (
 from goodnet.experiments import linear_time_demo
 from goodnet.rules import Legality, legality_map
 
-from helpers import D, W
+from helpers import D, M, W
 
 
 def ok(k, msg):
@@ -59,10 +59,10 @@ def test_criterion_01_fig1_regression():
     assert result.assignment == (1, 0, 0, 0, 1)
     assert result.goodness_final == W(3)
     regs = result.registers
-    assert (regs[1].g0, regs[1].g1) == (W(2), W(1))
-    assert (regs[2].g0, regs[2].g1) == (Weight(0), W(2))
-    assert (regs[3].g0, regs[3].g1) == (W(2), W(2))
-    assert (regs[5].g0, regs[5].g1) == (W(1), Weight(0))
+    assert (regs[1].g0, regs[1].g1) == (M(2), M(1))
+    assert (regs[2].g0, regs[2].g1) == (0, M(2))
+    assert (regs[3].g0, regs[3].g1) == (M(2), M(2))
+    assert (regs[5].g0, regs[5].g1) == (M(1), 0)
     assert regs[4].x == 0 and regs[5].x == 1 and regs[3].x == 0
 
     default = run(net, "activate", CentralRoundRobin(), init="zeros", max_passes=15)
@@ -326,7 +326,7 @@ def test_criterion_13_boltzmann_matches_sigmoid():
     draws = 100_000
     rng = random.Random(31337)
     for s in (-2, -1, 0, 1, 2):
-        view = LocalView(1, W(s), False, ActivationRegister(), ())
+        view = LocalView(1, M(s), False, ActivationRegister(), ())
         hits = sum(boltzmann_step(view, W(1), rng) for _ in range(draws))
         expected = 1.0 / (1.0 + math.exp(-s))
         assert abs(hits / draws - expected) < 0.01, s

@@ -1,3 +1,5 @@
+import pytest
+
 from goodnet.cli import main
 
 
@@ -38,6 +40,36 @@ def test_run_rejects_round_robin_order_that_skips_units(capsys):
     code, out, err = run_cli(capsys, "run", "--fixture", "ring6", "--sched", "central-rr:1,2,3")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "never schedules node 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv, node",
+    [
+        (("oracle", "--fixture", "fig1", "--cutset", "9"), 9),
+        (("oracle", "--fixture", "fig1", "--cutset", "0"), 0),
+        (("run", "--fixture", "fig1", "--rule", "activate-with-cutset", "--cutset", "9"), 9),
+    ],
+    ids=["oracle-9", "oracle-0", "run-9"],
+)
+def test_cutset_ids_outside_the_net_are_rejected(capsys, argv, node):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: cutset references node {node} outside 1..5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--fixture", "fig1", "--max-passes", "0"),
+        ("demo", "selfstab", "--trials", "0"),
+        ("demo", "dominance", "--trials", "0"),
+    ],
+    ids=["max-passes", "selfstab-trials", "dominance-trials"],
+)
+def test_empty_budgets_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "must be at least 1, got 0" in err
 
 
 def test_run_budget_exhaustion_exit_2(capsys):
@@ -157,3 +189,72 @@ def test_demo_selfstab_small(capsys):
     assert code == 0
     assert "5/5" in out
     assert out.strip().splitlines()[-1] == "PASS: demo selfstab"
+
+
+# Full stdout of two example51 cutset runs, as printed before registers
+# held integer micros: decimal g0/g1 (such as -0.1), per-neighbor cg1
+# pairs, pointer sets, running goodness and illegal counts.
+EXAMPLE51_CUTSET_TSV = """\
+0\t1\t1\t0\t5\t1:p=2|3|4|5
+1\t1\t2\t0\t5\t2:g1=199.9,2:p=3
+2\t1\t3\t-0.1\t5\t3:x=1,3:g0=199.8,3:g1=199.8
+3\t1\t4\t-0.1\t5\t4:p=5
+4\t1\t5\t-0.1\t5\t
+5\t2\t1\t99.8\t5\t1:x=1
+6\t2\t2\t249.7\t5\t2:x=1
+7\t2\t3\t249.7\t5\t
+8\t2\t4\t249.7\t5\t
+9\t2\t5\t249.7\t5\t
+10\t3\t1\t249.7\t5\t1:g0=-0.1,1:cg1=2:-50.1|3:99.9|4:2.9|5:2.9
+11\t3\t2\t249.7\t5\t2:g0=-0.1,2:g1=149.8
+12\t3\t3\t249.7\t5\t3:g0=249.6,3:g1=249.6
+13\t3\t4\t249.7\t5\t4:g0=-0.1,4:g1=1.9
+14\t3\t5\t248.7\t5\t5:x=1,5:g0=0.8,5:g1=0.8
+15\t4\t1\t248.7\t5\t
+16\t4\t2\t248.7\t5\t
+17\t4\t3\t248.7\t5\t
+18\t4\t4\t250.7\t5\t4:x=1
+19\t4\t5\t250.7\t5\t
+20\t5\t1\t250.7\t5\t
+21\t5\t2\t250.7\t5\t
+22\t5\t3\t250.7\t5\t
+23\t5\t4\t250.7\t5\t
+24\t5\t5\t250.7\t5\t
+25\t6\t1\t250.7\t5\t
+26\t6\t2\t250.7\t5\t
+27\t6\t3\t250.7\t5\t
+28\t6\t4\t250.7\t5\t
+RESULT stable=1 passes=6 goodness=250.7 assignment=11111
+"""
+
+EXAMPLE51_CUTSET_SYNC_TSV = """\
+0\t1\t1,2,3,4,5\t0\t5\t1:p=2|3|4|5
+1\t1\t1,2,3,4,5\t0\t5\t2:g1=199.9,2:p=3,3:g1=199.9,3:p=2,4:p=5,5:p=4
+2\t1\t1,2,3,4,5\t199.8\t5\t2:x=1,2:g0=199.8,2:g1=199.8,2:p=-,3:x=1,3:g0=199.8,3:g1=199.8,3:p=-,4:p=-,5:p=-
+3\t1\t1,2,3,4,5\t249.7\t5\t1:x=1,2:g0=0,2:g1=199.9,2:p=3,3:g0=0,3:g1=199.9,3:p=2,4:p=5,5:p=4
+4\t1\t1,2,3,4,5\t249.7\t5\t1:g0=-0.1,1:cg1=2:-50.1|3:99.9|4:2.9|5:2.9,2:g0=199.8,2:g1=199.8,2:p=-,3:g0=199.8,3:g1=199.8,3:p=-,4:p=-,5:p=-
+5\t2\t1,2,3,4,5\t249.7\t5\t2:g0=-0.1,2:g1=149.8,2:p=3,3:g0=99.8,3:g1=299.8,3:p=2,4:g0=-0.1,4:g1=1.9,4:p=5,5:g0=-0.1,5:g1=1.9,5:p=4
+6\t2\t1,2,3,4,5\t250.7\t5\t2:g0=249.6,2:g1=249.6,2:p=-,3:g0=249.6,3:g1=249.6,3:p=-,4:x=1,4:g0=0.8,4:g1=0.8,4:p=-,5:x=1,5:g0=0.8,5:g1=0.8,5:p=-
+7\t2\t1,2,3,4,5\t250.7\t5\t2:g0=-0.1,2:g1=149.8,2:p=3,3:g0=99.8,3:g1=299.8,3:p=2,4:g0=-0.1,4:g1=1.9,4:p=5,5:g0=-0.1,5:g1=1.9,5:p=4
+8\t2\t1,2,3,4,5\t250.7\t5\t2:g0=249.6,2:g1=249.6,2:p=-,3:g0=249.6,3:g1=249.6,3:p=-,4:g0=0.8,4:g1=0.8,4:p=-,5:g0=0.8,5:g1=0.8,5:p=-
+9\t2\t1,2,3,4,5\t250.7\t5\t2:g0=-0.1,2:g1=149.8,2:p=3,3:g0=99.8,3:g1=299.8,3:p=2,4:g0=-0.1,4:g1=1.9,4:p=5,5:g0=-0.1,5:g1=1.9,5:p=4
+10\t3\t1,2,3,4,5\t250.7\t5\t2:g0=249.6,2:g1=249.6,2:p=-,3:g0=249.6,3:g1=249.6,3:p=-,4:g0=0.8,4:g1=0.8,4:p=-,5:g0=0.8,5:g1=0.8,5:p=-
+11\t3\t1,2,3,4,5\t250.7\t5\t2:g0=-0.1,2:g1=149.8,2:p=3,3:g0=99.8,3:g1=299.8,3:p=2,4:g0=-0.1,4:g1=1.9,4:p=5,5:g0=-0.1,5:g1=1.9,5:p=4
+12\t3\t1,2,3,4,5\t250.7\t5\t2:g0=249.6,2:g1=249.6,2:p=-,3:g0=249.6,3:g1=249.6,3:p=-,4:g0=0.8,4:g1=0.8,4:p=-,5:g0=0.8,5:g1=0.8,5:p=-
+13\t3\t1,2,3,4,5\t250.7\t5\t2:g0=-0.1,2:g1=149.8,2:p=3,3:g0=99.8,3:g1=299.8,3:p=2,4:g0=-0.1,4:g1=1.9,4:p=5,5:g0=-0.1,5:g1=1.9,5:p=4
+14\t3\t1,2,3,4,5\t250.7\t5\t2:g0=249.6,2:g1=249.6,2:p=-,3:g0=249.6,3:g1=249.6,3:p=-,4:g0=0.8,4:g1=0.8,4:p=-,5:g0=0.8,5:g1=0.8,5:p=-
+RESULT stable=0 passes=3 goodness=250.7 assignment=11111
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, code, golden",
+    [
+        ((), 0, EXAMPLE51_CUTSET_TSV),
+        (("--sched", "sync-all", "--max-passes", "3"), 2, EXAMPLE51_CUTSET_SYNC_TSV),
+    ],
+    ids=["central-rr", "sync-all"],
+)
+def test_cutset_tsv_output_is_unchanged(capsys, extra, code, golden):
+    argv = ("run", "--fixture", "example51", "--rule", "activate-with-cutset", "--format", "tsv", *extra)
+    assert run_cli(capsys, *argv)[:2] == (code, golden)

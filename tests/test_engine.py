@@ -32,7 +32,7 @@ from goodnet import (
     trace_line,
 )
 
-from helpers import D, W
+from helpers import D, M, W
 
 
 def path3():
@@ -85,10 +85,10 @@ def test_fig1_run_matches_walkthrough_registers():
     assert result.assignment == (1, 0, 0, 0, 1)
     assert result.goodness_final == W(3)
     regs = result.registers
-    assert (regs[1].g0, regs[1].g1) == (W(2), W(1))
-    assert (regs[2].g0, regs[2].g1) == (Weight(0), W(2))
-    assert (regs[3].g0, regs[3].g1) == (W(2), W(2))
-    assert (regs[5].g0, regs[5].g1) == (W(1), Weight(0))
+    assert (regs[1].g0, regs[1].g1) == (M(2), M(1))
+    assert (regs[2].g0, regs[2].g1) == (0, M(2))
+    assert (regs[3].g0, regs[3].g1) == (M(2), M(2))
+    assert (regs[5].g0, regs[5].g1) == (M(1), 0)
     assert regs[4].points_to == frozenset()
     assert regs[3].points_to == {4} and regs[5].points_to == {4}
 
@@ -149,8 +149,8 @@ def test_perturb_deterministic_and_in_envelope():
         abs(net.bias(i).micros) for i in net.nodes()
     )
     for i in net.nodes():
-        assert abs(a[i].g0.micros) <= envelope
-        assert abs(a[i].g1.micros) <= envelope
+        assert abs(a[i].g0) <= envelope
+        assert abs(a[i].g1) <= envelope
         assert a[i].points_to <= {j for j, _ in net.neighbors(i)}
 
 
@@ -195,7 +195,7 @@ def test_trace_replay_reconstructs_final_registers():
 
 def test_trace_and_result_lines_format():
     result = run(fig1(), "activate", CentralRoundRobin(), init="zeros",
-                 collect_trace=True, track_illegal=True)
+                 collect_trace=True)
     assert result_line(result) == (
         f"RESULT stable=1 passes={result.passes_used} goodness=3 assignment=10001"
     )
@@ -203,11 +203,12 @@ def test_trace_and_result_lines_format():
     parts = line.split("\t")
     assert len(parts) == 6
     assert parts[0] == "0" and parts[1] == "1" and parts[2] == "1"
+    assert parts[3:] == ["2", "4", "1:x=1,1:g0=2,1:g1=1,1:p=3"]  # goodness, illegal count, deltas
 
 
 def test_budget_exhaustion_is_not_an_error():
     result = run(fig1(), "boltzmann", CentralRoundRobin(), init="zeros",
-                 temperature=W(1), max_passes=3, rule_seed=1)
+                 temperature=W(1), max_passes=3, seed=1)
     assert not result.stable
     assert result.passes_used == 3
 

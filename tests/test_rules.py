@@ -12,7 +12,6 @@ from goodnet import (
     NeighborView,
     NodeRole,
     Network,
-    Weight,
     activation_step,
     boltzmann_step,
     build_view,
@@ -30,26 +29,20 @@ from goodnet import (
     CentralRoundRobin,
 )
 
-from helpers import D, W, legality_map_fixpoint
+from helpers import D, M, W, legality_map_fixpoint
 
 ZERO_REG = ActivationRegister()
 
 
 def reg(x=0, g0=0, g1=0, points=(), cutset_g1=None):
-    return ActivationRegister(
-        x=x,
-        g0=W(g0) if isinstance(g0, int) else g0,
-        g1=W(g1) if isinstance(g1, int) else g1,
-        points_to=frozenset(points),
-        cutset_g1=cutset_g1,
-    )
+    """A register; goodness values in micros."""
+    return ActivationRegister(x=x, g0=g0, g1=g1, points_to=frozenset(points), cutset_g1=cutset_g1)
 
 
 def view(node, bias, neighbors, cutset=False, own=None):
-    nbs = tuple(
-        NeighborView(j, W(w) if isinstance(w, int) else w, r) for j, w, r in neighbors
-    )
-    return LocalView(node, W(bias) if isinstance(bias, int) else bias, cutset, own or ZERO_REG, nbs)
+    """A local view; bias and (id, weight, register) neighbor weights in micros."""
+    nbs = tuple(NeighborView(j, w, r) for j, w, r in neighbors)
+    return LocalView(node, bias, cutset, own or ZERO_REG, nbs)
 
 
 # ---------------------------------------------------------------------------
@@ -57,23 +50,23 @@ def view(node, bias, neighbors, cutset=False, own=None):
 
 
 def test_direct_leaf_points_at_silent_neighbor():
-    v = view(1, 0, [(2, 1, ZERO_REG)])
+    v = view(1, 0, [(2, M(1), ZERO_REG)])
     assert tree_direct_step(v) == frozenset({2})
 
 
 def test_direct_center_clears_when_all_point():
     both_point = reg(points={2})
-    v = view(2, 0, [(1, 1, both_point), (3, 1, both_point)])
+    v = view(2, 0, [(1, M(1), both_point), (3, M(1), both_point)])
     assert tree_direct_step(v) == frozenset()
 
 
 def test_direct_ring_node_stays_out():
-    v = view(1, 0, [(2, 1, ZERO_REG), (3, 1, ZERO_REG)])
+    v = view(1, 0, [(2, M(1), ZERO_REG), (3, M(1), ZERO_REG)])
     assert tree_direct_step(v) == frozenset()
 
 
 def test_direct_adopts_unique_silent_neighbor():
-    v = view(2, 0, [(1, 1, reg(points={2})), (3, 1, ZERO_REG)])
+    v = view(2, 0, [(1, M(1), reg(points={2})), (3, M(1), ZERO_REG)])
     assert tree_direct_step(v) == frozenset({3})
 
 
@@ -81,7 +74,7 @@ def test_direct_cutset_points_at_every_silent_neighbor():
     v = view(
         1,
         0,
-        [(2, 1, ZERO_REG), (3, 1, reg(points={1})), (4, 1, ZERO_REG)],
+        [(2, M(1), ZERO_REG), (3, M(1), reg(points={1})), (4, M(1), ZERO_REG)],
         cutset=True,
     )
     assert tree_direct_step(v) == frozenset({2, 4})
@@ -112,7 +105,7 @@ def test_direct_triangle_with_pendants():
     for leaf in (1, 2):
         regs7[leaf] = reg(points={5})
     assert tree_direct_step(build_view(net, regs7, 7, cutset)) == frozenset({5, 6})
-    regs7[7] = reg(points={5, 6}, cutset_g1=((5, Weight(0)), (6, Weight(0))))
+    regs7[7] = reg(points={5, 6}, cutset_g1=((5, 0), (6, 0)))
     assert tree_direct_step(build_view(net, regs7, 6, cutset)) == frozenset({5})
     regs7[6] = reg(points={5})
     assert tree_direct_step(build_view(net, regs7, 5, cutset)) == frozenset()
@@ -124,30 +117,30 @@ def test_direct_triangle_with_pendants():
 
 def test_goodness_fig1_leaves():
     own = reg(points={3})
-    v1 = view(1, 2, [(3, -1, ZERO_REG)], own=own)
-    assert goodness_step(v1) == (W(2), W(1))
-    v2 = view(2, -1, [(3, 3, ZERO_REG)], own=own)
-    assert goodness_step(v2) == (Weight(0), W(2))
+    v1 = view(1, M(2), [(3, M(-1), ZERO_REG)], own=own)
+    assert goodness_step(v1) == (M(2), M(1))
+    v2 = view(2, M(-1), [(3, M(3), ZERO_REG)], own=own)
+    assert goodness_step(v2) == (0, M(2))
 
 
 def test_goodness_fig1_internal_node():
-    child1 = reg(g0=2, g1=1, points={3})
-    child2 = reg(g0=0, g1=2, points={3})
-    v = view(3, -3, [(1, -1, child1), (2, 3, child2), (4, 2, ZERO_REG)], own=reg(points={4}))
-    assert goodness_step(v) == (W(2), W(2))
+    child1 = reg(g0=M(2), g1=M(1), points={3})
+    child2 = reg(g0=0, g1=M(2), points={3})
+    v = view(3, M(-3), [(1, M(-1), child1), (2, M(3), child2), (4, M(2), ZERO_REG)], own=reg(points={4}))
+    assert goodness_step(v) == (M(2), M(2))
 
 
 def test_goodness_leaf_empty_sums():
-    v = view(1, -2, [(2, 5, ZERO_REG)], own=reg(points={2}))
-    assert goodness_step(v) == (Weight(0), W(3))
+    v = view(1, M(-2), [(2, M(5), ZERO_REG)], own=reg(points={2}))
+    assert goodness_step(v) == (0, M(3))
 
 
 def test_goodness_reads_cutset_pair():
-    cut = reg(x=1, cutset_g1=((2, D("-50.1")), (3, D("99.9"))), g0=D("-0.1"), points={2})
-    v = view(2, D("-0.1"), [(1, -50, cut), (3, 200, ZERO_REG)], own=reg(points={3}))
+    cut = reg(x=1, cutset_g1=((2, M("-50.1")), (3, M("99.9"))), g0=M("-0.1"), points={2})
+    v = view(2, M("-0.1"), [(1, M(-50), cut), (3, M(200), ZERO_REG)], own=reg(points={3}))
     g0, g1 = goodness_step(v)
-    assert g0 == max(D("-0.1"), D("-50.1") + D("-0.1"))
-    assert g1 == max(D("-0.1"), D("-50.1") + W(200) + D("-0.1"))
+    assert g0 == max(M("-0.1"), M("-50.1") + M("-0.1"))
+    assert g1 == max(M("-0.1"), M("-50.1") + M(200) + M("-0.1"))
 
 
 def test_cutset_goodness_step():
@@ -155,18 +148,25 @@ def test_cutset_goodness_step():
     regs = initial_registers(net, "zeros", cutset=frozenset({1}))
     v = build_view(net, regs, 1, frozenset({1}))
     g0, pairs = cutset_goodness_step(v)
-    assert g0 == Weight(0)
-    assert all(w == Weight(0) for _, w in pairs)
+    assert g0 == 0
+    assert all(g == 0 for _, g in pairs)
 
     regs[1] = ActivationRegister(x=1, cutset_g1=regs[1].cutset_g1)
     v = build_view(net, regs, 1, frozenset({1}))
     g0, pairs = cutset_goodness_step(v)
-    assert g0 == D("-0.1")
-    d = dict(pairs)
-    assert d[4] == D("2.9")
-    assert d[2] == D("-50.1")
-    assert d[3] == D("99.9")
-    assert d[5] == D("2.9")
+    assert g0 == M("-0.1")
+    assert dict(pairs) == {2: M("-50.1"), 3: M("99.9"), 4: M("2.9"), 5: M("2.9")}
+
+
+def test_cutset_run_registers_hold_int_micros():
+    result = run(example51(), "activate-with-cutset", CentralRoundRobin(), init="zeros")
+    assert result.stable
+    for r in result.registers[1:]:
+        assert type(r.g0) is int and type(r.g1) is int
+        assert all(type(g) is int for _, g in r.cutset_g1 or ())
+    cut = result.registers[1]
+    assert cut.g0 == M("-0.1")
+    assert cut.cutset_g1 == ((2, M("-50.1")), (3, M("99.9")), (4, M("2.9")), (5, M("2.9")))
 
 
 # ---------------------------------------------------------------------------
@@ -174,36 +174,36 @@ def test_cutset_goodness_step():
 
 
 def test_activation_fig1_root():
-    child3 = reg(g0=2, g1=2, points={4})
-    child5 = reg(g0=1, g1=0, points={4})
-    v = view(4, 0, [(3, 2, child3), (5, -2, child5)])
+    child3 = reg(g0=M(2), g1=M(2), points={4})
+    child5 = reg(g0=M(1), g1=0, points={4})
+    v = view(4, 0, [(3, M(2), child3), (5, M(-2), child5)])
     assert activation_step(v) == 0
 
 
 def test_activation_fig1_leaf():
     parent4 = reg(x=0)
-    v = view(5, 1, [(4, -2, parent4)], own=reg(points={4}))
+    v = view(5, M(1), [(4, M(-2), parent4)], own=reg(points={4}))
     assert activation_step(v) == 1
 
 
 def test_activation_fig1_internal():
-    child1 = reg(g0=2, g1=1, points={3})
-    child2 = reg(g0=0, g1=2, points={3})
+    child1 = reg(g0=M(2), g1=M(1), points={3})
+    child2 = reg(g0=0, g1=M(2), points={3})
     parent4 = reg(x=0)
-    v = view(3, -3, [(1, -1, child1), (2, 3, child2), (4, 2, parent4)], own=reg(points={4}))
+    v = view(3, M(-3), [(1, M(-1), child1), (2, M(3), child2), (4, M(2), parent4)], own=reg(points={4}))
     assert activation_step(v) == 0
 
 
 def test_activation_off_tree_falls_back_to_threshold():
-    v = view(1, 0, [(2, -3, reg(x=1)), (3, -3, ZERO_REG)])
+    v = view(1, 0, [(2, M(-3), reg(x=1)), (3, M(-3), ZERO_REG)])
     assert activation_step(v) == hopfield_step(v) == 0
 
 
 def test_activation_cutset_always_threshold():
     # even with all neighbors pointing, a designated cutset unit stays
     # on the threshold rule (its own registers are not tree values)
-    pointing = reg(x=1, g0=0, g1=100, points={1})
-    v = view(1, 0, [(2, -1, pointing)], cutset=True)
+    pointing = reg(x=1, g0=0, g1=M(100), points={1})
+    v = view(1, 0, [(2, M(-1), pointing)], cutset=True)
     assert activation_step(v) == 0  # field -1 < 0
     assert hopfield_step(v) == 0
 
@@ -215,22 +215,22 @@ def test_combined_formula_specializes_to_root_internal_leaf():
         has_parent = rng.random() < 0.5
         if not has_parent and n_children == 0:
             continue
-        bias = W(rng.randint(-5, 5))
+        bias = M(rng.randint(-5, 5))
         neighbors = []
         expected_lhs = 0
         for c in range(n_children):
             g0, g1 = rng.randint(-9, 9), rng.randint(-9, 9)
-            neighbors.append((10 + c, rng.randint(-5, 5), reg(g0=g0, g1=g1, points={1})))
+            neighbors.append((10 + c, M(rng.randint(-5, 5)), reg(g0=M(g0), g1=M(g1), points={1})))
             expected_lhs += g1 - g0
         own = ZERO_REG
         if has_parent:
             w = rng.randint(-5, 5)
             xk = rng.randint(0, 1)
-            neighbors.append((99, w, reg(x=xk)))
+            neighbors.append((99, M(w), reg(x=xk)))
             own = reg(points={99})
             expected_lhs += w * xk
         v = view(1, bias, neighbors, own=own)
-        want = 1 if W(expected_lhs) >= -v.bias else 0
+        want = 1 if M(expected_lhs) >= -v.bias else 0
         assert activation_step(v) == want
 
 
@@ -239,10 +239,10 @@ def test_combined_formula_specializes_to_root_internal_leaf():
 
 
 def test_hopfield_step_basic():
-    v = view(1, D("-0.1"), [(2, -50, reg(x=1)), (3, 100, reg(x=1)), (4, 3, ZERO_REG), (5, 3, ZERO_REG)])
+    v = view(1, M("-0.1"), [(2, M(-50), reg(x=1)), (3, M(100), reg(x=1)), (4, M(3), ZERO_REG), (5, M(3), ZERO_REG)])
     assert hopfield_step(v) == 1  # net input +50
     assert hopfield_step(view(1, 0, [])) == 1  # tie: 0 >= 0
-    assert hopfield_step(view(1, -1, [])) == 0
+    assert hopfield_step(view(1, M(-1), [])) == 0
 
 
 def test_hopfield_monotone_in_neighbor_activity():
@@ -251,13 +251,13 @@ def test_hopfield_monotone_in_neighbor_activity():
         ws = [rng.randint(0, 5) for _ in range(3)]
         bias = rng.randint(-5, 5)
         for xs in itertools.product((0, 1), repeat=3):
-            base = hopfield_step(view(1, bias, [(j + 2, ws[j], reg(x=xs[j])) for j in range(3)]))
+            base = hopfield_step(view(1, M(bias), [(j + 2, M(ws[j]), reg(x=xs[j])) for j in range(3)]))
             for k in range(3):
                 if xs[k] == 0:
                     raised = list(xs)
                     raised[k] = 1
                     more = hopfield_step(
-                        view(1, bias, [(j + 2, ws[j], reg(x=raised[j])) for j in range(3)])
+                        view(1, M(bias), [(j + 2, M(ws[j]), reg(x=raised[j])) for j in range(3)])
                     )
                     assert more >= base
 
@@ -278,14 +278,14 @@ def test_boltzmann_zero_input_is_fair_coin():
 
 def test_boltzmann_saturates():
     rng = random.Random(5)
-    v = view(1, 100, [])
+    v = view(1, M(100), [])
     assert all(boltzmann_step(v, D("0.01"), rng) == 1 for _ in range(1000))
     assert 1.0 - 1.0 / (1.0 + math.exp(-100 / 0.01)) < 1e-9
 
 
 def test_boltzmann_deterministic_under_seed():
-    a = [boltzmann_step(view(1, 1, []), W(1), random.Random(99)) for _ in range(50)]
-    b = [boltzmann_step(view(1, 1, []), W(1), random.Random(99)) for _ in range(50)]
+    a = [boltzmann_step(view(1, M(1), []), W(1), random.Random(99)) for _ in range(50)]
+    b = [boltzmann_step(view(1, M(1), []), W(1), random.Random(99)) for _ in range(50)]
     assert a == b
 
 
@@ -294,17 +294,17 @@ def test_boltzmann_deterministic_under_seed():
 
 
 def test_classify_role_cases():
-    assert classify_role(view(1, 0, [(2, 1, ZERO_REG)])) == NodeRole.LEAF
-    assert classify_role(view(1, 0, [(2, 1, reg(points={1})), (3, 1, reg(points={1}))])) == NodeRole.ROOT
-    assert classify_role(view(1, 0, [(2, 1, reg(points={1})), (3, 1, ZERO_REG)])) == NodeRole.INTERNAL
-    assert classify_role(view(1, 0, [(2, 1, ZERO_REG), (3, 1, ZERO_REG)])) == NodeRole.NON_TREE
-    assert classify_role(view(1, 0, [(2, 1, ZERO_REG)], cutset=True)) == NodeRole.CUTSET
+    assert classify_role(view(1, 0, [(2, M(1), ZERO_REG)])) == NodeRole.LEAF
+    assert classify_role(view(1, 0, [(2, M(1), reg(points={1})), (3, M(1), reg(points={1}))])) == NodeRole.ROOT
+    assert classify_role(view(1, 0, [(2, M(1), reg(points={1})), (3, M(1), ZERO_REG)])) == NodeRole.INTERNAL
+    assert classify_role(view(1, 0, [(2, M(1), ZERO_REG), (3, M(1), ZERO_REG)])) == NodeRole.NON_TREE
+    assert classify_role(view(1, 0, [(2, M(1), ZERO_REG)], cutset=True)) == NodeRole.CUTSET
     assert classify_role(view(1, 0, [])) == NodeRole.ROOT
 
 
 def test_classify_role_is_a_partition():
     for pattern in itertools.product((0, 1), repeat=3):
-        nbs = [(j + 2, 1, reg(points={1} if p else ())) for j, p in enumerate(pattern)]
+        nbs = [(j + 2, M(1), reg(points={1} if p else ())) for j, p in enumerate(pattern)]
         for cut in (False, True):
             roles = [r for r in NodeRole if classify_role(view(1, 0, nbs, cutset=cut)) == r]
             assert len(roles) == 1
@@ -421,18 +421,17 @@ def test_goodness_registers_match_subtree_enumeration():
                 continue  # the root publishes no parent-conditioned pair
             parent = next(iter(pointers[i]))
             sub = subtree_nodes(pointers, i, net.n)
-            w_link = net.weight(i, parent)
+            w_link = net.weight(i, parent).micros
             for b in (0, 1):
                 best = None
                 for bits in itertools.product((0, 1), repeat=len(sub)):
                     val = dict(zip(sub, bits))
                     g = sum(
-                        (net.weight(u, v) for u in sub for v, _ in net.neighbors(u)
-                         if v in val and u < v and val[u] and val[v]),
-                        Weight(0),
+                        net.weight(u, v).micros for u in sub for v, _ in net.neighbors(u)
+                        if v in val and u < v and val[u] and val[v]
                     )
-                    g = g + sum((net.bias(u) * val[u] for u in sub), Weight(0))
-                    g = g + w_link * (val[i] * b)
+                    g += sum(net.bias(u).micros * val[u] for u in sub)
+                    g += w_link * val[i] * b
                     if best is None or g > best:
                         best = g
                 want = result.registers[i].g0 if b == 0 else result.registers[i].g1

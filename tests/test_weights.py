@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from goodnet import Weight, wsum
+from goodnet import Weight
 from goodnet.weights import SCALE
 
 
@@ -24,31 +24,24 @@ def test_arithmetic_is_exact():
     a = Weight.from_decimal("0.1")
     b = Weight.from_decimal("0.2")
     assert a + b == Weight.from_decimal("0.3")
-    assert a - b == Weight.from_decimal("-0.1")
     assert -a == Weight.from_decimal("-0.1")
-    assert a * 3 == Weight.from_decimal("0.3")
-    assert a * 0 == Weight(0)
 
 
 def test_comparisons_and_zero_literal():
     assert Weight.from_int(-1) < Weight(0) < Weight.from_decimal("0.000001")
     assert Weight.from_int(2) >= Weight.from_int(2)
-    assert Weight(0) == 0
-    assert not Weight(0)
-    assert Weight(1)
     assert max(Weight.from_int(1), Weight.from_int(-3)) == Weight.from_int(1)
+    # Weights do not mix with bare ints (micros): equality is False, ordering and addition raise
+    assert Weight(0) != 0
+    with pytest.raises(TypeError):
+        Weight(0) < 0
+    with pytest.raises(TypeError):
+        Weight(0) + 0
 
 
 def test_weight_times_weight_is_undefined():
     with pytest.raises(TypeError):
         Weight.from_int(2) * Weight.from_int(3)
-
-
-def test_sum_and_wsum():
-    values = [Weight.from_int(1), Weight.from_decimal("-0.5"), Weight.from_decimal("2.25")]
-    assert sum(values) == Weight.from_decimal("2.75")
-    assert wsum(values) == Weight.from_decimal("2.75")
-    assert wsum([]) == Weight(0)
 
 
 def test_str_is_canonical():
@@ -75,5 +68,4 @@ def test_text_round_trip(micros):
 )
 def test_addition_matches_integer_arithmetic(a, b):
     assert (Weight(a) + Weight(b)).micros == a + b
-    assert (Weight(a) - Weight(b)).micros == a - b
     assert (Weight(a) < Weight(b)) == (a < b)
