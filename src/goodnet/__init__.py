@@ -9,9 +9,11 @@ minimize energy).  It provides:
 * classic per-unit rules (threshold, stochastic) and the
   tree-optimizing rule that finds exact optima on acyclic regions,
   plus its cycle-cutset extension;
-* scheduler models (central, synchronous, fair-exclusion, scripted)
-  with fairness checkers, a deterministic simulation engine, and
-  experiment harnesses for the known negative results and guarantees.
+* scheduler models (central round robin, whose fixed order also
+  serves scripted schedules; central random; synchronous;
+  fair-exclusion) with fairness checkers, a deterministic simulation
+  engine, and experiment harnesses for the known negative results and
+  guarantees.
 """
 
 from .weights import Weight
@@ -56,7 +58,6 @@ from .schedulers import (
     CentralRandom,
     CentralRoundRobin,
     FairExclusion,
-    Scripted,
     SynchronousAll,
     check_fair_exclusion,
     check_fairness,

@@ -18,7 +18,7 @@ import sys
 
 from . import experiments
 from .engine import RunResult, TraceEvent, run
-from .fixtures import fixture, illegal_ring
+from .fixtures import fixture
 from .network import parse_network
 from .oracle import (
     brute_force_optima,
@@ -78,17 +78,7 @@ def _parse_cutset(net, text):
 def cmd_run(args) -> int:
     net = _load_network(args)
     scheduler = parse_scheduler(args.sched, seed=args.seed)
-    if args.cutset is not None and args.rule != "activate-with-cutset":
-        print("error: --cutset is only meaningful with --rule activate-with-cutset", file=sys.stderr)
-        return 1
     cutset = _parse_cutset(net, args.cutset)
-    preset = None
-    if args.init == "preset":
-        if not (args.fixture or "").startswith("illegal_ring"):
-            print("error: --init preset is only available for illegal_ring fixtures", file=sys.stderr)
-            return 1
-        n = int(args.fixture.split(":", 1)[1])
-        _, preset = illegal_ring(n)
     want_trace = args.format == "tsv" or args.trace is not None
     result = run(
         net,
@@ -98,7 +88,6 @@ def cmd_run(args) -> int:
         seed=args.seed,
         temperature=Weight.from_decimal(args.temp) if args.temp else None,
         cutset=cutset,
-        preset=preset,
         max_passes=args.max_passes,
         collect_trace=want_trace,
     )
@@ -168,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rule", default="activate", choices=["hopfield", "boltzmann", "activate", "activate-with-cutset"])
     p_run.add_argument("--sched", default="central-rr", help="central-rr[:order] | central-random | sync-all | fair-excl | scripted:<ids>")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--init", default="zeros", choices=["zeros", "random", "preset"])
+    p_run.add_argument("--init", default="zeros", choices=["zeros", "random"])
     p_run.add_argument("--temp", help="temperature for the boltzmann rule (decimal)")
     p_run.add_argument("--cutset", help="comma-separated node ids, or 'auto'")
     p_run.add_argument("--max-passes", type=int, default=100)

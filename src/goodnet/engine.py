@@ -64,15 +64,9 @@ class RunResult:
     trace: list[TraceEvent] | None = None
 
 
-def build_view(
-    net: Network,
-    regs: Sequence[ActivationRegister],
-    i: int,
-    cutset: frozenset[int],
-    own: ActivationRegister | None = None,
-) -> LocalView:
+def build_view(net: Network, regs: Sequence[ActivationRegister], i: int, cutset: frozenset[int]) -> LocalView:
     nbs = tuple(NeighborView(j, w.micros, regs[j]) for j, w in net.neighbors(i))
-    return LocalView(i, net.bias(i).micros, i in cutset, own if own is not None else regs[i], nbs)
+    return LocalView(i, net.bias(i).micros, i in cutset, regs[i], nbs)
 
 
 def _unit_update(
@@ -224,8 +218,9 @@ def run(
     """Iterate scheduler events until a quiet window or the pass budget.
 
     `cutset` defaults to the network's declared cutset for the
-    activate-with-cutset rule and to the empty set otherwise.  A
-    collected trace carries the running goodness and illegal count.
+    activate-with-cutset rule and to the empty set otherwise; no other
+    rule accepts a non-empty one.  A collected trace carries the running
+    goodness and illegal count.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -239,6 +234,8 @@ def run(
         cutset = net.cutset if rule == "activate-with-cutset" else frozenset()
     else:
         cutset = net.check_cutset(cutset)
+        if cutset and rule != "activate-with-cutset":
+            raise ValueError(f"a cutset is only meaningful with the activate-with-cutset rule, not {rule!r}")
     n = net.n
     window = window if window is not None else 2 * n
     regs = initial_registers(net, init, cutset, seed, preset)

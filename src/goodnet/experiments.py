@@ -12,11 +12,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .engine import apply_event, assignment_of, initial_registers, perturb, run
+from .engine import apply_event, assignment_of, initial_registers, perturb, pointer_snapshot, run
 from .fixtures import chain2i, illegal_ring, random_network, ring6
 from .network import Network
 from .oracle import brute_force_optima, greedy_cutset, tree_conditioned_max
-from .schedulers import CentralRoundRobin, FairExclusion, Scripted, SynchronousAll
+from .rules import Legality, legality_map
+from .schedulers import CentralRoundRobin, FairExclusion, SynchronousAll
 from .weights import Weight
 
 
@@ -40,13 +41,10 @@ class DominancePair:
 
 
 def non_tree_nodes(net: Network, regs: Sequence) -> frozenset[int]:
-    """Nodes left outside any directed tree: two or more non-pointing neighbors."""
-    out = set()
-    for i in net.nodes():
-        non_pointing = sum(1 for j, _ in net.neighbors(i) if i not in regs[j].points_to)
-        if non_pointing >= 2:
-            out.add(i)
-    return frozenset(out)
+    """Nodes left outside any directed tree: the ILLEGAL class of
+    `legality_map`, i.e. two or more non-pointing neighbors."""
+    lmap = legality_map(net, pointer_snapshot(regs))
+    return frozenset(i for i, v in lmap.items() if v is Legality.ILLEGAL)
 
 
 def dominance_experiment(net: Network, seed: int, scheduler_factory, max_passes: int = 200) -> DominancePair:
@@ -131,7 +129,7 @@ def ring_schedule_demo(events: int = 10_000) -> DemoResult:
     report = brute_force_optima(net)
     optima = set(report.argmax)
     regs = initial_registers(net, "zeros")
-    sched = Scripted((1, 4, 2, 5, 3, 6))
+    sched = CentralRoundRobin((1, 4, 2, 5, 3, 6))
     pairs_equal = True
     optimum_seen = False
     for step in range(events):

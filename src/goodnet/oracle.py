@@ -44,10 +44,10 @@ class OptimumReport:
 
 @dataclass(frozen=True)
 class CutsetPlan:
-    """A designated node set with evidence that removing it breaks all cycles."""
+    """A designated node set meant to break every cycle.  Whether it does
+    is checked by the forest walk of each conditioning."""
 
     members: frozenset[int]
-    acyclic_after_removal: bool
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +218,11 @@ def greedy_cutset(net: Network) -> CutsetPlan:
             if j in alive:
                 deg[j] -= 1
         strip()
-    return CutsetPlan(frozenset(members), True)
+    return CutsetPlan(frozenset(members))
 
 
 def plan_from_members(net: Network, members) -> CutsetPlan:
-    members = net.check_cutset(members)
-    return CutsetPlan(members, is_acyclic_without(net, members))
+    return CutsetPlan(net.check_cutset(members))
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +285,9 @@ def cutset_exact_optimize(net: Network, plan: CutsetPlan) -> OptimumReport:
     Each of the 2**|Y| fixed assignments to the cutset is solved exactly
     by forest DP; the best conditioning(s) win.  Matches brute force in
     gmax, with one witness assignment per optimal conditioning, and
-    reports every conditioning's maximum in `conditionings`.
+    reports every conditioning's maximum in `conditionings`.  A plan that
+    leaves a cycle raises ValueError from the first conditioning.
     """
-    if not plan.acyclic_after_removal or not is_acyclic_without(net, plan.members):
-        raise ValueError("cutset plan does not leave an acyclic network")
     if len(plan.members) > CUTSET_MAX_SIZE:
         raise ValueError(f"cutset enumeration capped at {CUTSET_MAX_SIZE} members")
     members = sorted(plan.members)

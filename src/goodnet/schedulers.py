@@ -21,8 +21,6 @@ from .network import Network
 
 
 class Scheduler:
-    kind = "abstract"
-
     def next_set(self, n: int) -> frozenset[int]:
         raise NotImplementedError
 
@@ -34,8 +32,6 @@ class CentralRoundRobin(Scheduler):
     skips a unit could never let a run stabilize.  The order is checked
     once per `n`, on the first call with that `n`.
     """
-
-    kind = "central-rr"
 
     def __init__(self, order: Sequence[int] | None = None):
         self.order = tuple(order) if order is not None else None
@@ -67,8 +63,6 @@ class CentralRoundRobin(Scheduler):
 class CentralRandom(Scheduler):
     """Uniform random singletons."""
 
-    kind = "central-random"
-
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
@@ -78,8 +72,6 @@ class CentralRandom(Scheduler):
 
 class SynchronousAll(Scheduler):
     """Every unit, every step."""
-
-    kind = "sync-all"
 
     def next_set(self, n: int) -> frozenset[int]:
         return frozenset(range(1, n + 1))
@@ -101,8 +93,6 @@ class FairExclusion(Scheduler):
     legality invariants intact; co-executing neighbors can transiently
     break them.
     """
-
-    kind = "fair-excl"
 
     def __init__(self, seed: int, exclude_adjacent_in: Network | None = None):
         self._rng = random.Random(seed)
@@ -128,33 +118,17 @@ class FairExclusion(Scheduler):
         return frozenset(picked)
 
 
-class Scripted(Scheduler):
-    """Replays a fixed singleton sequence cyclically."""
-
-    kind = "scripted"
-
-    def __init__(self, sequence: Sequence[int]):
-        if not sequence:
-            raise ValueError("scripted sequence must be nonempty")
-        self.sequence = tuple(sequence)
-        self._cursor = 0
-
-    def next_set(self, n: int) -> frozenset[int]:
-        pick = self.sequence[self._cursor % len(self.sequence)]
-        if not 1 <= pick <= n:
-            raise ValueError(f"scripted sequence references node {pick} outside 1..{n}")
-        self._cursor += 1
-        return frozenset({pick})
-
-
 def parse_scheduler(text: str, seed: int = 0) -> Scheduler:
     """Build a scheduler from its CLI name.
 
     Accepted: ``central-rr``, ``central-rr:<ids>``, ``central-random``,
     ``sync-all``, ``fair-excl``, ``scripted:<ids>`` with ids comma-separated.
+    ``scripted:<ids>`` is the round robin ``central-rr:<ids>``.
     """
     name, _, arg = text.partition(":")
-    if name == "central-rr":
+    if name == "scripted" and not arg:
+        raise ValueError("scripted scheduler needs ids, e.g. scripted:1,4,2")
+    if name in ("central-rr", "scripted"):
         order = [int(t) for t in arg.split(",")] if arg else None
         return CentralRoundRobin(order)
     if name == "central-random":
@@ -163,10 +137,6 @@ def parse_scheduler(text: str, seed: int = 0) -> Scheduler:
         return SynchronousAll()
     if name == "fair-excl":
         return FairExclusion(seed)
-    if name == "scripted":
-        if not arg:
-            raise ValueError("scripted scheduler needs ids, e.g. scripted:1,4,2")
-        return Scripted([int(t) for t in arg.split(",")])
     raise ValueError(f"unknown scheduler {text!r}")
 
 

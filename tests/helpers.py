@@ -91,6 +91,15 @@ def legality_map_fixpoint(net: Network, pointers) -> dict:
     return result
 
 
+def non_tree_nodes_reference(net: Network, regs) -> frozenset[int]:
+    """Nodes left outside any directed tree: two or more non-pointing neighbors."""
+    out = set()
+    for i in net.nodes():
+        non_pointing = sum(1 for j, _ in net.neighbors(i) if i not in regs[j].points_to)
+        if non_pointing >= 2:
+            out.add(i)
+    return frozenset(out)
+
 def W(x: int) -> Weight:
     return Weight.from_int(x)
 

@@ -15,7 +15,6 @@ from goodnet import (
     CentralRoundRobin,
     FairExclusion,
     LocalView,
-    Scripted,
     SynchronousAll,
     Weight,
     apply_event,
@@ -162,7 +161,7 @@ def test_criterion_05_ring_schedule_never_optimal():
     net = ring6()
     optima = set(brute_force_optima(net).argmax)
     regs = initial_registers(net, "zeros")
-    sched = Scripted((1, 4, 2, 5, 3, 6))
+    sched = CentralRoundRobin((1, 4, 2, 5, 3, 6))
     for step in range(events):
         apply_event(net, regs, sched.next_set(net.n), "activate")
         a = assignment_of(regs)
@@ -194,7 +193,7 @@ def test_criterion_07_example51_trajectory():
     # ascending round robin reads node 3's flip at node 1 before node 2
     # ever sees it, skipping the -199.8 plateau; the cycle 3,2,1,4,5
     # realizes the narrative exactly.  Both must stabilize at all-ones.
-    result = run(net, "activate-with-cutset", Scripted((3, 2, 1, 4, 5)),
+    result = run(net, "activate-with-cutset", CentralRoundRobin((3, 2, 1, 4, 5)),
                  init="zeros", collect_trace=True)
     assert result.stable
     levels = []

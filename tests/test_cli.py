@@ -40,6 +40,28 @@ def test_run_rejects_round_robin_order_that_skips_units(capsys):
     code, out, err = run_cli(capsys, "run", "--fixture", "ring6", "--sched", "central-rr:1,2,3")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "never schedules node 4" in err
+    # a scripted order is a round-robin order
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--sched", "scripted:1,2")
+    assert (code, out) == (1, "")
+    assert err == "error: round-robin order never schedules node 3 of 1..5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--cutset", "1"), ("--cutset", "auto", "--rule", "hopfield")],
+    ids=["activate-1", "hopfield-auto"],
+)
+def test_run_rejects_a_cutset_for_other_rules(capsys, argv):
+    code, out, err = run_cli(capsys, "run", "--fixture", "example51", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a cutset is only meaningful with the activate-with-cutset rule")
+
+
+def test_run_accepts_an_empty_auto_cutset_for_other_rules(capsys):
+    # fig1 is a tree, so the greedy cutset is empty and plain activate runs
+    with_auto = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "activate", "--cutset", "auto")
+    assert with_auto == run_cli(capsys, "run", "--fixture", "fig1", "--rule", "activate")
+    assert with_auto[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -96,14 +118,12 @@ def test_run_tsv_trace(capsys, tmp_path):
     assert trace_path.read_text().splitlines()[0] == lines[0]
 
 
-def test_run_preset_requires_illegal_ring(capsys):
-    code, _, err = run_cli(capsys, "run", "--fixture", "fig1", "--init", "preset")
-    assert code == 1 and "preset" in err
-    code, out, _ = run_cli(
-        capsys, "run", "--fixture", "illegal_ring:5", "--init", "preset",
-        "--max-passes", "20",
-    )
-    assert code in (0, 2)
+def test_run_rejects_init_preset(capsys):
+    # the stuck pointer ring is reached through `goodnet demo fig9`
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--fixture", "illegal_ring:5", "--init", "preset"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'preset'" in capsys.readouterr().err
 
 
 def test_oracle_fig1(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from goodnet import (
     CentralRoundRobin,
     FairExclusion,
     Network,
-    Scripted,
     SynchronousAll,
     Weight,
     apply_event,
@@ -32,7 +32,7 @@ from goodnet import (
     trace_line,
 )
 
-from helpers import D, M, W
+from helpers import D, M, W, non_tree_nodes_reference
 
 
 def path3():
@@ -251,6 +251,38 @@ def test_non_tree_nodes_on_ring_with_pendant():
     assert non_tree_nodes(net, result.registers) == {1, 2, 3}
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_non_tree_nodes_match_non_pointing_count_reference(data):
+    kind = data.draw(st.sampled_from(["sparse", "ring", "tree"]))
+    n = data.draw(st.integers(3 if kind == "ring" else 1, 10))
+    m = data.draw(st.integers(0, min(4, (n - 1) * (n - 2) // 2))) if kind == "sparse" else 0
+    net = random_network(kind, n, m=m, seed=data.draw(st.integers(0, 2**32 - 1)))
+    seed = data.draw(st.integers(0, 2**16))
+    # perturbed registers, optionally run for a while under some scheduler,
+    # then a few pointer sets re-aimed anywhere (non-neighbors included)
+    regs = perturb(net, initial_registers(net, "zeros"), seed)
+    if data.draw(st.booleans()):
+        scheduler = SCHEDULERS[data.draw(st.sampled_from(sorted(SCHEDULERS)))](seed)
+        max_passes = data.draw(st.integers(1, 20))
+        regs = run(net, "activate", scheduler, init="preset", preset=regs, max_passes=max_passes).registers
+    for i in net.nodes():
+        if data.draw(st.integers(0, 3)) == 0:
+            regs[i] = replace(regs[i], points_to=data.draw(st.frozensets(st.integers(1, n), max_size=3)))
+    assert non_tree_nodes(net, regs) == non_tree_nodes_reference(net, regs)
+
+
+def test_run_rejects_a_cutset_for_other_rules():
+    with pytest.raises(ValueError, match="activate-with-cutset"):
+        run(example51(), "activate", CentralRoundRobin(), cutset={1})
+    with pytest.raises(ValueError, match="activate-with-cutset"):
+        run(example51(), "hopfield", CentralRoundRobin(), cutset=frozenset({1, 3}))
+    # an empty cutset is no cutset: the plain rule runs as without one
+    assert run(example51(), "activate", CentralRoundRobin(), cutset=frozenset()) == run(
+        example51(), "activate", CentralRoundRobin()
+    )
+
+
 def test_cutset_run_is_conditionally_optimal_at_stability():
     # at stability the non-cutset part is the exact optimum given the
     # cutset values, and every cutset unit satisfies the threshold rule
@@ -279,7 +311,7 @@ def test_cutset_run_is_conditionally_optimal_at_stability():
 
 def test_scripted_run_example51_escapes_both_local_optima():
     result = run(
-        example51(), "activate-with-cutset", Scripted((3, 2, 1, 4, 5)),
+        example51(), "activate-with-cutset", CentralRoundRobin((3, 2, 1, 4, 5)),
         init="zeros", collect_trace=True,
     )
     levels = []

@@ -165,7 +165,6 @@ def test_greedy_cutset_always_verifies():
     for seed in range(20):
         net = random_network("sparse", 10, m=seed % 4, seed=seed)
         plan = greedy_cutset(net)
-        assert plan.acyclic_after_removal
         assert is_acyclic_without(net, plan.members)
         assert len(plan.members) <= seed % 4
 
@@ -177,8 +176,10 @@ def test_cutset_exact_examples():
 
 
 def test_cutset_exact_rejects_bad_plan():
-    with pytest.raises(ValueError):
-        cutset_exact_optimize(ring6(), CutsetPlan(frozenset(), True))
+    with pytest.raises(ValueError, match="does not cut all cycles"):
+        cutset_exact_optimize(ring6(), CutsetPlan(frozenset()))
+    with pytest.raises(ValueError, match="does not cut all cycles"):
+        cutset_exact_optimize(example51(), plan_from_members(example51(), {2}))
 
 
 def test_cutset_exact_matches_brute_force():
@@ -210,7 +211,7 @@ def test_forest_walk_matches_edge_count_reference(data):
             tree_conditioned_max(net, y)
         return
     value, witness = tree_conditioned_max(net, y)
-    assert value == conditioned_optimum(net, CutsetPlan(skip, True), y).gmax
+    assert value == conditioned_optimum(net, CutsetPlan(skip), y).gmax
     assert net.goodness(witness) == value
     assert all(witness[i - 1] == y[i] for i in skip)
 

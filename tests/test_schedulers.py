@@ -5,7 +5,6 @@ from goodnet import (
     CentralRoundRobin,
     FairExclusion,
     Network,
-    Scripted,
     SynchronousAll,
     check_fair_exclusion,
     check_fairness,
@@ -30,8 +29,15 @@ def test_central_rr_cycles_ascending():
 def test_central_rr_custom_order():
     trace = collect(CentralRoundRobin((3, 2, 1, 4, 5)), 5, 5)
     assert [next(iter(s)) for s in trace] == [3, 2, 1, 4, 5]
+    # the paired ring order of the thm42 demo, replayed cyclically
+    trace = collect(CentralRoundRobin((1, 4, 2, 5, 3, 6)), 6, 12)
+    assert [next(iter(s)) for s in trace] == [1, 4, 2, 5, 3, 6] * 2
     with pytest.raises(ValueError):
         CentralRoundRobin((9,)).next_set(3)
+    with pytest.raises(ValueError):
+        CentralRoundRobin((7,)).next_set(6)
+    with pytest.raises(ValueError):
+        CentralRoundRobin(()).next_set(6)
     # the order is checked again whenever the node count changes
     sched = CentralRoundRobin((2, 1))
     assert sched.next_set(2) == frozenset({2})
@@ -57,15 +63,6 @@ def test_central_random_deterministic_singletons():
     assert a == b
     assert all(len(s) == 1 for s in a)
     assert a != collect(CentralRandom(6), 8, 100)
-
-
-def test_scripted_replays_ring_order():
-    trace = collect(Scripted((1, 4, 2, 5, 3, 6)), 6, 12)
-    assert [next(iter(s)) for s in trace] == [1, 4, 2, 5, 3, 6] * 2
-    with pytest.raises(ValueError):
-        Scripted((7,)).next_set(6)
-    with pytest.raises(ValueError):
-        Scripted(())
 
 
 def test_fair_exclusion_contract():
@@ -109,12 +106,15 @@ def test_check_fair_exclusion_examples():
 
 
 def test_parse_scheduler():
-    assert parse_scheduler("central-rr").kind == "central-rr"
+    assert isinstance(parse_scheduler("central-rr"), CentralRoundRobin)
+    assert parse_scheduler("central-rr").order is None
     assert parse_scheduler("central-rr:3,2,1").order == (3, 2, 1)
-    assert parse_scheduler("central-random", seed=3).kind == "central-random"
-    assert parse_scheduler("sync-all").kind == "sync-all"
-    assert parse_scheduler("fair-excl", seed=1).kind == "fair-excl"
-    assert parse_scheduler("scripted:1,4,2,5,3,6").sequence == (1, 4, 2, 5, 3, 6)
+    assert isinstance(parse_scheduler("central-random", seed=3), CentralRandom)
+    assert isinstance(parse_scheduler("sync-all"), SynchronousAll)
+    assert isinstance(parse_scheduler("fair-excl", seed=1), FairExclusion)
+    scripted = parse_scheduler("scripted:1,4,2,5,3,6")
+    assert isinstance(scripted, CentralRoundRobin)
+    assert scripted.order == (1, 4, 2, 5, 3, 6)
     with pytest.raises(ValueError):
         parse_scheduler("scripted")
     with pytest.raises(ValueError):
