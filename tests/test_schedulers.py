@@ -29,15 +29,8 @@ def test_central_rr_cycles_ascending():
 def test_central_rr_custom_order():
     trace = collect(CentralRoundRobin((3, 2, 1, 4, 5)), 5, 5)
     assert [next(iter(s)) for s in trace] == [3, 2, 1, 4, 5]
-    # the paired ring order of the thm42 demo, replayed cyclically
-    trace = collect(CentralRoundRobin((1, 4, 2, 5, 3, 6)), 6, 12)
-    assert [next(iter(s)) for s in trace] == [1, 4, 2, 5, 3, 6] * 2
     with pytest.raises(ValueError):
         CentralRoundRobin((9,)).next_set(3)
-    with pytest.raises(ValueError):
-        CentralRoundRobin((7,)).next_set(6)
-    with pytest.raises(ValueError):
-        CentralRoundRobin(()).next_set(6)
     # the order is checked again whenever the node count changes
     sched = CentralRoundRobin((2, 1))
     assert sched.next_set(2) == frozenset({2})
@@ -51,6 +44,16 @@ def test_central_rr_rejects_orders_that_skip_a_unit():
         run(ring6(), "activate", CentralRoundRobin((1, 2, 3)))
     # repeats are fine as long as every unit is named
     assert run(ring6(), "activate", CentralRoundRobin((1, 2, 3, 4, 5, 6, 1))).stable
+
+
+def test_scripted_replays_ring_order():
+    # a scripted order is a round robin over the given ids, replayed cyclically
+    trace = collect(parse_scheduler("scripted:1,4,2,5,3,6"), 6, 12)
+    assert [next(iter(s)) for s in trace] == [1, 4, 2, 5, 3, 6] * 2
+    with pytest.raises(ValueError):
+        parse_scheduler("scripted:7").next_set(6)
+    with pytest.raises(ValueError):
+        CentralRoundRobin(()).next_set(6)
 
 
 def test_sync_all_emits_everything():
