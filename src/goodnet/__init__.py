@@ -30,7 +30,6 @@ from .fixtures import (
 from .oracle import (
     CutsetPlan,
     brute_force_optima,
-    conditioned_optimum,
     cutset_exact_optimize,
     greedy_cutset,
     hopfield_local_optima,
@@ -44,10 +43,8 @@ from .rules import (
     Legality,
     LocalView,
     NeighborView,
-    NodeRole,
     activation_step,
     boltzmann_step,
-    classify_role,
     cutset_goodness_step,
     goodness_step,
     hopfield_step,

@@ -66,7 +66,7 @@ class RunResult:
 
 def build_view(net: Network, regs: Sequence[ActivationRegister], i: int, cutset: frozenset[int]) -> LocalView:
     nbs = tuple(NeighborView(j, w.micros, regs[j]) for j, w in net.neighbors(i))
-    return LocalView(i, net.bias(i).micros, i in cutset, regs[i], nbs)
+    return LocalView(i, net.bias(i).micros, i in cutset, nbs)
 
 
 def _unit_update(
@@ -80,18 +80,18 @@ def _unit_update(
 ) -> ActivationRegister:
     view = build_view(net, regs, i, cutset)
     if rule == "hopfield":
-        return replace(view.own, x=hopfield_step(view))
+        return replace(regs[i], x=hopfield_step(view))
     if rule == "boltzmann":
-        return replace(view.own, x=boltzmann_step(view, temperature, rng))
+        return replace(regs[i], x=boltzmann_step(view, temperature, rng))
     # tree-optimizing rule: pointer step feeds the goodness and activation steps
     new_points = tree_direct_step(view)
-    view = replace(view, own=replace(view.own, points_to=new_points))
     if view.is_cutset:
-        g0, pairs = cutset_goodness_step(view)
-        x = activation_step(view)
+        # a cutset unit publishes goodness for its pre-event bit
+        g0, pairs = cutset_goodness_step(view, regs[i].x)
+        x = activation_step(view, new_points)
         return ActivationRegister(x=x, g0=g0, g1=0, points_to=new_points, cutset_g1=pairs)
-    g0, g1 = goodness_step(view)
-    x = activation_step(view)
+    g0, g1 = goodness_step(view, new_points)
+    x = activation_step(view, new_points)
     return ActivationRegister(x=x, g0=g0, g1=g1, points_to=new_points, cutset_g1=None)
 
 
@@ -143,13 +143,16 @@ def initial_registers(
     """Build the starting register list (index 0 unused).
 
     init 'zeros' clears everything (the explicit initialization step);
-    'random' randomizes only the activation bits; 'preset' takes either
-    a full register list or a mapping node -> pointer set.
+    'random' randomizes only the activation bits and needs a seed;
+    'preset' takes either a full register list (n + 1 entries) or a
+    mapping node -> pointer set.
     """
     regs: list = [None] + [zero_register(net, i, cutset) for i in net.nodes()]
     if init == "zeros":
         return regs
     if init == "random":
+        if seed is None:
+            raise ValueError("init='random' needs a seed")
         rng = random.Random(seed)
         for i in net.nodes():
             regs[i] = replace(regs[i], x=rng.randint(0, 1))
@@ -161,6 +164,8 @@ def initial_registers(
             for i in net.nodes():
                 regs[i] = replace(regs[i], points_to=frozenset(preset.get(i, frozenset())))
             return regs
+        if len(preset) != net.n + 1:
+            raise ValueError(f"a preset register list needs n + 1 = {net.n + 1} entries (index 0 unused), got {len(preset)}")
         return list(preset)
     raise ValueError(f"unknown init mode {init!r}")
 

@@ -59,14 +59,11 @@ def _check_int64_safe(net: Network) -> None:
         raise ValueError("weights too large for an exact int64 scan (sum |w| + sum |theta| >= 2**62 micros)")
 
 
-def _bit_matrix(ks: np.ndarray, free: Sequence[int], n: int, fixed: Mapping[int, int]) -> np.ndarray:
-    """0/1 matrix (len(ks) x n); free nodes enumerate, fixed nodes are constant."""
+def _bit_matrix(ks: np.ndarray, n: int) -> np.ndarray:
+    """0/1 matrix (len(ks) x n); row k holds k's bits, node 1 most significant."""
     bits = np.zeros((len(ks), n), dtype=np.int8)
-    nf = len(free)
-    for idx, node in enumerate(free):
-        bits[:, node - 1] = (ks >> (nf - 1 - idx)) & 1
-    for node, val in fixed.items():
-        bits[:, node - 1] = val
+    for idx in range(n):
+        bits[:, idx] = (ks >> (n - 1 - idx)) & 1
     return bits
 
 
@@ -81,15 +78,17 @@ def _goodness_column(net: Network, bits: np.ndarray) -> np.ndarray:
     return g
 
 
-def _scan(net: Network, fixed: Mapping[int, int]) -> OptimumReport:
+def brute_force_optima(net: Network) -> OptimumReport:
+    """Exact maximum and complete argmax set over all 2**n assignments."""
+    if net.n > BRUTE_FORCE_MAX_NODES:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes, got {net.n}")
     _check_int64_safe(net)
-    free = [i for i in net.nodes() if i not in fixed]
-    total = 1 << len(free)
+    total = 1 << net.n
     best = None
     best_rows: list[tuple[int, ...]] = []
     for start in range(0, total, _CHUNK):
         ks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = _bit_matrix(ks, free, net.n, fixed)
+        bits = _bit_matrix(ks, net.n)
         g = _goodness_column(net, bits)
         chunk_best = int(g.max())
         if best is None or chunk_best > best:
@@ -99,13 +98,6 @@ def _scan(net: Network, fixed: Mapping[int, int]) -> OptimumReport:
             for row in bits[g == best]:
                 best_rows.append(tuple(int(v) for v in row))
     return OptimumReport(Weight(best), tuple(sorted(best_rows)), total)
-
-
-def brute_force_optima(net: Network) -> OptimumReport:
-    """Exact maximum and complete argmax set over all 2**n assignments."""
-    if net.n > BRUTE_FORCE_MAX_NODES:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes, got {net.n}")
-    return _scan(net, {})
 
 
 def is_hopfield_stable(net: Network, a: Sequence[int]) -> bool:
@@ -133,24 +125,13 @@ def hopfield_local_optima(net: Network) -> tuple[tuple[int, ...], ...]:
     total = 1 << n
     for start in range(0, total, _CHUNK):
         ks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = _bit_matrix(ks, list(net.nodes()), n, {})
+        bits = _bit_matrix(ks, n)
         field = bits.astype(np.int64) @ wmat
         want = field >= -theta
         stable = np.all(want == bits.astype(bool), axis=1)
         for row in bits[stable]:
             stable_rows.append(tuple(int(v) for v in row))
     return tuple(sorted(stable_rows))
-
-
-def conditioned_optimum(net: Network, plan: CutsetPlan, y: Mapping[int, int]) -> OptimumReport:
-    """Exact maximum over all completions of the partial assignment y."""
-    missing = plan.members - set(y)
-    if missing:
-        raise ValueError(f"conditioning must assign every cutset member; missing {sorted(missing)}")
-    fixed = {i: int(y[i]) for i in plan.members}
-    if net.n - len(fixed) > BRUTE_FORCE_MAX_NODES:
-        raise ValueError("too many free nodes for exhaustive conditioning")
-    return _scan(net, fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ Units designated as cycle-cutset members publish a separate goodness
 pair per neighbor instead of the single (g0, g1) pair, and always
 update their activation by the plain threshold rule.
 
-Every function here is pure: it maps a unit's local view (its own
-register plus its neighbors' published registers) to the new field
-values.  Committing writes, scheduling and snapshot semantics are the
-simulation engine's business.
+Every function here is pure: it maps a unit's local view (its bias,
+its cutset designation and its neighbors' published registers) to the
+new field values.  A step that also depends on the unit's own parent
+pointers or activation bit takes them as an argument.  Committing
+writes, scheduling and snapshot semantics are the simulation engine's
+business.
 
 The tree protocol, in one paragraph: a unit that sees exactly one
 neighbor not pointing at it adopts that neighbor as its parent; with
@@ -75,13 +77,13 @@ class NeighborView:
 
 @dataclass(frozen=True)
 class LocalView:
-    """Everything unit ``node`` may legally read in one activation;
-    weights and bias in micros."""
+    """What unit ``node`` reads in one activation besides its own
+    register: its bias and neighbor weights in micros, whether it is a
+    cutset unit, and each neighbor's published register."""
 
     node: int
     bias: int
     is_cutset: bool
-    own: ActivationRegister
     neighbors: tuple[NeighborView, ...]
 
     def points_at_me(self, nb: NeighborView) -> bool:
@@ -89,14 +91,6 @@ class LocalView:
 
     def non_pointing(self) -> list[NeighborView]:
         return [nb for nb in self.neighbors if not self.points_at_me(nb)]
-
-
-class NodeRole(Enum):
-    LEAF = "leaf"
-    ROOT = "root"
-    INTERNAL = "internal"
-    NON_TREE = "non-tree"
-    CUTSET = "cutset"
 
 
 class Legality(Enum):
@@ -127,12 +121,14 @@ def tree_direct_step(view: LocalView) -> frozenset[int]:
 # goodness propagation
 
 
-def goodness_step(view: LocalView) -> tuple[int, int]:
+def goodness_step(view: LocalView, points_to: frozenset[int]) -> tuple[int, int]:
     """Recompute (g0, g1) from pointing neighbors; meaningful on tree units.
 
-    With no pointing neighbors this degenerates to the leaf values
-    (max(0, theta) and max(0, w + theta)).  Pointing cutset neighbors
-    contribute their per-neighbor published pair.
+    ``points_to`` is the unit's new parent set from
+    :func:`tree_direct_step`; g1 adds the weight toward it.  With no
+    pointing neighbors this degenerates to the leaf values (max(0, theta)
+    and max(0, w + theta)).  Pointing cutset neighbors contribute their
+    per-neighbor published pair.
     """
     s0 = 0
     s1 = 0
@@ -140,14 +136,13 @@ def goodness_step(view: LocalView) -> tuple[int, int]:
         if view.points_at_me(nb):
             s0 += nb.reg.g0
             s1 += nb.reg.g1_toward(view.node)
-    parent_w = sum(nb.weight for nb in view.neighbors if nb.id in view.own.points_to)
+    parent_w = sum(nb.weight for nb in view.neighbors if nb.id in points_to)
     return max(s0, s1 + view.bias), max(s0, s1 + view.bias + parent_w)
 
 
-def cutset_goodness_step(view: LocalView) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Cutset units publish fixed-activation goodness: g0 = x*theta and,
-    toward each neighbor j, x*(theta + w_ij)."""
-    x = view.own.x
+def cutset_goodness_step(view: LocalView, x: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Cutset units publish fixed-activation goodness for activation bit
+    ``x``: g0 = x*theta and, toward each neighbor j, x*(theta + w_ij)."""
     pairs = tuple((nb.id, x * (view.bias + nb.weight)) for nb in view.neighbors)
     return x * view.bias, pairs
 
@@ -162,9 +157,10 @@ def hopfield_step(view: LocalView) -> int:
     return 1 if field >= -view.bias else 0
 
 
-def activation_step(view: LocalView) -> int:
-    """Tree units combine children's goodness gaps with the parent link;
-    cutset units and units on cycles use the plain threshold rule.
+def activation_step(view: LocalView, points_to: frozenset[int]) -> int:
+    """Tree units combine children's goodness gaps with the link to their
+    new parents ``points_to``; cutset units and units on cycles use the
+    plain threshold rule.
 
     The combined inequality
 
@@ -180,7 +176,7 @@ def activation_step(view: LocalView) -> int:
     for nb in view.neighbors:
         if view.points_at_me(nb):
             s += nb.reg.g1_toward(view.node) - nb.reg.g0
-        if nb.id in view.own.points_to:
+        if nb.id in points_to:
             s += nb.weight * nb.reg.x
     return 1 if s >= -view.bias else 0
 
@@ -202,21 +198,7 @@ def boltzmann_step(view: LocalView, temperature, rng) -> int:
 
 
 # ---------------------------------------------------------------------------
-# classification
-
-
-def classify_role(view: LocalView) -> NodeRole:
-    """Role implied by the pointer pattern; designation trumps topology."""
-    if view.is_cutset:
-        return NodeRole.CUTSET
-    if len(view.neighbors) == 1:
-        return NodeRole.LEAF
-    k = len(view.non_pointing())
-    if k == 0:
-        return NodeRole.ROOT
-    if k == 1:
-        return NodeRole.INTERNAL
-    return NodeRole.NON_TREE
+# legality
 
 
 def legality_map(net: Network, pointers: Mapping[int, frozenset[int]]) -> dict[int, Legality]:

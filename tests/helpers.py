@@ -12,9 +12,17 @@ from goodnet import Legality, Network, Weight
 
 def enumerate_optima(net: Network):
     """(gmax, sorted argmax list) by scanning every assignment."""
+    return conditioned_optimum(net, {})
+
+
+def conditioned_optimum(net: Network, y):
+    """(gmax, sorted argmax list) over every assignment that agrees with
+    the partial assignment ``y`` (node -> bit)."""
     best = None
     arg = []
     for bits in itertools.product((0, 1), repeat=net.n):
+        if any(bits[i - 1] != v for i, v in y.items()):
+            continue
         g = net.goodness(bits)
         if best is None or g > best:
             best, arg = g, [bits]

@@ -320,12 +320,10 @@ def test_criterion_12_linear_event_growth():
 
 
 def test_criterion_13_boltzmann_matches_sigmoid():
-    from goodnet import ActivationRegister
-
     draws = 100_000
     rng = random.Random(31337)
     for s in (-2, -1, 0, 1, 2):
-        view = LocalView(1, M(s), False, ActivationRegister(), ())
+        view = LocalView(1, M(s), False, ())
         hits = sum(boltzmann_step(view, W(1), rng) for _ in range(draws))
         expected = 1.0 / (1.0 + math.exp(-s))
         assert abs(hits / draws - expected) < 0.01, s

@@ -266,15 +266,74 @@ EXAMPLE51_CUTSET_SYNC_TSV = """\
 RESULT stable=0 passes=3 goodness=250.7 assignment=11111
 """
 
+FIG1_FAIR_EXCL_TSV = """\
+0\t1\t1,2,3,4,5\t0\t2\t1:g0=2,1:g1=1,1:p=3,2:x=0,2:g1=2,2:p=3,3:x=1,5:g0=1,5:p=4
+1\t1\t1\t0\t2\t
+2\t1\t1,2\t2\t2\t2:x=1
+3\t1\t2\t2\t2\t
+4\t1\t3\t2\t0\t3:g0=2,3:g1=2,3:p=4
+5\t2\t3\t2\t0\t
+6\t2\t1,2,3,4\t0\t0\t4:x=0,4:g0=3,4:g1=3
+7\t2\t4\t0\t0\t
+8\t2\t1,2,3,4,5\t2\t0\t3:x=0,5:x=1
+9\t2\t5\t2\t0\t
+10\t3\t1,2,4\t3\t0\t2:x=0
+11\t3\t1\t3\t0\t
+12\t3\t2\t3\t0\t
+13\t3\t2\t3\t0\t
+14\t3\t1,2,3,4,5\t3\t0\t
+15\t4\t3\t3\t0\t
+16\t4\t2\t3\t0\t
+17\t4\t4\t3\t0\t
+18\t4\t2,5\t3\t0\t
+19\t4\t5\t3\t0\t
+20\t5\t2,3,5\t3\t0\t
+RESULT stable=1 passes=5 goodness=3 assignment=10001
+"""
+
+RING6_HOPFIELD_TSV = """\
+0\t1\t1\t2\t6\t
+1\t1\t1\t2\t6\t
+2\t1\t1\t2\t6\t
+3\t1\t3\t2\t6\t
+4\t1\t2\t3\t6\t2:x=1
+5\t1\t6\t3\t6\t
+6\t2\t6\t3\t6\t
+7\t2\t3\t3\t6\t
+8\t2\t3\t3\t6\t
+9\t2\t5\t3\t6\t
+10\t2\t2\t3\t6\t
+11\t2\t5\t3\t6\t
+12\t3\t1\t3\t6\t
+13\t3\t5\t3\t6\t
+14\t3\t6\t3\t6\t
+15\t3\t2\t3\t6\t
+16\t3\t4\t3\t6\t
+RESULT stable=1 passes=3 goodness=3 assignment=010101
+"""
+
+EXAMPLE51_CUTSET = ("run", "--fixture", "example51", "--rule", "activate-with-cutset", "--format", "tsv")
+
 
 @pytest.mark.parametrize(
-    "extra, code, golden",
+    "argv, code, golden",
     [
-        ((), 0, EXAMPLE51_CUTSET_TSV),
-        (("--sched", "sync-all", "--max-passes", "3"), 2, EXAMPLE51_CUTSET_SYNC_TSV),
+        (EXAMPLE51_CUTSET, 0, EXAMPLE51_CUTSET_TSV),
+        ((*EXAMPLE51_CUTSET, "--sched", "sync-all", "--max-passes", "3"), 2, EXAMPLE51_CUTSET_SYNC_TSV),
+        (
+            ("run", "--fixture", "fig1", "--rule", "activate", "--sched", "fair-excl",
+             "--init", "random", "--seed", "5", "--format", "tsv"),
+            0,
+            FIG1_FAIR_EXCL_TSV,
+        ),
+        (
+            ("run", "--fixture", "ring6", "--rule", "hopfield", "--sched", "central-random",
+             "--init", "random", "--seed", "2", "--format", "tsv"),
+            0,
+            RING6_HOPFIELD_TSV,
+        ),
     ],
-    ids=["central-rr", "sync-all"],
+    ids=["central-rr", "sync-all", "fair-excl", "hopfield"],
 )
-def test_cutset_tsv_output_is_unchanged(capsys, extra, code, golden):
-    argv = ("run", "--fixture", "example51", "--rule", "activate-with-cutset", "--format", "tsv", *extra)
+def test_cutset_tsv_output_is_unchanged(capsys, argv, code, golden):
     assert run_cli(capsys, *argv)[:2] == (code, golden)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodnet import (
+    ActivationRegister,
     CentralRandom,
     CentralRoundRobin,
     FairExclusion,
@@ -281,6 +282,24 @@ def test_run_rejects_a_cutset_for_other_rules():
     assert run(example51(), "activate", CentralRoundRobin(), cutset=frozenset()) == run(
         example51(), "activate", CentralRoundRobin()
     )
+
+
+def test_random_init_needs_a_seed():
+    with pytest.raises(ValueError, match="needs a seed"):
+        initial_registers(fig1(), "random")
+    with pytest.raises(ValueError, match="needs a seed"):
+        run(fig1(), "activate", CentralRoundRobin(), init="random")
+    assert run(fig1(), "activate", CentralRoundRobin(), init="random", seed=0).stable
+
+
+@pytest.mark.parametrize("length", [3, 7])
+def test_preset_register_list_of_wrong_length_is_rejected(length):
+    net = fig1()
+    preset = [None] + [ActivationRegister()] * (length - 1)
+    with pytest.raises(ValueError, match="n \\+ 1 = 6 entries"):
+        initial_registers(net, "preset", preset=preset)
+    with pytest.raises(ValueError, match="n \\+ 1 = 6 entries"):
+        run(net, "activate", CentralRoundRobin(), init="preset", preset=preset)
 
 
 def test_cutset_run_is_conditionally_optimal_at_stability():

@@ -9,7 +9,6 @@ from goodnet import (
     Network,
     Weight,
     brute_force_optima,
-    conditioned_optimum,
     cutset_exact_optimize,
     example51,
     fig1,
@@ -24,7 +23,7 @@ from goodnet import (
     tree_conditioned_max,
 )
 
-from helpers import D, W, enumerate_hopfield_stable, enumerate_optima, is_forest_without
+from helpers import D, W, conditioned_optimum, enumerate_hopfield_stable, enumerate_optima, is_forest_without
 
 
 def test_brute_force_fig1():
@@ -131,28 +130,14 @@ def test_global_optima_are_hopfield_stable_up_to_ties():
 
 def test_conditioned_optimum_example51():
     net = example51()
-    plan = plan_from_members(net, {1})
-    off = conditioned_optimum(net, plan, {1: 0})
-    assert off.gmax == D("199.8")
-    assert off.argmax == ((0, 1, 1, 0, 0),)
-    on = conditioned_optimum(net, plan, {1: 1})
-    assert on.gmax == D("250.7")
-    assert on.argmax == ((1, 1, 1, 1, 1),)
+    assert conditioned_optimum(net, {1: 0}) == (D("199.8"), [(0, 1, 1, 0, 0)])
+    assert conditioned_optimum(net, {1: 1}) == (D("250.7"), [(1, 1, 1, 1, 1)])
 
 
 def test_conditioned_optimum_all_fixed():
     net = fig1()
-    plan = plan_from_members(net, set(net.nodes()))
     y = {1: 1, 2: 0, 3: 0, 4: 0, 5: 1}
-    report = conditioned_optimum(net, plan, y)
-    assert report.gmax == net.goodness((1, 0, 0, 0, 1))
-
-
-def test_conditioned_optimum_requires_complete_y():
-    net = example51()
-    plan = plan_from_members(net, {1})
-    with pytest.raises(ValueError):
-        conditioned_optimum(net, plan, {})
+    assert conditioned_optimum(net, y) == (net.goodness((1, 0, 0, 0, 1)), [(1, 0, 0, 0, 1)])
 
 
 def test_greedy_cutset_examples():
@@ -211,7 +196,7 @@ def test_forest_walk_matches_edge_count_reference(data):
             tree_conditioned_max(net, y)
         return
     value, witness = tree_conditioned_max(net, y)
-    assert value == conditioned_optimum(net, CutsetPlan(skip), y).gmax
+    assert value == conditioned_optimum(net, y)[0]
     assert net.goodness(witness) == value
     assert all(witness[i - 1] == y[i] for i in skip)
 

@@ -10,12 +10,10 @@ from goodnet import (
     Legality,
     LocalView,
     NeighborView,
-    NodeRole,
     Network,
     activation_step,
     boltzmann_step,
     build_view,
-    classify_role,
     cutset_goodness_step,
     example51,
     goodness_step,
@@ -39,10 +37,10 @@ def reg(x=0, g0=0, g1=0, points=(), cutset_g1=None):
     return ActivationRegister(x=x, g0=g0, g1=g1, points_to=frozenset(points), cutset_g1=cutset_g1)
 
 
-def view(node, bias, neighbors, cutset=False, own=None):
+def view(node, bias, neighbors, cutset=False):
     """A local view; bias and (id, weight, register) neighbor weights in micros."""
     nbs = tuple(NeighborView(j, w, r) for j, w, r in neighbors)
-    return LocalView(node, bias, cutset, own or ZERO_REG, nbs)
+    return LocalView(node, bias, cutset, nbs)
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +114,28 @@ def test_direct_triangle_with_pendants():
 
 
 def test_goodness_fig1_leaves():
-    own = reg(points={3})
-    v1 = view(1, M(2), [(3, M(-1), ZERO_REG)], own=own)
-    assert goodness_step(v1) == (M(2), M(1))
-    v2 = view(2, M(-1), [(3, M(3), ZERO_REG)], own=own)
-    assert goodness_step(v2) == (0, M(2))
+    v1 = view(1, M(2), [(3, M(-1), ZERO_REG)])
+    assert goodness_step(v1, frozenset({3})) == (M(2), M(1))
+    v2 = view(2, M(-1), [(3, M(3), ZERO_REG)])
+    assert goodness_step(v2, frozenset({3})) == (0, M(2))
 
 
 def test_goodness_fig1_internal_node():
     child1 = reg(g0=M(2), g1=M(1), points={3})
     child2 = reg(g0=0, g1=M(2), points={3})
-    v = view(3, M(-3), [(1, M(-1), child1), (2, M(3), child2), (4, M(2), ZERO_REG)], own=reg(points={4}))
-    assert goodness_step(v) == (M(2), M(2))
+    v = view(3, M(-3), [(1, M(-1), child1), (2, M(3), child2), (4, M(2), ZERO_REG)])
+    assert goodness_step(v, frozenset({4})) == (M(2), M(2))
 
 
 def test_goodness_leaf_empty_sums():
-    v = view(1, M(-2), [(2, M(5), ZERO_REG)], own=reg(points={2}))
-    assert goodness_step(v) == (0, M(3))
+    v = view(1, M(-2), [(2, M(5), ZERO_REG)])
+    assert goodness_step(v, frozenset({2})) == (0, M(3))
 
 
 def test_goodness_reads_cutset_pair():
     cut = reg(x=1, cutset_g1=((2, M("-50.1")), (3, M("99.9"))), g0=M("-0.1"), points={2})
-    v = view(2, M("-0.1"), [(1, M(-50), cut), (3, M(200), ZERO_REG)], own=reg(points={3}))
-    g0, g1 = goodness_step(v)
+    v = view(2, M("-0.1"), [(1, M(-50), cut), (3, M(200), ZERO_REG)])
+    g0, g1 = goodness_step(v, frozenset({3}))
     assert g0 == max(M("-0.1"), M("-50.1") + M("-0.1"))
     assert g1 == max(M("-0.1"), M("-50.1") + M(200) + M("-0.1"))
 
@@ -147,13 +144,11 @@ def test_cutset_goodness_step():
     net = example51()
     regs = initial_registers(net, "zeros", cutset=frozenset({1}))
     v = build_view(net, regs, 1, frozenset({1}))
-    g0, pairs = cutset_goodness_step(v)
+    g0, pairs = cutset_goodness_step(v, 0)
     assert g0 == 0
     assert all(g == 0 for _, g in pairs)
 
-    regs[1] = ActivationRegister(x=1, cutset_g1=regs[1].cutset_g1)
-    v = build_view(net, regs, 1, frozenset({1}))
-    g0, pairs = cutset_goodness_step(v)
+    g0, pairs = cutset_goodness_step(v, 1)
     assert g0 == M("-0.1")
     assert dict(pairs) == {2: M("-50.1"), 3: M("99.9"), 4: M("2.9"), 5: M("2.9")}
 
@@ -177,26 +172,26 @@ def test_activation_fig1_root():
     child3 = reg(g0=M(2), g1=M(2), points={4})
     child5 = reg(g0=M(1), g1=0, points={4})
     v = view(4, 0, [(3, M(2), child3), (5, M(-2), child5)])
-    assert activation_step(v) == 0
+    assert activation_step(v, frozenset()) == 0
 
 
 def test_activation_fig1_leaf():
     parent4 = reg(x=0)
-    v = view(5, M(1), [(4, M(-2), parent4)], own=reg(points={4}))
-    assert activation_step(v) == 1
+    v = view(5, M(1), [(4, M(-2), parent4)])
+    assert activation_step(v, frozenset({4})) == 1
 
 
 def test_activation_fig1_internal():
     child1 = reg(g0=M(2), g1=M(1), points={3})
     child2 = reg(g0=0, g1=M(2), points={3})
     parent4 = reg(x=0)
-    v = view(3, M(-3), [(1, M(-1), child1), (2, M(3), child2), (4, M(2), parent4)], own=reg(points={4}))
-    assert activation_step(v) == 0
+    v = view(3, M(-3), [(1, M(-1), child1), (2, M(3), child2), (4, M(2), parent4)])
+    assert activation_step(v, frozenset({4})) == 0
 
 
 def test_activation_off_tree_falls_back_to_threshold():
     v = view(1, 0, [(2, M(-3), reg(x=1)), (3, M(-3), ZERO_REG)])
-    assert activation_step(v) == hopfield_step(v) == 0
+    assert activation_step(v, frozenset()) == hopfield_step(v) == 0
 
 
 def test_activation_cutset_always_threshold():
@@ -204,7 +199,7 @@ def test_activation_cutset_always_threshold():
     # on the threshold rule (its own registers are not tree values)
     pointing = reg(x=1, g0=0, g1=M(100), points={1})
     v = view(1, 0, [(2, M(-1), pointing)], cutset=True)
-    assert activation_step(v) == 0  # field -1 < 0
+    assert activation_step(v, frozenset()) == 0  # field -1 < 0
     assert hopfield_step(v) == 0
 
 
@@ -222,16 +217,16 @@ def test_combined_formula_specializes_to_root_internal_leaf():
             g0, g1 = rng.randint(-9, 9), rng.randint(-9, 9)
             neighbors.append((10 + c, M(rng.randint(-5, 5)), reg(g0=M(g0), g1=M(g1), points={1})))
             expected_lhs += g1 - g0
-        own = ZERO_REG
+        points_to = frozenset()
         if has_parent:
             w = rng.randint(-5, 5)
             xk = rng.randint(0, 1)
             neighbors.append((99, M(w), reg(x=xk)))
-            own = reg(points={99})
+            points_to = frozenset({99})
             expected_lhs += w * xk
-        v = view(1, bias, neighbors, own=own)
+        v = view(1, bias, neighbors)
         want = 1 if M(expected_lhs) >= -v.bias else 0
-        assert activation_step(v) == want
+        assert activation_step(v, points_to) == want
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +285,7 @@ def test_boltzmann_deterministic_under_seed():
 
 
 # ---------------------------------------------------------------------------
-# role and legality classification
-
-
-def test_classify_role_cases():
-    assert classify_role(view(1, 0, [(2, M(1), ZERO_REG)])) == NodeRole.LEAF
-    assert classify_role(view(1, 0, [(2, M(1), reg(points={1})), (3, M(1), reg(points={1}))])) == NodeRole.ROOT
-    assert classify_role(view(1, 0, [(2, M(1), reg(points={1})), (3, M(1), ZERO_REG)])) == NodeRole.INTERNAL
-    assert classify_role(view(1, 0, [(2, M(1), ZERO_REG), (3, M(1), ZERO_REG)])) == NodeRole.NON_TREE
-    assert classify_role(view(1, 0, [(2, M(1), ZERO_REG)], cutset=True)) == NodeRole.CUTSET
-    assert classify_role(view(1, 0, [])) == NodeRole.ROOT
-
-
-def test_classify_role_is_a_partition():
-    for pattern in itertools.product((0, 1), repeat=3):
-        nbs = [(j + 2, M(1), reg(points={1} if p else ())) for j, p in enumerate(pattern)]
-        for cut in (False, True):
-            roles = [r for r in NodeRole if classify_role(view(1, 0, nbs, cutset=cut)) == r]
-            assert len(roles) == 1
+# legality classification
 
 
 def path3(pointers):
