@@ -32,9 +32,7 @@ from .oracle import (
     brute_force_optima,
     cutset_exact_optimize,
     greedy_cutset,
-    hopfield_local_optima,
     is_acyclic_without,
-    is_hopfield_stable,
     plan_from_members,
     tree_conditioned_max,
 )

@@ -125,11 +125,12 @@ def cmd_demo(args) -> int:
     if demo is None:
         print(f"error: unknown demo {args.name!r}; choose from {sorted(experiments.DEMOS)}", file=sys.stderr)
         return 1
-    kwargs = {}
-    if args.name in ("selfstab", "dominance"):
-        if args.trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        kwargs = {"trials": args.trials, "seed": args.seed}
+    # only the randomized demos take flags; omitted ones keep the demo's defaults
+    kwargs = {key: value for key, value in (("trials", args.trials), ("seed", args.seed)) if value is not None}
+    if kwargs and args.name not in ("selfstab", "dominance"):
+        raise ValueError(f"demo {args.name} takes neither --trials nor --seed")
+    if kwargs.get("trials", 1) < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     result = demo(**kwargs)
     for line in result.lines:
         print(line)
@@ -172,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a named experiment")
     p_demo.add_argument("name", help="thm41 | thm42 | fig9 | selfstab | dominance | linear")
-    p_demo.add_argument("--trials", type=int, default=100)
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--trials", type=int, help="selfstab and dominance only (default 100)")
+    p_demo.add_argument("--seed", type=int, help="selfstab and dominance only (default 0)")
     p_demo.set_defaults(func=cmd_demo)
 
     return parser

@@ -7,9 +7,9 @@ activation); all writes commit together afterwards.  A singleton event
 therefore behaves exactly like one sequential activation.
 
 A run is declared stable after a full quiet window: no register
-changed for `window` consecutive events (default 2n) and every unit
-was re-activated on the final state at least once.  Stochastic rules
-simply exhaust their pass budget and report stable=False.
+changed for 2n consecutive events and every unit was re-activated on
+the final state at least once.  Stochastic rules simply exhaust their
+pass budget and report stable=False.
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ def initial_registers(
 
     init 'zeros' clears everything (the explicit initialization step);
     'random' randomizes only the activation bits and needs a seed;
-    'preset' takes either a full register list (n + 1 entries) or a
-    mapping node -> pointer set.
+    'preset' takes either a full register list (n + 1 entries, an
+    ActivationRegister at every index 1..n) or a mapping node ->
+    pointer set over nodes 1..n.
     """
     regs: list = [None] + [zero_register(net, i, cutset) for i in net.nodes()]
     if init == "zeros":
@@ -161,11 +162,17 @@ def initial_registers(
         if preset is None:
             raise ValueError("init='preset' requires a preset")
         if isinstance(preset, Mapping):
+            for i in preset:
+                if i not in net.nodes():
+                    raise ValueError(f"preset references node {i!r} outside 1..{net.n}")
             for i in net.nodes():
                 regs[i] = replace(regs[i], points_to=frozenset(preset.get(i, frozenset())))
             return regs
         if len(preset) != net.n + 1:
             raise ValueError(f"a preset register list needs n + 1 = {net.n + 1} entries (index 0 unused), got {len(preset)}")
+        for i in net.nodes():
+            if not isinstance(preset[i], ActivationRegister):
+                raise ValueError(f"preset entry {i} is {type(preset[i]).__name__}, not an ActivationRegister")
         return list(preset)
     raise ValueError(f"unknown init mode {init!r}")
 
@@ -217,15 +224,15 @@ def run(
     temperature=None,
     cutset: frozenset[int] | None = None,
     preset=None,
-    window: int | None = None,
     collect_trace: bool = False,
 ) -> RunResult:
     """Iterate scheduler events until a quiet window or the pass budget.
 
     `cutset` defaults to the network's declared cutset for the
     activate-with-cutset rule and to the empty set otherwise; no other
-    rule accepts a non-empty one.  A collected trace carries the running
-    goodness and illegal count.
+    rule accepts a non-empty one.  Only the boltzmann rule takes a
+    `temperature`, and it needs one.  A collected trace carries the
+    running goodness and illegal count.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -233,6 +240,8 @@ def run(
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     if rule == "boltzmann" and temperature is None:
         raise ValueError("boltzmann rule needs a temperature")
+    if rule != "boltzmann" and temperature is not None:
+        raise ValueError(f"a temperature is only meaningful with the boltzmann rule, not {rule!r}")
     if rule == "boltzmann" and seed is None:
         raise ValueError("boltzmann rule needs a seed")
     if cutset is None:
@@ -242,7 +251,7 @@ def run(
         if cutset and rule != "activate-with-cutset":
             raise ValueError(f"a cutset is only meaningful with the activate-with-cutset rule, not {rule!r}")
     n = net.n
-    window = window if window is not None else 2 * n
+    window = 2 * n  # quiet events that end a stable run
     regs = initial_registers(net, init, cutset, seed, preset)
     rng = random.Random(seed)
 

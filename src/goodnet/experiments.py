@@ -20,6 +20,8 @@ from .rules import Legality, legality_map
 from .schedulers import CentralRoundRobin, FairExclusion, SynchronousAll
 from .weights import Weight
 
+DOMINANCE_MAX_PASSES = 300  # pass budget of each run in a dominance pair
+
 
 @dataclass
 class DemoResult:
@@ -47,15 +49,15 @@ def non_tree_nodes(net: Network, regs: Sequence) -> frozenset[int]:
     return frozenset(i for i, v in lmap.items() if v is Legality.ILLEGAL)
 
 
-def dominance_experiment(net: Network, seed: int, scheduler_factory, max_passes: int = 200) -> DominancePair:
+def dominance_experiment(net: Network, seed: int, scheduler_factory) -> DominancePair:
     """Tree rule vs threshold rule from one shared random start.
 
     Comparable means both runs went stable and agree on every node the
     tree rule left outside its trees; for such pairs the tree rule's
     goodness is guaranteed to be at least the threshold rule's.
     """
-    base = run(net, "hopfield", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
-    tree = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
+    base = run(net, "hopfield", scheduler_factory(), init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES)
+    tree = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES)
     ref = non_tree_nodes(net, tree.registers)
     comparable = (
         base.stable
@@ -65,22 +67,16 @@ def dominance_experiment(net: Network, seed: int, scheduler_factory, max_passes:
     return DominancePair(tree.goodness_final, base.goodness_final, comparable, ref)
 
 
-def cutset_dominance_experiment(
-    net: Network,
-    members: frozenset[int],
-    seed: int,
-    scheduler_factory,
-    max_passes: int = 200,
-) -> DominancePair:
+def cutset_dominance_experiment(net: Network, members: frozenset[int], seed: int, scheduler_factory) -> DominancePair:
     """Cutset-conditioned rule vs plain tree rule on matched cutset values."""
-    base = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=max_passes)
+    base = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES)
     cut = run(
         net,
         "activate-with-cutset",
         scheduler_factory(),
         init="random",
         seed=seed,
-        max_passes=max_passes,
+        max_passes=DOMINANCE_MAX_PASSES,
         cutset=members,
     )
     comparable = (
@@ -91,13 +87,14 @@ def cutset_dominance_experiment(
     return DominancePair(cut.goodness_final, base.goodness_final, comparable, members)
 
 
-def symmetry_lock_demo(i_values=(3, 4, 5), steps: int = 10_000) -> DemoResult:
+def symmetry_lock_demo() -> DemoResult:
     """Synchronous scheduler on mirror-symmetric chains: the two middle
     units stay equal at every step, yet every exact optimum splits them,
     so no step ever reaches an optimum."""
+    steps = 10_000
     lines = []
     passed = True
-    for i in i_values:
+    for i in (3, 4, 5):
         net = chain2i(i)
         report = brute_force_optima(net)
         optima_split = all(a[i - 1] != a[i] for a in report.argmax)
@@ -118,13 +115,14 @@ def symmetry_lock_demo(i_values=(3, 4, 5), steps: int = 10_000) -> DemoResult:
     return DemoResult("thm41", passed, lines)
 
 
-def ring_schedule_demo(events: int = 10_000) -> DemoResult:
+def ring_schedule_demo() -> DemoResult:
     """Central scheduler on the 6-ring with the order 1,4,2,5,3,6: opposite
     units stay equal forever and the two alternating optima never occur.
 
     The order activates opposite units back to back; both see identical
     inputs, so equality is asserted after each completed pair (the state
     is invariant under rotation by three at every even step)."""
+    events = 10_000
     net = ring6()
     report = brute_force_optima(net)
     optima = set(report.argmax)
@@ -150,10 +148,11 @@ def ring_schedule_demo(events: int = 10_000) -> DemoResult:
     return DemoResult("thm42", passed, lines)
 
 
-def stuck_ring_demo(n: int = 6, passes: int = 1_000) -> DemoResult:
+def stuck_ring_demo() -> DemoResult:
     """A ring whose pointers already chase each other clockwise is a fixed
     point of uniform tree directing: without the initialization step the
     bogus pointer state survives indefinitely."""
+    n, passes = 6, 1_000
     net, pointers = illegal_ring(n)
     regs = initial_registers(net, "preset", preset=pointers)
     sched = CentralRoundRobin()
@@ -167,14 +166,14 @@ def stuck_ring_demo(n: int = 6, passes: int = 1_000) -> DemoResult:
     return DemoResult("fig9", unchanged, lines)
 
 
-def self_stabilization_demo(trials: int = 100, seed: int = 0, n_max: int = 12, max_passes: int = 400) -> DemoResult:
+def self_stabilization_demo(trials: int = 100, seed: int = 0) -> DemoResult:
     """Fully randomized registers on random trees, fair-exclusion schedule,
     no initialization: every run must still end at the exact optimum."""
     rng = random.Random(seed)
     lines = []
     successes = 0
     for t in range(trials):
-        n = rng.randint(2, n_max)
+        n = rng.randint(2, 12)
         net = random_network("tree", n, seed=rng.randrange(2**32))
         regs = perturb(net, initial_registers(net, "zeros"), seed=rng.randrange(2**32))
         result = run(
@@ -183,7 +182,7 @@ def self_stabilization_demo(trials: int = 100, seed: int = 0, n_max: int = 12, m
             FairExclusion(rng.randrange(2**32)),
             init="preset",
             preset=regs,
-            max_passes=max_passes,
+            max_passes=400,
         )
         gmax = brute_force_optima(net).gmax
         ok = result.stable and result.goodness_final == gmax
@@ -197,7 +196,7 @@ def self_stabilization_demo(trials: int = 100, seed: int = 0, n_max: int = 12, m
     return DemoResult("selfstab", successes == trials, lines)
 
 
-def dominance_demo(trials: int = 100, seed: int = 0, max_passes: int = 300) -> DemoResult:
+def dominance_demo(trials: int = 100, seed: int = 0) -> DemoResult:
     """Paired runs from shared random starts on sparse nets: the tree rule
     never loses to the threshold rule on comparable pairs, and the cutset
     rule never loses to the tree rule on matched cutset values."""
@@ -209,14 +208,14 @@ def dominance_demo(trials: int = 100, seed: int = 0, max_passes: int = 300) -> D
         m = rng.randint(0, 3)
         net = random_network("sparse", n, m=m, seed=rng.randrange(2**32))
         pair_seed = rng.randrange(2**32)
-        pair = dominance_experiment(net, pair_seed, CentralRoundRobin, max_passes=max_passes)
+        pair = dominance_experiment(net, pair_seed, CentralRoundRobin)
         if pair.comparable:
             tree_cmp += 1
             if pair.g_better < pair.g_base:
                 tree_viol += 1
                 lines.append(f"trial {t}: tree rule lost ({pair.g_better} < {pair.g_base})")
         plan = greedy_cutset(net)
-        cpair = cutset_dominance_experiment(net, plan.members, pair_seed, CentralRoundRobin, max_passes=max_passes)
+        cpair = cutset_dominance_experiment(net, plan.members, pair_seed, CentralRoundRobin)
         if cpair.comparable:
             cut_cmp += 1
             if cpair.g_better < cpair.g_base:
@@ -237,10 +236,11 @@ def uniform_chain(n: int) -> Network:
     return Network(n, [(v, v + 1, w1) for v in range(1, n)], {v: w1 for v in range(1, n + 1)})
 
 
-def linear_time_demo(lengths=(100, 200, 400, 800, 1600, 3200)) -> DemoResult:
+def linear_time_demo() -> DemoResult:
     """Events-to-stability on chains under the central round robin grows
     linearly: every doubling of the chain multiplies the event count by
     2.0 within 25%."""
+    lengths = (100, 200, 400, 800, 1600, 3200)
     events = []
     lines = []
     passed = True

@@ -100,15 +100,9 @@ def fixture(name: str) -> Network:
     raise ValueError(f"unknown fixture {name!r}")
 
 
-def random_network(
-    kind: str,
-    n: int,
-    m: int = 0,
-    weight_range: tuple[int, int] = (-5, 5),
-    seed: int = 0,
-    bias_range: tuple[int, int] | None = None,
-) -> Network:
-    """Seeded random instance with integer weights and biases.
+def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
+    """Seeded random instance whose weights and biases are integers drawn
+    uniformly from -5..5 (both ends included).
 
     kind 'tree' is a uniform random recursive tree, 'chain' a path,
     'ring' a cycle, and 'sparse' a tree plus m extra edges (so any
@@ -117,11 +111,9 @@ def random_network(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = random.Random(seed)
-    lo, hi = weight_range
-    blo, bhi = bias_range if bias_range is not None else weight_range
 
     def rw() -> Weight:
-        return W(rng.randint(lo, hi))
+        return W(rng.randint(-5, 5))
 
     edges: list[tuple[int, int, Weight]] = []
     if kind == "tree":
@@ -152,5 +144,5 @@ def random_network(
     else:
         raise ValueError(f"unknown network kind {kind!r}")
 
-    biases = {i: W(rng.randint(blo, bhi)) for i in range(1, n + 1)}
+    biases = {i: rw() for i in range(1, n + 1)}
     return Network(n, edges, biases)

@@ -126,11 +126,6 @@ class Network:
     def energy(self, a: Sequence[int]) -> Weight:
         return -self.goodness(a)
 
-    def local_field(self, i: int, a: Sequence[int]) -> Weight:
-        """Weighted sum of active neighbors, sum_j w_ij * X_j."""
-        self.check_assignment(a)
-        return Weight(sum(w.micros for j, w in self._adj[i] if a[j - 1]))
-
     # -- misc ----------------------------------------------------------------
 
     def relabeled(self, perm: Mapping[int, int]) -> "Network":

@@ -1,18 +1,18 @@
 """Exhaustive ground truth and exact cutset-conditioned optimization.
 
 Everything here works on immutable Networks and is deliberately
-independent of the distributed simulator: brute-force scans enumerate
-raw assignments, and the conditioned solver runs plain dynamic
-programming on the forest left after fixing the cutset.  Scans are
-vectorized with numpy on int64 micro-units.  They refuse any network
-whose sum |w| + sum |theta| reaches 2**62 micros, which bounds every
-partial sum they form, so an accepted scan never wraps.
+independent of the distributed simulator: one brute-force scan
+enumerates raw assignments, and the conditioned solver runs plain
+dynamic programming on the forest left after fixing the cutset.  The
+scan is vectorized with numpy on int64 micro-units.  It refuses any
+network whose sum |w| + sum |theta| reaches 2**62 micros, which bounds
+every partial sum it forms, so an accepted scan never wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .weights import Weight
 _CHUNK = 1 << 18
 
 BRUTE_FORCE_MAX_NODES = 26
-STABILITY_SCAN_MAX_NODES = 22
 CUTSET_MAX_SIZE = 20
 INT64_SCAN_MAX_MICROS = 1 << 62
 
@@ -51,7 +50,7 @@ class CutsetPlan:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive scans
+# exhaustive scan
 
 
 def _check_int64_safe(net: Network) -> None:
@@ -98,40 +97,6 @@ def brute_force_optima(net: Network) -> OptimumReport:
             for row in bits[g == best]:
                 best_rows.append(tuple(int(v) for v in row))
     return OptimumReport(Weight(best), tuple(sorted(best_rows)), total)
-
-
-def is_hopfield_stable(net: Network, a: Sequence[int]) -> bool:
-    """True iff no unit would flip under the threshold rule (ties choose 1)."""
-    net.check_assignment(a)
-    for i in net.nodes():
-        want = 1 if net.local_field(i, a) >= -net.bias(i) else 0
-        if a[i - 1] != want:
-            return False
-    return True
-
-
-def hopfield_local_optima(net: Network) -> tuple[tuple[int, ...], ...]:
-    """All assignments stable under the threshold rule, by exhaustive scan."""
-    if net.n > STABILITY_SCAN_MAX_NODES:
-        raise ValueError(f"stability scan capped at {STABILITY_SCAN_MAX_NODES} nodes, got {net.n}")
-    _check_int64_safe(net)
-    n = net.n
-    wmat = np.zeros((n, n), dtype=np.int64)
-    for i, j, w in net.edges():
-        wmat[i - 1, j - 1] = w.micros
-        wmat[j - 1, i - 1] = w.micros
-    theta = np.array([net.bias(i).micros for i in net.nodes()], dtype=np.int64)
-    stable_rows: list[tuple[int, ...]] = []
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        ks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = _bit_matrix(ks, n)
-        field = bits.astype(np.int64) @ wmat
-        want = field >= -theta
-        stable = np.all(want == bits.astype(bool), axis=1)
-        for row in bits[stable]:
-            stable_rows.append(tuple(int(v) for v in row))
-    return tuple(sorted(stable_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -123,14 +123,17 @@ def parse_scheduler(text: str, seed: int = 0) -> Scheduler:
 
     Accepted: ``central-rr``, ``central-rr:<ids>``, ``central-random``,
     ``sync-all``, ``fair-excl``, ``scripted:<ids>`` with ids comma-separated.
-    ``scripted:<ids>`` is the round robin ``central-rr:<ids>``.
+    ``scripted:<ids>`` is the round robin ``central-rr:<ids>``.  The other
+    names take no argument and refuse one.
     """
-    name, _, arg = text.partition(":")
+    name, colon, arg = text.partition(":")
     if name == "scripted" and not arg:
         raise ValueError("scripted scheduler needs ids, e.g. scripted:1,4,2")
     if name in ("central-rr", "scripted"):
         order = [int(t) for t in arg.split(",")] if arg else None
         return CentralRoundRobin(order)
+    if colon and name in ("central-random", "sync-all", "fair-excl"):
+        raise ValueError(f"scheduler {name!r} takes no argument, got {text!r}")
     if name == "central-random":
         return CentralRandom(seed)
     if name == "sync-all":
@@ -159,18 +162,11 @@ def _every_window_hits(flags: list[bool], window: int) -> bool:
     return True
 
 
-def check_fairness(trace: Iterable, window: int, n: int | None = None) -> bool:
-    """Every node appears in every length-`window` span of the trace.
-
-    `n` defaults to the highest id observed; pass it explicitly to catch
-    nodes the trace never activates at all.
-    """
+def check_fairness(trace: Iterable, window: int, n: int) -> bool:
+    """Every node 1..n appears in every length-`window` span of the trace."""
     events = [frozenset(e) for e in trace]
     if not events:
         raise ValueError("trace is empty")
-    if n is None:
-        nodes = set().union(*events)
-        n = max(nodes) if nodes else 0
     for i in range(1, n + 1):
         if not _every_window_hits([i in ids for ids in events], window):
             return False

@@ -31,22 +31,24 @@ def conditioned_optimum(net: Network, y):
     return best, sorted(arg)
 
 
+def local_field(net: Network, i: int, a) -> int:
+    """Weighted sum of active neighbors, sum_j w_ij * X_j, in micros."""
+    return sum(w.micros for j, w in net.neighbors(i) if a[j - 1])
+
+
+def is_hopfield_stable(net: Network, a) -> bool:
+    """True iff no unit would flip under the threshold rule (ties choose 1)."""
+    return all(
+        a[i - 1] == (1 if local_field(net, i, a) >= -net.bias(i).micros else 0)
+        for i in net.nodes()
+    )
+
+
 def enumerate_hopfield_stable(net: Network):
     """All threshold-rule fixed points, by first principles."""
-    stable = []
-    for bits in itertools.product((0, 1), repeat=net.n):
-        ok = True
-        for i in net.nodes():
-            field = sum(
-                (w.micros if bits[j - 1] else 0) for j, w in net.neighbors(i)
-            )
-            want = 1 if field >= -net.bias(i).micros else 0
-            if bits[i - 1] != want:
-                ok = False
-                break
-        if ok:
-            stable.append(bits)
-    return sorted(stable)
+    return sorted(
+        bits for bits in itertools.product((0, 1), repeat=net.n) if is_hopfield_stable(net, bits)
+    )
 
 
 def is_forest_without(net: Network, members) -> bool:

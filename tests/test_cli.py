@@ -204,6 +204,27 @@ def test_demo_fig9(capsys):
     assert out.strip().splitlines()[-1] == "PASS: demo fig9"
 
 
+@pytest.mark.parametrize("sched", ["sync-all:7", "central-random:xyz", "fair-excl:3"])
+def test_run_refuses_an_argument_to_a_scheduler_that_takes_none(capsys, sched):
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--sched", sched)
+    assert (code, out) == (1, "")
+    assert err == f"error: scheduler '{sched.partition(':')[0]}' takes no argument, got '{sched}'\n"
+
+
+def test_run_refuses_a_temperature_for_other_rules(capsys):
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "hopfield", "--temp", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: a temperature is only meaningful with the boltzmann rule, not 'hopfield'\n"
+
+
+@pytest.mark.parametrize("name", ["thm41", "thm42", "fig9", "linear"])
+@pytest.mark.parametrize("flag", [("--trials", "3"), ("--seed", "1")], ids=["trials", "seed"])
+def test_demo_without_randomness_refuses_trials_and_seed(capsys, name, flag):
+    code, out, err = run_cli(capsys, "demo", name, *flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: demo {name} takes neither --trials nor --seed\n"
+
+
 def test_demo_selfstab_small(capsys):
     code, out, _ = run_cli(capsys, "demo", "selfstab", "--trials", "5", "--seed", "3")
     assert code == 0

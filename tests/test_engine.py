@@ -33,7 +33,7 @@ from goodnet import (
     trace_line,
 )
 
-from helpers import D, M, W, non_tree_nodes_reference
+from helpers import D, M, W, local_field, non_tree_nodes_reference
 
 
 def path3():
@@ -226,6 +226,10 @@ def test_boltzmann_requires_temperature():
         run(fig1(), "boltzmann", CentralRoundRobin())
     with pytest.raises(ValueError):
         run(fig1(), "unknown-rule", CentralRoundRobin())
+    # and only boltzmann takes one
+    for rule in ("hopfield", "activate", "activate-with-cutset"):
+        with pytest.raises(ValueError, match=f"temperature is only meaningful with the boltzmann rule, not '{rule}'"):
+            run(example51(), rule, CentralRoundRobin(), temperature=W(3))
 
 
 def test_dominance_on_trees_is_always_comparable_and_optimal():
@@ -302,6 +306,23 @@ def test_preset_register_list_of_wrong_length_is_rejected(length):
         run(net, "activate", CentralRoundRobin(), init="preset", preset=preset)
 
 
+@pytest.mark.parametrize(
+    "preset, node", [({9: {1}, 0: {2}}, 9), ({0: {2}}, 0), ({"1": {3}}, "'1'")], ids=["9-and-0", "0", "str-1"]
+)
+def test_preset_pointers_for_unknown_nodes_are_rejected(preset, node):
+    with pytest.raises(ValueError, match=f"preset references node {node} outside 1..5"):
+        run(fig1(), "activate", CentralRoundRobin(), init="preset", preset=preset)
+
+
+def test_preset_register_list_needs_a_register_at_every_node():
+    preset = [None] * 6
+    with pytest.raises(ValueError, match="preset entry 1 is NoneType, not an ActivationRegister"):
+        initial_registers(fig1(), "preset", preset=preset)
+    preset = [None] + [ActivationRegister()] * 4 + [{"x": 1}]
+    with pytest.raises(ValueError, match="preset entry 5 is dict"):
+        run(fig1(), "activate", CentralRoundRobin(), init="preset", preset=preset)
+
+
 def test_cutset_run_is_conditionally_optimal_at_stability():
     # at stability the non-cutset part is the exact optimum given the
     # cutset values, and every cutset unit satisfies the threshold rule
@@ -322,8 +343,8 @@ def test_cutset_run_is_conditionally_optimal_at_stability():
         best_given_y, _ = tree_conditioned_max(net, y)
         assert result.goodness_final == best_given_y
         for i in members:
-            field = net.local_field(i, result.assignment)
-            want = 1 if field >= -net.bias(i) else 0
+            field = local_field(net, i, result.assignment)
+            want = 1 if field >= -net.bias(i).micros else 0
             assert result.assignment[i - 1] == want
     assert checked >= 20
 
@@ -386,17 +407,17 @@ def test_traced_goodness_and_stop_rule_match_naive_recomputation(data):
     cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
     init = data.draw(st.sampled_from(["zeros", "random", "preset"]))
     preset = perturb(net, initial_registers(net, "zeros", cutset), seed) if init == "preset" else None
-    window = data.draw(st.one_of(st.none(), st.integers(1, 3 * n)))
     max_passes = data.draw(st.integers(1, 30))
     result = run(
-        net, rule, scheduler, init=init, seed=seed, temperature=W(1), cutset=cutset,
-        preset=preset, window=window, max_passes=max_passes, collect_trace=True,
+        net, rule, scheduler, init=init, seed=seed, cutset=cutset, preset=preset,
+        temperature=W(1) if rule == "boltzmann" else None,
+        max_passes=max_passes, collect_trace=True,
     )
     regs = preset if preset is not None else initial_registers(net, init, cutset, seed)
     for ev in result.trace:
         regs = replay_deltas(regs, [ev])
         assert ev.goodness == net.goodness(assignment_of(regs))
-    stop, _ = naive_stop(result.trace, n, window if window is not None else 2 * n)
+    stop, _ = naive_stop(result.trace, n, 2 * n)
     changes = [ev.step for ev in result.trace if ev.deltas]
     assert result.stable == (stop is not None)
     assert result.events == len(result.trace) == (stop + 1 if stop is not None else max_passes * n)

@@ -110,7 +110,10 @@ def test_fixture_lookup():
 
 
 def test_weights_in_requested_range():
-    net = random_network("tree", 20, weight_range=(-2, 2), seed=9)
-    for _, _, w in net.edges():
-        assert W(-2) <= w <= W(2)
-        assert w.micros % 10**6 == 0
+    # weights and biases are whole numbers in -5..5, and both ends occur
+    values = []
+    for seed in range(5):
+        net = random_network("sparse", 20, m=3, seed=seed)
+        values += [w for _, _, w in net.edges()] + [net.bias(i) for i in net.nodes()]
+    assert all(w.micros % 10**6 == 0 for w in values)
+    assert {w.micros // 10**6 for w in values} == set(range(-5, 6))

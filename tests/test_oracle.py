@@ -13,9 +13,7 @@ from goodnet import (
     example51,
     fig1,
     greedy_cutset,
-    hopfield_local_optima,
     is_acyclic_without,
-    is_hopfield_stable,
     parse_network,
     plan_from_members,
     random_network,
@@ -23,7 +21,16 @@ from goodnet import (
     tree_conditioned_max,
 )
 
-from helpers import D, W, conditioned_optimum, enumerate_hopfield_stable, enumerate_optima, is_forest_without
+from helpers import (
+    D,
+    W,
+    conditioned_optimum,
+    enumerate_hopfield_stable,
+    enumerate_optima,
+    is_forest_without,
+    is_hopfield_stable,
+    local_field,
+)
 
 
 def test_brute_force_fig1():
@@ -59,8 +66,6 @@ def test_int64_scans_refuse_wrapping_weights():
     net = parse_network("nodes 3\nedge 1 2 9000000000000\nedge 2 3 9000000000000\nbias 1 1\n")
     with pytest.raises(ValueError, match="int64"):
         brute_force_optima(net)
-    with pytest.raises(ValueError, match="int64"):
-        hopfield_local_optima(net)
     report = cutset_exact_optimize(net, plan_from_members(net, set()))
     assert report.gmax == D("18000000000001")
     assert report.argmax == ((1, 1, 1),)
@@ -93,18 +98,15 @@ def test_hopfield_tie_convention():
 
 
 def test_hopfield_local_optima_example51():
-    stable = hopfield_local_optima(example51())
-    assert (0, 0, 0, 0, 0) in stable
-    assert (1, 1, 1, 0, 0) in stable
-    assert (1, 1, 1, 1, 1) in stable
-    assert stable == tuple(enumerate_hopfield_stable(example51()))
+    # the three nested local optima, the global one at all-ones
+    assert enumerate_hopfield_stable(example51()) == [(0, 0, 0, 0, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 1)]
 
 
 def test_hopfield_local_optima_small_cases():
-    assert hopfield_local_optima(Network(1, biases={1: W(1)})) == ((1,),)
+    assert enumerate_hopfield_stable(Network(1, biases={1: W(1)})) == [(1,)]
     # w=0, theta=0: the >= rule outputs 1 on zero input, so only all-ones is a fixed point
     two = Network(2, [(1, 2, Weight(0))])
-    assert hopfield_local_optima(two) == ((1, 1),)
+    assert enumerate_hopfield_stable(two) == [(1, 1)]
 
 
 def test_global_optima_are_hopfield_stable_up_to_ties():
@@ -118,11 +120,11 @@ def test_global_optima_are_hopfield_stable_up_to_ties():
         assert any(is_hopfield_stable(net, a) for a in argmax)
         for a in argmax:
             for i in net.nodes():
-                want = 1 if net.local_field(i, a) >= -net.bias(i) else 0
+                want = 1 if local_field(net, i, a) >= -net.bias(i).micros else 0
                 if a[i - 1] == want:
                     continue
                 assert a[i - 1] == 0 and want == 1
-                assert net.local_field(i, a) == -net.bias(i)
+                assert local_field(net, i, a) == -net.bias(i).micros
                 flipped = list(a)
                 flipped[i - 1] = 1
                 assert tuple(flipped) in argmax

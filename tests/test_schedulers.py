@@ -95,7 +95,7 @@ def test_check_fairness_examples():
     assert not check_fairness(no2, 4, n=3)
     assert not check_fairness(rr, 40, n=5)  # node 5 never scheduled
     with pytest.raises(ValueError):
-        check_fairness([], 4)
+        check_fairness([], 4, n=4)
 
 
 def test_check_fair_exclusion_examples():
@@ -122,3 +122,6 @@ def test_parse_scheduler():
         parse_scheduler("scripted")
     with pytest.raises(ValueError):
         parse_scheduler("chaotic")
+    for text in ("central-random:xyz", "sync-all:7", "fair-excl:1", "sync-all:"):
+        with pytest.raises(ValueError, match="takes no argument"):
+            parse_scheduler(text)
