@@ -17,9 +17,9 @@ import argparse
 import sys
 
 from . import experiments
-from .engine import RunResult, TraceEvent, run
+from .engine import RULES, RunResult, TraceEvent, run
 from .fixtures import fixture
-from .network import parse_network
+from .network import parse_network, parse_node_ids
 from .oracle import (
     brute_force_optima,
     cutset_exact_optimize,
@@ -72,7 +72,7 @@ def _parse_cutset(net, text):
         return None
     if text == "auto":
         return greedy_cutset(net).members
-    return frozenset(int(t) for t in text.split(",") if t)
+    return frozenset(parse_node_ids(text, f"--cutset {text!r}"))
 
 
 def cmd_run(args) -> int:
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a rule under a scheduler")
     add_net_args(p_run)
-    p_run.add_argument("--rule", default="activate", choices=["hopfield", "boltzmann", "activate", "activate-with-cutset"])
+    p_run.add_argument("--rule", default="activate", choices=RULES)
     p_run.add_argument("--sched", default="central-rr", help="central-rr[:order] | central-random | sync-all | fair-excl | scripted:<ids>")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--init", default="zeros", choices=["zeros", "random"])

@@ -49,6 +49,22 @@ def non_tree_nodes(net: Network, regs: Sequence) -> frozenset[int]:
     return frozenset(i for i, v in lmap.items() if v is Legality.ILLEGAL)
 
 
+def _paired_runs(
+    net: Network, seed: int, scheduler_factory, base_rule: str, better_rule: str, reference, cutset=None
+) -> DominancePair:
+    """`better_rule` vs `base_rule` from one shared random start.
+
+    Comparable means both runs went stable and agree on every node of
+    `reference(better_run)`.
+    """
+    start = dict(init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES)
+    base = run(net, base_rule, scheduler_factory(), **start)
+    better = run(net, better_rule, scheduler_factory(), cutset=cutset, **start)
+    ref = reference(better)
+    comparable = base.stable and better.stable and all(base.assignment[i - 1] == better.assignment[i - 1] for i in ref)
+    return DominancePair(better.goodness_final, base.goodness_final, comparable, ref)
+
+
 def dominance_experiment(net: Network, seed: int, scheduler_factory) -> DominancePair:
     """Tree rule vs threshold rule from one shared random start.
 
@@ -56,35 +72,24 @@ def dominance_experiment(net: Network, seed: int, scheduler_factory) -> Dominanc
     tree rule left outside its trees; for such pairs the tree rule's
     goodness is guaranteed to be at least the threshold rule's.
     """
-    base = run(net, "hopfield", scheduler_factory(), init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES)
-    tree = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES)
-    ref = non_tree_nodes(net, tree.registers)
-    comparable = (
-        base.stable
-        and tree.stable
-        and all(base.assignment[i - 1] == tree.assignment[i - 1] for i in ref)
+    return _paired_runs(
+        net, seed, scheduler_factory, "hopfield", "activate", lambda tree: non_tree_nodes(net, tree.registers)
     )
-    return DominancePair(tree.goodness_final, base.goodness_final, comparable, ref)
 
 
 def cutset_dominance_experiment(net: Network, members: frozenset[int], seed: int, scheduler_factory) -> DominancePair:
     """Cutset-conditioned rule vs plain tree rule on matched cutset values."""
-    base = run(net, "activate", scheduler_factory(), init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES)
-    cut = run(
-        net,
-        "activate-with-cutset",
-        scheduler_factory(),
-        init="random",
-        seed=seed,
-        max_passes=DOMINANCE_MAX_PASSES,
-        cutset=members,
+    return _paired_runs(
+        net, seed, scheduler_factory, "activate", "activate-with-cutset", lambda _: members, cutset=members
     )
-    comparable = (
-        base.stable
-        and cut.stable
-        and all(base.assignment[i - 1] == cut.assignment[i - 1] for i in members)
-    )
-    return DominancePair(cut.goodness_final, base.goodness_final, comparable, members)
+
+
+def _tree_steps(net: Network, regs: list, sched, events: int):
+    """Apply `events` tree-rule events to `regs` in place, yielding each
+    step index once its event is committed."""
+    for step in range(events):
+        apply_event(net, regs, sched.next_set(net.n), "activate")
+        yield step
 
 
 def symmetry_lock_demo() -> DemoResult:
@@ -99,13 +104,7 @@ def symmetry_lock_demo() -> DemoResult:
         report = brute_force_optima(net)
         optima_split = all(a[i - 1] != a[i] for a in report.argmax)
         regs = initial_registers(net, "zeros")
-        sched = SynchronousAll()
-        locked = True
-        for _ in range(steps):
-            apply_event(net, regs, sched.next_set(net.n), "activate")
-            if regs[i].x != regs[i + 1].x:
-                locked = False
-                break
+        locked = all(regs[i].x == regs[i + 1].x for _ in _tree_steps(net, regs, SynchronousAll(), steps))
         ok = locked and optima_split
         passed = passed and ok
         lines.append(
@@ -127,11 +126,9 @@ def ring_schedule_demo() -> DemoResult:
     report = brute_force_optima(net)
     optima = set(report.argmax)
     regs = initial_registers(net, "zeros")
-    sched = CentralRoundRobin((1, 4, 2, 5, 3, 6))
     pairs_equal = True
     optimum_seen = False
-    for step in range(events):
-        apply_event(net, regs, sched.next_set(net.n), "activate")
+    for step in _tree_steps(net, regs, CentralRoundRobin((1, 4, 2, 5, 3, 6)), events):
         a = assignment_of(regs)
         if a in optima:
             optimum_seen = True
@@ -155,13 +152,8 @@ def stuck_ring_demo() -> DemoResult:
     n, passes = 6, 1_000
     net, pointers = illegal_ring(n)
     regs = initial_registers(net, "preset", preset=pointers)
-    sched = CentralRoundRobin()
-    unchanged = True
-    for _ in range(passes * n):
-        apply_event(net, regs, sched.next_set(net.n), "activate")
-        if any(regs[i].points_to != pointers[i] for i in net.nodes()):
-            unchanged = False
-            break
+    steps = _tree_steps(net, regs, CentralRoundRobin(), passes * n)
+    unchanged = all(pointer_snapshot(regs) == pointers for _ in steps)
     lines = [f"illegal_ring({n}): pointer state unchanged over {passes} passes={unchanged}"]
     return DemoResult("fig9", unchanged, lines)
 

@@ -104,9 +104,9 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
     """Seeded random instance whose weights and biases are integers drawn
     uniformly from -5..5 (both ends included).
 
-    kind 'tree' is a uniform random recursive tree, 'chain' a path,
-    'ring' a cycle, and 'sparse' a tree plus m extra edges (so any
-    cycle cutset needs at most m nodes).
+    kind 'tree' is a uniform random recursive tree and 'sparse' a tree
+    plus m extra edges (so any cycle cutset needs at most m nodes); any
+    other kind raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -119,14 +119,6 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
     if kind == "tree":
         for v in range(2, n + 1):
             edges.append((rng.randint(1, v - 1), v, rw()))
-    elif kind == "chain":
-        for v in range(1, n):
-            edges.append((v, v + 1, rw()))
-    elif kind == "ring":
-        if n < 3:
-            raise ValueError(f"ring needs n >= 3, got {n}")
-        for v in range(1, n + 1):
-            edges.append((v, v % n + 1, rw()))
     elif kind == "sparse":
         for v in range(2, n + 1):
             edges.append((rng.randint(1, v - 1), v, rw()))

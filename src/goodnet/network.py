@@ -248,3 +248,14 @@ def serialize_network(net: Network) -> str:
     if net.cutset:
         lines.append("cutset " + " ".join(str(i) for i in sorted(net.cutset)))
     return "\n".join(lines) + "\n"
+
+
+def parse_node_ids(text: str, source: str) -> list[int]:
+    """Comma-separated node ids such as ``3,2,1``, repeats kept.  An empty list,
+    an empty entry or anything but ASCII digits (``1_0``, `` 3``, ``+3``)
+    raises ValueError naming `source` and the token."""
+    tokens = text.split(",")
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"{source}: bad node id {token!r}, expected comma-separated integers")
+    return [int(token) for token in tokens]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .network import Network
+from .network import Network, parse_node_ids
 
 
 class Scheduler:
@@ -122,7 +122,8 @@ def parse_scheduler(text: str, seed: int = 0) -> Scheduler:
     """Build a scheduler from its CLI name.
 
     Accepted: ``central-rr``, ``central-rr:<ids>``, ``central-random``,
-    ``sync-all``, ``fair-excl``, ``scripted:<ids>`` with ids comma-separated.
+    ``sync-all``, ``fair-excl``, ``scripted:<ids>`` with ids comma-separated
+    (`parse_node_ids`; an empty list such as ``central-rr:`` is refused).
     ``scripted:<ids>`` is the round robin ``central-rr:<ids>``.  The other
     names take no argument and refuse one.
     """
@@ -130,8 +131,7 @@ def parse_scheduler(text: str, seed: int = 0) -> Scheduler:
     if name == "scripted" and not arg:
         raise ValueError("scripted scheduler needs ids, e.g. scripted:1,4,2")
     if name in ("central-rr", "scripted"):
-        order = [int(t) for t in arg.split(",")] if arg else None
-        return CentralRoundRobin(order)
+        return CentralRoundRobin(parse_node_ids(arg, f"scheduler {text!r}") if colon else None)
     if colon and name in ("central-random", "sync-all", "fair-excl"):
         raise ValueError(f"scheduler {name!r} takes no argument, got {text!r}")
     if name == "central-random":

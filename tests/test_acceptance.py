@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, exact tolerances, timed budgets.
 
 Each test prints an `ACCEPTANCE <k>: PASS` line on success (run pytest
-with -s to see them).  Shared heavy artifacts (the 200-tree runs) are
-built once per session and reused.
+with -s to see them).  Shared heavy artifacts (the 200-tree runs and
+the dominance demo) are built once and reused.
 """
 
 import math
@@ -18,14 +18,10 @@ from goodnet import (
     Weight,
     boltzmann_step,
     brute_force_optima,
-    cutset_dominance_experiment,
     cutset_exact_optimize,
-    dominance_experiment,
     example51,
     fig1,
     greedy_cutset,
-    initial_registers,
-    perturb,
     random_network,
     run,
 )
@@ -110,23 +106,12 @@ def test_criterion_02_tree_oracle_equivalence(tree_suite):
 
 def test_criterion_03_self_stabilization():
     t0 = time.time()
-    rng = random.Random(1234)
-    successes = 0
-    trials = 100
-    for _ in range(trials):
-        n = rng.randint(2, 12)
-        net = random_network("tree", n, seed=rng.randrange(2**32))
-        regs = perturb(net, initial_registers(net, "zeros"), seed=rng.randrange(2**32))
-        result = run(
-            net, "activate", FairExclusion(rng.randrange(2**32), exclude_adjacent_in=net),
-            init="preset", preset=regs, max_passes=400,
-        )
-        gmax = brute_force_optima(net).gmax
-        successes += result.stable and result.goodness_final == gmax
+    demo = DEMOS["selfstab"]()
     elapsed = time.time() - t0
-    assert successes == trials
+    assert demo.passed
+    assert demo.lines == ["100/100 perturbed tree runs reached the exact optimum"]
     assert elapsed < 30.0
-    ok(3, f"{successes}/{trials} fully perturbed trees recover the exact optimum ({elapsed:.1f}s)")
+    ok(3, f"100/100 fully perturbed trees recover the exact optimum under fair exclusion ({elapsed:.1f}s)")
 
 
 # -- criteria 4, 5 and 6: the negative-result demos --------------------------
@@ -190,37 +175,23 @@ def test_criterion_07_example51_trajectory():
 # -- criteria 8 and 9 --------------------------------------------------------
 
 
-def sparse_instances(count, base_seed):
-    rng = random.Random(base_seed)
-    for _ in range(count):
-        n = rng.randint(4, 14)
-        m = rng.randint(0, 3)
-        yield random_network("sparse", n, m=m, seed=rng.randrange(2**32)), rng.randrange(2**32)
+@pytest.fixture(scope="module")
+def dominance_demo():
+    return DEMOS["dominance"]()
 
 
-def test_criterion_08_tree_rule_dominates_threshold_rule():
-    comparable = violations = 0
-    for net, seed in sparse_instances(100, 2024):
-        pair = dominance_experiment(net, seed, CentralRoundRobin)
-        if pair.comparable:
-            comparable += 1
-            violations += pair.g_better < pair.g_base
-    assert violations == 0
-    assert comparable > 0
-    ok(8, f"tree rule >= threshold rule on all {comparable} comparable pairs of 100")
+def test_criterion_08_tree_rule_dominates_threshold_rule(dominance_demo):
+    assert dominance_demo.passed
+    assert dominance_demo.lines[-1].split("; ")[0] == "tree vs threshold: 100 comparable, 0 violations"
+    ok(8, "tree rule >= threshold rule on all 100 comparable pairs of 100")
 
 
-def test_criterion_09_cutset_rule_dominates_tree_rule():
-    comparable = violations = 0
-    for net, seed in sparse_instances(100, 4048):
-        plan = greedy_cutset(net)
-        pair = cutset_dominance_experiment(net, plan.members, seed, CentralRoundRobin)
-        if pair.comparable:
-            comparable += 1
-            violations += pair.g_better < pair.g_base
-    assert violations == 0
-    assert comparable > 0
-    ok(9, f"cutset rule >= tree rule on all {comparable} comparable pairs of 100")
+def test_criterion_09_cutset_rule_dominates_tree_rule(dominance_demo):
+    # 3 of the 100 pairs (trials 9, 31 and 35) are not comparable: their
+    # central-rr activate-with-cutset run never settles within 300 passes.
+    assert dominance_demo.passed
+    assert dominance_demo.lines[-1].split("; ")[1] == "cutset vs tree: 97 comparable, 0 violations"
+    ok(9, "cutset rule >= tree rule on all 97 comparable pairs of 100")
 
 
 # -- criterion 10 ------------------------------------------------------------

@@ -358,3 +358,53 @@ EXAMPLE51_CUTSET = ("run", "--fixture", "example51", "--rule", "activate-with-cu
 )
 def test_cutset_tsv_output_is_unchanged(capsys, argv, code, golden):
     assert run_cli(capsys, *argv)[:2] == (code, golden)
+
+
+@pytest.mark.parametrize(
+    "argv, source, token",
+    [
+        (("run", "--fixture", "fig1", "--sched", "central-rr:1,x"), "scheduler 'central-rr:1,x'", "x"),
+        (("run", "--fixture", "fig1", "--sched", "scripted:1,,2"), "scheduler 'scripted:1,,2'", ""),
+        (("run", "--fixture", "fig1", "--sched", "central-rr:"), "scheduler 'central-rr:'", ""),
+        (("run", "--fixture", "example51", "--rule", "activate-with-cutset", "--cutset", ""), "--cutset ''", ""),
+        (("oracle", "--fixture", "example51", "--cutset", ","), "--cutset ','", ""),
+        (("oracle", "--fixture", "example51", "--cutset", "1;2"), "--cutset '1;2'", "1;2"),
+        # int() would read this as node 11 of the 12-node chain
+        (("oracle", "--fixture", "chain2i:6", "--cutset", "1_1"), "--cutset '1_1'", "1_1"),
+    ],
+    ids=[
+        "sched-letter", "sched-empty-entry", "sched-empty-list",
+        "run-cutset-empty", "oracle-cutset-comma", "oracle-cutset-semicolon", "oracle-cutset-underscore",
+    ],
+)
+def test_node_id_lists_refuse_empty_and_non_integer_entries(capsys, argv, source, token):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {source}: bad node id {token!r}, expected comma-separated integers\n"
+
+
+def test_node_id_lists_keep_repeats(capsys):
+    assert run_cli(capsys, "run", "--fixture", "fig1", "--sched", "central-rr:1,2,3,4,5,5")[0] == 0
+    once = run_cli(capsys, "oracle", "--fixture", "example51", "--cutset", "1")
+    assert run_cli(capsys, "oracle", "--fixture", "example51", "--cutset", "1,1") == once
+
+
+# README's `goodnet oracle --fixture example51 --cutset 1` output
+EXAMPLE51_ORACLE = """\
+OPT goodness=250.7 count=1
+11111
+COND y=0 goodness=199.8
+COND y=1 goodness=250.7
+"""
+
+
+def test_oracle_defaults_to_the_declared_cutset(capsys, tmp_path):
+    import goodnet
+
+    assert run_cli(capsys, "oracle", "--fixture", "example51", "--cutset", "1") == (0, EXAMPLE51_ORACLE, "")
+    assert run_cli(capsys, "oracle", "--fixture", "example51") == (0, EXAMPLE51_ORACLE, "")
+    text = goodnet.serialize_network(goodnet.example51())
+    assert "\ncutset 1\n" in text
+    path = tmp_path / "example51.net"
+    path.write_text(text)
+    assert run_cli(capsys, "oracle", "--net", str(path)) == (0, EXAMPLE51_ORACLE, "")

@@ -1,8 +1,9 @@
 """The README's examples are executable.
 
-Every ```sh line that starts with ``goodnet `` and is followed by
-``# `` lines is a CLI example: those lines are its exact stdout.  The
-```python block is the library example and must run as written.
+Every ```sh line that starts with ``goodnet `` must parse.  One that is
+followed by ``# `` lines is a CLI example: those lines are its exact
+stdout.  The ```python block is the library example and must run as
+written.
 """
 
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from goodnet.cli import main
+from goodnet.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,9 +21,10 @@ def code_blocks(lang):
     return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
 
 
-def cli_examples():
-    """(argv, expected stdout) for every CLI example in the README."""
-    examples = []
+def cli_commands():
+    """(argv, expected stdout) for every `goodnet ...` line in the README;
+    the expected stdout is empty when no `# ` lines follow."""
+    commands = []
     for block in code_blocks("sh"):
         lines = block.splitlines()
         for k, line in enumerate(lines):
@@ -33,16 +35,26 @@ def cli_examples():
                 if not follow.startswith("# "):
                     break
                 expected.append(follow[2:] + "\n")
-            if expected:
-                examples.append((shlex.split(line, comments=True)[1:], "".join(expected)))
-    return examples
+            commands.append((shlex.split(line, comments=True)[1:], "".join(expected)))
+    return commands
 
 
-EXAMPLES = cli_examples()
+COMMANDS = cli_commands()
+EXAMPLES = [(argv, expected) for argv, expected in COMMANDS if expected]
 
 
 def test_readme_shows_cli_examples():
     assert [argv[0] for argv, _ in EXAMPLES] == ["run", "run", "oracle", "oracle"]
+
+
+def test_readme_shows_eleven_cli_commands():
+    assert [argv[0] for argv, _ in COMMANDS] == ["run"] * 3 + ["oracle"] * 2 + ["demo"] * 6
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS], ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_readme_cli_command_parses(argv):
+    # parse only: running the demos here would cost Tier-1 their full size
+    build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv, expected", EXAMPLES, ids=[" ".join(argv) for argv, _ in EXAMPLES])
