@@ -14,6 +14,8 @@ First output tokens are machine-parseable: RESULT / OPT / COND / PASS / FAIL.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import sys
 
 from . import experiments
@@ -120,18 +122,22 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
+def bind_demo(args):
+    """The named demo bound to the flags given, which must be among its own
+    parameters (omitted ones keep its defaults); runs nothing."""
     demo = experiments.DEMOS.get(args.name)
     if demo is None:
-        print(f"error: unknown demo {args.name!r}; choose from {sorted(experiments.DEMOS)}", file=sys.stderr)
-        return 1
-    # only the randomized demos take flags; omitted ones keep the demo's defaults
+        raise ValueError(f"unknown demo {args.name!r}; choose from {sorted(experiments.DEMOS)}")
     kwargs = {key: value for key, value in (("trials", args.trials), ("seed", args.seed)) if value is not None}
-    if kwargs and args.name not in ("selfstab", "dominance"):
+    if not kwargs.keys() <= inspect.signature(demo).parameters.keys():
         raise ValueError(f"demo {args.name} takes neither --trials nor --seed")
     if kwargs.get("trials", 1) < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    result = demo(**kwargs)
+    return functools.partial(demo, **kwargs)
+
+
+def cmd_demo(args) -> int:
+    result = bind_demo(args)()
     for line in result.lines:
         print(line)
     if result.passed:
@@ -173,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a named experiment")
     p_demo.add_argument("name", help="thm41 | thm42 | fig9 | selfstab | dominance | linear")
-    p_demo.add_argument("--trials", type=int, help="selfstab and dominance only (default 100)")
-    p_demo.add_argument("--seed", type=int, help="selfstab and dominance only (default 0)")
+    p_demo.add_argument("--trials", type=int, help="randomized demos only (default 100)")
+    p_demo.add_argument("--seed", type=int, help="randomized demos only (default 0)")
     p_demo.set_defaults(func=cmd_demo)
 
     return parser

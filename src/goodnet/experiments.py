@@ -9,6 +9,7 @@ implementation.  All randomness is seeded.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -193,34 +194,29 @@ def dominance_demo(trials: int = 100, seed: int = 0) -> DemoResult:
     never loses to the threshold rule on comparable pairs, and the cutset
     rule never loses to the tree rule on matched cutset values."""
     rng = random.Random(seed)
-    tree_cmp = tree_viol = cut_cmp = cut_viol = 0
+    comparable, violations = Counter(), Counter()
     lines = []
     for t in range(trials):
         n = rng.randint(4, 14)
         m = rng.randint(0, 3)
         net = random_network("sparse", n, m=m, seed=rng.randrange(2**32))
         pair_seed = rng.randrange(2**32)
-        pair = dominance_experiment(net, pair_seed, CentralRoundRobin)
-        if pair.comparable:
-            tree_cmp += 1
-            if pair.g_better < pair.g_base:
-                tree_viol += 1
-                lines.append(f"trial {t}: tree rule lost ({pair.g_better} < {pair.g_base})")
-        plan = greedy_cutset(net)
-        cpair = cutset_dominance_experiment(net, plan.members, pair_seed, CentralRoundRobin)
-        if cpair.comparable:
-            cut_cmp += 1
-            if cpair.g_better < cpair.g_base:
-                cut_viol += 1
-                lines.append(f"trial {t}: cutset rule lost ({cpair.g_better} < {cpair.g_base})")
+        pairs = (
+            ("tree", dominance_experiment(net, pair_seed, CentralRoundRobin)),
+            ("cutset", cutset_dominance_experiment(net, greedy_cutset(net).members, pair_seed, CentralRoundRobin)),
+        )
+        for label, pair in pairs:
+            if pair.comparable:
+                comparable[label] += 1
+                if pair.g_better < pair.g_base:
+                    violations[label] += 1
+                    lines.append(f"trial {t}: {label} rule lost ({pair.g_better} < {pair.g_base})")
     lines.append(
-        f"tree vs threshold: {tree_cmp} comparable, {tree_viol} violations; "
-        f"cutset vs tree: {cut_cmp} comparable, {cut_viol} violations"
+        f"tree vs threshold: {comparable['tree']} comparable, {violations['tree']} violations; "
+        f"cutset vs tree: {comparable['cutset']} comparable, {violations['cutset']} violations"
     )
-    passed = tree_viol == 0 and cut_viol == 0 and tree_cmp > 0 and cut_cmp > 0
-    result = DemoResult("dominance", passed, lines)
-    result.inconclusive = tree_cmp == 0 or cut_cmp == 0
-    return result
+    inconclusive = not (comparable["tree"] and comparable["cutset"])
+    return DemoResult("dominance", not violations and not inconclusive, lines, inconclusive)
 
 
 def uniform_chain(n: int) -> Network:

@@ -1,16 +1,21 @@
 """Exhaustive ground truth and exact cutset-conditioned optimization.
 
 Everything here works on immutable Networks and is deliberately
-independent of the distributed simulator: one brute-force scan
-enumerates raw assignments, and the conditioned solver runs plain
-dynamic programming on the forest left after fixing the cutset.  The
-scan is vectorized with numpy on int64 micro-units.  It refuses any
-network whose sum |w| + sum |theta| reaches 2**62 micros, which bounds
-every partial sum it forms, so an accepted scan never wraps.
+independent of the distributed simulator.  Each solver enumerates the
+codes of a fixed node set (first node most significant) as numpy columns.
+`brute_force_optima` builds the goodness column of the last log2(_CHUNK)
+nodes once; per code of the nodes before them it adds that code's own
+goodness and its coupling on the bit rows of the low nodes.
+`cutset_exact_optimize` walks the forest left without the cutset once and
+runs the leaf-to-root DP on columns over the cutset codes;
+`tree_conditioned_max` is its one-code case.  Every partial sum is bounded
+by sum |w| + sum |theta|: the scan refuses a network where that reaches
+2**62 micros, and the DP runs the same code with dtype=object there.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,7 +24,8 @@ import numpy as np
 from .network import Network
 from .weights import Weight
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 18  # states per scan column
+_CODE_CHUNK = 1 << 12  # cutset codes per conditioning-DP column
 
 BRUTE_FORCE_MAX_NODES = 26
 CUTSET_MAX_SIZE = 20
@@ -43,60 +49,64 @@ class OptimumReport:
 
 @dataclass(frozen=True)
 class CutsetPlan:
-    """A designated node set meant to break every cycle.  Whether it does
-    is checked by the forest walk of each conditioning."""
+    """A designated node set meant to break every cycle; the forest walk checks it."""
 
     members: frozenset[int]
+
+
+def _bits(codes: np.ndarray, size: int) -> np.ndarray:
+    """0/1 matrix, one row per code, most significant bit first."""
+    return (codes[:, None] >> np.arange(size - 1, -1, -1)) & 1
 
 
 # ---------------------------------------------------------------------------
 # exhaustive scan
 
 
-def _check_int64_safe(net: Network) -> None:
-    if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS:
-        raise ValueError("weights too large for an exact int64 scan (sum |w| + sum |theta| >= 2**62 micros)")
-
-
-def _bit_matrix(ks: np.ndarray, n: int) -> np.ndarray:
-    """0/1 matrix (len(ks) x n); row k holds k's bits, node 1 most significant."""
-    bits = np.zeros((len(ks), n), dtype=np.int8)
-    for idx in range(n):
-        bits[:, idx] = (ks >> (n - 1 - idx)) & 1
-    return bits
-
-
-def _goodness_column(net: Network, bits: np.ndarray) -> np.ndarray:
-    g = np.zeros(len(bits), dtype=np.int64)
-    for i in net.nodes():
-        b = net.bias(i).micros
-        if b:
-            g += b * bits[:, i - 1].astype(np.int64)
-    for i, j, w in net.edges():
-        g += w.micros * (bits[:, i - 1] & bits[:, j - 1]).astype(np.int64)
-    return g
+def _subnet_column(net: Network, nodes: range) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Goodness of the subnet on `nodes` over all its codes, and each node's
+    bit as a bool row over them.  The column doubles once per node, last
+    node first: the codes with the node on add its bias and its edges to the
+    nodes already placed, whose rows over those codes are prefixes."""
+    last = nodes.stop - 1
+    codes = np.arange(1 << len(nodes), dtype=np.int64)
+    rows = {v: (codes & (1 << (last - v))) != 0 for v in nodes}
+    g = np.zeros(len(codes), dtype=np.int64)
+    for v in reversed(nodes):
+        half = 1 << (last - v)
+        upper = g[half:2 * half]
+        np.add(g[:half], net.bias(v).micros, out=upper)
+        for j, w in net.neighbors(v):
+            if j in rows and j > v:
+                np.add(upper, w.micros, out=upper, where=rows[j][:half])
+    return g, rows
 
 
 def brute_force_optima(net: Network) -> OptimumReport:
     """Exact maximum and complete argmax set over all 2**n assignments."""
     if net.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes, got {net.n}")
-    _check_int64_safe(net)
-    total = 1 << net.n
-    best = None
-    best_rows: list[tuple[int, ...]] = []
-    for start in range(0, total, _CHUNK):
-        ks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = _bit_matrix(ks, net.n)
-        g = _goodness_column(net, bits)
+    if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS:
+        raise ValueError("weights too large for an exact int64 scan (sum |w| + sum |theta| >= 2**62 micros)")
+    split = max(0, net.n - (_CHUNK.bit_length() - 1))  # nodes 1..split are high, the rest low
+    high_g, _ = _subnet_column(net, range(1, split + 1))
+    low_g, low_rows = _subnet_column(net, range(split + 1, net.n + 1))
+    high_bits = _bits(np.arange(len(high_g)), split).tolist()
+    # each low node's bit row, and its (high bit index, weight) links
+    boundary = [(row, [(j - 1, w.micros) for j, w in net.neighbors(v) if j <= split]) for v, row in low_rows.items()]
+    best, best_rows = None, []
+    for h, base in enumerate(high_g.tolist()):
+        g = low_g + base
+        for row, links in boundary:
+            coupling = sum(w for j, w in links if high_bits[h][j])
+            if coupling:
+                np.add(g, coupling, out=g, where=row)
         chunk_best = int(g.max())
         if best is None or chunk_best > best:
-            best = chunk_best
-            best_rows = []
+            best, best_rows = chunk_best, []
         if chunk_best == best:
-            for row in bits[g == best]:
-                best_rows.append(tuple(int(v) for v in row))
-    return OptimumReport(Weight(best), tuple(sorted(best_rows)), total)
+            best_rows += [tuple(high_bits[h] + low) for low in _bits(np.flatnonzero(g == best), net.n - split).tolist()]
+    return OptimumReport(Weight(best), tuple(sorted(best_rows)), 1 << net.n)
 
 
 # ---------------------------------------------------------------------------
@@ -175,54 +185,51 @@ def plan_from_members(net: Network, members) -> CutsetPlan:
 # exact conditioned tree optimization (nonserial dynamic programming)
 
 
-def tree_conditioned_max(net: Network, y: Mapping[int, int]) -> tuple[Weight, tuple[int, ...]]:
-    """Exact max goodness given fixed values y, via DP on the remaining forest.
-
-    Conditioning folds each fixed neighbor's contribution into an
-    effective bias; terms entirely inside the fixed set are a constant.
-    The remaining graph must be a forest.  Ties prefer the unit on,
-    matching the >= convention of the threshold rules.
-    """
-    skip = frozenset(y)
-    trees = _forest_walk(net, skip)
-    const = sum(net.bias(i).micros * y[i] for i in skip)
-    for i, j, w in net.edges():
-        if i in skip and j in skip:
-            const += w.micros * y[i] * y[j]
-
-    eff_bias = {}
-    for v in net.nodes():
-        if v in skip:
-            continue
-        b = net.bias(v).micros
-        for j, w in net.neighbors(v):
-            if j in skip:
-                b += w.micros * y[j]
-        eff_bias[v] = b
-
-    assign = {i: int(y[i]) for i in skip}
-    total = const
+def _conditioned_chunk(net: Network, trees, members: list[int], ybits: np.ndarray):
+    """Conditioned maxima of a chunk of cutset codes (`ybits`: one row per
+    code, one column per member), and a function giving the witness rows
+    of the codes whose maximum equals a given value.  Fixed neighbors fold
+    into a free node's bias; ties prefer the unit on, as in the >= rules."""
+    dtype = object if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS else np.int64
+    y = dict(zip(members, ybits.T.astype(dtype)))
+    zero = np.zeros(len(ybits), dtype=dtype)
+    total = zero + sum(net.bias(i).micros * y[i] for i in members)
+    total = total + sum(w.micros * y[i] * y[j] for i, j, w in net.edges() if i in y and j in y)
+    acc0, acc1 = {}, {}  # node -> sum of its children's best with it off, with it on
+    choice = {}  # free node -> its best bit with its parent off, with it on
     for order, parent in trees:
-        root = order[0]
-        s0 = {v: 0 for v in order}
-        s1 = {v: 0 for v in order}
-        g0 = {}
-        g1 = {}
-        for v in reversed(order):
-            b = eff_bias[v]
-            g0[v] = max(s0[v], s1[v] + b)
-            if v != root:
-                w = net.weight(v, parent[v]).micros
-                g1[v] = max(s0[v], s1[v] + b + w)
-                s0[parent[v]] += g0[v]
-                s1[parent[v]] += g1[v]
-        total += g0[root]
-        assign[root] = 1 if s1[root] + eff_bias[root] >= s0[root] else 0
-        for v in order[1:]:
-            link = net.weight(v, parent[v]).micros * assign[parent[v]]
-            assign[v] = 1 if s1[v] + eff_bias[v] + link >= s0[v] else 0
-    witness = tuple(assign[i] for i in net.nodes())
-    return Weight(total), witness
+        for v in reversed(order):  # a root's parent is node 0, which stays off
+            off = acc0.pop(v, zero)
+            on = acc1.pop(v, zero) + net.bias(v).micros + sum(w.micros * y[j] for j, w in net.neighbors(v) if j in y)
+            p = parent[v]
+            on_up = on + net.weight(v, p).micros if p else on
+            choice[v] = (on >= off, on_up >= off)
+            acc0[p] = acc0.get(p, zero) + np.maximum(off, on)
+            acc1[p] = acc1.get(p, zero) + np.maximum(off, on_up)
+    total = total + acc0.get(0, zero)
+
+    def witnesses(value: int) -> list[tuple[int, ...]]:
+        rows = np.empty((len(ybits), net.n), dtype=np.int8)
+        for i in members:
+            rows[:, i - 1] = y[i]
+        bit = {0: zero != zero}
+        for order, parent in trees:
+            for v in order:
+                bit[v] = np.where(bit[parent[v]], choice[v][1], choice[v][0])
+                rows[:, v - 1] = bit[v]
+        return list(map(tuple, rows[total == value].tolist()))
+
+    return total, witnesses
+
+
+def tree_conditioned_max(net: Network, y: Mapping[int, int]) -> tuple[Weight, tuple[int, ...]]:
+    """Exact max goodness given fixed values y, via DP on the remaining
+    forest, and its witness: the one-code case of `cutset_exact_optimize`."""
+    members = sorted(y)
+    ybits = np.array([[y[i] for i in members]], dtype=np.int64)
+    total, witnesses = _conditioned_chunk(net, _forest_walk(net, frozenset(members)), members, ybits)
+    value = int(total[0])
+    return Weight(value), witnesses(value)[0]
 
 
 def cutset_exact_optimize(net: Network, plan: CutsetPlan) -> OptimumReport:
@@ -232,22 +239,22 @@ def cutset_exact_optimize(net: Network, plan: CutsetPlan) -> OptimumReport:
     by forest DP; the best conditioning(s) win.  Matches brute force in
     gmax, with one witness assignment per optimal conditioning, and
     reports every conditioning's maximum in `conditionings`.  A plan that
-    leaves a cycle raises ValueError from the first conditioning.
+    leaves a cycle raises ValueError from the forest walk.
     """
     if len(plan.members) > CUTSET_MAX_SIZE:
         raise ValueError(f"cutset enumeration capped at {CUTSET_MAX_SIZE} members")
     members = sorted(plan.members)
-    k = len(members)
-    best: Weight | None = None
-    witnesses: list[tuple[int, ...]] = []
-    rows = []
-    for code in range(1 << k):
-        bits = tuple((code >> (k - 1 - idx)) & 1 for idx in range(k))
-        value, witness = tree_conditioned_max(net, dict(zip(members, bits)))
-        rows.append((bits, value))
-        if best is None or value > best:
-            best = value
-            witnesses = [witness]
-        elif value == best:
-            witnesses.append(witness)
-    return OptimumReport(best, tuple(sorted(set(witnesses))), 1 << k, tuple(rows))
+    trees = _forest_walk(net, frozenset(members))
+    codes = 1 << len(members)
+    values, best, witnesses = [], None, []
+    for start in range(0, codes, _CODE_CHUNK):
+        ybits = _bits(np.arange(start, min(start + _CODE_CHUNK, codes)), len(members))
+        total, chunk_witnesses = _conditioned_chunk(net, trees, members, ybits)
+        values += total.tolist()
+        chunk_best = int(total.max())
+        if best is None or chunk_best > best:
+            best, witnesses = chunk_best, []
+        if chunk_best == best:
+            witnesses += chunk_witnesses(best)
+    rows = tuple(zip(itertools.product((0, 1), repeat=len(members)), map(Weight, values)))
+    return OptimumReport(Weight(best), tuple(sorted(witnesses)), codes, rows)

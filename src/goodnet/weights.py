@@ -11,6 +11,7 @@ comparisons, addition and negation are exact.
 
 from __future__ import annotations
 
+import functools
 import re
 
 SCALE = 10**6
@@ -18,6 +19,7 @@ SCALE = 10**6
 _DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
 
 
+@functools.total_ordering
 class Weight:
     """Signed fixed-point number with six decimal places."""
 
@@ -65,19 +67,6 @@ class Weight:
         if isinstance(other, Weight):
             return self.micros < other.micros
         return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Weight):
-            return self.micros <= other.micros
-        return NotImplemented
-
-    def __gt__(self, other):
-        result = self.__le__(other)
-        return NotImplemented if result is NotImplemented else not result
-
-    def __ge__(self, other):
-        result = self.__lt__(other)
-        return NotImplemented if result is NotImplemented else not result
 
     def __hash__(self):
         return hash(("Weight", self.micros))

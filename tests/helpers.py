@@ -8,6 +8,7 @@ shortcuts.
 import itertools
 
 from goodnet import Legality, Network, Weight
+from goodnet.oracle import _forest_walk
 
 
 def enumerate_optima(net: Network):
@@ -29,6 +30,70 @@ def conditioned_optimum(net: Network, y):
         elif g == best:
             arg.append(bits)
     return best, sorted(arg)
+
+
+def tree_conditioned_max_reference(net: Network, y):
+    """(max goodness, witness) given fixed values y: scalar dict DP on the
+    forest left after deleting y's nodes, one conditioning at a time.
+
+    Each fixed neighbor folds into an effective bias; terms entirely
+    inside the fixed set are a constant.  Ties prefer the unit on.
+    """
+    skip = frozenset(y)
+    trees = _forest_walk(net, skip)
+    const = sum(net.bias(i).micros * y[i] for i in skip)
+    for i, j, w in net.edges():
+        if i in skip and j in skip:
+            const += w.micros * y[i] * y[j]
+
+    eff_bias = {}
+    for v in net.nodes():
+        if v in skip:
+            continue
+        b = net.bias(v).micros
+        for j, w in net.neighbors(v):
+            if j in skip:
+                b += w.micros * y[j]
+        eff_bias[v] = b
+
+    assign = {i: int(y[i]) for i in skip}
+    total = const
+    for order, parent in trees:
+        root = order[0]
+        s0 = {v: 0 for v in order}
+        s1 = {v: 0 for v in order}
+        g0 = {}
+        g1 = {}
+        for v in reversed(order):
+            b = eff_bias[v]
+            g0[v] = max(s0[v], s1[v] + b)
+            if v != root:
+                w = net.weight(v, parent[v]).micros
+                g1[v] = max(s0[v], s1[v] + b + w)
+                s0[parent[v]] += g0[v]
+                s1[parent[v]] += g1[v]
+        total += g0[root]
+        assign[root] = 1 if s1[root] + eff_bias[root] >= s0[root] else 0
+        for v in order[1:]:
+            link = net.weight(v, parent[v]).micros * assign[parent[v]]
+            assign[v] = 1 if s1[v] + eff_bias[v] + link >= s0[v] else 0
+    witness = tuple(assign[i] for i in net.nodes())
+    return Weight(total), witness
+
+
+def cutset_optimize_reference(net: Network, members):
+    """(gmax, sorted witnesses, COND rows): one scalar DP per cutset code,
+    codes in ascending order with the lowest member most significant."""
+    members = sorted(members)
+    best, witnesses, rows = None, [], []
+    for bits in itertools.product((0, 1), repeat=len(members)):
+        value, witness = tree_conditioned_max_reference(net, dict(zip(members, bits)))
+        rows.append((bits, value))
+        if best is None or value > best:
+            best, witnesses = value, [witness]
+        elif value == best:
+            witnesses.append(witness)
+    return best, tuple(sorted(witnesses)), tuple(rows)
 
 
 def local_field(net: Network, i: int, a) -> int:

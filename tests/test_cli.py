@@ -1,6 +1,6 @@
 import pytest
 
-from goodnet.cli import main
+from goodnet.cli import bind_demo, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +223,13 @@ def test_demo_without_randomness_refuses_trials_and_seed(capsys, name, flag):
     code, out, err = run_cli(capsys, "demo", name, *flag)
     assert (code, out) == (1, "")
     assert err == f"error: demo {name} takes neither --trials nor --seed\n"
+
+
+def test_bind_demo_takes_the_demos_own_parameters_without_running_it():
+    with pytest.raises(ValueError, match="takes neither --trials nor --seed"):
+        bind_demo(build_parser().parse_args(["demo", "thm41", "--trials", "3"]))
+    bound = bind_demo(build_parser().parse_args(["demo", "dominance", "--seed", "4"]))
+    assert bound.keywords == {"seed": 4}
 
 
 def test_demo_selfstab_small(capsys):

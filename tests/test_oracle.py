@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goodnet import oracle
 from goodnet import (
     CutsetPlan,
     Network,
@@ -25,12 +26,31 @@ from helpers import (
     D,
     W,
     conditioned_optimum,
+    cutset_optimize_reference,
     enumerate_hopfield_stable,
     enumerate_optima,
     is_forest_without,
     is_hopfield_stable,
     local_field,
+    tree_conditioned_max_reference,
 )
+
+
+@st.composite
+def sparse_nets(draw, max_n):
+    """Sparse nets with drawn weights, or -1/0/1 weights (many ties), or all
+    zeros (every assignment ties), or multiples of 3e12 (past int64 sums)."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, min(6, (n - 1) * (n - 2) // 2)))
+    net = random_network("sparse", n, m=m, seed=draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([None, 1, 0, 3_000_000_000_000]))
+    if scale is None:
+        return net
+
+    def pick():
+        return W(draw(st.integers(-1, 1)) * scale)
+
+    return Network(n, [(i, j, pick()) for i, j, _ in net.edges()], {i: pick() for i in net.nodes()})
 
 
 def test_brute_force_fig1():
@@ -236,3 +256,47 @@ def test_argmax_is_lexicographically_sorted():
     assert report.gmax == Weight(0)
     assert list(report.argmax) == sorted(report.argmax)
     assert report.argmax == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_conditioning_dp_matches_scalar_reference(data):
+    net = data.draw(sparse_nets(30))
+    members = greedy_cutset(net).members | data.draw(st.frozensets(st.integers(1, net.n), max_size=3))
+    gmax, argmax, rows = cutset_optimize_reference(net, members)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CODE_CHUNK", data.draw(st.sampled_from([1, 4])))
+        report = cutset_exact_optimize(net, plan_from_members(net, members))
+    assert (report.gmax, report.argmax, report.conditionings) == (gmax, argmax, rows)
+    assert report.states_scanned == 2 ** len(members)
+    y = {i: data.draw(st.integers(0, 1)) for i in sorted(members)}
+    assert tree_conditioned_max(net, y) == tree_conditioned_max_reference(net, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_brute_force_scan_matches_plain_enumeration(data):
+    net = data.draw(sparse_nets(12))
+    if net.magnitude_micros() >= oracle.INT64_SCAN_MAX_MICROS:
+        with pytest.raises(ValueError, match="int64"):
+            brute_force_optima(net)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK", 1 << 3)
+        report = brute_force_optima(net)
+    gmax, argmax = enumerate_optima(net)
+    assert (report.gmax, list(report.argmax), report.states_scanned) == (gmax, argmax, 2**net.n)
+
+
+def test_conditioning_dp_is_exact_past_int64():
+    # each weight is about 9e18 micros, so two of them overflow int64; the
+    # pendant path 7-8 never meets the cutset, so its sums start unmixed
+    ring = "".join(f"edge {i} {i % 6 + 1} {(-1) ** i * (9_000_000_000_000 + 1000 * i)}\n" for i in range(1, 7))
+    pendant = "edge 3 7 9000000000000\nedge 7 8 9000000000000\n"
+    net = parse_network("nodes 8\n" + ring + pendant + "bias 1 5\nbias 3 -7\nbias 4 0.5\n")
+    assert net.magnitude_micros() >= oracle.INT64_SCAN_MAX_MICROS
+    with pytest.raises(ValueError, match="int64"):
+        brute_force_optima(net)
+    report = cutset_exact_optimize(net, plan_from_members(net, {1}))
+    assert (report.gmax, report.argmax, report.conditionings) == cutset_optimize_reference(net, {1})
+    assert report.gmax == net.goodness(report.argmax[0])

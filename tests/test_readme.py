@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from goodnet.cli import build_parser, main
+from goodnet.cli import bind_demo, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,8 +53,10 @@ def test_readme_shows_eleven_cli_commands():
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS], ids=[" ".join(argv) for argv, _ in COMMANDS])
 def test_readme_cli_command_parses(argv):
-    # parse only: running the demos here would cost Tier-1 their full size
-    build_parser().parse_args(argv)
+    # parse and bind only: running the demos here would cost Tier-1 their full size
+    args = build_parser().parse_args(argv)
+    if args.command == "demo":
+        bind_demo(args)
 
 
 @pytest.mark.parametrize("argv, expected", EXAMPLES, ids=[" ".join(argv) for argv, _ in EXAMPLES])
