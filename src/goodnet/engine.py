@@ -31,6 +31,7 @@ from .rules import (
     hopfield_step,
     legality_map,
     tree_direct_step,
+    update_legal,
     zero_register,
 )
 from .schedulers import Scheduler
@@ -146,7 +147,8 @@ def initial_registers(
     'random' randomizes only the activation bits and needs a seed;
     'preset' takes either a full register list (n + 1 entries, an
     ActivationRegister at every index 1..n) or a mapping node ->
-    pointer set over nodes 1..n.
+    pointer set over nodes 1..n; in both forms every pointer must aim
+    at a neighbor of its node.
     """
     regs: list = [None] + [zero_register(net, i, cutset) for i in net.nodes()]
     if init == "zeros":
@@ -167,13 +169,19 @@ def initial_registers(
                     raise ValueError(f"preset references node {i!r} outside 1..{net.n}")
             for i in net.nodes():
                 regs[i] = replace(regs[i], points_to=frozenset(preset.get(i, frozenset())))
-            return regs
-        if len(preset) != net.n + 1:
-            raise ValueError(f"a preset register list needs n + 1 = {net.n + 1} entries (index 0 unused), got {len(preset)}")
+        else:
+            if len(preset) != net.n + 1:
+                raise ValueError(f"a preset register list needs n + 1 = {net.n + 1} entries (index 0 unused), got {len(preset)}")
+            for i in net.nodes():
+                if not isinstance(preset[i], ActivationRegister):
+                    raise ValueError(f"preset entry {i} is {type(preset[i]).__name__}, not an ActivationRegister")
+            regs = list(preset)
         for i in net.nodes():
-            if not isinstance(preset[i], ActivationRegister):
-                raise ValueError(f"preset entry {i} is {type(preset[i]).__name__}, not an ActivationRegister")
-        return list(preset)
+            nbs = {j for j, _ in net.neighbors(i)}
+            for j in regs[i].points_to:
+                if j not in nbs:
+                    raise ValueError(f"preset pointer {i} -> {j!r} does not aim at a neighbor of node {i}")
+        return regs
     raise ValueError(f"unknown init mode {init!r}")
 
 
@@ -231,8 +239,15 @@ def run(
     `cutset` defaults to the network's declared cutset for the
     activate-with-cutset rule and to the empty set otherwise; no other
     rule accepts a non-empty one.  Only the boltzmann rule takes a
-    `temperature`, and it needs one.  A collected trace carries the
-    running goodness and illegal count.
+    `temperature`, and it needs one.
+
+    A collected trace carries the running goodness and illegal count
+    (nodes outside the least legal fixed point, candidates included).
+    Both are kept incrementally: goodness moves by each flip's gain,
+    and the legal set, classified once by `legality_map` at the start,
+    is re-derived after each pointer move only on the moved nodes, their
+    neighbors and the legal chains above them (`update_legal`).  An
+    untraced run does neither.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -262,7 +277,9 @@ def run(
     stable = False
     step = -1
     if trace is not None:
-        illegal = illegal_count(net, regs)
+        # running legal set, carried across pointer moves by update_legal
+        pointers = pointer_snapshot(regs)
+        legal = {i for i, c in legality_map(net, pointers).items() if c is Legality.LEGAL}
         # running goodness, updated by each flip's O(degree) gain
         xs = [0, *assignment_of(regs)]
         g = net.goodness(xs[1:]).micros
@@ -281,20 +298,24 @@ def run(
         for i in ids:
             last_activated[i] = step
         if trace is not None:
+            moved = []
             for i, field, value in deltas:
                 if field == "x":
                     gain = net.bias(i).micros + sum(w.micros for j, w in net.neighbors(i) if xs[j])
                     xs[i] = value
                     g += gain if value else -gain
-            if any(f == "points_to" for _, f, _ in deltas):
-                illegal = illegal_count(net, regs)
+                elif field == "points_to":
+                    pointers[i] = value
+                    moved.append(i)
+            if moved:
+                update_legal(net, pointers, legal, moved)
             trace.append(
                 TraceEvent(
                     step=step,
                     pass_idx=step // n + 1,
                     ids=ids,
                     goodness=Weight(g),
-                    illegal=illegal,
+                    illegal=n - len(legal),
                     deltas=deltas,
                 )
             )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .network import Network
 
@@ -201,54 +201,102 @@ def boltzmann_step(view: LocalView, temperature, rng) -> int:
 # legality
 
 
+def _derive_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: set[int], nodes: Iterable[int]) -> None:
+    """Grow ``legal`` to the least fixed point of the legality condition.
+
+    A node may turn legal when it has at most one pointer, aimed at a
+    neighbor (its parent), and every other neighbor (a child) points
+    back at it; it does turn legal once every child is legal.  Each of
+    ``nodes`` (none of them in ``legal``) is examined, and so is the
+    parent of every node that turns legal; an eligible node waits for
+    its children from the leaves up, so mutually-supporting pointer
+    rings never enter.  Nodes left out of ``nodes`` and never reached
+    keep their current membership, so the result is the least fixed
+    point only if every node that can still turn legal is reachable.
+    """
+    none: frozenset[int] = frozenset()
+    waiting: dict[int, int] = {}  # eligible node -> children not yet legal
+    seen: set[int] = set()
+    ready: list[int] = []
+
+    def examine(i: int) -> None:
+        seen.add(i)
+        own = pointers.get(i, none)
+        if len(own) > 1:
+            return
+        nbs = net.neighbors(i)
+        children = missing = 0
+        for j, _ in nbs:
+            if j not in own:
+                if i not in pointers.get(j, none):
+                    return
+                children += 1
+                missing += j not in legal
+        if children + len(own) == len(nbs):
+            waiting[i] = missing
+            if not missing:
+                ready.append(i)
+
+    for i in nodes:
+        examine(i)
+    while ready:
+        v = ready.pop()
+        legal.add(v)
+        for p in pointers.get(v, none):  # at most one: v's parent
+            if p in legal or v in pointers.get(p, none):
+                continue
+            if p in waiting:
+                waiting[p] -= 1
+                if not waiting[p]:
+                    ready.append(p)
+            elif p not in seen:
+                examine(p)
+
+
+def update_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: set[int], moved: Iterable[int]) -> None:
+    """Carry ``legal``, the least fixed point before the nodes ``moved``
+    changed their pointers, over to the fixed point of ``pointers``.
+
+    Only the moved nodes and their neighbors see their own condition
+    change, so legality can flip only on them and on the legal chains
+    above them.  Those are cleared, walking up the pointers while the
+    nodes are still legal, and derived again from the leaves up; the
+    walk keeps a pointer ring closed by the move out of the fixed point.
+    """
+    seeds = set(moved)
+    for v in moved:
+        seeds.update(j for j, _ in net.neighbors(v))
+    cleared = list(seeds)
+    stack = [v for v in seeds if v in legal]
+    legal.difference_update(seeds)
+    while stack:
+        for p in pointers.get(stack.pop(), ()):
+            if p in legal:
+                legal.discard(p)
+                cleared.append(p)
+                stack.append(p)
+    _derive_legal(net, pointers, legal, cleared)
+
+
 def legality_map(net: Network, pointers: Mapping[int, frozenset[int]]) -> dict[int, Legality]:
     """Classify every node as legal / candidate / illegal for a pointer snapshot.
 
     A node is legal if it is a root (points at nobody, every neighbor
     points at it and is legal) or an intermediate (points at exactly one
     neighbor, every other neighbor points at it and is legal).  Legality
-    is taken as the least fixed point, i.e. it must be derivable from
-    the leaves up; mutually-supporting pointer rings do not count.  A
-    candidate is an illegal node with at most one non-pointing neighbor.
-    The whole map takes O(n + m) time.
+    is taken as the least fixed point (see :func:`_derive_legal`, run
+    here from every node with nothing legal yet); mutually-supporting
+    pointer rings do not count.  A candidate is an illegal node with at
+    most one non-pointing neighbor.  The whole map takes O(n + m) time.
     """
     none: frozenset[int] = frozenset()
-    # One scan of every node's neighbors counts who points at it, and
-    # finds the nodes that may turn legal: at most one pointer, aimed at
-    # a neighbor, with every child (other neighbor) pointing back.  Such
-    # a node waits for each child to turn legal, from the leaves up.
-    pointed_by: dict[int, int] = {}
-    waiting: dict[int, int] = {}
-    ready: list[int] = []
-    for i in net.nodes():
-        own = pointers.get(i, none)
-        nbs = net.neighbors(i)
-        pointing = children = pointing_children = 0
-        for j, _ in nbs:
-            points = i in pointers.get(j, none)
-            pointing += points
-            if j not in own:
-                children += 1
-                pointing_children += points
-        pointed_by[i] = pointing
-        if len(own) <= 1 and children + len(own) == len(nbs) and pointing_children == children:
-            waiting[i] = children
-            if not children:
-                ready.append(i)
     legal: set[int] = set()
-    while ready:
-        v = ready.pop()
-        legal.add(v)
-        for i, _ in net.neighbors(v):
-            if i in waiting and v not in pointers.get(i, none):
-                waiting[i] -= 1
-                if waiting[i] == 0:
-                    ready.append(i)
+    _derive_legal(net, pointers, legal, net.nodes())
     result = {}
     for i in net.nodes():
         if i in legal:
             result[i] = Legality.LEGAL
         else:
-            non_pointing = net.degree(i) - pointed_by[i]
+            non_pointing = sum(1 for j, _ in net.neighbors(i) if i not in pointers.get(j, none))
             result[i] = Legality.CANDIDATE if non_pointing <= 1 else Legality.ILLEGAL
     return result

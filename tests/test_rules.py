@@ -26,6 +26,7 @@ from goodnet import (
     tree_direct_step,
     CentralRoundRobin,
 )
+from goodnet.rules import update_legal
 
 from helpers import D, M, W, legality_map_fixpoint
 
@@ -353,6 +354,7 @@ def test_legality_worklist_matches_fixpoint_reference(data):
     pointers = pointers_toward(net, data.draw(st.integers(1, n)))
     if kind == "ring" and data.draw(st.booleans()):
         pointers = {i: frozenset({i % n + 1}) for i in net.nodes()}  # one-way ring
+    before = dict(pointers)
     for i in net.nodes():
         nbs = [j for j, _ in net.neighbors(i)]
         move = data.draw(st.sampled_from(["keep", "keep", "clear", "neighbor", "stranger", "several", "drop", "mutual"]))
@@ -370,7 +372,12 @@ def test_legality_worklist_matches_fixpoint_reference(data):
         elif move == "mutual" and nbs:
             j = data.draw(st.sampled_from(nbs))
             pointers[i], pointers[j] = frozenset({j}), frozenset({i})
-    assert legality_map(net, pointers) == legality_map_fixpoint(net, pointers)
+    reference = legality_map_fixpoint(net, pointers)
+    assert legality_map(net, pointers) == reference
+    # the incremental update carries the undisturbed legal set to the same place
+    legal = {i for i, c in legality_map(net, before).items() if c is Legality.LEGAL}
+    update_legal(net, pointers, legal, [i for i in net.nodes() if pointers.get(i) != before.get(i)])
+    assert legal == {i for i, c in reference.items() if c is Legality.LEGAL}
 
 
 # ---------------------------------------------------------------------------
