@@ -11,9 +11,8 @@ minimize energy).  It provides:
   plus its cycle-cutset extension;
 * scheduler models (central round robin, whose fixed order also
   serves scripted schedules; central random; synchronous;
-  fair-exclusion) with fairness checkers, a deterministic simulation
-  engine, and experiment harnesses for the known negative results and
-  guarantees.
+  fair-exclusion), a deterministic simulation engine, and experiment
+  harnesses for the known negative results and guarantees.
 """
 
 from .weights import Weight
@@ -54,8 +53,6 @@ from .schedulers import (
     CentralRoundRobin,
     FairExclusion,
     SynchronousAll,
-    check_fair_exclusion,
-    check_fairness,
     parse_scheduler,
 )
 from .engine import (
@@ -65,7 +62,6 @@ from .engine import (
     illegal_count,
     initial_registers,
     perturb,
-    replay_deltas,
     run,
 )
 from .experiments import (

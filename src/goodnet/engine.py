@@ -60,7 +60,6 @@ class RunResult:
     goodness_final: Weight
     events: int
     last_change_step: int
-    converged_pass: int
     registers: list
     trace: list[TraceEvent] | None = None
 
@@ -123,15 +122,6 @@ def apply_event(
                     deltas.append((i, field, getattr(new, field)))
             regs[i] = new
     return tuple(deltas)
-
-
-def replay_deltas(initial_regs: Sequence, trace: Sequence[TraceEvent]) -> list:
-    """Reconstruct the final registers from the initial ones plus deltas."""
-    regs = list(initial_regs)
-    for ev in trace:
-        for node, field, value in ev.deltas:
-            regs[node] = replace(regs[node], **{field: value})
-    return regs
 
 
 def initial_registers(
@@ -332,7 +322,6 @@ def run(
         goodness_final=net.goodness(assignment),
         events=events,
         last_change_step=last_change,
-        converged_pass=(last_change // n + 1) if last_change >= 0 else 0,
         registers=regs,
         trace=trace,
     )

@@ -105,23 +105,23 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
     uniformly from -5..5 (both ends included).
 
     kind 'tree' is a uniform random recursive tree and 'sparse' a tree
-    plus m extra edges (so any cycle cutset needs at most m nodes); any
-    other kind raises ValueError.
+    plus m extra edges (so any cycle cutset needs at most m nodes); a
+    'tree' with m != 0 and any other kind raise ValueError.  A 'tree'
+    is the 'sparse' net with m=0 for the same seed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if kind not in ("tree", "sparse"):
+        raise ValueError(f"unknown network kind {kind!r}")
+    if kind == "tree" and m != 0:
+        raise ValueError(f"a tree takes no extra edges, got m={m}")
     rng = random.Random(seed)
 
     def rw() -> Weight:
         return W(rng.randint(-5, 5))
 
-    edges: list[tuple[int, int, Weight]] = []
-    if kind == "tree":
-        for v in range(2, n + 1):
-            edges.append((rng.randint(1, v - 1), v, rw()))
-    elif kind == "sparse":
-        for v in range(2, n + 1):
-            edges.append((rng.randint(1, v - 1), v, rw()))
+    edges = [(rng.randint(1, v - 1), v, rw()) for v in range(2, n + 1)]
+    if m:
         present = {(min(i, j), max(i, j)) for i, j, _ in edges}
         missing = [
             (i, j)
@@ -133,8 +133,6 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
             raise ValueError(f"cannot add {m} extra edges to {n} nodes")
         for i, j in rng.sample(missing, m):
             edges.append((i, j, rw()))
-    else:
-        raise ValueError(f"unknown network kind {kind!r}")
 
     biases = {i: rw() for i in range(1, n + 1)}
     return Network(n, edges, biases)

@@ -123,21 +123,7 @@ class Network:
                 total += self._bias[i].micros
         return Weight(total)
 
-    def energy(self, a: Sequence[int]) -> Weight:
-        return -self.goodness(a)
-
     # -- misc ----------------------------------------------------------------
-
-    def relabeled(self, perm: Mapping[int, int]) -> "Network":
-        """Copy with node i renamed perm[i]; perm must be a bijection on 1..n."""
-        if sorted(perm) != list(self.nodes()) or sorted(perm.values()) != list(self.nodes()):
-            raise ValueError("perm must be a bijection on node ids")
-        return Network(
-            self.n,
-            [(perm[i], perm[j], w) for (i, j), w in self._edges.items()],
-            {perm[i]: self._bias[i] for i in self.nodes()},
-            {perm[i] for i in self.cutset},
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Network):

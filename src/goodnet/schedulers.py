@@ -1,4 +1,4 @@
-"""Activation-set policies and trace-level fairness checks.
+"""Activation-set policies.
 
 A scheduler produces, per step, the set of units activated together.
 Central schedulers emit singletons; the synchronous scheduler fires
@@ -6,16 +6,12 @@ everyone at once; the fair-exclusion scheduler emits random subsets
 interleaved with round-robin singletons so that, within any window of
 2n steps, every unit runs at least once and every ordered neighbor
 pair (i without j) occurs at least once.
-
-Infinite-schedule notions ("activated infinitely often") are made
-falsifiable on finite traces by sliding-window obligations; the window
-is a parameter, conventionally 2n.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .network import Network, parse_node_ids
 
@@ -141,47 +137,3 @@ def parse_scheduler(text: str, seed: int = 0) -> Scheduler:
     if name == "fair-excl":
         return FairExclusion(seed)
     raise ValueError(f"unknown scheduler {text!r}")
-
-
-# ---------------------------------------------------------------------------
-# fairness checks on finite traces
-
-
-def _every_window_hits(flags: list[bool], window: int) -> bool:
-    """True iff every length-`window` contiguous span contains a True."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    if len(flags) < window:
-        return any(flags)
-    last_hit = -1
-    for t, f in enumerate(flags):
-        if f:
-            last_hit = t
-        if t >= window - 1 and last_hit <= t - window:
-            return False
-    return True
-
-
-def check_fairness(trace: Iterable, window: int, n: int) -> bool:
-    """Every node 1..n appears in every length-`window` span of the trace."""
-    events = [frozenset(e) for e in trace]
-    if not events:
-        raise ValueError("trace is empty")
-    for i in range(1, n + 1):
-        if not _every_window_hits([i in ids for ids in events], window):
-            return False
-    return True
-
-
-def check_fair_exclusion(trace: Iterable, net: Network, window: int) -> bool:
-    """For every edge {i,j}, both 'i without j' and 'j without i' occur in
-    every length-`window` span."""
-    events = [frozenset(e) for e in trace]
-    if not events:
-        raise ValueError("trace is empty")
-    for i, j, _ in net.edges():
-        solo_i = [i in ids and j not in ids for ids in events]
-        solo_j = [j in ids and i not in ids for ids in events]
-        if not _every_window_hits(solo_i, window) or not _every_window_hits(solo_j, window):
-            return False
-    return True

@@ -6,6 +6,7 @@ shortcuts.
 """
 
 import itertools
+from dataclasses import replace
 
 from goodnet import Legality, Network, Weight
 from goodnet.oracle import _forest_walk
@@ -174,6 +175,17 @@ def non_tree_nodes_reference(net: Network, regs) -> frozenset[int]:
         if non_pointing >= 2:
             out.add(i)
     return frozenset(out)
+
+
+def replay_deltas(initial_regs, trace) -> list:
+    """Reconstruct the final registers from the initial ones plus a
+    trace's field-level deltas."""
+    regs = list(initial_regs)
+    for ev in trace:
+        for node, field, value in ev.deltas:
+            regs[node] = replace(regs[node], **{field: value})
+    return regs
+
 
 def W(x: int) -> Weight:
     return Weight.from_int(x)

@@ -96,7 +96,8 @@ def test_criterion_02_tree_oracle_equivalence(tree_suite):
     for seed, kind, net, gmax, result in runs:
         assert result.stable, (seed, kind)
         assert result.goodness_final == gmax, (seed, kind)
-        assert result.converged_pass <= 3 * net.n, (seed, kind, result.converged_pass)
+        converged_pass = result.last_change_step // net.n + 1
+        assert converged_pass <= 3 * net.n, (seed, kind, converged_pass)
     assert elapsed < 30.0
     ok(2, f"200 random trees x 2 schedulers hit the exact optimum within 3n passes ({elapsed:.1f}s)")
 
@@ -163,7 +164,7 @@ def test_criterion_07_example51_trajectory():
     assert all(any(lv == w for lv in it) for w in wanted), levels
     assert result.assignment == (1, 1, 1, 1, 1)
     assert result.goodness_final == D("250.7")
-    assert net.energy(result.assignment) == D("-250.7")
+    assert -net.goodness(result.assignment) == D("-250.7")
     report = brute_force_optima(net)
     assert result.assignment in report.argmax
 

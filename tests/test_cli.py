@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from goodnet import experiments
 from goodnet.cli import bind_demo, build_parser, main
+from goodnet.experiments import DemoResult
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +35,26 @@ def test_run_example51_cutset(capsys):
     assert code == 0
     assert "assignment=11111" in out
     assert "stable=1" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("run", "--fixture", "fig1"), 0),
+        (("run", "--fixture", "ring6", "--rule", "boltzmann", "--temp", "1", "--seed", "7", "--max-passes", "1"), 2),
+        (("run", "--fixture", "fig1", "--sched", "chaotic"), 1),
+    ],
+    ids=["stable", "budget", "error"],
+)
+def test_module_entry_point_exit_codes(argv, code):
+    # `python -m goodnet` in a fresh interpreter: 0 stable, 2 budget exhausted, 1 error
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "goodnet", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    if code == 1:
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
+    else:
+        assert proc.stdout.startswith("RESULT stable=") and proc.stderr == ""
 
 
 def test_run_missing_file(capsys):
@@ -202,6 +229,17 @@ def test_demo_fig9(capsys):
     code, out, _ = run_cli(capsys, "demo", "fig9")
     assert code == 0
     assert out.strip().splitlines()[-1] == "PASS: demo fig9"
+
+
+@pytest.mark.parametrize(
+    "inconclusive, code, verdict",
+    [(False, 1, "FAIL: demo broken"), (True, 2, "FAIL: demo broken (inconclusive)")],
+    ids=["failed", "inconclusive"],
+)
+def test_demo_failure_exit_codes(capsys, monkeypatch, inconclusive, code, verdict):
+    result = DemoResult("broken", passed=False, lines=["detail"], inconclusive=inconclusive)
+    monkeypatch.setitem(experiments.DEMOS, "broken", lambda: result)
+    assert run_cli(capsys, "demo", "broken") == (code, f"detail\n{verdict}\n", "")
 
 
 @pytest.mark.parametrize("sched", ["sync-all:7", "central-random:xyz", "fair-excl:3"])

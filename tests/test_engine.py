@@ -28,7 +28,6 @@ from goodnet import (
     non_tree_nodes,
     perturb,
     random_network,
-    replay_deltas,
     result_line,
     run,
     trace_line,
@@ -36,7 +35,15 @@ from goodnet import (
 
 from goodnet.engine import pointer_snapshot
 
-from helpers import D, M, W, legality_map_fixpoint, local_field, non_tree_nodes_reference
+from helpers import (
+    D,
+    M,
+    W,
+    legality_map_fixpoint,
+    local_field,
+    non_tree_nodes_reference,
+    replay_deltas,
+)
 
 
 def path3():
@@ -300,6 +307,8 @@ def test_random_init_needs_a_seed():
     with pytest.raises(ValueError, match="needs a seed"):
         run(fig1(), "activate", CentralRoundRobin(), init="random")
     assert run(fig1(), "activate", CentralRoundRobin(), init="random", seed=0).stable
+    with pytest.raises(ValueError, match="unknown init mode 'ones'"):
+        initial_registers(fig1(), "ones")
 
 
 @pytest.mark.parametrize("length", [3, 7])
@@ -342,6 +351,8 @@ def test_preset_register_list_aimed_off_the_neighbors_is_rejected():
 
 
 def test_preset_register_list_needs_a_register_at_every_node():
+    with pytest.raises(ValueError, match="init='preset' requires a preset"):
+        initial_registers(fig1(), "preset")
     preset = [None] * 6
     with pytest.raises(ValueError, match="preset entry 1 is NoneType, not an ActivationRegister"):
         initial_registers(fig1(), "preset", preset=preset)

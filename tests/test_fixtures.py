@@ -87,11 +87,22 @@ def test_random_network_determinism_and_counts():
     assert len(sparse.edges()) - sparse.n + 1 == 2
 
 
+def test_random_tree_is_sparse_without_extra_edges():
+    for n in range(1, 40):
+        for seed in range(30):
+            assert random_network("tree", n, seed=seed) == random_network("sparse", n, m=0, seed=seed)
+
+
 def test_random_network_infeasible():
     with pytest.raises(ValueError):
         random_network("sparse", 4, m=10, seed=0)
     with pytest.raises(ValueError):
         random_network("blob", 4, seed=0)
+    with pytest.raises(ValueError, match="no extra edges"):
+        random_network("tree", 6, m=3, seed=0)
+    for kind in ("tree", "sparse"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            random_network(kind, 0, seed=0)
 
 
 def test_fixture_lookup():

@@ -4,17 +4,12 @@ from goodnet import (
     CentralRandom,
     CentralRoundRobin,
     FairExclusion,
-    Network,
     SynchronousAll,
-    check_fair_exclusion,
-    check_fairness,
     parse_scheduler,
     random_network,
     ring6,
     run,
 )
-
-from helpers import W
 
 
 def collect(sched, n, steps):
@@ -74,9 +69,9 @@ def test_fair_exclusion_contract():
     trace = collect(sched, n, 10 * n)
     assert all(trace)  # nonempty
     assert trace == collect(FairExclusion(11), n, 10 * n)
-    assert check_fairness(trace, 2 * n, n=n)
-    net = random_network("tree", n, seed=0)
-    assert check_fair_exclusion(trace, net, 2 * n)
+    # every odd step is the next round-robin singleton, so any 2n steps
+    # run each unit alone: fairness and fair exclusion by construction
+    assert trace[1::2] == [frozenset({k % n + 1}) for k in range(len(trace) // 2)]
 
 
 def test_fair_exclusion_independent_subsets():
@@ -86,26 +81,6 @@ def test_fair_exclusion_independent_subsets():
         assert ids
         for i in ids:
             assert not any(j in ids for j, _ in net.neighbors(i))
-
-
-def test_check_fairness_examples():
-    rr = collect(CentralRoundRobin(), 4, 40)
-    assert check_fairness(rr, 4, n=4)
-    no2 = [frozenset({1}), frozenset({3}), frozenset({1}), frozenset({3})]
-    assert not check_fairness(no2, 4, n=3)
-    assert not check_fairness(rr, 40, n=5)  # node 5 never scheduled
-    with pytest.raises(ValueError):
-        check_fairness([], 4, n=4)
-
-
-def test_check_fair_exclusion_examples():
-    net = Network(2, [(1, 2, W(1))])
-    rr = collect(CentralRoundRobin(), 2, 20)
-    assert check_fair_exclusion(rr, net, 2)
-    sync = collect(SynchronousAll(), 2, 20)
-    assert not check_fair_exclusion(sync, net, 20)
-    lonely = Network(1)
-    assert check_fair_exclusion(collect(SynchronousAll(), 1, 5), lonely, 5)
 
 
 def test_parse_scheduler():

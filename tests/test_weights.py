@@ -37,6 +37,9 @@ def test_comparisons_and_zero_literal():
         Weight(0) < 0
     with pytest.raises(TypeError):
         Weight(0) + 0
+    # and a Weight holds whole micros only
+    with pytest.raises(TypeError, match="micros must be int, got float"):
+        Weight(1.5)
 
 
 def test_weight_times_weight_is_undefined():
