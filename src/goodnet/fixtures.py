@@ -19,7 +19,10 @@ re-verified by the brute-force solver in the test suite):
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
+from collections.abc import Sequence
 
 from .network import Network
 from .weights import Weight
@@ -100,6 +103,38 @@ def fixture(name: str) -> Network:
     raise ValueError(f"unknown fixture {name!r}")
 
 
+class _AbsentPairs(Sequence):
+    """The node pairs (i, j), i < j, that are not tree edges, in
+    lexicographic order, indexed without being listed.
+
+    Row i holds the pairs (i, j) for j > i except i's tree children; an
+    index is found by bisecting the running row lengths, then stepping
+    over the row's children that lie at or below the candidate j.
+    """
+
+    def __init__(self, n: int, tree_edges: list[tuple[int, int, Weight]]):
+        children: list[list[int]] = [[] for _ in range(n + 1)]
+        for parent, child, _ in tree_edges:
+            children[parent].append(child)
+        self._children = [sorted(c) for c in children]
+        self._ends = list(itertools.accumulate(n - i - len(self._children[i]) for i in range(1, n + 1)))
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        row = bisect.bisect_right(self._ends, k)
+        i = row + 1
+        j = i + 1 + k - (self._ends[row - 1] if row else 0)
+        for child in self._children[i]:
+            if child > j:
+                break
+            j += 1
+        return i, j
+
+
 def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
     """Seeded random instance whose weights and biases are integers drawn
     uniformly from -5..5 (both ends included).
@@ -122,13 +157,7 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
 
     edges = [(rng.randint(1, v - 1), v, rw()) for v in range(2, n + 1)]
     if m:
-        present = {(min(i, j), max(i, j)) for i, j, _ in edges}
-        missing = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if (i, j) not in present
-        ]
+        missing = _AbsentPairs(n, edges)
         if m > len(missing):
             raise ValueError(f"cannot add {m} extra edges to {n} nodes")
         for i, j in rng.sample(missing, m):

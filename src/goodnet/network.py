@@ -12,7 +12,10 @@ goodness, equivalently minimize energy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .weights import Weight
 
@@ -25,6 +28,48 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _micros_array(values: list[int]) -> np.ndarray:
+    """int64 when every value fits, Python ints (dtype=object) otherwise."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True)
+class HalfEdges:
+    """The edges as CSR half-edges, one per direction, rows indexed by node id.
+
+    Row i (row 0 is empty) spans ``indptr[i]:indptr[i+1]`` and lists i's
+    neighbors in ascending id order: half-edge e runs ``src[e] -> dst[e]``
+    with weight ``w[e]`` in micros, ``rev[e]`` is the half-edge
+    ``dst[e] -> src[e]`` and ``index[(src[e], dst[e])] == e``.  ``bias``
+    holds the node biases in micros.
+    """
+
+    indptr: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    rev: np.ndarray
+    index: dict[tuple[int, int], int]
+    bias: np.ndarray
+    degree: np.ndarray
+    max_degree: int
+    magnitude: int  # Network.magnitude_micros()
+    _nonempty: np.ndarray
+    _starts: np.ndarray
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-node sum of a per-half-edge array (0 on isolated nodes),
+        in the values' dtype; bools are counted in int64."""
+        dtype = np.int64 if values.dtype == bool else values.dtype
+        out = np.zeros(len(self.degree), dtype=dtype)
+        if len(values):
+            out[self._nonempty] = np.add.reduceat(values, self._starts, dtype=dtype)
+        return out
+
+
 class Network:
     """Immutable symmetric network: nodes 1..n, weighted edges, biases.
 
@@ -32,7 +77,7 @@ class Network:
     ignored by everything except cutset-aware rules and solvers.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_bias", "cutset")
+    __slots__ = ("n", "_edges", "_adj", "_bias", "cutset", "_half_edges")
 
     def __init__(
         self,
@@ -68,6 +113,7 @@ class Network:
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "_bias", tuple(bias_list))
         object.__setattr__(self, "cutset", cutset_set)
+        object.__setattr__(self, "_half_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -82,6 +128,34 @@ class Network:
 
     def neighbors(self, i: int) -> tuple[tuple[int, Weight], ...]:
         return self._adj[i]
+
+    def half_edges(self) -> HalfEdges:
+        """The CSR half-edge arrays, built on first use and kept."""
+        if self._half_edges is None:
+            n = self.n
+            degree = np.array([len(a) for a in self._adj], dtype=np.int64)
+            indptr = np.zeros(n + 2, dtype=np.int64)
+            np.cumsum(degree, out=indptr[1:])
+            src = np.repeat(np.arange(n + 1, dtype=np.int64), degree)
+            dst = np.array([j for a in self._adj for j, _ in a], dtype=np.int64)
+            # (src, dst) keys ascend along the half-edges, so each reverse is one search
+            rev = np.searchsorted(src * (n + 1) + dst, dst * (n + 1) + src)
+            half_edges = HalfEdges(
+                indptr=indptr,
+                src=src,
+                dst=dst,
+                w=_micros_array([w.micros for a in self._adj for _, w in a]),
+                rev=rev,
+                index={(i, j): e for e, (i, j) in enumerate(zip(src.tolist(), dst.tolist()))},
+                bias=_micros_array([b.micros for b in self._bias]),
+                degree=degree,
+                max_degree=int(degree.max()),
+                magnitude=self.magnitude_micros(),
+                _nonempty=degree > 0,
+                _starts=indptr[:-1][degree > 0],
+            )
+            object.__setattr__(self, "_half_edges", half_edges)
+        return self._half_edges
 
     def check_cutset(self, members: Iterable[int]) -> frozenset[int]:
         """The members as a frozenset; ValueError if one lies outside 1..n."""

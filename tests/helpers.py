@@ -6,9 +6,11 @@ shortcuts.
 """
 
 import itertools
+import random
 from dataclasses import replace
 
 from goodnet import Legality, Network, Weight
+from goodnet.engine import _unit_update
 from goodnet.oracle import _forest_walk
 
 
@@ -177,6 +179,22 @@ def non_tree_nodes_reference(net: Network, regs) -> frozenset[int]:
     return frozenset(out)
 
 
+def apply_event_per_unit(net: Network, regs, ids, rule: str, cutset=frozenset()):
+    """`engine.apply_event` as one rule-step update per unit: every
+    activated unit reads the pre-event snapshot, then all commit; returns
+    the field-level deltas in node, then field order.  No boltzmann."""
+    updates = {i: _unit_update(net, regs, i, rule, cutset, None, None) for i in sorted(ids)}
+    deltas = []
+    for i, new in updates.items():
+        old = regs[i]
+        if new != old:
+            for field in ("x", "g0", "g1", "points_to", "cutset_g1"):
+                if getattr(new, field) != getattr(old, field):
+                    deltas.append((i, field, getattr(new, field)))
+            regs[i] = new
+    return tuple(deltas)
+
+
 def replay_deltas(initial_regs, trace) -> list:
     """Reconstruct the final registers from the initial ones plus a
     trace's field-level deltas."""
@@ -198,3 +216,23 @@ def D(text: str) -> Weight:
 def M(value: int | str) -> int:
     """Integer micros of a whole number or a decimal literal: M(2), M("-0.1")."""
     return Weight.from_decimal(str(value)).micros
+
+
+def sparse_network_reference(n: int, m: int, seed: int) -> Network:
+    """`fixtures.random_network("sparse", n, m, seed)` drawing its extra
+    edges from the full list of absent node pairs, in lexicographic order."""
+    rng = random.Random(seed)
+
+    def rw() -> Weight:
+        return W(rng.randint(-5, 5))
+
+    edges = [(rng.randint(1, v - 1), v, rw()) for v in range(2, n + 1)]
+    if m:
+        present = {(min(i, j), max(i, j)) for i, j, _ in edges}
+        missing = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in present]
+        if m > len(missing):
+            raise ValueError(f"cannot add {m} extra edges to {n} nodes")
+        for i, j in rng.sample(missing, m):
+            edges.append((i, j, rw()))
+    biases = {i: rw() for i in range(1, n + 1)}
+    return Network(n, edges, biases)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from goodnet import experiments
+from goodnet import engine, experiments, random_network, serialize_network
 from goodnet.cli import bind_demo, build_parser, main
 from goodnet.experiments import DemoResult
 
@@ -403,6 +403,29 @@ EXAMPLE51_CUTSET = ("run", "--fixture", "example51", "--rule", "activate-with-cu
 )
 def test_cutset_tsv_output_is_unchanged(capsys, argv, code, golden):
     assert run_cli(capsys, *argv)[:2] == (code, golden)
+
+
+@pytest.mark.parametrize(
+    "rule, sched",
+    [("activate", "sync-all"), ("activate-with-cutset", "fair-excl")],
+)
+def test_array_pass_leaves_the_tsv_trace_byte_identical(capsys, monkeypatch, tmp_path, rule, sched):
+    # n=60: the cutoff is 21 units; fair-excl's random subsets fall on both sides
+    path = tmp_path / "sparse60.net"
+    path.write_text(serialize_network(random_network("sparse", 60, m=6, seed=4)))
+    argv = ["run", "--net", str(path), "--rule", rule, "--sched", sched, "--init", "random",
+            "--seed", "3", "--max-passes", "2", "--format", "tsv"]
+    if rule == "activate-with-cutset":
+        argv += ["--cutset", "auto"]
+    sizes = []
+    array_event = engine._array_event
+    monkeypatch.setattr(engine, "_array_event", lambda *args: sizes.append(len(args[2])) or array_event(*args))
+    fast = run_cli(capsys, *argv)
+    assert fast[0] == 2 and len(fast[1].splitlines()) == 121  # 120 events, then RESULT
+    assert sizes and min(sizes) >= engine.ARRAY_MIN_UNITS + 60 // 12
+    sizes.clear()
+    monkeypatch.setattr(engine, "ARRAY_MIN_UNITS", 61)
+    assert run_cli(capsys, *argv) == fast and not sizes
 
 
 @pytest.mark.parametrize(

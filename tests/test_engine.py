@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,12 +34,14 @@ from goodnet import (
     trace_line,
 )
 
-from goodnet.engine import pointer_snapshot
+from goodnet import engine
+from goodnet.engine import _array_event, pointer_snapshot
 
 from helpers import (
     D,
     M,
     W,
+    apply_event_per_unit,
     legality_map_fixpoint,
     local_field,
     non_tree_nodes_reference,
@@ -536,3 +539,119 @@ def test_cutset_rule_settles_under_central_round_robin():
     )
     assert result.stable
     assert result.goodness_final == W(10)
+
+
+TREE_RULES = ["hopfield", "activate", "activate-with-cutset"]
+
+
+def assert_same_event(net, regs, ids, rule, cutset):
+    """The array pass and the per-unit loop give equal deltas and registers
+    from copies of `regs`; returns the array pass's registers."""
+    fast, slow = list(regs), list(regs)
+    deltas = _array_event(net, fast, frozenset(ids), rule, cutset)
+    assert deltas == apply_event_per_unit(net, slow, ids, rule, cutset)
+    assert fast == slow
+    for _, field, value in deltas:
+        if field in ("x", "g0", "g1"):
+            assert type(value) is int  # not a numpy scalar
+    return fast
+
+
+@st.composite
+def odd_registers(draw, net):
+    """Registers `initial_registers` would refuse: pointers at any id in
+    0..n+2, and goodness pairs per neighbor on any unit, with repeated,
+    missing and unknown readers."""
+    ids = st.integers(0, net.n + 2)
+    values = st.integers(-(10**9), 10**9)
+    regs = [None]
+    for _ in net.nodes():
+        pairs = draw(st.none() | st.lists(st.tuples(ids, values), max_size=4).map(tuple))
+        regs.append(ActivationRegister(
+            x=draw(st.integers(0, 1)), g0=draw(values), g1=draw(values),
+            points_to=draw(st.frozensets(ids, max_size=3)), cutset_g1=pairs,
+        ))
+    return regs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_array_pass_matches_per_unit_updates(data):
+    # any event size, 1 included, on nets with isolated nodes and nets with no edges
+    n = data.draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    micros = st.integers(-5 * 10**6, 5 * 10**6)
+    net = Network(n, [(i, j, Weight(data.draw(micros))) for i, j in chosen], {i: Weight(data.draw(micros)) for i in range(1, n + 1)})
+    rule = data.draw(st.sampled_from(TREE_RULES))
+    cutset = data.draw(st.frozensets(st.integers(1, n), max_size=3)) if rule != "hopfield" else frozenset()
+    seed = data.draw(st.integers(0, 2**16))
+    start = data.draw(st.sampled_from(["zeros", "random", "perturbed", "odd"]))
+    if start == "odd":
+        regs = data.draw(odd_registers(net))
+    else:
+        regs = initial_registers(net, "random" if start == "random" else "zeros", cutset, seed)
+        if start == "perturbed":
+            regs = perturb(net, regs, seed)
+    for _ in range(data.draw(st.integers(1, 4))):
+        ids = data.draw(st.frozensets(st.integers(1, n), min_size=1))
+        regs = assert_same_event(net, regs, ids, rule, cutset)
+
+
+@pytest.mark.parametrize("rule", TREE_RULES)
+@pytest.mark.parametrize("n", [1, 4])
+def test_array_pass_on_a_net_without_edges(rule, n):
+    net = Network(n, [], {i: W(2 - i) for i in range(1, n + 1)})
+    cutset = frozenset({1}) if rule == "activate-with-cutset" else frozenset()
+    regs = perturb(net, initial_registers(net, "zeros", cutset), 5)
+    assert len(net.half_edges().dst) == 0
+    for ids in ([1], range(1, n + 1)):
+        regs = assert_same_event(net, regs, ids, rule, cutset)
+
+
+def test_public_apply_event_repairs_registers_initial_registers_refuses(monkeypatch):
+    # settled tree registers, then three units off what initial_registers allows;
+    # one synchronous event over all 20 units takes the array pass
+    net = random_network("tree", 20, seed=8)
+    regs = run(net, "activate", CentralRoundRobin()).registers
+    parent = {i: next(iter(regs[i].points_to)) for i in net.nodes() if regs[i].points_to}
+    b = min(parent)
+    p = parent[b]
+    a, c = [i for i in net.nodes() if i not in (b, p)][:2]
+    stray = next(j for j in net.nodes() if j != a and j not in dict(net.neighbors(a)))
+    regs[a] = replace(regs[a], points_to=regs[a].points_to | {stray})  # aims at a non-neighbor
+    g1 = regs[b].g1
+    regs[b] = replace(regs[b], cutset_g1=((p, g1 + 10**9), (p, g1 + 2 * 10**9)))  # pairs outside the cutset; p reads the first
+    assert regs[c].cutset_g1 is None  # c joins the cutset without pairs
+    calls = []
+    monkeypatch.setattr(engine, "_array_event", lambda *args: calls.append(args[2]) or _array_event(*args))
+    expected = list(regs)
+    ids = frozenset(net.nodes())
+    deltas = apply_event(net, regs, ids, "activate-with-cutset", frozenset({c}))
+    assert calls == [ids]
+    assert deltas == apply_event_per_unit(net, expected, ids, "activate-with-cutset", frozenset({c}))
+    assert regs == expected
+    fields = {(i, field): value for i, field, value in deltas}
+    assert {i for i, _ in fields} == {a, b, p, c}
+    assert fields[(a, "points_to")] == frozenset({parent[a]} if a in parent else ())
+    assert [f for i, f in fields if i == b] == ["cutset_g1"] and fields[(b, "cutset_g1")] is None
+    assert [j for j, _ in fields[(c, "cutset_g1")]] == [j for j, _ in net.neighbors(c)]
+
+
+@pytest.mark.parametrize("rule", TREE_RULES)
+def test_array_pass_sums_past_int64_stay_exact(rule):
+    # five 3e12 links into node 1: its sums pass 2**63 though every
+    # weight and register value fits in int64, so only the bound check
+    # sends the pass to Python ints
+    net = Network(6, [(1, j, W(3 * 10**12)) for j in range(2, 7)], {i: W(-(10**12)) for i in range(1, 7)})
+    cutset = frozenset({2}) if rule == "activate-with-cutset" else frozenset()
+    he = net.half_edges()
+    assert he.w.dtype == np.int64 and 2 * he.magnitude >= 2**62
+    rng = random.Random(1)
+    perturbed = perturb(net, initial_registers(net, "zeros", cutset), 1)
+    bounded = [None] + [
+        replace(r, x=1, g0=rng.randint(-(2**62), 2**62), g1=rng.randint(-(2**62), 2**62)) for r in perturbed[1:]
+    ]
+    for regs in (perturbed, bounded):
+        for ids in ([1, 2, 3], range(1, 7)):
+            regs = assert_same_event(net, regs, ids, rule, cutset)

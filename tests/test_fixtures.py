@@ -13,7 +13,9 @@ from goodnet import (
     tree_direct_step,
 )
 
-from helpers import D, W, enumerate_optima
+from goodnet.fixtures import _AbsentPairs
+
+from helpers import D, W, enumerate_optima, sparse_network_reference
 
 
 def test_fig1_shape():
@@ -91,6 +93,27 @@ def test_random_tree_is_sparse_without_extra_edges():
     for n in range(1, 40):
         for seed in range(30):
             assert random_network("tree", n, seed=seed) == random_network("sparse", n, m=0, seed=seed)
+
+
+def test_sparse_extra_edges_are_drawn_as_from_the_listed_absent_pairs():
+    # rng.sample lists a population of at most 21 + 4**ceil(log4(3m))
+    # items (21 for m <= 5) and indexes a larger one: both branches appear
+    cases = [(n, m, seed) for n in range(1, 41) for m in (0, 1, 5, 6, 20) for seed in range(2) if m <= (n - 1) * (n - 2) // 2]
+    cases += [(n, (n - 1) * (n - 2) // 2, 0) for n in range(3, 12)]  # every absent pair
+    cases += [(300, 8, seed) for seed in range(3)] + [(120, 40, 1)]
+    for n, m, seed in cases:
+        assert random_network("sparse", n, m=m, seed=seed) == sparse_network_reference(n, m, seed), (n, m, seed)
+
+
+def test_absent_pairs_index_the_lexicographic_complement_of_the_tree():
+    for seed in range(5):
+        tree = random_network("tree", 9, seed=seed)
+        edges = {(i, j) for i, j, _ in tree.edges()}
+        expected = [(i, j) for i in range(1, 10) for j in range(i + 1, 10) if (i, j) not in edges]
+        pairs = _AbsentPairs(9, tree.edges())
+        assert len(pairs) == len(expected) and list(pairs) == expected
+        with pytest.raises(IndexError):
+            pairs[len(pairs)]
 
 
 def test_random_network_infeasible():
