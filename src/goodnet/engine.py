@@ -14,7 +14,11 @@ boltzmann's per-unit random draws must keep their order.  An event of
 at least ARRAY_MIN_UNITS + n // 12 units under hopfield, activate or
 activate-with-cutset runs as one pass of int64 segment sums over the
 network's CSR half-edges (`Network.half_edges`), which differential
-tests pin to the per-unit steps.
+tests pin to the per-unit steps.  Both read weights and biases as int
+micros from tables the network builds once (`Network.micros_adjacency`,
+`Network.half_edges`), and both hand each unit's new field values to one
+commit, which emits a delta per changed field and rebuilds the unit's
+register only when some field changed.
 
 A run is declared stable after a full quiet window: no register
 changed for 2n consecutive events and every unit was re-activated on
@@ -77,8 +81,8 @@ class RunResult:
 
 
 def build_view(net: Network, regs: Sequence[ActivationRegister], i: int, cutset: frozenset[int]) -> LocalView:
-    nbs = tuple(NeighborView(j, w.micros, regs[j]) for j, w in net.neighbors(i))
-    return LocalView(i, net.bias(i).micros, i in cutset, nbs)
+    bias, nbs = net.micros_adjacency()[i]
+    return LocalView(i, bias, i in cutset, tuple([NeighborView(j, w, regs[j]) for j, w in nbs]))
 
 
 def _unit_update(
@@ -89,25 +93,25 @@ def _unit_update(
     cutset: frozenset[int],
     rng: random.Random | None,
     temperature,
-) -> ActivationRegister:
+) -> tuple:
+    """Unit i's new field values (x, g0, g1, points_to, cutset_g1) from the rule steps."""
     view = build_view(net, regs, i, cutset)
+    old = regs[i]
     if rule == "hopfield":
-        return replace(regs[i], x=hopfield_step(view))
+        return hopfield_step(view), old.g0, old.g1, old.points_to, old.cutset_g1
     if rule == "boltzmann":
-        return replace(regs[i], x=boltzmann_step(view, temperature, rng))
+        return boltzmann_step(view, temperature, rng), old.g0, old.g1, old.points_to, old.cutset_g1
     # tree-optimizing rule: pointer step feeds the goodness and activation steps
     new_points = tree_direct_step(view)
     if view.is_cutset:
         # a cutset unit publishes goodness for its pre-event bit
-        g0, pairs = cutset_goodness_step(view, regs[i].x)
+        g0, pairs = cutset_goodness_step(view, old.x)
         x = activation_step(view, new_points)
-        return ActivationRegister(x=x, g0=g0, g1=0, points_to=new_points, cutset_g1=pairs)
+        return x, g0, 0, new_points, pairs
     g0, g1 = goodness_step(view, new_points)
     x = activation_step(view, new_points)
-    return ActivationRegister(x=x, g0=g0, g1=g1, points_to=new_points, cutset_g1=None)
+    return x, g0, g1, new_points, None
 
-
-_DELTA_FIELDS = ("x", "g0", "g1", "points_to", "cutset_g1")
 
 # An event takes the array pass when it activates at least
 # ARRAY_MIN_UNITS + n // 12 units.  Measured on sparse nets of 10 to 2,560
@@ -118,13 +122,25 @@ ARRAY_MIN_UNITS = 16
 _INT64_LIMIT = 1 << 62  # array values stay below this, or the pass runs on Python ints
 
 
-def _commit(regs: list, i: int, new: ActivationRegister, deltas: list) -> None:
+def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
+    """Write unit i's new field values (x, g0, g1, points_to, cutset_g1):
+    one delta per changed field, in that order, and a new register only
+    when some field changed."""
     old = regs[i]
-    if new != old:
-        for field in _DELTA_FIELDS:
-            if getattr(new, field) != getattr(old, field):
-                deltas.append((i, field, getattr(new, field)))
-        regs[i] = new
+    x, g0, g1, points_to, cutset_g1 = new
+    before = len(deltas)
+    if x != old.x:
+        deltas.append((i, "x", x))
+    if g0 != old.g0:
+        deltas.append((i, "g0", g0))
+    if g1 != old.g1:
+        deltas.append((i, "g1", g1))
+    if points_to != old.points_to:
+        deltas.append((i, "points_to", points_to))
+    if cutset_g1 != old.cutset_g1:
+        deltas.append((i, "cutset_g1", cutset_g1))
+    if len(deltas) != before:
+        regs[i] = ActivationRegister(x, g0, g1, points_to, cutset_g1)
 
 
 def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutset: frozenset[int]) -> tuple:
@@ -138,6 +154,7 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     2**62 the same code runs on Python ints (dtype=object).
     """
     he = net.half_edges()
+    adjacency = net.micros_adjacency()
     n = net.n
     units = regs[1 : n + 1]
     first = he.indptr.tolist()
@@ -145,7 +162,7 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     published = []  # (half-edge i -> j, regs[i].g1_toward(j)) for the paired registers
     for i in paired:
         toward = dict(reversed(regs[i].cutset_g1))  # the first entry for a reader wins
-        published += [(e, toward.get(j, 0)) for e, (j, _) in enumerate(net.neighbors(i), first[i])]
+        published += [(e, toward.get(j, 0)) for e, (j, _) in enumerate(adjacency[i][1], first[i])]
     columns = ([0] + [r.x for r in units], [0] + [r.g0 for r in units], [0] + [r.g1 for r in units], [v for _, v in published])
     try:
         x, g0, g1, pub_values = (np.array(c, dtype=np.int64) for c in columns)
@@ -167,7 +184,8 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     deltas: list = []
     if rule == "hopfield":
         for i in act[threshold[act] != x[act]].tolist():
-            _commit(regs, i, replace(regs[i], x=int(threshold[i])), deltas)
+            old = regs[i]
+            _commit(regs, i, (int(threshold[i]), old.g0, old.g1, old.points_to, old.cutset_g1), deltas)
         return tuple(deltas)
 
     pointed = [he.index.get((i, j)) for i, r in enumerate(units, 1) for j in r.points_to]
@@ -208,11 +226,10 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
             row = slice(first[i], first[i + 1])
             points_to = frozenset(dst[row][new_pointer[row]].tolist())
         if cut[i]:
-            b = net.bias(i).micros
-            pairs = tuple((j, old.x * (b + wij.micros)) for j, wij in net.neighbors(i))
-            new = ActivationRegister(x=xi, g0=old.x * b, g1=0, points_to=points_to, cutset_g1=pairs)
+            b, nbs = adjacency[i]
+            new = (xi, old.x * b, 0, points_to, tuple((j, old.x * (b + w)) for j, w in nbs))
         else:
-            new = ActivationRegister(x=xi, g0=g0i, g1=g1i, points_to=points_to, cutset_g1=None)
+            new = (xi, g0i, g1i, points_to, None)
         _commit(regs, i, new, deltas)
     return tuple(deltas)
 
@@ -228,7 +245,8 @@ def apply_event(
 ) -> tuple[tuple[int, str, object], ...]:
     """Activate `ids` synchronously against the current snapshot.
 
-    Mutates the register list in place (only at the activated indices)
+    Mutates the register list in place (only at the activated indices
+    whose fields changed; every other register stays the same object)
     and returns the field-level deltas, ordered by node id and then by
     field (x, g0, g1, points_to, cutset_g1).
 
@@ -241,8 +259,12 @@ def apply_event(
     """
     if rule != "boltzmann" and len(ids) >= ARRAY_MIN_UNITS + net.n // 12:
         return _array_event(net, regs, ids, rule, cutset)
-    updates = {i: _unit_update(net, regs, i, rule, cutset, rng, temperature) for i in sorted(ids)}
     deltas: list = []
+    if len(ids) == 1:
+        (i,) = ids
+        _commit(regs, i, _unit_update(net, regs, i, rule, cutset, rng, temperature), deltas)
+        return tuple(deltas)
+    updates = {i: _unit_update(net, regs, i, rule, cutset, rng, temperature) for i in sorted(ids)}
     for i, new in updates.items():
         _commit(regs, i, new, deltas)
     return tuple(deltas)
@@ -397,6 +419,7 @@ def run(
         # running goodness, updated by each flip's O(degree) gain
         xs = [0, *assignment_of(regs)]
         g = net.goodness(xs[1:]).micros
+        adjacency = net.micros_adjacency()
 
     max_events = max_passes * n
     for step in range(max_events):
@@ -407,15 +430,19 @@ def run(
         if deltas:
             last_change = step
             fresh = 0
+            for i in ids:
+                last_activated[i] = step
         else:
-            fresh += sum(1 for i in ids if last_activated[i] <= last_change)
-        for i in ids:
-            last_activated[i] = step
+            for i in ids:
+                if last_activated[i] <= last_change:
+                    fresh += 1
+                last_activated[i] = step
         if trace is not None:
             moved = []
             for i, field, value in deltas:
                 if field == "x":
-                    gain = net.bias(i).micros + sum(w.micros for j, w in net.neighbors(i) if xs[j])
+                    bias, nbs = adjacency[i]
+                    gain = bias + sum(w for j, w in nbs if xs[j])
                     xs[i] = value
                     g += gain if value else -gain
                 elif field == "points_to":

@@ -77,7 +77,7 @@ class Network:
     ignored by everything except cutset-aware rules and solvers.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_bias", "cutset", "_half_edges")
+    __slots__ = ("n", "_edges", "_adj", "_bias", "cutset", "_micros_adj", "_half_edges")
 
     def __init__(
         self,
@@ -113,10 +113,16 @@ class Network:
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "_bias", tuple(bias_list))
         object.__setattr__(self, "cutset", cutset_set)
+        object.__setattr__(self, "_micros_adj", None)
         object.__setattr__(self, "_half_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
+
+    def __reduce__(self):
+        # copies and pickles go through __init__, which derives the cached
+        # adjacency and half-edges again instead of copying them
+        return Network, (self.n, self.edges(), dict(enumerate(self._bias[1:], 1)), self.cutset)
 
     # -- structure ---------------------------------------------------------
 
@@ -129,9 +135,19 @@ class Network:
     def neighbors(self, i: int) -> tuple[tuple[int, Weight], ...]:
         return self._adj[i]
 
+    def micros_adjacency(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Per node id, ``(bias, ((j, w_ij), ...))`` in int micros with the
+        neighbors in ascending id order (entry 0 is ``(0, ())``); built on
+        first use and kept."""
+        if self._micros_adj is None:
+            adj = tuple((b.micros, tuple((j, w.micros) for j, w in a)) for b, a in zip(self._bias, self._adj))
+            object.__setattr__(self, "_micros_adj", adj)
+        return self._micros_adj
+
     def half_edges(self) -> HalfEdges:
         """The CSR half-edge arrays, built on first use and kept."""
         if self._half_edges is None:
+            adj = self.micros_adjacency()
             n = self.n
             degree = np.array([len(a) for a in self._adj], dtype=np.int64)
             indptr = np.zeros(n + 2, dtype=np.int64)
@@ -144,10 +160,10 @@ class Network:
                 indptr=indptr,
                 src=src,
                 dst=dst,
-                w=_micros_array([w.micros for a in self._adj for _, w in a]),
+                w=_micros_array([w for _, a in adj for _, w in a]),
                 rev=rev,
                 index={(i, j): e for e, (i, j) in enumerate(zip(src.tolist(), dst.tolist()))},
-                bias=_micros_array([b.micros for b in self._bias]),
+                bias=_micros_array([b for b, _ in adj]),
                 degree=degree,
                 max_degree=int(degree.max()),
                 magnitude=self.magnitude_micros(),

@@ -10,7 +10,9 @@ update their activation by the plain threshold rule.
 Every function here is pure: it maps a unit's local view (its bias,
 its cutset designation and its neighbors' published registers) to the
 new field values.  A step that also depends on the unit's own parent
-pointers or activation bit takes them as an argument.  Committing
+pointers or activation bit takes them as an argument.  The views
+(:class:`LocalView`, :class:`NeighborView`) are named tuples, and each
+step reads the neighbors in a single pass.  Committing
 writes, scheduling and snapshot semantics are the simulation engine's
 business.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .network import Network
 
@@ -68,29 +70,26 @@ def zero_register(net: Network, i: int, cutset: frozenset[int]) -> ActivationReg
     return ActivationRegister()
 
 
-@dataclass(frozen=True)
-class NeighborView:
+class NeighborView(NamedTuple):
+    """One neighbor as a unit reads it: its id, the link weight in
+    micros and its published register.  A named tuple, so building one
+    costs a tuple."""
+
     id: int
     weight: int  # micros
     reg: ActivationRegister
 
 
-@dataclass(frozen=True)
-class LocalView:
+class LocalView(NamedTuple):
     """What unit ``node`` reads in one activation besides its own
     register: its bias and neighbor weights in micros, whether it is a
-    cutset unit, and each neighbor's published register."""
+    cutset unit, and each neighbor's published register.  A named
+    tuple, immutable like the registers it holds."""
 
     node: int
     bias: int
     is_cutset: bool
     neighbors: tuple[NeighborView, ...]
-
-    def points_at_me(self, nb: NeighborView) -> bool:
-        return self.node in nb.reg.points_to
-
-    def non_pointing(self) -> list[NeighborView]:
-        return [nb for nb in self.neighbors if not self.points_at_me(nb)]
 
 
 class Legality(Enum):
@@ -109,12 +108,16 @@ def tree_direct_step(view: LocalView) -> frozenset[int]:
     Cutset units instead point at every neighbor that is not pointing
     at them, so they can serve several trees as a shared leaf.
     """
-    non_pointing = view.non_pointing()
+    node = view.node
     if view.is_cutset:
-        return frozenset(nb.id for nb in non_pointing)
-    if len(non_pointing) == 1:
-        return frozenset({non_pointing[0].id})
-    return frozenset()
+        return frozenset([j for j, _, reg in view.neighbors if node not in reg.points_to])
+    parent = None
+    for j, _, reg in view.neighbors:
+        if node not in reg.points_to:
+            if parent is not None:
+                return frozenset()  # a second non-pointing neighbor: off the tree
+            parent = j
+    return frozenset() if parent is None else frozenset((parent,))
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +133,16 @@ def goodness_step(view: LocalView, points_to: frozenset[int]) -> tuple[int, int]
     and max(0, w + theta)).  Pointing cutset neighbors contribute their
     per-neighbor published pair.
     """
-    s0 = 0
-    s1 = 0
-    for nb in view.neighbors:
-        if view.points_at_me(nb):
-            s0 += nb.reg.g0
-            s1 += nb.reg.g1_toward(view.node)
-    parent_w = sum(nb.weight for nb in view.neighbors if nb.id in points_to)
-    return max(s0, s1 + view.bias), max(s0, s1 + view.bias + parent_w)
+    node = view.node
+    s0 = s1 = parent_w = 0
+    for j, w, reg in view.neighbors:
+        if node in reg.points_to:
+            s0 += reg.g0
+            s1 += reg.g1 if reg.cutset_g1 is None else reg.g1_toward(node)
+        if j in points_to:
+            parent_w += w
+    s1 += view.bias
+    return max(s0, s1), max(s0, s1 + parent_w)
 
 
 def cutset_goodness_step(view: LocalView, x: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -170,14 +175,19 @@ def activation_step(view: LocalView, points_to: frozenset[int]) -> int:
     rule (children plus one parent) and, for leaves, the threshold rule
     itself.
     """
-    if view.is_cutset or len(view.non_pointing()) > 1:
+    if view.is_cutset:
         return hopfield_step(view)
-    s = 0
-    for nb in view.neighbors:
-        if view.points_at_me(nb):
-            s += nb.reg.g1_toward(view.node) - nb.reg.g0
-        if nb.id in points_to:
-            s += nb.weight * nb.reg.x
+    node = view.node
+    s = non_pointing = 0
+    for j, w, reg in view.neighbors:
+        if node in reg.points_to:
+            s += (reg.g1 if reg.cutset_g1 is None else reg.g1_toward(node)) - reg.g0
+        else:
+            non_pointing += 1
+            if non_pointing > 1:  # off the tree
+                return hopfield_step(view)
+        if j in points_to:
+            s += w * reg.x
     return 1 if s >= -view.bias else 0
 
 

@@ -50,6 +50,9 @@ class Weight:
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
+    def __reduce__(self):
+        return Weight, (self.micros,)
+
     def __add__(self, other):
         if isinstance(other, Weight):
             return Weight(self.micros + other.micros)

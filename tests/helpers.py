@@ -10,8 +10,15 @@ import random
 from dataclasses import replace
 
 from goodnet import Legality, Network, Weight
-from goodnet.engine import _unit_update
 from goodnet.oracle import _forest_walk
+from goodnet.rules import (
+    ActivationRegister,
+    LocalView,
+    NeighborView,
+    boltzmann_step,
+    cutset_goodness_step,
+    hopfield_step,
+)
 
 
 def enumerate_optima(net: Network):
@@ -179,11 +186,89 @@ def non_tree_nodes_reference(net: Network, regs) -> frozenset[int]:
     return frozenset(out)
 
 
-def apply_event_per_unit(net: Network, regs, ids, rule: str, cutset=frozenset()):
-    """`engine.apply_event` as one rule-step update per unit: every
+# ---------------------------------------------------------------------------
+# The per-unit path in its plain form: rule steps that scan the neighbors
+# once per question, views that convert Weights to micros on every call, and
+# whole registers compared and diffed field by field.  The one-pass steps of
+# goodnet.rules and the engine's per-unit and array updates are pinned to it.
+
+
+def points_at_me(view: LocalView, nb: NeighborView) -> bool:
+    return view.node in nb.reg.points_to
+
+
+def non_pointing(view: LocalView) -> list:
+    return [nb for nb in view.neighbors if not points_at_me(view, nb)]
+
+
+def tree_direct_step_reference(view: LocalView) -> frozenset:
+    """`rules.tree_direct_step`: adopt the unique non-pointing neighbor as
+    parent; cutset units point at every non-pointing neighbor."""
+    nonp = non_pointing(view)
+    if view.is_cutset:
+        return frozenset(nb.id for nb in nonp)
+    if len(nonp) == 1:
+        return frozenset({nonp[0].id})
+    return frozenset()
+
+
+def goodness_step_reference(view: LocalView, points_to: frozenset) -> tuple:
+    """`rules.goodness_step`: (g0, g1) from the pointing neighbors, g1 plus
+    the weight toward every id in ``points_to``."""
+    s0 = 0
+    s1 = 0
+    for nb in view.neighbors:
+        if points_at_me(view, nb):
+            s0 += nb.reg.g0
+            s1 += nb.reg.g1_toward(view.node)
+    parent_w = sum(nb.weight for nb in view.neighbors if nb.id in points_to)
+    return max(s0, s1 + view.bias), max(s0, s1 + view.bias + parent_w)
+
+
+def activation_step_reference(view: LocalView, points_to: frozenset) -> int:
+    """`rules.activation_step`: the combined tree inequality, or the
+    threshold rule on cutset units and units with two or more
+    non-pointing neighbors."""
+    if view.is_cutset or len(non_pointing(view)) > 1:
+        return hopfield_step(view)
+    s = 0
+    for nb in view.neighbors:
+        if points_at_me(view, nb):
+            s += nb.reg.g1_toward(view.node) - nb.reg.g0
+        if nb.id in points_to:
+            s += nb.weight * nb.reg.x
+    return 1 if s >= -view.bias else 0
+
+
+def build_view_reference(net: Network, regs, i: int, cutset) -> LocalView:
+    nbs = tuple(NeighborView(j, w.micros, regs[j]) for j, w in net.neighbors(i))
+    return LocalView(i, net.bias(i).micros, i in cutset, nbs)
+
+
+def unit_update_reference(net: Network, regs, i: int, rule: str, cutset, rng, temperature) -> ActivationRegister:
+    """Unit i's new register under `rule`, read from the snapshot `regs`."""
+    view = build_view_reference(net, regs, i, cutset)
+    if rule == "hopfield":
+        return replace(regs[i], x=hopfield_step(view))
+    if rule == "boltzmann":
+        return replace(regs[i], x=boltzmann_step(view, temperature, rng))
+    new_points = tree_direct_step_reference(view)
+    if view.is_cutset:
+        # a cutset unit publishes goodness for its pre-event bit
+        g0, pairs = cutset_goodness_step(view, regs[i].x)
+        x = activation_step_reference(view, new_points)
+        return ActivationRegister(x=x, g0=g0, g1=0, points_to=new_points, cutset_g1=pairs)
+    g0, g1 = goodness_step_reference(view, new_points)
+    x = activation_step_reference(view, new_points)
+    return ActivationRegister(x=x, g0=g0, g1=g1, points_to=new_points, cutset_g1=None)
+
+
+def apply_event_per_unit(net: Network, regs, ids, rule: str, cutset=frozenset(), rng=None, temperature=None):
+    """`engine.apply_event` as one reference update per unit: every
     activated unit reads the pre-event snapshot, then all commit; returns
-    the field-level deltas in node, then field order.  No boltzmann."""
-    updates = {i: _unit_update(net, regs, i, rule, cutset, None, None) for i in sorted(ids)}
+    the field-level deltas in node, then field order.  A register is
+    replaced only when it differs from the old one."""
+    updates = {i: unit_update_reference(net, regs, i, rule, cutset, rng, temperature) for i in sorted(ids)}
     deltas = []
     for i, new in updates.items():
         old = regs[i]

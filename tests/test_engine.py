@@ -574,17 +574,17 @@ def odd_registers(draw, net):
     return regs
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_array_pass_matches_per_unit_updates(data):
-    # any event size, 1 included, on nets with isolated nodes and nets with no edges
+def draw_event_case(data, rules):
+    """(net, rule, cutset, registers, seed): a net of 1-9 nodes, isolated
+    nodes and edgeless nets included, a rule from `rules`, a cutset for the
+    tree rules, and registers from zeros, random, perturbed or odd starts."""
     n = data.draw(st.integers(1, 9))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
     micros = st.integers(-5 * 10**6, 5 * 10**6)
     net = Network(n, [(i, j, Weight(data.draw(micros))) for i, j in chosen], {i: Weight(data.draw(micros)) for i in range(1, n + 1)})
-    rule = data.draw(st.sampled_from(TREE_RULES))
-    cutset = data.draw(st.frozensets(st.integers(1, n), max_size=3)) if rule != "hopfield" else frozenset()
+    rule = data.draw(st.sampled_from(rules))
+    cutset = data.draw(st.frozensets(st.integers(1, n), max_size=3)) if rule in ("activate", "activate-with-cutset") else frozenset()
     seed = data.draw(st.integers(0, 2**16))
     start = data.draw(st.sampled_from(["zeros", "random", "perturbed", "odd"]))
     if start == "odd":
@@ -593,9 +593,38 @@ def test_array_pass_matches_per_unit_updates(data):
         regs = initial_registers(net, "random" if start == "random" else "zeros", cutset, seed)
         if start == "perturbed":
             regs = perturb(net, regs, seed)
+    return net, rule, cutset, regs, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_array_pass_matches_per_unit_updates(data):
+    # any event size, 1 included
+    net, rule, cutset, regs, _ = draw_event_case(data, TREE_RULES)
     for _ in range(data.draw(st.integers(1, 4))):
-        ids = data.draw(st.frozensets(st.integers(1, n), min_size=1))
+        ids = data.draw(st.frozensets(st.integers(1, net.n), min_size=1))
         regs = assert_same_event(net, regs, ids, rule, cutset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_per_unit_events_match_reference_updates(data):
+    # singletons and other events below the array cutoff (n <= 9), every
+    # rule; boltzmann draws from two generators seeded alike
+    net, rule, cutset, regs, seed = draw_event_case(data, engine.RULES)
+    temperature = data.draw(st.sampled_from([D("0.5"), W(1), W(3)])) if rule == "boltzmann" else None
+    rng, rng_reference = random.Random(seed), random.Random(seed)
+    units = st.integers(1, net.n)
+    for _ in range(data.draw(st.integers(1, 4))):
+        ids = data.draw(st.frozensets(units, min_size=1, max_size=1) | st.frozensets(units, min_size=1))
+        new, reference = list(regs), list(regs)
+        deltas = apply_event(net, new, ids, rule, cutset, rng, temperature)
+        assert deltas == apply_event_per_unit(net, reference, ids, rule, cutset, rng_reference, temperature)
+        assert new == reference
+        changed = {i for i, _, _ in deltas}
+        assert all(new[i] is regs[i] for i in net.nodes() if i not in changed)
+        regs = new
+    assert rng.getstate() == rng_reference.getstate()
 
 
 @pytest.mark.parametrize("rule", TREE_RULES)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,6 +123,31 @@ def test_parse_errors_name_line(text, lineno):
         parse_network(text)
     assert err.value.line == lineno
     assert f"line {lineno}" in str(err.value)
+
+
+def pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, pickle_round_trip], ids=["copy", "deepcopy", "pickle"])
+def test_network_copies_and_pickles(clone):
+    net = example51()  # declares a cutset
+    adjacency, half_edges = net.micros_adjacency(), net.half_edges()
+    twin = clone(net)
+    assert twin == net and twin is not net
+    assert serialize_network(twin) == serialize_network(net)
+    # the caches are derived again, not shared
+    assert twin.micros_adjacency() == adjacency and twin.micros_adjacency() is not adjacency
+    assert twin.half_edges() is not half_edges and twin.half_edges().index == half_edges.index
+
+
+def test_micros_adjacency_is_built_once_from_the_weights():
+    net = random_network("sparse", 12, m=3, seed=4)
+    adjacency = net.micros_adjacency()
+    assert net.micros_adjacency() is adjacency
+    assert adjacency[0] == (0, ())
+    for i in net.nodes():
+        assert adjacency[i] == (net.bias(i).micros, tuple((j, w.micros) for j, w in net.neighbors(i)))
 
 
 def test_serialize_round_trip_fixtures():

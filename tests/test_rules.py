@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goodnet import (
     ActivationRegister,
@@ -28,7 +28,15 @@ from goodnet import (
 )
 from goodnet.rules import update_legal
 
-from helpers import D, M, W, legality_map_fixpoint
+from helpers import (
+    D,
+    M,
+    W,
+    activation_step_reference,
+    goodness_step_reference,
+    legality_map_fixpoint,
+    tree_direct_step_reference,
+)
 
 ZERO_REG = ActivationRegister()
 
@@ -228,6 +236,41 @@ def test_combined_formula_specializes_to_root_internal_leaf():
         v = view(1, bias, neighbors)
         want = 1 if M(expected_lhs) >= -v.bias else 0
         assert activation_step(v, points_to) == want
+
+
+# ---------------------------------------------------------------------------
+# the one-pass steps against their plain references
+
+# Ids from a pool of seven, so neighbors repeat, pointers are mutual and
+# pointer sets (the unit's own and its neighbors') hold the unit itself,
+# pointing neighbors and non-neighbors; cutset pair lists repeat or lack
+# the reader; values reach 2**62.
+ANY_ID = st.integers(0, 6)
+ANY_VALUE = st.integers(-5 * 10**6, 5 * 10**6) | st.integers(-(2**62), 2**62)
+ANY_REGISTER = st.builds(
+    ActivationRegister,
+    x=st.integers(0, 1),
+    g0=ANY_VALUE,
+    g1=ANY_VALUE,
+    points_to=st.frozensets(ANY_ID, max_size=4),
+    cutset_g1=st.none() | st.lists(st.tuples(ANY_ID, ANY_VALUE), max_size=4).map(tuple),
+)
+ANY_VIEW = st.builds(
+    LocalView,
+    node=ANY_ID,
+    bias=ANY_VALUE,
+    is_cutset=st.booleans(),
+    neighbors=st.lists(st.builds(NeighborView, id=ANY_ID, weight=ANY_VALUE, reg=ANY_REGISTER), max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_VIEW, st.frozensets(ANY_ID, max_size=4))
+@example(view(1, 0, [(2, M(5), reg(g0=M(1), g1=M(2), points={1}))]), frozenset({2}))  # a mutual parent
+def test_rule_steps_match_references_on_any_view(v, points_to):
+    assert tree_direct_step(v) == tree_direct_step_reference(v)
+    assert goodness_step(v, points_to) == goodness_step_reference(v, points_to)
+    assert activation_step(v, points_to) == activation_step_reference(v, points_to)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,20 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from goodnet import Weight
 from goodnet.weights import SCALE
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_weight_copies_and_pickles(clone):
+    for w in (Weight.from_decimal("-0.1"), Weight(2**70)):
+        twin = clone(w)
+        assert twin == w and twin.micros == w.micros and type(twin) is Weight
 
 
 def test_from_decimal_exact():
