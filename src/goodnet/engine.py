@@ -18,7 +18,11 @@ tests pin to the per-unit steps.  Both read weights and biases as int
 micros from tables the network builds once (`Network.micros_adjacency`,
 `Network.half_edges`), and both hand each unit's new field values to one
 commit, which emits a delta per changed field and rebuilds the unit's
-register only when some field changed.
+register only when some field changed.  The array pass keeps the
+registers as columns on the network: it reads them in full only when
+the register list differs from the one it last left, and otherwise
+updates them at the changed units.  A network must therefore not be
+driven by two threads at once.
 
 A run is declared stable after a full quiet window: no register
 changed for 2n consecutive events and every unit was re-activated on
@@ -117,7 +121,11 @@ def _unit_update(
 # ARRAY_MIN_UNITS + n // 12 units.  Measured on sparse nets of 10 to 2,560
 # nodes: a per-unit update costs 16-19 us and an array event 90-120 us
 # plus 1.0-1.7 us per node, so the array pass wins from about 5-8 + n/11-16
-# units.  The floor of 16 keeps every net under 16 nodes on the per-unit path.
+# units.  An array event that finds its register columns kept from the
+# previous one costs 110-130 us plus 0.6-0.9 us per node, but an event
+# after per-unit events or on another register list reads them again, so
+# schedules mixing both kinds see the first cost.  The floor of 16 keeps
+# every net under 16 nodes on the per-unit path.
 ARRAY_MIN_UNITS = 16
 _INT64_LIMIT = 1 << 62  # array values stay below this, or the pass runs on Python ints
 
@@ -143,16 +151,35 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
         regs[i] = ActivationRegister(x, g0, g1, points_to, cutset_g1)
 
 
-def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutset: frozenset[int]) -> tuple:
-    """`apply_event` for the hopfield, activate and activate-with-cutset
-    rules, computed as segment sums over the net's CSR half-edges.
+@dataclass(slots=True, eq=False)
+class _Columns:
+    """The registers of one register list as arrays: `x`, `g0` and `g1` per
+    node, and per half-edge i -> j the `pointer` bit (j in regs[i].points_to)
+    and the value i publishes toward j (`pub`: regs[i].g1_toward(j), the
+    first matching cutset_g1 entry winning); `paired` marks the registers
+    with a cutset_g1 and `dropped` those pointing at a non-neighbor.  `regs`
+    is a copy of the list they describe."""
 
-    Reads the same snapshot and yields the same deltas and registers as
-    the per-unit rule steps of :mod:`goodnet.rules`, which stay the
-    specification.  Every array value is bounded by
-    2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros; when that reaches
-    2**62 the same code runs on Python ints (dtype=object).
-    """
+    regs: list
+    x: np.ndarray
+    g0: np.ndarray
+    g1: np.ndarray
+    pointer: np.ndarray
+    pub: np.ndarray
+    paired: np.ndarray
+    dropped: np.ndarray
+
+
+def _published(reg: ActivationRegister, nbs: tuple) -> list:
+    """reg.g1_toward(j) for each neighbor (j, w) in `nbs` of a register with
+    a cutset_g1."""
+    toward = dict(reversed(reg.cutset_g1))  # the first entry for a reader wins
+    return [toward.get(j, 0) for j, _ in nbs]
+
+
+def _read_columns(net: Network, regs: list) -> _Columns:
+    """Read every register of `regs` into new columns, int64 when every
+    value fits and Python ints (dtype=object) otherwise."""
     he = net.half_edges()
     adjacency = net.micros_adjacency()
     n = net.n
@@ -161,21 +188,73 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     paired = [i for i, r in enumerate(units, 1) if r.cutset_g1 is not None]
     published = []  # (half-edge i -> j, regs[i].g1_toward(j)) for the paired registers
     for i in paired:
-        toward = dict(reversed(regs[i].cutset_g1))  # the first entry for a reader wins
-        published += [(e, toward.get(j, 0)) for e, (j, _) in enumerate(adjacency[i][1], first[i])]
+        published += zip(range(first[i], first[i + 1]), _published(regs[i], adjacency[i][1]))
+    pointed = [he.index.get((i, j)) for i, r in enumerate(units, 1) for j in r.points_to]
+    dropped = []  # units pointing at a non-neighbor, a pointer their update drops
+    if None in pointed:
+        dropped = [i for i, r in enumerate(units, 1) if any((i, j) not in he.index for j in r.points_to)]
+        pointed = [e for e in pointed if e is not None]
+    pointer = np.zeros(len(he.dst), dtype=bool)
+    pointer[pointed] = True
+    is_paired, is_dropped = np.zeros(n + 1, dtype=bool), np.zeros(n + 1, dtype=bool)
+    is_paired[paired] = True
+    is_dropped[dropped] = True
     columns = ([0] + [r.x for r in units], [0] + [r.g0 for r in units], [0] + [r.g1 for r in units], [v for _, v in published])
     try:
         x, g0, g1, pub_values = (np.array(c, dtype=np.int64) for c in columns)
-        g_max = max(max(int(c.max()), -int(c.min())) for c in (g0, g1, pub_values) if len(c))
-        x_max = max(1, int(x.max()), -int(x.min()))
-        fits = 2 * (he.max_degree + 1) * g_max + 2 * he.magnitude * x_max < _INT64_LIMIT
     except OverflowError:
-        fits = False
-    dtype = np.int64 if fits else object
-    if not fits:
         x, g0, g1, pub_values = (np.array(c, dtype=object) for c in columns)
+    pub = g1[he.src]
+    pub[[e for e, _ in published]] = pub_values
+    return _Columns(list(regs), x, g0, g1, pointer, pub, is_paired, is_dropped)
+
+
+def _reload_row(net: Network, cols: _Columns, regs: list, i: int) -> None:
+    """Read unit i's register into the columns again."""
+    r = regs[i]
+    first = net.half_edges().indptr
+    row = slice(first[i], first[i + 1])
+    nbs = net.micros_adjacency()[i][1]
+    cols.x[i], cols.g0[i], cols.g1[i] = r.x, r.g0, r.g1
+    cols.pointer[row] = [j in r.points_to for j, _ in nbs]
+    cols.dropped[i] = not r.points_to.issubset([j for j, _ in nbs])
+    cols.paired[i] = r.cutset_g1 is not None
+    cols.pub[row] = r.g1 if r.cutset_g1 is None else _published(r, nbs)
+
+
+def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutset: frozenset[int]) -> tuple:
+    """`apply_event` for the hopfield, activate and activate-with-cutset
+    rules, computed as segment sums over the net's CSR half-edges.
+
+    Reads the same snapshot and yields the same deltas and registers as
+    the per-unit rule steps of :mod:`goodnet.rules`, which stay the
+    specification.  The registers are read as columns (`_Columns`) that
+    the net keeps across events: they are read again in full whenever
+    `regs` is not equal, register by register, to the list they were
+    last read from (another list, or one changed since by anything but
+    this function), and afterwards only the changed units are written
+    back into them.  Every array value is bounded by
+    2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros, checked on the
+    columns on every event; when that reaches 2**62 the same code runs
+    on Python ints (dtype=object).
+    """
+    he = net.half_edges()
+    adjacency = net.micros_adjacency()
+    n = net.n
+    cols = net._register_columns
+    if cols is None or cols.regs != regs:
+        cols = _read_columns(net, regs)
+        object.__setattr__(net, "_register_columns", cols)
+    g = np.concatenate((cols.g0, cols.g1, cols.pub))
+    g_max = max(int(g.max()), -int(g.min()))
+    x_max = max(1, int(cols.x.max()), -int(cols.x.min()))
+    dtype = np.int64 if 2 * (he.max_degree + 1) * g_max + 2 * he.magnitude * x_max < _INT64_LIMIT else object
+    if cols.x.dtype != dtype:
+        cols.x, cols.g0, cols.g1, cols.pub = (c.astype(dtype) for c in (cols.x, cols.g0, cols.g1, cols.pub))
+    x, g0, g1, pub, pointer = cols.x, cols.g0, cols.g1, cols.pub, cols.pointer
     w, bias = he.w.astype(dtype, copy=False), he.bias.astype(dtype, copy=False)
     src, dst, rev = he.src, he.dst, he.rev
+    first = he.indptr.tolist()
     act = np.fromiter(ids, dtype=np.int64, count=len(ids))
     act.sort()
 
@@ -183,26 +262,20 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     threshold = (he.row_sums(w * x[dst]) >= -bias).astype(np.int64)
     deltas: list = []
     if rule == "hopfield":
-        for i in act[threshold[act] != x[act]].tolist():
+        flipped = act[threshold[act] != x[act]]
+        for i in flipped.tolist():
             old = regs[i]
             _commit(regs, i, (int(threshold[i]), old.g0, old.g1, old.points_to, old.cutset_g1), deltas)
+        x[flipped] = threshold[flipped]
+        cols.regs[:] = regs
         return tuple(deltas)
 
-    pointed = [he.index.get((i, j)) for i, r in enumerate(units, 1) for j in r.points_to]
-    dropped = []  # units pointing at a non-neighbor, a pointer their update drops
-    if None in pointed:
-        dropped = [i for i, r in enumerate(units, 1) if any((i, j) not in he.index for j in r.points_to)]
-        pointed = [e for e in pointed if e is not None]
-    pointer = np.zeros(len(dst), dtype=bool)
-    pointer[pointed] = True
     points_at_me = pointer[rev]
     non_pointing = he.degree - he.row_sums(points_at_me)
     cut = np.zeros(n + 1, dtype=bool)
     cut[[i for i in cutset if 1 <= i <= n]] = True
     # tree_direct_step: cutset units point at every non-pointing neighbor, others at the only one
     new_pointer = ~points_at_me & (cut | (non_pointing == 1))[src]
-    pub = g1[src]
-    pub[[e for e, _ in published]] = pub_values
     # goodness_step on tree units (cutset units get cutset_goodness_step below)
     read_g0 = np.where(points_at_me, g0[dst], 0)
     read_g1 = np.where(points_at_me, pub[rev], 0)
@@ -214,10 +287,9 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     tree_sum = he.row_sums(read_g1 - read_g0 + np.where(new_pointer, w * x[dst], 0))
     new_x = np.where(cut | (non_pointing > 1), threshold, (tree_sum >= -bias).astype(np.int64))
 
-    moved = he.row_sums(new_pointer != pointer) > 0
-    moved[dropped] = True
-    maybe = (new_x != x) | (new_g0 != g0) | (new_g1 != g1) | moved | cut
-    maybe[paired] = True
+    moved = (he.row_sums(new_pointer != pointer) > 0) | cols.dropped
+    special = cut | cols.paired | cols.dropped
+    maybe = (new_x != x) | (new_g0 != g0) | (new_g1 != g1) | moved | special
     changed = act[maybe[act]]
     for i, xi, g0i, g1i in zip(changed.tolist(), new_x[changed].tolist(), new_g0[changed].tolist(), new_g1[changed].tolist()):
         old = regs[i]
@@ -231,6 +303,19 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
         else:
             new = (xi, g0i, g1i, points_to, None)
         _commit(regs, i, new, deltas)
+
+    # write the changed units back: tree units from the new columns, the rest from their registers
+    tree = np.zeros(n + 1, dtype=bool)
+    tree[changed] = True
+    reload = np.flatnonzero(tree & special).tolist()
+    tree &= ~special
+    x[tree], g0[tree], g1[tree] = new_x[tree], new_g0[tree], new_g1[tree]
+    tree_rows = tree[src]
+    pointer[tree_rows] = new_pointer[tree_rows]
+    pub[tree_rows] = new_g1[src[tree_rows]]
+    for i in reload:
+        _reload_row(net, cols, regs, i)
+    cols.regs[:] = regs
     return tuple(deltas)
 
 

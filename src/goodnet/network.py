@@ -77,7 +77,9 @@ class Network:
     ignored by everything except cutset-aware rules and solvers.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_bias", "cutset", "_micros_adj", "_half_edges")
+    # _register_columns belongs to the engine: its array pass keeps the
+    # register columns of the last register list it ran on there
+    __slots__ = ("n", "_edges", "_adj", "_bias", "cutset", "_micros_adj", "_half_edges", "_register_columns")
 
     def __init__(
         self,
@@ -115,13 +117,14 @@ class Network:
         object.__setattr__(self, "cutset", cutset_set)
         object.__setattr__(self, "_micros_adj", None)
         object.__setattr__(self, "_half_edges", None)
+        object.__setattr__(self, "_register_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
 
     def __reduce__(self):
         # copies and pickles go through __init__, which derives the cached
-        # adjacency and half-edges again instead of copying them
+        # adjacency and half-edges again and starts without register columns
         return Network, (self.n, self.edges(), dict(enumerate(self._bias[1:], 1)), self.cutset)
 
     # -- structure ---------------------------------------------------------

@@ -67,10 +67,15 @@ class CentralRandom(Scheduler):
 
 
 class SynchronousAll(Scheduler):
-    """Every unit, every step."""
+    """Every unit, every step: one set per `n`, handed out again."""
+
+    def __init__(self):
+        self._all: frozenset[int] = frozenset()
 
     def next_set(self, n: int) -> frozenset[int]:
-        return frozenset(range(1, n + 1))
+        if len(self._all) != n:
+            self._all = frozenset(range(1, n + 1))
+        return self._all
 
 
 class FairExclusion(Scheduler):

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 
@@ -669,18 +670,74 @@ def test_public_apply_event_repairs_registers_initial_registers_refuses(monkeypa
 
 @pytest.mark.parametrize("rule", TREE_RULES)
 def test_array_pass_sums_past_int64_stay_exact(rule):
-    # five 3e12 links into node 1: its sums pass 2**63 though every
-    # weight and register value fits in int64, so only the bound check
-    # sends the pass to Python ints
-    net = Network(6, [(1, j, W(3 * 10**12)) for j in range(2, 7)], {i: W(-(10**12)) for i in range(1, 7)})
-    cutset = frozenset({2}) if rule == "activate-with-cutset" else frozenset()
-    he = net.half_edges()
-    assert he.w.dtype == np.int64 and 2 * he.magnitude >= 2**62
-    rng = random.Random(1)
-    perturbed = perturb(net, initial_registers(net, "zeros", cutset), 1)
-    bounded = [None] + [
-        replace(r, x=1, g0=rng.randint(-(2**62), 2**62), g1=rng.randint(-(2**62), 2**62)) for r in perturbed[1:]
-    ]
-    for regs in (perturbed, bounded):
-        for ids in ([1, 2, 3], range(1, 7)):
-            regs = assert_same_event(net, regs, ids, rule, cutset)
+    # five links into node 1.  At scale 10**12 (3e12 links) its sums pass
+    # 2**63 though every weight and register value fits in int64, so only
+    # the bound check sends the pass to Python ints.  At scale 1 only the
+    # bounded registers need Python ints: the columns the net keeps go from
+    # int64 to Python ints and back, as the register lists alternate and,
+    # under the tree rules, as the bounded goodness settles
+    for scale in (10**12, 1):
+        net = Network(6, [(1, j, W(3 * scale)) for j in range(2, 7)], {i: W(-scale) for i in range(1, 7)})
+        cutset = frozenset({2}) if rule == "activate-with-cutset" else frozenset()
+        he = net.half_edges()
+        assert he.w.dtype == np.int64 and (2 * he.magnitude >= 2**62) == (scale > 1)
+        rng = random.Random(1)
+        perturbed = perturb(net, initial_registers(net, "zeros", cutset), 1)
+        bounded = [None] + [
+            replace(r, x=1, g0=rng.randint(-(2**62), 2**62), g1=rng.randint(-(2**62), 2**62)) for r in perturbed[1:]
+        ]
+        dtypes = []
+        for regs, full_events in ((perturbed, 1), (bounded, 4), (perturbed, 1)):
+            for ids in [[1, 2, 3]] + [range(1, 7)] * full_events:
+                regs = assert_same_event(net, regs, ids, rule, cutset)
+                dtypes.append(net._register_columns.x.dtype)
+        if scale > 1:
+            assert dtypes == [object] * 9
+        else:
+            assert dtypes[:3] == [np.int64, np.int64, object] and dtypes[-2:] == [np.int64, np.int64]
+            assert (np.int64 in dtypes[3:7]) == (rule != "hopfield")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_array_events_over_two_register_lists_match_reference(data):
+    # the net keeps the columns of the register list its last array event
+    # read: array events on two lists, per-unit events, outside replaces
+    # and new cutsets in between must never leave an event reading stale ones
+    net, rule, cutset, regs, seed = draw_event_case(data, TREE_RULES)
+    lists = [regs, perturb(net, regs, seed)]
+    references = [list(r) for r in lists]
+    units = st.integers(1, net.n)
+    for _ in range(data.draw(st.integers(2, 8))):
+        k = data.draw(st.integers(0, 1))
+        regs, reference = lists[k], references[k]
+        ids = data.draw(st.frozensets(units, min_size=1))
+        assert _array_event(net, regs, ids, rule, cutset) == apply_event_per_unit(net, reference, ids, rule, cutset)
+        assert regs == reference
+        k = data.draw(st.integers(0, 1))
+        regs, reference = lists[k], references[k]
+        between = data.draw(st.sampled_from(["nothing", "per-unit", "replace", "cutset"]))
+        if between == "per-unit":
+            ids = data.draw(st.frozensets(units, min_size=1))
+            assert apply_event(net, regs, ids, rule, cutset) == apply_event_per_unit(net, reference, ids, rule, cutset)
+        elif between == "replace":
+            i = data.draw(units)
+            regs[i] = reference[i] = replace(regs[i], x=1 - regs[i].x, g1=data.draw(st.integers(-(10**9), 10**9)))
+        elif between == "cutset" and rule != "hopfield":
+            cutset = data.draw(st.frozensets(units, max_size=3))
+        assert regs == reference
+
+
+@pytest.mark.parametrize("rule", TREE_RULES)
+def test_sync_runs_sharing_a_net_match_runs_on_copies(rule):
+    # every event of these runs takes the array pass, so each run meets
+    # the columns the previous one left on the net
+    net = random_network("sparse", 40, m=6, seed=12)
+    cutset = frozenset({1, 5, 9}) if rule == "activate-with-cutset" else None
+    for seed in (1, 2, 3, 4):
+        results = [
+            run(on, rule, SynchronousAll(), init="random", seed=seed, cutset=cutset, max_passes=2, collect_trace=True)
+            for on in (net, copy.deepcopy(net))
+        ]
+        assert net._register_columns is not None
+        assert results[0] == results[1]

@@ -55,6 +55,14 @@ def test_sync_all_emits_everything():
     assert collect(SynchronousAll(), 5, 2) == [frozenset(range(1, 6))] * 2
 
 
+def test_sync_all_builds_one_set_per_node_count():
+    sched = SynchronousAll()
+    first = sched.next_set(5)
+    assert sched.next_set(5) is first
+    assert sched.next_set(3) == frozenset({1, 2, 3})
+    assert sched.next_set(5) == frozenset(range(1, 6))
+
+
 def test_central_random_deterministic_singletons():
     a = collect(CentralRandom(5), 8, 100)
     b = collect(CentralRandom(5), 8, 100)
