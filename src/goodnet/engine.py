@@ -158,7 +158,9 @@ class _Columns:
     and the value i publishes toward j (`pub`: regs[i].g1_toward(j), the
     first matching cutset_g1 entry winning); `paired` marks the registers
     with a cutset_g1 and `dropped` those pointing at a non-neighbor.  `regs`
-    is a copy of the list they describe."""
+    is a copy of the list they describe.  `act` holds the sorted ids of the
+    last event's unit set `ids`, kept by reference so that only that same
+    frozenset, never a recycled one, reuses it."""
 
     regs: list
     x: np.ndarray
@@ -168,6 +170,8 @@ class _Columns:
     pub: np.ndarray
     paired: np.ndarray
     dropped: np.ndarray
+    ids: frozenset | None = None
+    act: np.ndarray | None = None
 
 
 def _published(reg: ActivationRegister, nbs: tuple) -> list:
@@ -255,8 +259,9 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     w, bias = he.w.astype(dtype, copy=False), he.bias.astype(dtype, copy=False)
     src, dst, rev = he.src, he.dst, he.rev
     first = he.indptr.tolist()
-    act = np.fromiter(ids, dtype=np.int64, count=len(ids))
-    act.sort()
+    if cols.ids is not ids:
+        cols.ids, cols.act = ids, np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
+    act = cols.act
 
     # hopfield_step
     threshold = (he.row_sums(w * x[dst]) >= -bias).astype(np.int64)

@@ -5,7 +5,7 @@ independent of the distributed simulator.  Each solver enumerates the
 codes of a fixed node set (first node most significant) as numpy columns.
 `brute_force_optima` builds the goodness column of the last log2(_CHUNK)
 nodes once; per code of the nodes before them it adds that code's own
-goodness and its coupling on the bit rows of the low nodes.
+goodness, and its coupling on strided views of the low nodes' on codes.
 `cutset_exact_optimize` walks the forest left without the cutset once and
 runs the leaf-to-root DP on columns over the cutset codes;
 `tree_conditioned_max` is its one-code case.  Every partial sum is bounded
@@ -63,23 +63,24 @@ def _bits(codes: np.ndarray, size: int) -> np.ndarray:
 # exhaustive scan
 
 
-def _subnet_column(net: Network, nodes: range) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Goodness of the subnet on `nodes` over all its codes, and each node's
-    bit as a bool row over them.  The column doubles once per node, last
-    node first: the codes with the node on add its bias and its edges to the
-    nodes already placed, whose rows over those codes are prefixes."""
+def _on(column: np.ndarray, bit: int) -> np.ndarray:
+    return column.reshape(-1, 2, 1 << bit)[:, 1]  # view of the entries whose code has `bit` set
+
+
+def _subnet_column(net: Network, nodes: range) -> np.ndarray:
+    """Goodness of the subnet on `nodes` over all its codes.  The column
+    doubles once per node, last node first: the codes with the node on add
+    its bias, and each edge to a placed node its weight where that node is on."""
     last = nodes.stop - 1
-    codes = np.arange(1 << len(nodes), dtype=np.int64)
-    rows = {v: (codes & (1 << (last - v))) != 0 for v in nodes}
-    g = np.zeros(len(codes), dtype=np.int64)
+    g = np.zeros(1 << len(nodes), dtype=np.int64)
     for v in reversed(nodes):
         half = 1 << (last - v)
         upper = g[half:2 * half]
         np.add(g[:half], net.bias(v).micros, out=upper)
         for j, w in net.neighbors(v):
-            if j in rows and j > v:
-                np.add(upper, w.micros, out=upper, where=rows[j][:half])
-    return g, rows
+            if v < j <= last:
+                _on(upper, last - j)[...] += w.micros
+    return g
 
 
 def brute_force_optima(net: Network) -> OptimumReport:
@@ -89,18 +90,17 @@ def brute_force_optima(net: Network) -> OptimumReport:
     if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS:
         raise ValueError("weights too large for an exact int64 scan (sum |w| + sum |theta| >= 2**62 micros)")
     split = max(0, net.n - (_CHUNK.bit_length() - 1))  # nodes 1..split are high, the rest low
-    high_g, _ = _subnet_column(net, range(1, split + 1))
-    low_g, low_rows = _subnet_column(net, range(split + 1, net.n + 1))
+    high_g = _subnet_column(net, range(1, split + 1))
+    low_g = _subnet_column(net, range(split + 1, net.n + 1))
     high_bits = _bits(np.arange(len(high_g)), split).tolist()
-    # each low node's bit row, and its (high bit index, weight) links
-    boundary = [(row, [(j - 1, w.micros) for j, w in net.neighbors(v) if j <= split]) for v, row in low_rows.items()]
-    best, best_rows = None, []
+    # each low node's bit, and its (high bit index, weight) links
+    boundary = [(net.n - v, [(j - 1, w.micros) for j, w in net.neighbors(v) if j <= split]) for v in range(split + 1, net.n + 1)]
+    g, best, best_rows = np.empty_like(low_g), None, []  # one chunk buffer, refilled per high code
     for h, base in enumerate(high_g.tolist()):
-        g = low_g + base
-        for row, links in boundary:
-            coupling = sum(w for j, w in links if high_bits[h][j])
-            if coupling:
-                np.add(g, coupling, out=g, where=row)
+        np.add(low_g, base, out=g)
+        for bit, links in boundary:
+            if coupling := sum(w for j, w in links if high_bits[h][j]):
+                _on(g, bit)[...] += coupling
         chunk_best = int(g.max())
         if best is None or chunk_best > best:
             best, best_rows = chunk_best, []

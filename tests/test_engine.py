@@ -741,3 +741,19 @@ def test_sync_runs_sharing_a_net_match_runs_on_copies(rule):
         ]
         assert net._register_columns is not None
         assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("rule", TREE_RULES)
+def test_array_events_reuse_sorted_ids_only_for_the_same_set(rule):
+    # the columns keep the sorted ids of the last event's set: sync events
+    # reuse them, and a different set of the same size must not
+    net = random_network("sparse", 40, m=6, seed=5)
+    cutset = frozenset({2, 7}) if rule != "hopfield" else frozenset()
+    regs = initial_registers(net, "random", cutset, 3)
+    reference = list(regs)
+    sync = SynchronousAll().next_set(net.n)
+    but_one, but_two = sync - {1}, sync - {2}
+    for ids in (sync, sync, but_one, but_two, but_one, sync, frozenset(sync), sync):
+        assert apply_event(net, regs, ids, rule, cutset) == apply_event_per_unit(net, reference, ids, rule, cutset)
+        assert regs == reference
+        assert net._register_columns.ids is ids

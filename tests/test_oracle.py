@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -286,6 +287,46 @@ def test_brute_force_scan_matches_plain_enumeration(data):
         report = brute_force_optima(net)
     gmax, argmax = enumerate_optima(net)
     assert (report.gmax, list(report.argmax), report.states_scanned) == (gmax, argmax, 2**net.n)
+
+
+def assert_subnet_column(net, nodes):
+    """`_subnet_column` against goodness with every node off the range off,
+    so that edges leaving the range add nothing."""
+    column = oracle._subnet_column(net, nodes)
+    assert column.dtype == np.int64 and len(column) == 2 ** len(nodes)
+    for code, value in enumerate(column.tolist()):
+        a = [0] * net.n
+        for k, v in enumerate(nodes):
+            a[v - 1] = (code >> (len(nodes) - 1 - k)) & 1
+        assert value == net.goodness(a).micros
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_subnet_column_matches_per_code_goodness(data):
+    net = data.draw(sparse_nets(10))
+    if net.magnitude_micros() < oracle.INT64_SCAN_MAX_MICROS:
+        start = data.draw(st.integers(1, net.n + 1))
+        assert_subnet_column(net, range(start, data.draw(st.integers(start, net.n + 1))))
+
+
+@pytest.mark.parametrize("nodes", [range(3, 9), range(4, 4), range(5, 6), range(1, 11)])
+def test_subnet_column_on_fixed_ranges(nodes):
+    assert_subnet_column(random_network("sparse", 10, m=5, seed=4), nodes)
+
+
+def test_brute_force_scan_at_full_chunk_size():
+    # n=20 leaves 2 high nodes over chunks of 2**18 codes, and this net's
+    # argmax spans three of the four chunks
+    net = random_network("sparse", 20, m=4, seed=9)
+    report = brute_force_optima(net)
+    assert oracle._CHUNK == 1 << 18 and len({row[:2] for row in report.argmax}) == 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK", 1 << 10)
+        small = brute_force_optima(net)
+    assert (report.gmax, report.argmax, report.states_scanned) == (small.gmax, small.argmax, 2**20)
+    assert report.gmax == cutset_exact_optimize(net, greedy_cutset(net)).gmax
+    assert all(net.goodness(row) == report.gmax for row in report.argmax)
 
 
 def test_conditioning_dp_is_exact_past_int64():
