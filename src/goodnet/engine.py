@@ -14,9 +14,9 @@ boltzmann's per-unit random draws must keep their order.  An event of
 at least ARRAY_MIN_UNITS + n // 12 units under hopfield, activate or
 activate-with-cutset runs as one pass of int64 segment sums over the
 network's CSR half-edges (`Network.half_edges`), which differential
-tests pin to the per-unit steps.  Both read weights and biases as int
-micros from tables the network builds once (`Network.micros_adjacency`,
-`Network.half_edges`), and both hand each unit's new field values to one
+tests pin to the per-unit steps.  Both read int micros from the net's
+one adjacency (`Network.micros_adjacency`), the array pass through the
+CSR arrays built from it, and both hand each unit's new field values to one
 commit, which emits a delta per changed field and rebuilds the unit's
 register only when some field changed.  The array pass keeps the
 registers as columns on the network: it reads them in full only when
@@ -157,7 +157,9 @@ class _Columns:
     node, and per half-edge i -> j the `pointer` bit (j in regs[i].points_to)
     and the value i publishes toward j (`pub`: regs[i].g1_toward(j), the
     first matching cutset_g1 entry winning); `paired` marks the registers
-    with a cutset_g1 and `dropped` those pointing at a non-neighbor.  `regs`
+    with a cutset_g1 and `dropped` those with fewer pointer bits than
+    pointer ids (one aims at a non-neighbor, at itself or outside 1..n,
+    and their update drops it).  `regs`
     is a copy of the list they describe.  `act` holds the sorted ids of the
     last event's unit set `ids`, kept by reference so that only that same
     frozenset, never a recycled one, reuses it."""
@@ -193,16 +195,9 @@ def _read_columns(net: Network, regs: list) -> _Columns:
     published = []  # (half-edge i -> j, regs[i].g1_toward(j)) for the paired registers
     for i in paired:
         published += zip(range(first[i], first[i + 1]), _published(regs[i], adjacency[i][1]))
-    pointed = [he.index.get((i, j)) for i, r in enumerate(units, 1) for j in r.points_to]
-    dropped = []  # units pointing at a non-neighbor, a pointer their update drops
-    if None in pointed:
-        dropped = [i for i, r in enumerate(units, 1) if any((i, j) not in he.index for j in r.points_to)]
-        pointed = [e for e in pointed if e is not None]
-    pointer = np.zeros(len(he.dst), dtype=bool)
-    pointer[pointed] = True
-    is_paired, is_dropped = np.zeros(n + 1, dtype=bool), np.zeros(n + 1, dtype=bool)
-    is_paired[paired] = True
-    is_dropped[dropped] = True
+    pointer = np.array([j in r.points_to for i, r in enumerate(units, 1) for j, _ in adjacency[i][1]], dtype=bool)
+    is_dropped = he.row_sums(pointer) != [0] + [len(r.points_to) for r in units]
+    is_paired = np.array([False] + [r.cutset_g1 is not None for r in units])
     columns = ([0] + [r.x for r in units], [0] + [r.g0 for r in units], [0] + [r.g1 for r in units], [v for _, v in published])
     try:
         x, g0, g1, pub_values = (np.array(c, dtype=np.int64) for c in columns)
@@ -220,8 +215,8 @@ def _reload_row(net: Network, cols: _Columns, regs: list, i: int) -> None:
     row = slice(first[i], first[i + 1])
     nbs = net.micros_adjacency()[i][1]
     cols.x[i], cols.g0[i], cols.g1[i] = r.x, r.g0, r.g1
-    cols.pointer[row] = [j in r.points_to for j, _ in nbs]
-    cols.dropped[i] = not r.points_to.issubset([j for j, _ in nbs])
+    cols.pointer[row] = bits = [j in r.points_to for j, _ in nbs]
+    cols.dropped[i] = bits.count(True) != len(r.points_to)
     cols.paired[i] = r.cutset_g1 is not None
     cols.pub[row] = r.g1 if r.cutset_g1 is None else _published(r, nbs)
 
@@ -402,8 +397,9 @@ def initial_registers(
                 if not isinstance(preset[i], ActivationRegister):
                     raise ValueError(f"preset entry {i} is {type(preset[i]).__name__}, not an ActivationRegister")
             regs = list(preset)
+        adjacency = net.micros_adjacency()
         for i in net.nodes():
-            nbs = {j for j, _ in net.neighbors(i)}
+            nbs = {j for j, _ in adjacency[i][1]}
             for j in regs[i].points_to:
                 if j not in nbs:
                     raise ValueError(f"preset pointer {i} -> {j!r} does not aim at a neighbor of node {i}")
@@ -419,16 +415,18 @@ def perturb(net: Network, regs: Sequence, seed: int) -> list:
     """
     rng = random.Random(seed)
     m = net.magnitude_micros()
+    adjacency = net.micros_adjacency()
     out: list = [None]
     for i in net.nodes():
         old = regs[i]
+        nbs = adjacency[i][1]
         x = rng.randint(0, 1)
         g0 = rng.randint(-m, m)
         g1 = rng.randint(-m, m)
-        points = frozenset(j for j, _ in net.neighbors(i) if rng.random() < 0.5)
+        points = frozenset(j for j, _ in nbs if rng.random() < 0.5)
         cutset_g1 = None
         if old.cutset_g1 is not None:
-            cutset_g1 = tuple((j, rng.randint(-m, m)) for j, _ in net.neighbors(i))
+            cutset_g1 = tuple((j, rng.randint(-m, m)) for j, _ in nbs)
         out.append(ActivationRegister(x=x, g0=g0, g1=g1, points_to=points, cutset_g1=cutset_g1))
     return out
 

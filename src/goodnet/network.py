@@ -41,10 +41,10 @@ class HalfEdges:
     """The edges as CSR half-edges, one per direction, rows indexed by node id.
 
     Row i (row 0 is empty) spans ``indptr[i]:indptr[i+1]`` and lists i's
-    neighbors in ascending id order: half-edge e runs ``src[e] -> dst[e]``
-    with weight ``w[e]`` in micros, ``rev[e]`` is the half-edge
-    ``dst[e] -> src[e]`` and ``index[(src[e], dst[e])] == e``.  ``bias``
-    holds the node biases in micros.
+    neighbors in ascending id order, as in `Network.micros_adjacency`:
+    half-edge e runs ``src[e] -> dst[e]`` with weight ``w[e]`` in micros
+    and ``rev[e]`` is the half-edge ``dst[e] -> src[e]``.  ``bias`` holds
+    the node biases in micros.
     """
 
     indptr: np.ndarray
@@ -52,7 +52,6 @@ class HalfEdges:
     dst: np.ndarray
     w: np.ndarray
     rev: np.ndarray
-    index: dict[tuple[int, int], int]
     bias: np.ndarray
     degree: np.ndarray
     max_degree: int
@@ -79,7 +78,7 @@ class Network:
 
     # _register_columns belongs to the engine: its array pass keeps the
     # register columns of the last register list it ran on there
-    __slots__ = ("n", "_edges", "_adj", "_bias", "cutset", "_micros_adj", "_half_edges", "_register_columns")
+    __slots__ = ("n", "_edges", "_bias", "cutset", "_adjacency", "_half_edges", "_register_columns")
 
     def __init__(
         self,
@@ -107,15 +106,25 @@ class Network:
             bias_list[i] = b
         object.__setattr__(self, "n", n)
         cutset_set = self.check_cutset(cutset)
-        adj: list[list[tuple[int, Weight]]] = [[] for _ in range(n + 1)]
-        for (i, j), w in edge_map.items():
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        object.__setattr__(self, "_edges", dict(sorted(edge_map.items())))
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        edge_map = dict(sorted(edge_map.items()))
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        for (i, j), w in edge_map.items():  # ascending keys fill every row in ascending id order
+            try:
+                w = w.micros
+            except AttributeError:
+                raise TypeError(f"edge ({i},{j}) has weight {w!r}, not a Weight") from None
+            rows[i].append((j, w))
+            rows[j].append((i, w))
+        adjacency = []
+        for i, (b, row) in enumerate(zip(bias_list, rows)):
+            try:
+                adjacency.append((b.micros, tuple(row)))
+            except AttributeError:
+                raise TypeError(f"node {i} has bias {b!r}, not a Weight") from None
+        object.__setattr__(self, "_edges", edge_map)
         object.__setattr__(self, "_bias", tuple(bias_list))
         object.__setattr__(self, "cutset", cutset_set)
-        object.__setattr__(self, "_micros_adj", None)
+        object.__setattr__(self, "_adjacency", tuple(adjacency))
         object.__setattr__(self, "_half_edges", None)
         object.__setattr__(self, "_register_columns", None)
 
@@ -123,8 +132,8 @@ class Network:
         raise AttributeError("Network is immutable")
 
     def __reduce__(self):
-        # copies and pickles go through __init__, which derives the cached
-        # adjacency and half-edges again and starts without register columns
+        # copies and pickles go through __init__, which builds the adjacency
+        # again and starts without half-edges or register columns
         return Network, (self.n, self.edges(), dict(enumerate(self._bias[1:], 1)), self.cutset)
 
     # -- structure ---------------------------------------------------------
@@ -136,27 +145,25 @@ class Network:
         return [(i, j, w) for (i, j), w in self._edges.items()]
 
     def neighbors(self, i: int) -> tuple[tuple[int, Weight], ...]:
-        return self._adj[i]
+        """Node i's ``(j, w_ij)`` pairs in ascending id order."""
+        return tuple([(j, self.weight(i, j)) for j, _ in self._adjacency[i][1]])
 
     def micros_adjacency(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
         """Per node id, ``(bias, ((j, w_ij), ...))`` in int micros with the
-        neighbors in ascending id order (entry 0 is ``(0, ())``); built on
-        first use and kept."""
-        if self._micros_adj is None:
-            adj = tuple((b.micros, tuple((j, w.micros) for j, w in a)) for b, a in zip(self._bias, self._adj))
-            object.__setattr__(self, "_micros_adj", adj)
-        return self._micros_adj
+        neighbors in ascending id order (entry 0 is ``(0, ())``): the net's
+        one adjacency, built with the net."""
+        return self._adjacency
 
     def half_edges(self) -> HalfEdges:
         """The CSR half-edge arrays, built on first use and kept."""
         if self._half_edges is None:
-            adj = self.micros_adjacency()
+            adj = self._adjacency
             n = self.n
-            degree = np.array([len(a) for a in self._adj], dtype=np.int64)
+            degree = np.array([len(a) for _, a in adj], dtype=np.int64)
             indptr = np.zeros(n + 2, dtype=np.int64)
             np.cumsum(degree, out=indptr[1:])
             src = np.repeat(np.arange(n + 1, dtype=np.int64), degree)
-            dst = np.array([j for a in self._adj for j, _ in a], dtype=np.int64)
+            dst = np.array([j for _, a in adj for j, _ in a], dtype=np.int64)
             # (src, dst) keys ascend along the half-edges, so each reverse is one search
             rev = np.searchsorted(src * (n + 1) + dst, dst * (n + 1) + src)
             half_edges = HalfEdges(
@@ -165,7 +172,6 @@ class Network:
                 dst=dst,
                 w=_micros_array([w for _, a in adj for _, w in a]),
                 rev=rev,
-                index={(i, j): e for e, (i, j) in enumerate(zip(src.tolist(), dst.tolist()))},
                 bias=_micros_array([b for b, _ in adj]),
                 degree=degree,
                 max_degree=int(degree.max()),
@@ -185,7 +191,7 @@ class Network:
         return members
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return len(self._adjacency[i][1])
 
     def weight(self, i: int, j: int) -> Weight:
         key = (i, j) if i < j else (j, i)

@@ -71,15 +71,17 @@ def _subnet_column(net: Network, nodes: range) -> np.ndarray:
     """Goodness of the subnet on `nodes` over all its codes.  The column
     doubles once per node, last node first: the codes with the node on add
     its bias, and each edge to a placed node its weight where that node is on."""
+    adjacency = net.micros_adjacency()
     last = nodes.stop - 1
     g = np.zeros(1 << len(nodes), dtype=np.int64)
     for v in reversed(nodes):
+        bias, nbs = adjacency[v]
         half = 1 << (last - v)
         upper = g[half:2 * half]
-        np.add(g[:half], net.bias(v).micros, out=upper)
-        for j, w in net.neighbors(v):
+        np.add(g[:half], bias, out=upper)
+        for j, w in nbs:
             if v < j <= last:
-                _on(upper, last - j)[...] += w.micros
+                _on(upper, last - j)[...] += w
     return g
 
 
@@ -94,7 +96,8 @@ def brute_force_optima(net: Network) -> OptimumReport:
     low_g = _subnet_column(net, range(split + 1, net.n + 1))
     high_bits = _bits(np.arange(len(high_g)), split).tolist()
     # each low node's bit, and its (high bit index, weight) links
-    boundary = [(net.n - v, [(j - 1, w.micros) for j, w in net.neighbors(v) if j <= split]) for v in range(split + 1, net.n + 1)]
+    adjacency = net.micros_adjacency()
+    boundary = [(net.n - v, [(j - 1, w) for j, w in adjacency[v][1] if j <= split]) for v in range(split + 1, net.n + 1)]
     g, best, best_rows = np.empty_like(low_g), None, []  # one chunk buffer, refilled per high code
     for h, base in enumerate(high_g.tolist()):
         np.add(low_g, base, out=g)
@@ -117,6 +120,7 @@ def _forest_walk(net: Network, skip: frozenset[int]) -> list[tuple[list[int], di
     """BFS (order, parent) of each tree left after deleting `skip`, rooted at
     its lowest id; `parent` (0 at a root) is shared by all trees.  Raises
     ValueError when a cycle survives the deletion."""
+    adjacency = net.micros_adjacency()
     parent: dict[int, int] = {}
     trees = []
     for root in net.nodes():
@@ -125,7 +129,7 @@ def _forest_walk(net: Network, skip: frozenset[int]) -> list[tuple[list[int], di
         parent[root] = 0
         order = [root]
         for v in order:  # grows while iterated: breadth-first
-            for j, _ in net.neighbors(v):
+            for j, _ in adjacency[v][1]:
                 if j in skip or j == parent[v]:
                     continue
                 if j in parent:
@@ -148,8 +152,9 @@ def is_acyclic_without(net: Network, members: frozenset[int] | set[int]) -> bool
 def greedy_cutset(net: Network) -> CutsetPlan:
     """Deterministic small cutset: strip degree-<=1 nodes, then repeatedly
     take the highest-degree remaining node (lowest id on ties)."""
+    adjacency = net.micros_adjacency()
     alive = set(net.nodes())
-    deg = {i: net.degree(i) for i in alive}
+    deg = {i: len(adjacency[i][1]) for i in alive}
 
     def strip() -> None:
         queue = [i for i in alive if deg[i] <= 1]
@@ -158,7 +163,7 @@ def greedy_cutset(net: Network) -> CutsetPlan:
             if v not in alive:
                 continue
             alive.discard(v)
-            for j, _ in net.neighbors(v):
+            for j, _ in adjacency[v][1]:
                 if j in alive:
                     deg[j] -= 1
                     if deg[j] <= 1:
@@ -170,7 +175,7 @@ def greedy_cutset(net: Network) -> CutsetPlan:
         pick = max(alive, key=lambda i: (deg[i], -i))
         members.add(pick)
         alive.discard(pick)
-        for j, _ in net.neighbors(pick):
+        for j, _ in adjacency[pick][1]:
             if j in alive:
                 deg[j] -= 1
         strip()
@@ -191,16 +196,18 @@ def _conditioned_chunk(net: Network, trees, members: list[int], ybits: np.ndarra
     of the codes whose maximum equals a given value.  Fixed neighbors fold
     into a free node's bias; ties prefer the unit on, as in the >= rules."""
     dtype = object if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS else np.int64
+    adjacency = net.micros_adjacency()
     y = dict(zip(members, ybits.T.astype(dtype)))
     zero = np.zeros(len(ybits), dtype=dtype)
-    total = zero + sum(net.bias(i).micros * y[i] for i in members)
+    total = zero + sum(adjacency[i][0] * y[i] for i in members)
     total = total + sum(w.micros * y[i] * y[j] for i, j, w in net.edges() if i in y and j in y)
     acc0, acc1 = {}, {}  # node -> sum of its children's best with it off, with it on
     choice = {}  # free node -> its best bit with its parent off, with it on
     for order, parent in trees:
         for v in reversed(order):  # a root's parent is node 0, which stays off
+            bias, nbs = adjacency[v]
             off = acc0.pop(v, zero)
-            on = acc1.pop(v, zero) + net.bias(v).micros + sum(w.micros * y[j] for j, w in net.neighbors(v) if j in y)
+            on = acc1.pop(v, zero) + bias + sum(w * y[j] for j, w in nbs if j in y)
             p = parent[v]
             on_up = on + net.weight(v, p).micros if p else on
             choice[v] = (on >= off, on_up >= off)

@@ -65,7 +65,7 @@ class ActivationRegister:
 
 def zero_register(net: Network, i: int, cutset: frozenset[int]) -> ActivationRegister:
     if i in cutset:
-        pairs = tuple((j, 0) for j, _ in net.neighbors(i))
+        pairs = tuple((j, 0) for j, _ in net.micros_adjacency()[i][1])
         return ActivationRegister(cutset_g1=pairs)
     return ActivationRegister()
 
@@ -225,6 +225,7 @@ def _derive_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: s
     point only if every node that can still turn legal is reachable.
     """
     none: frozenset[int] = frozenset()
+    adjacency = net.micros_adjacency()
     waiting: dict[int, int] = {}  # eligible node -> children not yet legal
     seen: set[int] = set()
     ready: list[int] = []
@@ -234,7 +235,7 @@ def _derive_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: s
         own = pointers.get(i, none)
         if len(own) > 1:
             return
-        nbs = net.neighbors(i)
+        nbs = adjacency[i][1]
         children = missing = 0
         for j, _ in nbs:
             if j not in own:
@@ -273,9 +274,10 @@ def update_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: se
     nodes are still legal, and derived again from the leaves up; the
     walk keeps a pointer ring closed by the move out of the fixed point.
     """
+    adjacency = net.micros_adjacency()
     seeds = set(moved)
     for v in moved:
-        seeds.update(j for j, _ in net.neighbors(v))
+        seeds.update(j for j, _ in adjacency[v][1])
     cleared = list(seeds)
     stack = [v for v in seeds if v in legal]
     legal.difference_update(seeds)
@@ -300,6 +302,7 @@ def legality_map(net: Network, pointers: Mapping[int, frozenset[int]]) -> dict[i
     most one non-pointing neighbor.  The whole map takes O(n + m) time.
     """
     none: frozenset[int] = frozenset()
+    adjacency = net.micros_adjacency()
     legal: set[int] = set()
     _derive_legal(net, pointers, legal, net.nodes())
     result = {}
@@ -307,6 +310,6 @@ def legality_map(net: Network, pointers: Mapping[int, frozenset[int]]) -> dict[i
         if i in legal:
             result[i] = Legality.LEGAL
         else:
-            non_pointing = sum(1 for j, _ in net.neighbors(i) if i not in pointers.get(j, none))
+            non_pointing = sum(1 for j, _ in adjacency[i][1] if i not in pointers.get(j, none))
             result[i] = Legality.CANDIDATE if non_pointing <= 1 else Legality.ILLEGAL
     return result

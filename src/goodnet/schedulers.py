@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .network import Network, parse_node_ids
+from .network import parse_node_ids
 
 
 class Scheduler:
@@ -85,21 +85,12 @@ class FairExclusion(Scheduler):
     consecutive steps contain a full pass of solo activations; even
     steps are uniform random nonempty subsets.  This yields both
     fairness and fair exclusion with window 2n by construction.
-
-    With `exclude_adjacent_in` set, random subsets are thinned to
-    independent sets of that network, so two neighbors never run in
-    the same event.  Sequential activations can never produce mutual
-    parent pointers (a unit never adopts a neighbor that already
-    points at it), so this regime keeps the pointer protocol's
-    legality invariants intact; co-executing neighbors can transiently
-    break them.
     """
 
-    def __init__(self, seed: int, exclude_adjacent_in: Network | None = None):
+    def __init__(self, seed: int):
         self._rng = random.Random(seed)
         self._step = 0
         self._cursor = 0
-        self._net = exclude_adjacent_in
 
     def next_set(self, n: int) -> frozenset[int]:
         forced = self._step % 2 == 1
@@ -109,14 +100,7 @@ class FairExclusion(Scheduler):
             self._cursor += 1
             return frozenset({pick})
         size = self._rng.randint(1, n)
-        chosen = self._rng.sample(range(1, n + 1), size)
-        if self._net is None:
-            return frozenset(chosen)
-        picked: set[int] = set()
-        for i in chosen:
-            if not any(j in picked for j, _ in self._net.neighbors(i)):
-                picked.add(i)
-        return frozenset(picked)
+        return frozenset(self._rng.sample(range(1, n + 1), size))
 
 
 def parse_scheduler(text: str, seed: int = 0) -> Scheduler:

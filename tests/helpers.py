@@ -9,7 +9,7 @@ import itertools
 import random
 from dataclasses import replace
 
-from goodnet import Legality, Network, Weight
+from goodnet import FairExclusion, Legality, Network, Weight
 from goodnet.oracle import _forest_walk
 from goodnet.rules import (
     ActivationRegister,
@@ -104,6 +104,33 @@ def cutset_optimize_reference(net: Network, members):
         elif value == best:
             witnesses.append(witness)
     return best, tuple(sorted(witnesses)), tuple(rows)
+
+
+class IndependentFairExclusion(FairExclusion):
+    """FairExclusion whose random subsets are thinned to independent sets
+    of `net`, so two neighbors never run in the same event.
+
+    Sequential activations can never produce mutual parent pointers (a
+    unit never adopts a neighbor that already points at it), so this
+    regime keeps the pointer protocol's legality invariants intact;
+    co-executing neighbors can transiently break them.  The subsets are
+    drawn as FairExclusion(seed) draws them and thinned in draw order.
+    """
+
+    def __init__(self, seed: int, net: Network):
+        super().__init__(seed)
+        self._net = net
+
+    def next_set(self, n: int) -> frozenset[int]:
+        if self._step % 2 == 1:
+            return super().next_set(n)
+        self._step += 1
+        size = self._rng.randint(1, n)
+        picked: set[int] = set()
+        for i in self._rng.sample(range(1, n + 1), size):
+            if not any(j in picked for j, _ in self._net.neighbors(i)):
+                picked.add(i)
+        return frozenset(picked)
 
 
 def local_field(net: Network, i: int, a) -> int:

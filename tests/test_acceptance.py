@@ -13,7 +13,6 @@ import pytest
 
 from goodnet import (
     CentralRoundRobin,
-    FairExclusion,
     LocalView,
     Weight,
     boltzmann_step,
@@ -28,7 +27,7 @@ from goodnet import (
 from goodnet.experiments import DEMOS
 from goodnet.rules import Legality, legality_map
 
-from helpers import D, M, W
+from helpers import D, M, IndependentFairExclusion, W
 
 
 def ok(k, msg):
@@ -83,7 +82,7 @@ def tree_suite():
             if kind == "central-rr":
                 sched = CentralRoundRobin()
             else:
-                sched = FairExclusion(seed, exclude_adjacent_in=net)
+                sched = IndependentFairExclusion(seed, net)
             result = run(net, "activate", sched, init="zeros",
                          max_passes=6 * net.n, collect_trace=True)
             runs.append((seed, kind, net, gmax, result))

@@ -40,6 +40,7 @@ from goodnet.engine import _array_event, pointer_snapshot
 
 from helpers import (
     D,
+    IndependentFairExclusion,
     M,
     W,
     apply_event_per_unit,
@@ -173,7 +174,7 @@ def test_perturbed_tree_recovers_exact_optimum():
     net = random_network("tree", 10, seed=77)
     regs = perturb(net, initial_registers(net, "zeros"), seed=78)
     result = run(
-        net, "activate", FairExclusion(79, exclude_adjacent_in=net),
+        net, "activate", IndependentFairExclusion(79, net),
         init="preset", preset=regs, max_passes=200,
     )
     assert result.stable

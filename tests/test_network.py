@@ -72,6 +72,22 @@ def test_network_validation():
         Network(0)
 
 
+@pytest.mark.parametrize(
+    "edges,biases,named",
+    [
+        ([(1, 2, 5)], {}, r"edge \(1,2\)"),
+        ([(3, 1, 0.5)], {}, r"edge \(1,3\)"),
+        ([(1, 2, W(1)), (2, 3, "1")], {}, r"edge \(2,3\)"),
+        ([], {2: 1}, "node 2"),
+        ([(1, 2, W(1))], {1: W(1), 3: None}, "node 3"),
+    ],
+)
+def test_network_rejects_non_weight_values(edges, biases, named):
+    # a plain number would serialize as text that parses back to another net
+    with pytest.raises(TypeError, match=named):
+        Network(3, edges, biases)
+
+
 def test_parse_minimal():
     net = parse_network("nodes 2\nedge 1 2 1.5")
     assert net.n == 2
@@ -138,7 +154,10 @@ def test_network_copies_and_pickles(clone):
     assert serialize_network(twin) == serialize_network(net)
     # the caches are derived again, not shared
     assert twin.micros_adjacency() == adjacency and twin.micros_adjacency() is not adjacency
-    assert twin.half_edges() is not half_edges and twin.half_edges().index == half_edges.index
+    twin_half_edges = twin.half_edges()
+    assert twin_half_edges is not half_edges
+    assert twin_half_edges.rev.tolist() == half_edges.rev.tolist()
+    assert twin_half_edges.dst.tolist() == half_edges.dst.tolist()
 
 
 def test_micros_adjacency_is_built_once_from_the_weights():
@@ -146,8 +165,15 @@ def test_micros_adjacency_is_built_once_from_the_weights():
     adjacency = net.micros_adjacency()
     assert net.micros_adjacency() is adjacency
     assert adjacency[0] == (0, ())
+    rows = {i: [] for i in net.nodes()}
+    for i, j, w in net.edges():
+        rows[i].append((j, w.micros))
+        rows[j].append((i, w.micros))
     for i in net.nodes():
-        assert adjacency[i] == (net.bias(i).micros, tuple((j, w.micros) for j, w in net.neighbors(i)))
+        assert adjacency[i] == (net.bias(i).micros, tuple(sorted(rows[i])))
+        ids = sorted(j for j, _ in rows[i])
+        assert net.neighbors(i) == tuple((j, net.weight(i, j)) for j in ids)
+        assert net.degree(i) == len(ids)
 
 
 def test_serialize_round_trip_fixtures():

@@ -11,6 +11,8 @@ from goodnet import (
     run,
 )
 
+from helpers import IndependentFairExclusion
+
 
 def collect(sched, n, steps):
     return [sched.next_set(n) for _ in range(steps)]
@@ -84,7 +86,7 @@ def test_fair_exclusion_contract():
 
 def test_fair_exclusion_independent_subsets():
     net = random_network("sparse", 8, m=3, seed=2)
-    sched = FairExclusion(4, exclude_adjacent_in=net)
+    sched = IndependentFairExclusion(4, net)
     for ids in collect(sched, 8, 200):
         assert ids
         for i in ids:
