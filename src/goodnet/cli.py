@@ -109,7 +109,7 @@ def cmd_oracle(args) -> int:
     cutset = _parse_cutset(net, args.cutset)
     if cutset is None and net.cutset:
         cutset = net.cutset
-    if cutset:
+    if cutset is not None:
         plan = plan_from_members(net, cutset)
         report = cutset_exact_optimize(net, plan)
     else:

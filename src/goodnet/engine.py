@@ -19,10 +19,11 @@ one adjacency (`Network.micros_adjacency`), the array pass through the
 CSR arrays built from it, and both hand each unit's new field values to one
 commit, which emits a delta per changed field and rebuilds the unit's
 register only when some field changed.  The array pass keeps the
-registers as columns on the network: it reads them in full only when
-the register list differs from the one it last left, and otherwise
-updates them at the changed units.  A network must therefore not be
-driven by two threads at once.
+registers as columns on the network, with a copy of the register list
+they describe: an event reads again only the registers that are not the
+objects in that copy (every one on the net's first array event or on
+another list), and writes its own changes into the columns.  A network
+must therefore not be driven by two threads at once.
 
 A run is declared stable after a full quiet window: no register
 changed for 2n consecutive events and every unit was re-activated on
@@ -122,9 +123,9 @@ def _unit_update(
 # nodes: a per-unit update costs 16-19 us and an array event 90-120 us
 # plus 1.0-1.7 us per node, so the array pass wins from about 5-8 + n/11-16
 # units.  An array event that finds its register columns kept from the
-# previous one costs 110-130 us plus 0.6-0.9 us per node, but an event
-# after per-unit events or on another register list reads them again, so
-# schedules mixing both kinds see the first cost.  The floor of 16 keeps
+# previous one costs 110-130 us plus 0.6-0.9 us per node; after per-unit
+# events it reads again only the registers they changed, and only an event
+# on another register list pays the first cost.  The floor of 16 keeps
 # every net under 16 nodes on the per-unit path.
 ARRAY_MIN_UNITS = 16
 _INT64_LIMIT = 1 << 62  # array values stay below this, or the pass runs on Python ints
@@ -155,14 +156,14 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
 class _Columns:
     """The registers of one register list as arrays: `x`, `g0` and `g1` per
     node, and per half-edge i -> j the `pointer` bit (j in regs[i].points_to)
-    and the value i publishes toward j (`pub`: regs[i].g1_toward(j), the
-    first matching cutset_g1 entry winning); `paired` marks the registers
-    with a cutset_g1 and `dropped` those with fewer pointer bits than
-    pointer ids (one aims at a non-neighbor, at itself or outside 1..n,
-    and their update drops it).  `regs`
-    is a copy of the list they describe.  `act` holds the sorted ids of the
-    last event's unit set `ids`, kept by reference so that only that same
-    frozenset, never a recycled one, reuses it."""
+    and the value i publishes toward j (`pub`: regs[i].g1_toward(j));
+    `paired` marks the registers with a cutset_g1 and `dropped` those with
+    fewer pointer bits than pointer ids (one aims at a non-neighbor, at
+    itself or outside 1..n, and their update drops it).  `regs` is a copy
+    of the list they describe, [None] * (n + 1) before the first load.
+    `act` holds the sorted ids of the last event's unit set `ids`, kept by
+    reference so that only that same frozenset, never a recycled one,
+    reuses it."""
 
     regs: list
     x: np.ndarray
@@ -176,49 +177,35 @@ class _Columns:
     act: np.ndarray | None = None
 
 
-def _published(reg: ActivationRegister, nbs: tuple) -> list:
-    """reg.g1_toward(j) for each neighbor (j, w) in `nbs` of a register with
-    a cutset_g1."""
-    toward = dict(reversed(reg.cutset_g1))  # the first entry for a reader wins
-    return [toward.get(j, 0) for j, _ in nbs]
-
-
-def _read_columns(net: Network, regs: list) -> _Columns:
-    """Read every register of `regs` into new columns, int64 when every
-    value fits and Python ints (dtype=object) otherwise."""
+def _load_rows(net: Network, cols: _Columns, regs: list, rows: list) -> None:
+    """Read the registers regs[i], i in `rows` (ascending), into their
+    entries of the columns, which turn to Python ints (dtype=object) when a
+    value does not fit int64.  The one place a register becomes column
+    entries."""
+    if not rows:
+        return
     he = net.half_edges()
     adjacency = net.micros_adjacency()
-    n = net.n
-    units = regs[1 : n + 1]
-    first = he.indptr.tolist()
-    paired = [i for i, r in enumerate(units, 1) if r.cutset_g1 is not None]
-    published = []  # (half-edge i -> j, regs[i].g1_toward(j)) for the paired registers
-    for i in paired:
-        published += zip(range(first[i], first[i + 1]), _published(regs[i], adjacency[i][1]))
-    pointer = np.array([j in r.points_to for i, r in enumerate(units, 1) for j, _ in adjacency[i][1]], dtype=bool)
-    is_dropped = he.row_sums(pointer) != [0] + [len(r.points_to) for r in units]
-    is_paired = np.array([False] + [r.cutset_g1 is not None for r in units])
-    columns = ([0] + [r.x for r in units], [0] + [r.g0 for r in units], [0] + [r.g1 for r in units], [v for _, v in published])
+    units = [regs[i] for i in rows]
+    loaded = np.zeros(net.n + 1, dtype=bool)
+    loaded[rows] = True
+    edges = loaded[he.src]  # the rows' half-edges; masks take values in ascending order
+    cols.pointer[edges] = [j in r.points_to for i, r in zip(rows, units) for j, _ in adjacency[i][1]]
+    cols.dropped[loaded] = he.row_sums(cols.pointer)[loaded] != [len(r.points_to) for r in units]
+    cols.paired[loaded] = [r.cutset_g1 is not None for r in units]
+    published = [r.g1_toward(j) for i, r in zip(rows, units) if r.cutset_g1 is not None for j, _ in adjacency[i][1]]
+    x, g0, g1 = [r.x for r in units], [r.g0 for r in units], [r.g1 for r in units]
+
+    def store():
+        cols.x[loaded], cols.g0[loaded], cols.g1[loaded] = x, g0, g1
+        cols.pub[edges] = cols.g1[he.src[edges]]
+        cols.pub[edges & cols.paired[he.src]] = published
+
     try:
-        x, g0, g1, pub_values = (np.array(c, dtype=np.int64) for c in columns)
-    except OverflowError:
-        x, g0, g1, pub_values = (np.array(c, dtype=object) for c in columns)
-    pub = g1[he.src]
-    pub[[e for e, _ in published]] = pub_values
-    return _Columns(list(regs), x, g0, g1, pointer, pub, is_paired, is_dropped)
-
-
-def _reload_row(net: Network, cols: _Columns, regs: list, i: int) -> None:
-    """Read unit i's register into the columns again."""
-    r = regs[i]
-    first = net.half_edges().indptr
-    row = slice(first[i], first[i + 1])
-    nbs = net.micros_adjacency()[i][1]
-    cols.x[i], cols.g0[i], cols.g1[i] = r.x, r.g0, r.g1
-    cols.pointer[row] = bits = [j in r.points_to for j, _ in nbs]
-    cols.dropped[i] = bits.count(True) != len(r.points_to)
-    cols.paired[i] = r.cutset_g1 is not None
-    cols.pub[row] = r.g1 if r.cutset_g1 is None else _published(r, nbs)
+        store()
+    except OverflowError:  # a value past int64
+        cols.x, cols.g0, cols.g1, cols.pub = (c.astype(object) for c in (cols.x, cols.g0, cols.g1, cols.pub))
+        store()
 
 
 def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutset: frozenset[int]) -> tuple:
@@ -227,23 +214,30 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
 
     Reads the same snapshot and yields the same deltas and registers as
     the per-unit rule steps of :mod:`goodnet.rules`, which stay the
-    specification.  The registers are read as columns (`_Columns`) that
-    the net keeps across events: they are read again in full whenever
-    `regs` is not equal, register by register, to the list they were
-    last read from (another list, or one changed since by anything but
-    this function), and afterwards only the changed units are written
-    back into them.  Every array value is bounded by
-    2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros, checked on the
-    columns on every event; when that reaches 2**62 the same code runs
-    on Python ints (dtype=object).
+    specification.  The registers are read (`_load_rows`) into columns
+    (`_Columns`) that the net keeps across events: every register on the
+    net's first array event, and then only those that are not the objects
+    of the list the columns last described.  After the event the changed
+    tree units are written back from the new columns and the changed
+    cutset, paired and dropped units read again.  Every array value is
+    bounded by 2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros, checked
+    on the columns on every event; when that reaches 2**62 the same code
+    runs on Python ints (dtype=object).
     """
     he = net.half_edges()
     adjacency = net.micros_adjacency()
     n = net.n
     cols = net._register_columns
-    if cols is None or cols.regs != regs:
-        cols = _read_columns(net, regs)
+    if cols is None:  # no register is kept, so the load below reads every one
+        m = len(he.dst)
+        cols = _Columns(
+            [None] * (n + 1),
+            np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64),
+            np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64), np.zeros(n + 1, dtype=bool), np.zeros(n + 1, dtype=bool),
+        )
         object.__setattr__(net, "_register_columns", cols)
+    if cols.regs != regs:
+        _load_rows(net, cols, regs, [i for i, (kept, r) in enumerate(zip(cols.regs, regs)) if kept is not r])
     g = np.concatenate((cols.g0, cols.g1, cols.pub))
     g_max = max(int(g.max()), -int(g.min()))
     x_max = max(1, int(cols.x.max()), -int(cols.x.min()))
@@ -313,8 +307,7 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     tree_rows = tree[src]
     pointer[tree_rows] = new_pointer[tree_rows]
     pub[tree_rows] = new_g1[src[tree_rows]]
-    for i in reload:
-        _reload_row(net, cols, regs, i)
+    _load_rows(net, cols, regs, reload)  # last: a cast to Python ints replaces the arrays held above
     cols.regs[:] = regs
     return tuple(deltas)
 

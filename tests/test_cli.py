@@ -195,6 +195,23 @@ def test_oracle_cutset_auto_prints_the_conditioning_table(capsys, tmp_path):
         assert len(expected) == 2 ** len(goodnet.greedy_cutset(net).members)
 
 
+def test_oracle_cutset_auto_conditions_on_an_acyclic_net(capsys, tmp_path):
+    # greedy_cutset leaves no node on a tree, and the empty cutset is still a
+    # conditioning: one code, solved by the forest DP, not the exhaustive scan
+    # (capped at 26 nodes)
+    import goodnet
+
+    net = random_network("tree", 40, seed=3)
+    assert goodnet.greedy_cutset(net).members == frozenset()
+    path = tmp_path / "tree40.net"
+    path.write_text(serialize_network(net))
+    code, out, err = run_cli(capsys, "oracle", "--net", str(path), "--cutset", "auto")
+    assert (code, err) == (0, "")
+    head, witness, cond = out.splitlines()
+    assert head == "OPT goodness=65 count=1" and cond == "COND y= goodness=65"
+    assert net.goodness([int(b) for b in witness]) == goodnet.Weight.from_decimal("65")
+
+
 def test_oracle_size_cap(capsys):
     import goodnet
 

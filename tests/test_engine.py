@@ -36,7 +36,7 @@ from goodnet import (
 )
 
 from goodnet import engine
-from goodnet.engine import _array_event, pointer_snapshot
+from goodnet.engine import _array_event, _load_rows, pointer_snapshot
 
 from helpers import (
     D,
@@ -758,3 +758,50 @@ def test_array_events_reuse_sorted_ids_only_for_the_same_set(rule):
         assert apply_event(net, regs, ids, rule, cutset) == apply_event_per_unit(net, reference, ids, rule, cutset)
         assert regs == reference
         assert net._register_columns.ids is ids
+
+
+@pytest.mark.parametrize("rule", TREE_RULES)
+def test_array_event_reads_again_only_the_registers_that_differ(rule, monkeypatch):
+    # the first array event on a net reads every register; per-unit events
+    # then change k of them, and the next array event reads those k only
+    net = random_network("sparse", 40, m=6, seed=7)
+    cutset = frozenset({4}) if rule == "activate-with-cutset" else frozenset()
+    regs = initial_registers(net, "random", cutset, 2)
+    reference = list(regs)
+    loads = []
+    monkeypatch.setattr(engine, "_load_rows", lambda net, cols, regs, rows: loads.append(list(rows)) or _load_rows(net, cols, regs, rows))
+    sync = frozenset(net.nodes())
+    assert apply_event(net, regs, sync, rule, cutset) == apply_event_per_unit(net, reference, sync, rule, cutset)
+    assert loads[0] == list(net.nodes())
+    changed = set()
+    for i in (3, 8, 8, 21, 30, 31, 35, 37):
+        deltas = apply_event(net, regs, frozenset({i}), rule, cutset)
+        assert deltas == apply_event_per_unit(net, reference, {i}, rule, cutset)
+        changed |= {j for j, _, _ in deltas}
+    assert regs == reference and changed
+    loads.clear()
+    assert apply_event(net, regs, sync, rule, cutset) == apply_event_per_unit(net, reference, sync, rule, cutset)
+    assert regs == reference
+    assert loads[0] == sorted(changed)
+    # afterwards only the changed cutset unit is read from its register
+    assert [rows for rows in loads[1:] if rows] == ([[4]] if cutset else [])
+
+
+@pytest.mark.parametrize("rule", TREE_RULES)
+def test_a_register_past_int64_turns_the_kept_columns_to_python_ints(rule):
+    net = random_network("sparse", 20, m=3, seed=4)
+    cutset = frozenset({2}) if rule == "activate-with-cutset" else frozenset()
+    regs = assert_same_event(net, initial_registers(net, "random", cutset, 3), net.nodes(), rule, cutset)
+    cols = net._register_columns
+    assert cols.x.dtype == np.int64
+    nbs = net.micros_adjacency()[6][1]
+    j = nbs[0][0]
+    regs[5] = replace(regs[5], g0=2**70, g1=-(2**70))
+    regs[6] = replace(regs[6], cutset_g1=((j, 2**65), (j, 1)))  # j reads the first entry, the others 0
+    _load_rows(net, cols, regs, [5, 6])
+    assert cols.x.dtype == cols.pub.dtype == object
+    assert (cols.g0[5], cols.g1[5], cols.paired[6]) == (2**70, -(2**70), True)
+    first = net.half_edges().indptr
+    assert set(cols.pub[first[5] : first[6]].tolist()) == {-(2**70)}
+    assert cols.pub[first[6] : first[7]].tolist() == [2**65 if i == j else 0 for i, _ in nbs]
+    assert_same_event(net, regs, net.nodes(), rule, cutset)
