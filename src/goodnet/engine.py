@@ -29,6 +29,10 @@ A run is declared stable after a full quiet window: no register
 changed for 2n consecutive events and every unit was re-activated on
 the final state at least once.  Stochastic rules simply exhaust their
 pass budget and report stable=False.
+
+An untraced run under central-rr or sync-all and a rule other than
+boltzmann that enters a register cycle skips whole cycles up to its
+pass budget (see `run`), with the result the replayed events give.
 """
 
 from __future__ import annotations
@@ -465,6 +469,18 @@ def run(
     is re-derived after each pointer move only on the moved nodes, their
     neighbors and the legal chains above them (`update_legal`).  An
     untraced run does neither.
+
+    An untraced run under a scheduler with a `period` (central-rr,
+    sync-all) and a rule other than boltzmann compares its registers,
+    at the ends of scheduler periods, with a copy saved at the first and
+    again after 1, 2, 4, 8 ... more periods (Brent's cycle test).  A
+    match after some register changed is a cycle of that many events.
+    No run stops inside it (a stop needs every unit activated on
+    unchanged registers, which makes them a fixed point), and the run
+    plays the cycle once more, where a stop would still show, before it
+    moves the event count, the last change and the last activations on
+    by as many whole cycles as fit in the budget.  Every field of the
+    result is the one the replayed events would give.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -492,7 +508,6 @@ def run(
     last_activated = [-1] * (n + 1)
     fresh = 0  # distinct units activated after the last change
     stable = False
-    step = -1
     if trace is not None:
         # running legal set, carried across pointer moves by update_legal
         pointers = pointer_snapshot(regs)
@@ -503,7 +518,16 @@ def run(
         adjacency = net.micros_adjacency()
 
     max_events = max_passes * n
-    for step in range(max_events):
+    # Brent's cycle test at the ends of scheduler periods: `saved` is the
+    # register list `saved_at` events in, copied again after `span` more.
+    # The first copy waits for the first period end, so a run whose
+    # registers stop changing in its first period keeps no old ones alive.
+    period = None if trace is not None or rule == "boltzmann" else scheduler.period(n)
+    check_at = period or -1  # the next event count that ends a period, or that ends the extra cycle
+    saved, saved_at, span, cycle = None, 0, period, 0
+    done = 0
+    while done < max_events:
+        step = done
         ids = scheduler.next_set(n)
         if not ids:
             raise ValueError("scheduler produced an empty event")
@@ -541,11 +565,26 @@ def run(
                     deltas=deltas,
                 )
             )
+        done = step + 1
         if step - last_change >= window and fresh == n:
             stable = True
             break
+        if done == check_at:
+            if cycle:  # one whole cycle ran since the match: skip as many more as fit
+                skip = (max_events - done) // cycle * cycle
+                done += skip
+                last_change += skip
+                last_activated = [t + skip for t in last_activated]
+                check_at = -1
+            elif last_change >= saved_at and regs == saved:
+                cycle = done - saved_at
+                check_at = done + cycle
+            else:
+                if done - saved_at == span:
+                    saved, saved_at, span = regs.copy(), done, 2 * span
+                check_at = done + period
 
-    events = step + 1
+    events = done
     assignment = assignment_of(regs)
     return RunResult(
         assignment=assignment,

@@ -17,8 +17,19 @@ from .network import parse_node_ids
 
 
 class Scheduler:
+    """A source of activation sets.
+
+    `period(n)` is how many `next_set(n)` calls it takes for the sets to
+    repeat, from any cursor, or None when they need not repeat.  `run`
+    trusts it to skip whole register cycles, so a subclass that overrides
+    `next_set` must override `period` too.
+    """
+
     def next_set(self, n: int) -> frozenset[int]:
         raise NotImplementedError
+
+    def period(self, n: int) -> int | None:
+        return None
 
 
 class CentralRoundRobin(Scheduler):
@@ -55,6 +66,9 @@ class CentralRoundRobin(Scheduler):
         self._cursor += 1
         return frozenset((pick,))
 
+    def period(self, n: int) -> int | None:
+        return n if self.order is None else len(self.order)
+
 
 class CentralRandom(Scheduler):
     """Uniform random singletons."""
@@ -76,6 +90,9 @@ class SynchronousAll(Scheduler):
         if len(self._all) != n:
             self._all = frozenset(range(1, n + 1))
         return self._all
+
+    def period(self, n: int) -> int | None:
+        return 1
 
 
 class FairExclusion(Scheduler):

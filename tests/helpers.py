@@ -19,6 +19,7 @@ from goodnet.rules import (
     cutset_goodness_step,
     hopfield_step,
 )
+from goodnet.schedulers import Scheduler
 
 
 def enumerate_optima(net: Network):
@@ -131,6 +132,18 @@ class IndependentFairExclusion(FairExclusion):
             if not any(j in picked for j, _ in self._net.neighbors(i)):
                 picked.add(i)
         return frozenset(picked)
+
+
+class NeverSkipped(Scheduler):
+    """Hands out `inner`'s sets but keeps the base class's `period` of
+    None, so `run` replays every event under it: the reference for runs
+    that skip repeated register cycles."""
+
+    def __init__(self, inner: Scheduler):
+        self.inner = inner
+
+    def next_set(self, n: int) -> frozenset[int]:
+        return self.inner.next_set(n)
 
 
 def local_field(net: Network, i: int, a) -> int:

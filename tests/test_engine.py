@@ -42,6 +42,7 @@ from helpers import (
     D,
     IndependentFairExclusion,
     M,
+    NeverSkipped,
     W,
     apply_event_per_unit,
     legality_map_fixpoint,
@@ -805,3 +806,101 @@ def test_a_register_past_int64_turns_the_kept_columns_to_python_ints(rule):
     assert set(cols.pub[first[5] : first[6]].tolist()) == {-(2**70)}
     assert cols.pub[first[6] : first[7]].tolist() == [2**65 if i == j else 0 for i, _ in nbs]
     assert_same_event(net, regs, net.nodes(), rule, cutset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_skipping_register_cycles_changes_no_result(data):
+    # the same run under the scheduler and under NeverSkipped, which
+    # replays every event: whole results equal, registers included, and
+    # both schedulers go on handing out the same sets
+    kind = data.draw(st.sampled_from(["sparse", "tree"]))
+    n = data.draw(st.integers(2, 30))
+    m = data.draw(st.integers(0, min(4, (n - 1) * (n - 2) // 2))) if kind == "sparse" else 0
+    net = random_network(kind, n, m=m, seed=data.draw(st.integers(0, 2**32 - 1)))
+    rule = data.draw(st.sampled_from(["hopfield", "activate", "activate-with-cutset"]))
+    cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
+    scheduler = data.draw(st.sampled_from(["central-rr", "central-rr:order", "sync-all"]))
+    order = None
+    if scheduler == "central-rr:order":  # every unit, some repeated, so the period is not n
+        repeats = data.draw(st.lists(st.integers(1, n), max_size=n))
+        order = tuple(data.draw(st.permutations([*range(1, n + 1), *repeats])))
+    make = SynchronousAll if scheduler == "sync-all" else lambda: CentralRoundRobin(order)
+    skipping, replaying = make(), make()
+    start = dict(
+        init=data.draw(st.sampled_from(["zeros", "random"])), seed=data.draw(st.integers(0, 2**16)),
+        cutset=cutset, max_passes=data.draw(st.integers(1, 60)),
+    )
+    assert run(net, rule, skipping, **start) == run(net, rule, NeverSkipped(replaying), **start)
+    assert [skipping.next_set(n) for _ in range(2 * n)] == [replaying.next_set(n) for _ in range(2 * n)]
+
+
+def counted_events(monkeypatch, limit: int | None = None) -> list:
+    """Patch engine.apply_event (which `run` looks up at call time) to log
+    the unit set of each call, and to fail the test on a call past
+    `limit`, so that a run which replays its whole budget fails fast."""
+    calls: list = []
+    real = engine.apply_event
+
+    def apply_event(*args, **kwargs):
+        calls.append(args[2])
+        assert limit is None or len(calls) <= limit, f"more than {limit} events replayed"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "apply_event", apply_event)
+    return calls
+
+
+def test_a_cycle_longer_than_the_quiet_window_is_skipped(monkeypatch):
+    # the registers repeat every 24 events (3n), more than the 2n window,
+    # so the run must see one whole cycle through before it skips
+    net = random_network("sparse", 8, m=2, seed=3034658173)
+    start = dict(init="random", seed=2351240810, cutset=frozenset({1}), max_passes=300)
+    replayed = run(net, "activate-with-cutset", NeverSkipped(CentralRoundRobin()), **start)
+    counted_events(monkeypatch, limit=99)
+    result = run(net, "activate-with-cutset", CentralRoundRobin(), **start)
+    assert result == replayed
+    assert not result.stable and result.events == 2400 and result.last_change_step == 2399
+    assert result.assignment == (1, 1, 0, 1, 1, 1, 0, 0)
+
+
+def test_a_synchronous_run_on_a_large_sparse_net_is_skipped(monkeypatch):
+    net = random_network("sparse", 220, m=22, seed=5)
+    replayed = run(net, "activate", NeverSkipped(SynchronousAll()), init="random", seed=7, max_passes=1)
+    counted_events(monkeypatch, limit=19)
+    result = run(net, "activate", SynchronousAll(), init="random", seed=7, max_passes=1)
+    assert result == replayed and result.events == 220
+
+
+def test_an_oscillating_chain_runs_ten_million_passes_at_once(monkeypatch):
+    # chain2i(5) locks into a period-2 oscillation under sync-all; the
+    # same assignment and goodness show at 300 and 301 passes
+    net = chain2i(5)
+    replayed = [run(net, "activate", NeverSkipped(SynchronousAll()), max_passes=passes) for passes in (300, 301)]
+    counted_events(monkeypatch, limit=19)
+    result = run(net, "activate", SynchronousAll(), max_passes=10_000_000)
+    assert (result.stable, result.events, result.last_change_step) == (False, 10**8, 10**8 - 1)
+    assert result.assignment == (1,) * 10 and result.goodness_final == W(14)
+    assert all((r.assignment, r.goodness_final) == (result.assignment, result.goodness_final) for r in replayed)
+
+
+@pytest.mark.parametrize(
+    "rule, scheduler, traced",
+    [
+        ("activate-with-cutset", "central-rr", True),
+        ("activate", "sync-all", True),
+        ("boltzmann", "central-rr", False),
+        ("boltzmann", "sync-all", False),
+        ("activate-with-cutset", "central-random", False),
+        ("activate-with-cutset", "fair-excl", False),
+    ],
+)
+def test_runs_that_may_not_skip_make_one_call_per_event(rule, scheduler, traced, monkeypatch):
+    net = random_network("sparse", 8, m=2, seed=3034658173)
+    calls = counted_events(monkeypatch)
+    result = run(
+        net, rule, SCHEDULERS[scheduler](5), init="random", seed=2351240810, max_passes=40,
+        cutset=frozenset({1}) if rule == "activate-with-cutset" else None,
+        temperature=W(1) if rule == "boltzmann" else None, collect_trace=traced,
+    )
+    assert len(calls) == result.events

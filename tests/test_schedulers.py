@@ -11,7 +11,7 @@ from goodnet import (
     run,
 )
 
-from helpers import IndependentFairExclusion
+from helpers import IndependentFairExclusion, NeverSkipped
 
 
 def collect(sched, n, steps):
@@ -91,6 +91,33 @@ def test_fair_exclusion_independent_subsets():
         assert ids
         for i in ids:
             assert not any(j in ids for j, _ in net.neighbors(i))
+
+
+@pytest.mark.parametrize("advanced", [0, 5])
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (CentralRoundRobin, 6),
+        (lambda: CentralRoundRobin((3, 1, 2, 3, 6, 5, 4, 1)), 8),
+        (lambda: parse_scheduler("scripted:1,4,2,5,3,6"), 6),
+        (SynchronousAll, 1),
+    ],
+)
+def test_period_is_the_length_after_which_the_sets_repeat(make, expected, advanced):
+    # also on a scheduler whose cursor has already moved, as on reuse
+    sched = make()
+    collect(sched, 6, advanced)
+    period = sched.period(6)
+    assert period == expected
+    sets = collect(sched, 6, 3 * period)
+    assert sets[period:] == sets[:-period]
+
+
+def test_schedulers_that_need_not_repeat_have_no_period():
+    net = random_network("sparse", 6, m=2, seed=1)
+    for sched in (CentralRandom(3), FairExclusion(3), IndependentFairExclusion(3, net), NeverSkipped(SynchronousAll())):
+        collect(sched, 6, 5)
+        assert sched.period(6) is None
 
 
 def test_parse_scheduler():
