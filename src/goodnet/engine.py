@@ -7,8 +7,8 @@ activation); all writes commit together afterwards.  A singleton event
 therefore behaves exactly like one sequential activation.
 
 An event computes the same deltas one of two ways.  Singletons, other
-small events and every boltzmann event run the rule steps of
-:mod:`goodnet.rules`, the executable specification, once per unit; a
+small events, boltzmann events and events past int64 run the rule steps
+of :mod:`goodnet.rules`, the executable specification, once per unit; a
 per-unit update costs less than the array pass's fixed set-up, and
 boltzmann's per-unit random draws must keep their order.  An event of
 at least ARRAY_MIN_UNITS + n // 12 units under hopfield, activate or
@@ -132,7 +132,7 @@ def _unit_update(
 # on another register list pays the first cost.  The floor of 16 keeps
 # every net under 16 nodes on the per-unit path.
 ARRAY_MIN_UNITS = 16
-_INT64_LIMIT = 1 << 62  # array values stay below this, or the pass runs on Python ints
+_INT64_LIMIT = 1 << 62  # array values stay below this, or the event runs per unit
 
 
 def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
@@ -158,16 +158,14 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
 
 @dataclass(slots=True, eq=False)
 class _Columns:
-    """The registers of one register list as arrays: `x`, `g0` and `g1` per
-    node, and per half-edge i -> j the `pointer` bit (j in regs[i].points_to)
-    and the value i publishes toward j (`pub`: regs[i].g1_toward(j));
-    `paired` marks the registers with a cutset_g1 and `dropped` those with
-    fewer pointer bits than pointer ids (one aims at a non-neighbor, at
-    itself or outside 1..n, and their update drops it).  `regs` is a copy
-    of the list they describe, [None] * (n + 1) before the first load.
-    `act` holds the sorted ids of the last event's unit set `ids`, kept by
-    reference so that only that same frozenset, never a recycled one,
-    reuses it."""
+    """The registers of one register list as int64 arrays: `x`, `g0` and
+    `g1` per node, and per half-edge i -> j the `pointer` bit (j in
+    regs[i].points_to) and the value i publishes toward j (`pub`:
+    regs[i].g1_toward(j)); `paired` marks the registers with a cutset_g1
+    and `dropped` those with fewer pointer bits than pointer ids (one aims
+    at a non-neighbor, at itself or outside 1..n, and their update drops
+    it).  `regs` is a copy of the list they describe, [None] * (n + 1)
+    before the first load."""
 
     regs: list
     x: np.ndarray
@@ -177,44 +175,34 @@ class _Columns:
     pub: np.ndarray
     paired: np.ndarray
     dropped: np.ndarray
-    ids: frozenset | None = None
-    act: np.ndarray | None = None
 
 
 def _load_rows(net: Network, cols: _Columns, regs: list, rows: list) -> None:
     """Read the registers regs[i], i in `rows` (ascending), into their
-    entries of the columns, which turn to Python ints (dtype=object) when a
-    value does not fit int64.  The one place a register becomes column
-    entries."""
+    entries of the columns.  The one place a register becomes column
+    entries.  Raises OverflowError, having written nothing, when a value
+    does not fit int64."""
     if not rows:
         return
     he = net.half_edges()
     adjacency = net.micros_adjacency()
     units = [regs[i] for i in rows]
+    x, g0, g1 = np.array([(r.x, r.g0, r.g1) for r in units], dtype=np.int64).T
+    published = np.array([r.g1_toward(j) for i, r in zip(rows, units) if r.cutset_g1 is not None for j, _ in adjacency[i][1]], dtype=np.int64)
     loaded = np.zeros(net.n + 1, dtype=bool)
     loaded[rows] = True
     edges = loaded[he.src]  # the rows' half-edges; masks take values in ascending order
     cols.pointer[edges] = [j in r.points_to for i, r in zip(rows, units) for j, _ in adjacency[i][1]]
     cols.dropped[loaded] = he.row_sums(cols.pointer)[loaded] != [len(r.points_to) for r in units]
     cols.paired[loaded] = [r.cutset_g1 is not None for r in units]
-    published = [r.g1_toward(j) for i, r in zip(rows, units) if r.cutset_g1 is not None for j, _ in adjacency[i][1]]
-    x, g0, g1 = [r.x for r in units], [r.g0 for r in units], [r.g1 for r in units]
-
-    def store():
-        cols.x[loaded], cols.g0[loaded], cols.g1[loaded] = x, g0, g1
-        cols.pub[edges] = cols.g1[he.src[edges]]
-        cols.pub[edges & cols.paired[he.src]] = published
-
-    try:
-        store()
-    except OverflowError:  # a value past int64
-        cols.x, cols.g0, cols.g1, cols.pub = (c.astype(object) for c in (cols.x, cols.g0, cols.g1, cols.pub))
-        store()
+    cols.x[loaded], cols.g0[loaded], cols.g1[loaded] = x, g0, g1
+    cols.pub[edges] = cols.g1[he.src[edges]]
+    cols.pub[edges & cols.paired[he.src]] = published
 
 
-def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutset: frozenset[int]) -> tuple:
+def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutset: frozenset[int]) -> tuple | None:
     """`apply_event` for the hopfield, activate and activate-with-cutset
-    rules, computed as segment sums over the net's CSR half-edges.
+    rules, computed as int64 segment sums over the net's CSR half-edges.
 
     Reads the same snapshot and yields the same deltas and registers as
     the per-unit rule steps of :mod:`goodnet.rules`, which stay the
@@ -225,36 +213,34 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     tree units are written back from the new columns and the changed
     cutset, paired and dropped units read again.  Every array value is
     bounded by 2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros, checked
-    on the columns on every event; when that reaches 2**62 the same code
-    runs on Python ints (dtype=object).
+    on the columns on every event; past int64 (that bound reaches 2**62,
+    or a register does not load) it returns None and the event runs per unit.
     """
     he = net.half_edges()
     adjacency = net.micros_adjacency()
     n = net.n
     cols = net._register_columns
     if cols is None:  # no register is kept, so the load below reads every one
+        x, g0, g1 = np.zeros((3, n + 1), dtype=np.int64)
+        paired, dropped = np.zeros((2, n + 1), dtype=bool)
         m = len(he.dst)
-        cols = _Columns(
-            [None] * (n + 1),
-            np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64),
-            np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64), np.zeros(n + 1, dtype=bool), np.zeros(n + 1, dtype=bool),
-        )
+        cols = _Columns([None] * (n + 1), x, g0, g1, np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64), paired, dropped)
         object.__setattr__(net, "_register_columns", cols)
     if cols.regs != regs:
-        _load_rows(net, cols, regs, [i for i, (kept, r) in enumerate(zip(cols.regs, regs)) if kept is not r])
-    g = np.concatenate((cols.g0, cols.g1, cols.pub))
-    g_max = max(int(g.max()), -int(g.min()))
-    x_max = max(1, int(cols.x.max()), -int(cols.x.min()))
-    dtype = np.int64 if 2 * (he.max_degree + 1) * g_max + 2 * he.magnitude * x_max < _INT64_LIMIT else object
-    if cols.x.dtype != dtype:
-        cols.x, cols.g0, cols.g1, cols.pub = (c.astype(dtype) for c in (cols.x, cols.g0, cols.g1, cols.pub))
+        try:
+            _load_rows(net, cols, regs, [i for i, (kept, r) in enumerate(zip(cols.regs, regs)) if kept is not r])
+        except OverflowError:  # the rows keep their old objects in cols.regs, so the next load reads them again
+            return None
+        cols.regs[:] = regs
     x, g0, g1, pub, pointer = cols.x, cols.g0, cols.g1, cols.pub, cols.pointer
-    w, bias = he.w.astype(dtype, copy=False), he.bias.astype(dtype, copy=False)
-    src, dst, rev = he.src, he.dst, he.rev
+    g = np.concatenate((g0, g1, pub))
+    g_max = max(int(g.max()), -int(g.min()))
+    x_max = max(1, int(x.max()), -int(x.min()))
+    if 2 * (he.max_degree + 1) * g_max + 2 * he.magnitude * x_max >= _INT64_LIMIT:
+        return None
+    w, bias, src, dst, rev = he.w, he.bias, he.src, he.dst, he.rev
     first = he.indptr.tolist()
-    if cols.ids is not ids:
-        cols.ids, cols.act = ids, np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
-    act = cols.act
+    act = np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
 
     # hopfield_step
     threshold = (he.row_sums(w * x[dst]) >= -bias).astype(np.int64)
@@ -311,7 +297,7 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     tree_rows = tree[src]
     pointer[tree_rows] = new_pointer[tree_rows]
     pub[tree_rows] = new_g1[src[tree_rows]]
-    _load_rows(net, cols, regs, reload)  # last: a cast to Python ints replaces the arrays held above
+    _load_rows(net, cols, regs, reload)  # new values the bound above keeps within int64
     cols.regs[:] = regs
     return tuple(deltas)
 
@@ -335,12 +321,13 @@ def apply_event(
     An event of at least ARRAY_MIN_UNITS + n // 12 units under a rule
     other than boltzmann runs as one array pass (`_array_event`), whose
     fixed cost outweighs the per-unit updates only on large events.
-    Smaller events, singletons among them, and boltzmann events, whose
-    per-unit random draws keep their order, run the rule steps of
-    :mod:`goodnet.rules` one unit at a time.
+    Smaller events, singletons among them, boltzmann events, whose
+    per-unit random draws keep their order, and events whose values pass
+    int64 run the rule steps of :mod:`goodnet.rules` one unit at a time.
     """
     if rule != "boltzmann" and len(ids) >= ARRAY_MIN_UNITS + net.n // 12:
-        return _array_event(net, regs, ids, rule, cutset)
+        if (array := _array_event(net, regs, ids, rule, cutset)) is not None:
+            return array
     deltas: list = []
     if len(ids) == 1:
         (i,) = ids
@@ -366,8 +353,10 @@ def initial_registers(
     'preset' takes either a full register list (n + 1 entries, an
     ActivationRegister at every index 1..n) or a mapping node ->
     pointer set over nodes 1..n; in both forms every pointer must aim
-    at a neighbor of its node.
+    at a neighbor of its node.  Any other init refuses a preset.
     """
+    if preset is not None and init != "preset":
+        raise ValueError(f"a preset is only meaningful with init='preset', not {init!r}")
     regs: list = [None] + [zero_register(net, i, cutset) for i in net.nodes()]
     if init == "zeros":
         return regs
@@ -470,17 +459,19 @@ def run(
     neighbors and the legal chains above them (`update_legal`).  An
     untraced run does neither.
 
+    A run stops once no register changed for 2n events and every unit is
+    in `seen`, the units activated on unchanged registers since then.
+
     An untraced run under a scheduler with a `period` (central-rr,
     sync-all) and a rule other than boltzmann compares its registers,
     at the ends of scheduler periods, with a copy saved at the first and
     again after 1, 2, 4, 8 ... more periods (Brent's cycle test).  A
     match after some register changed is a cycle of that many events.
     No run stops inside it (a stop needs every unit activated on
-    unchanged registers, which makes them a fixed point), and the run
-    plays the cycle once more, where a stop would still show, before it
-    moves the event count, the last change and the last activations on
-    by as many whole cycles as fit in the budget.  Every field of the
-    result is the one the replayed events would give.
+    unchanged registers, which makes them a fixed point), so the run
+    moves the event count and the last change on by as many whole cycles
+    as fit in the budget; `seen` is the same after each cycle.  Every
+    field of the result is the one the replayed events would give.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -505,8 +496,7 @@ def run(
 
     trace: list[TraceEvent] | None = [] if collect_trace else None
     last_change = -1
-    last_activated = [-1] * (n + 1)
-    fresh = 0  # distinct units activated after the last change
+    seen: set[int] = set()  # units activated on unchanged registers since the last change
     stable = False
     if trace is not None:
         # running legal set, carried across pointer moves by update_legal
@@ -523,8 +513,8 @@ def run(
     # The first copy waits for the first period end, so a run whose
     # registers stop changing in its first period keeps no old ones alive.
     period = None if trace is not None or rule == "boltzmann" else scheduler.period(n)
-    check_at = period or -1  # the next event count that ends a period, or that ends the extra cycle
-    saved, saved_at, span, cycle = None, 0, period, 0
+    check_at = period or -1  # the next event count that ends a period
+    saved, saved_at, span = None, 0, period
     done = 0
     while done < max_events:
         step = done
@@ -534,14 +524,9 @@ def run(
         deltas = apply_event(net, regs, ids, rule, cutset, rng, temperature)
         if deltas:
             last_change = step
-            fresh = 0
-            for i in ids:
-                last_activated[i] = step
+            seen.clear()
         else:
-            for i in ids:
-                if last_activated[i] <= last_change:
-                    fresh += 1
-                last_activated[i] = step
+            seen.update(ids)
         if trace is not None:
             moved = []
             for i, field, value in deltas:
@@ -566,32 +551,24 @@ def run(
                 )
             )
         done = step + 1
-        if step - last_change >= window and fresh == n:
+        if step - last_change >= window and len(seen) == n:
             stable = True
             break
         if done == check_at:
-            if cycle:  # one whole cycle ran since the match: skip as many more as fit
-                skip = (max_events - done) // cycle * cycle
-                done += skip
-                last_change += skip
-                last_activated = [t + skip for t in last_activated]
-                check_at = -1
-            elif last_change >= saved_at and regs == saved:
-                cycle = done - saved_at
-                check_at = done + cycle
-            else:
-                if done - saved_at == span:
-                    saved, saved_at, span = regs.copy(), done, 2 * span
-                check_at = done + period
+            check_at = done + period
+            if last_change >= saved_at and regs == saved:  # a cycle: skip as many whole ones as fit
+                skip = (max_events - done) // (done - saved_at) * (done - saved_at)
+                done, last_change, check_at = done + skip, last_change + skip, -1
+            elif done - saved_at == span:
+                saved, saved_at, span = regs.copy(), done, 2 * span
 
-    events = done
     assignment = assignment_of(regs)
     return RunResult(
         assignment=assignment,
         stable=stable,
-        passes_used=(events + n - 1) // n,
+        passes_used=(done + n - 1) // n,
         goodness_final=net.goodness(assignment),
-        events=events,
+        events=done,
         last_change_step=last_change,
         registers=regs,
         trace=trace,

@@ -17,7 +17,6 @@ from .engine import apply_event, assignment_of, initial_registers, perturb, poin
 from .fixtures import chain2i, illegal_ring, random_network, ring6
 from .network import Network
 from .oracle import brute_force_optima, greedy_cutset, tree_conditioned_max
-from .rules import Legality, legality_map
 from .schedulers import CentralRoundRobin, FairExclusion, SynchronousAll
 from .weights import Weight
 
@@ -44,10 +43,11 @@ class DominancePair:
 
 
 def non_tree_nodes(net: Network, regs: Sequence) -> frozenset[int]:
-    """Nodes left outside any directed tree: the ILLEGAL class of
-    `legality_map`, i.e. two or more non-pointing neighbors."""
-    lmap = legality_map(net, pointer_snapshot(regs))
-    return frozenset(i for i, v in lmap.items() if v is Legality.ILLEGAL)
+    """Nodes left outside any directed tree: two or more non-pointing
+    neighbors.  A legal node has at most one, so these are the ILLEGAL
+    class of `legality_map`."""
+    adjacency = net.micros_adjacency()
+    return frozenset(i for i in net.nodes() if sum(1 for j, _ in adjacency[i][1] if i not in regs[j].points_to) >= 2)
 
 
 def _paired_runs(

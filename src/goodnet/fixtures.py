@@ -91,11 +91,14 @@ FIXED_FIXTURES = {
 
 
 def fixture(name: str) -> Network:
-    """Look up a fixture by name; parametrized ones use 'name:arg' syntax."""
+    """Look up a fixture by name; parametrized ones use 'name:arg' syntax,
+    with arg in ASCII digits."""
     if name in FIXED_FIXTURES:
         return FIXED_FIXTURES[name]()
     if ":" in name:
         base, arg = name.split(":", 1)
+        if base in ("chain2i", "illegal_ring") and not (arg.isascii() and arg.isdigit()):
+            raise ValueError(f"fixture {name!r}: bad argument {arg!r}, expected an integer")
         if base == "chain2i":
             return chain2i(int(arg))
         if base == "illegal_ring":

@@ -468,6 +468,24 @@ def test_node_id_lists_refuse_empty_and_non_integer_entries(capsys, argv, source
     assert err == f"error: {source}: bad node id {token!r}, expected comma-separated integers\n"
 
 
+@pytest.mark.parametrize(
+    "name, arg",
+    [
+        ("chain2i:x", "x"),
+        ("chain2i:", ""),
+        ("chain2i:1_0", "1_0"),  # int() would read these three as 10, 3 and 3
+        ("illegal_ring: 3", " 3"),
+        ("illegal_ring:+3", "+3"),
+        ("illegal_ring:\u0663", "\u0663"),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+    ],
+    ids=["letter", "empty", "underscore", "space", "plus", "non-ascii-digit"],
+)
+def test_fixture_arguments_refuse_anything_but_ascii_digits(capsys, name, arg):
+    code, out, err = run_cli(capsys, "run", "--fixture", name)
+    assert (code, out) == (1, "")
+    assert err == f"error: fixture {name!r}: bad argument {arg!r}, expected an integer\n"
+
+
 def test_node_id_lists_keep_repeats(capsys):
     assert run_cli(capsys, "run", "--fixture", "fig1", "--sched", "central-rr:1,2,3,4,5,5")[0] == 0
     once = run_cli(capsys, "oracle", "--fixture", "example51", "--cutset", "1")
