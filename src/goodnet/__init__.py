@@ -39,7 +39,6 @@ from .rules import (
     ActivationRegister,
     Legality,
     LocalView,
-    NeighborView,
     activation_step,
     boltzmann_step,
     cutset_goodness_step,

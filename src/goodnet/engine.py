@@ -15,10 +15,11 @@ at least ARRAY_MIN_UNITS + n // 12 units under hopfield, activate or
 activate-with-cutset runs as one pass of int64 segment sums over the
 network's CSR half-edges (`Network.half_edges`), which differential
 tests pin to the per-unit steps.  Both read int micros from the net's
-one adjacency (`Network.micros_adjacency`), the array pass through the
-CSR arrays built from it, and both hand each unit's new field values to one
-commit, which emits a delta per changed field and rebuilds the unit's
-register only when some field changed.  The array pass keeps the
+one adjacency (`Network.micros_adjacency`), the steps through views of
+(id, weight, register) triples, the array pass through CSR arrays built
+from it.  Both hand each unit's new field values to one commit: one
+tuple compare with the register, and on a difference a delta per changed
+field and a new register.  The array pass keeps the
 registers as columns on the network, with a copy of the register list
 they describe: an event reads again only the registers that are not the
 objects in that copy (every one on the net's first array event or on
@@ -38,7 +39,7 @@ pass budget (see `run`), with the result the replayed events give.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,7 +49,6 @@ from .rules import (
     ActivationRegister,
     Legality,
     LocalView,
-    NeighborView,
     activation_step,
     boltzmann_step,
     cutset_goodness_step,
@@ -63,6 +63,7 @@ from .schedulers import Scheduler
 from .weights import Weight
 
 RULES = ("hopfield", "boltzmann", "activate", "activate-with-cutset")
+_tuple_new = tuple.__new__  # builds a named tuple from its fields without the generated Python __new__
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class RunResult:
 
 def build_view(net: Network, regs: Sequence[ActivationRegister], i: int, cutset: frozenset[int]) -> LocalView:
     bias, nbs = net.micros_adjacency()[i]
-    return LocalView(i, bias, i in cutset, tuple([NeighborView(j, w, regs[j]) for j, w in nbs]))
+    return _tuple_new(LocalView, (i, bias, i in cutset, tuple([(j, w, regs[j]) for j, w in nbs])))
 
 
 def _unit_update(
@@ -140,8 +141,9 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
     one delta per changed field, in that order, and a new register only
     when some field changed."""
     old = regs[i]
+    if new == old:  # one tuple compare: the register equals its field values
+        return
     x, g0, g1, points_to, cutset_g1 = new
-    before = len(deltas)
     if x != old.x:
         deltas.append((i, "x", x))
     if g0 != old.g0:
@@ -152,8 +154,7 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
         deltas.append((i, "points_to", points_to))
     if cutset_g1 != old.cutset_g1:
         deltas.append((i, "cutset_g1", cutset_g1))
-    if len(deltas) != before:
-        regs[i] = ActivationRegister(x, g0, g1, points_to, cutset_g1)
+    regs[i] = _tuple_new(ActivationRegister, new)
 
 
 @dataclass(slots=True, eq=False)
@@ -365,7 +366,7 @@ def initial_registers(
             raise ValueError("init='random' needs a seed")
         rng = random.Random(seed)
         for i in net.nodes():
-            regs[i] = replace(regs[i], x=rng.randint(0, 1))
+            regs[i] = regs[i]._replace(x=rng.randint(0, 1))
         return regs
     if init == "preset":
         if preset is None:
@@ -375,7 +376,7 @@ def initial_registers(
                 if i not in net.nodes():
                     raise ValueError(f"preset references node {i!r} outside 1..{net.n}")
             for i in net.nodes():
-                regs[i] = replace(regs[i], points_to=frozenset(preset.get(i, frozenset())))
+                regs[i] = regs[i]._replace(points_to=frozenset(preset.get(i, frozenset())))
         else:
             if len(preset) != net.n + 1:
                 raise ValueError(f"a preset register list needs n + 1 = {net.n + 1} entries (index 0 unused), got {len(preset)}")

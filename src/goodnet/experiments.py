@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .engine import apply_event, assignment_of, initial_registers, perturb, pointer_snapshot, run
+from .engine import RunResult, apply_event, assignment_of, initial_registers, perturb, pointer_snapshot, run
 from .fixtures import chain2i, illegal_ring, random_network, ring6
 from .network import Network
 from .oracle import brute_force_optima, greedy_cutset, tree_conditioned_max
@@ -50,20 +50,16 @@ def non_tree_nodes(net: Network, regs: Sequence) -> frozenset[int]:
     return frozenset(i for i in net.nodes() if sum(1 for j, _ in adjacency[i][1] if i not in regs[j].points_to) >= 2)
 
 
-def _paired_runs(
-    net: Network, seed: int, scheduler_factory, base_rule: str, better_rule: str, reference, cutset=None
-) -> DominancePair:
-    """`better_rule` vs `base_rule` from one shared random start.
+def _dominance_run(net: Network, rule: str, seed: int, scheduler_factory, cutset=None) -> RunResult:
+    """One run of a dominance pair: from the random start `seed`, within
+    the pair's pass budget."""
+    return run(net, rule, scheduler_factory(), init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES, cutset=cutset)
 
-    Comparable means both runs went stable and agree on every node of
-    `reference(better_run)`.
-    """
-    start = dict(init="random", seed=seed, max_passes=DOMINANCE_MAX_PASSES)
-    base = run(net, base_rule, scheduler_factory(), **start)
-    better = run(net, better_rule, scheduler_factory(), cutset=cutset, **start)
-    ref = reference(better)
-    comparable = base.stable and better.stable and all(base.assignment[i - 1] == better.assignment[i - 1] for i in ref)
-    return DominancePair(better.goodness_final, base.goodness_final, comparable, ref)
+
+def _pair(base: RunResult, better: RunResult, reference: frozenset[int]) -> DominancePair:
+    """Comparable means both runs went stable and agree on every node of `reference`."""
+    comparable = base.stable and better.stable and all(base.assignment[i - 1] == better.assignment[i - 1] for i in reference)
+    return DominancePair(better.goodness_final, base.goodness_final, comparable, reference)
 
 
 def dominance_experiment(net: Network, seed: int, scheduler_factory) -> DominancePair:
@@ -73,16 +69,15 @@ def dominance_experiment(net: Network, seed: int, scheduler_factory) -> Dominanc
     tree rule left outside its trees; for such pairs the tree rule's
     goodness is guaranteed to be at least the threshold rule's.
     """
-    return _paired_runs(
-        net, seed, scheduler_factory, "hopfield", "activate", lambda tree: non_tree_nodes(net, tree.registers)
-    )
+    base = _dominance_run(net, "hopfield", seed, scheduler_factory)
+    tree = _dominance_run(net, "activate", seed, scheduler_factory)
+    return _pair(base, tree, non_tree_nodes(net, tree.registers))
 
 
 def cutset_dominance_experiment(net: Network, members: frozenset[int], seed: int, scheduler_factory) -> DominancePair:
     """Cutset-conditioned rule vs plain tree rule on matched cutset values."""
-    return _paired_runs(
-        net, seed, scheduler_factory, "activate", "activate-with-cutset", lambda _: members, cutset=members
-    )
+    base = _dominance_run(net, "activate", seed, scheduler_factory)
+    return _pair(base, _dominance_run(net, "activate-with-cutset", seed, scheduler_factory, members), members)
 
 
 def _tree_steps(net: Network, regs: list, sched, events: int):
@@ -201,9 +196,13 @@ def dominance_demo(trials: int = 100, seed: int = 0) -> DemoResult:
         m = rng.randint(0, 3)
         net = random_network("sparse", n, m=m, seed=rng.randrange(2**32))
         pair_seed = rng.randrange(2**32)
+        # the two experiments' runs, with the tree run they share made once
+        threshold = _dominance_run(net, "hopfield", pair_seed, CentralRoundRobin)
+        tree = _dominance_run(net, "activate", pair_seed, CentralRoundRobin)
+        members = greedy_cutset(net).members
         pairs = (
-            ("tree", dominance_experiment(net, pair_seed, CentralRoundRobin)),
-            ("cutset", cutset_dominance_experiment(net, greedy_cutset(net).members, pair_seed, CentralRoundRobin)),
+            ("tree", _pair(threshold, tree, non_tree_nodes(net, tree.registers))),
+            ("cutset", _pair(tree, _dominance_run(net, "activate-with-cutset", pair_seed, CentralRoundRobin, members), members)),
         )
         for label, pair in pairs:
             if pair.comparable:

@@ -10,11 +10,12 @@ update their activation by the plain threshold rule.
 Every function here is pure: it maps a unit's local view (its bias,
 its cutset designation and its neighbors' published registers) to the
 new field values.  A step that also depends on the unit's own parent
-pointers or activation bit takes them as an argument.  The views
-(:class:`LocalView`, :class:`NeighborView`) are named tuples, and each
-step reads the neighbors in a single pass.  Committing
-writes, scheduling and snapshot semantics are the simulation engine's
-business.
+pointers or activation bit takes them as an argument.  Registers and
+views (:class:`ActivationRegister`, :class:`LocalView`) are named
+tuples, a view's neighbors are plain ``(id, weight, register)``
+triples, and each step reads the neighbors in a single pass by
+position.  Committing writes, scheduling and snapshot semantics are
+the simulation engine's business.
 
 The tree protocol, in one paragraph: a unit that sees exactly one
 neighbor not pointing at it adopts that neighbor as its parent; with
@@ -28,15 +29,13 @@ back down, so a settled tree carries its exact conditional optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
 from .network import Network
 
 
-@dataclass(frozen=True)
-class ActivationRegister:
+class ActivationRegister(NamedTuple):
     """One unit's shared state: activation bit, goodness pair, pointers.
 
     Goodness values are integer micros (millionths, as in
@@ -44,7 +43,9 @@ class ActivationRegister:
     neighbors this unit sees as parents (at most one for a settled
     non-cutset unit).  ``cutset_g1`` is the per-neighbor conditional
     goodness published by designated cutset units, and None everywhere
-    else.
+    else.  A named tuple: immutable, so a register object shared by
+    several units or kept by the engine's register columns never changes
+    under them, and equal to the plain 5-tuple of its field values.
     """
 
     x: int = 0
@@ -63,33 +64,30 @@ class ActivationRegister:
         return 0
 
 
+ZERO_REGISTER = ActivationRegister()
+
+
 def zero_register(net: Network, i: int, cutset: frozenset[int]) -> ActivationRegister:
+    """Unit i's cleared register: the one shared ZERO_REGISTER outside
+    the cutset, zero pairs toward every neighbor inside it."""
     if i in cutset:
         pairs = tuple((j, 0) for j, _ in net.micros_adjacency()[i][1])
         return ActivationRegister(cutset_g1=pairs)
-    return ActivationRegister()
-
-
-class NeighborView(NamedTuple):
-    """One neighbor as a unit reads it: its id, the link weight in
-    micros and its published register.  A named tuple, so building one
-    costs a tuple."""
-
-    id: int
-    weight: int  # micros
-    reg: ActivationRegister
+    return ZERO_REGISTER
 
 
 class LocalView(NamedTuple):
     """What unit ``node`` reads in one activation besides its own
-    register: its bias and neighbor weights in micros, whether it is a
-    cutset unit, and each neighbor's published register.  A named
-    tuple, immutable like the registers it holds."""
+    register: its bias in micros, whether it is a cutset unit, and one
+    plain ``(id, weight, register)`` triple per neighbor, with the link
+    weight in micros and the neighbor's published register.  A named
+    tuple, immutable like the registers it holds; any triple-shaped
+    neighbor (a named tuple too) reads the same."""
 
     node: int
     bias: int
     is_cutset: bool
-    neighbors: tuple[NeighborView, ...]
+    neighbors: tuple[tuple[int, int, ActivationRegister], ...]
 
 
 class Legality(Enum):
@@ -142,14 +140,15 @@ def goodness_step(view: LocalView, points_to: frozenset[int]) -> tuple[int, int]
         if j in points_to:
             parent_w += w
     s1 += view.bias
-    return max(s0, s1), max(s0, s1 + parent_w)
+    s2 = s1 + parent_w
+    return (s1 if s1 > s0 else s0), (s2 if s2 > s0 else s0)  # max() costs more here, once per activation
 
 
 def cutset_goodness_step(view: LocalView, x: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Cutset units publish fixed-activation goodness for activation bit
     ``x``: g0 = x*theta and, toward each neighbor j, x*(theta + w_ij)."""
-    pairs = tuple((nb.id, x * (view.bias + nb.weight)) for nb in view.neighbors)
-    return x * view.bias, pairs
+    bias = view.bias
+    return x * bias, tuple([(j, x * (bias + w)) for j, w, _ in view.neighbors])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def cutset_goodness_step(view: LocalView, x: int) -> tuple[int, tuple[tuple[int,
 
 def hopfield_step(view: LocalView) -> int:
     """Threshold rule: on iff the weighted input meets -theta (ties on)."""
-    field = sum(nb.weight * nb.reg.x for nb in view.neighbors)
+    field = sum([w * reg.x for _, w, reg in view.neighbors])
     return 1 if field >= -view.bias else 0
 
 
@@ -195,15 +194,17 @@ def boltzmann_step(view: LocalView, temperature, rng) -> int:
     """Stochastic rule: on with probability sigmoid((field + theta) / T).
 
     The only rule allowed to leave exact arithmetic; the sigmoid is
-    evaluated in binary floating point against a uniform draw.
+    evaluated in binary floating point against a uniform draw, one per
+    call.  It saturates to 0 once -(field + theta) / T passes 709, where
+    the exponential would overflow a float (far below, it rounds to 1).
     ``temperature`` is anything ``float()`` accepts, such as a Weight.
     """
     t = float(temperature)
     if t <= 0:
         raise ValueError(f"temperature must be positive, got {t}")
-    field = sum(nb.weight * nb.reg.x for nb in view.neighbors)
-    s = (field + view.bias) / 1e6
-    p = 1.0 / (1.0 + math.exp(-s / t))
+    field = sum([w * reg.x for _, w, reg in view.neighbors])
+    z = -((field + view.bias) / 1e6) / t
+    p = 0.0 if z > 709 else 1.0 / (1.0 + math.exp(z))
     return 1 if rng.random() < p else 0
 
 

@@ -7,14 +7,13 @@ shortcuts.
 
 import itertools
 import random
-from dataclasses import replace
+from typing import NamedTuple
 
 from goodnet import FairExclusion, Legality, Network, Weight
 from goodnet.oracle import _forest_walk
 from goodnet.rules import (
     ActivationRegister,
     LocalView,
-    NeighborView,
     boltzmann_step,
     cutset_goodness_step,
     hopfield_step,
@@ -233,6 +232,16 @@ def non_tree_nodes_reference(net: Network, regs) -> frozenset[int]:
 # goodnet.rules and the engine's per-unit and array updates are pinned to it.
 
 
+class NeighborView(NamedTuple):
+    """One neighbor as a unit reads it, by name: the engine's views hold
+    plain (id, weight, register) triples, which this tuple also is, so
+    the rule steps read either form."""
+
+    id: int
+    weight: int  # micros
+    reg: ActivationRegister
+
+
 def points_at_me(view: LocalView, nb: NeighborView) -> bool:
     return view.node in nb.reg.points_to
 
@@ -289,9 +298,9 @@ def unit_update_reference(net: Network, regs, i: int, rule: str, cutset, rng, te
     """Unit i's new register under `rule`, read from the snapshot `regs`."""
     view = build_view_reference(net, regs, i, cutset)
     if rule == "hopfield":
-        return replace(regs[i], x=hopfield_step(view))
+        return regs[i]._replace(x=hopfield_step(view))
     if rule == "boltzmann":
-        return replace(regs[i], x=boltzmann_step(view, temperature, rng))
+        return regs[i]._replace(x=boltzmann_step(view, temperature, rng))
     new_points = tree_direct_step_reference(view)
     if view.is_cutset:
         # a cutset unit publishes goodness for its pre-event bit
@@ -326,7 +335,7 @@ def replay_deltas(initial_regs, trace) -> list:
     regs = list(initial_regs)
     for ev in trace:
         for node, field, value in ev.deltas:
-            regs[node] = replace(regs[node], **{field: value})
+            regs[node] = regs[node]._replace(**{field: value})
     return regs
 
 

@@ -37,6 +37,7 @@ from goodnet import (
 
 from goodnet import engine
 from goodnet.engine import _array_event, _load_rows, pointer_snapshot
+from goodnet.rules import ZERO_REGISTER
 
 from helpers import (
     D,
@@ -292,7 +293,7 @@ def test_non_tree_nodes_match_non_pointing_count_reference(data):
         regs = run(net, "activate", scheduler, init="preset", preset=regs, max_passes=max_passes).registers
     for i in net.nodes():
         if data.draw(st.integers(0, 3)) == 0:
-            regs[i] = replace(regs[i], points_to=data.draw(st.frozensets(st.integers(1, n), max_size=3)))
+            regs[i] = regs[i]._replace(points_to=data.draw(st.frozensets(st.integers(1, n), max_size=3)))
     assert non_tree_nodes(net, regs) == non_tree_nodes_reference(net, regs)
 
 
@@ -351,7 +352,7 @@ def test_preset_pointer_mapping_aimed_off_the_neighbors_is_rejected(preset, mess
 
 def test_preset_register_list_aimed_off_the_neighbors_is_rejected():
     regs = initial_registers(fig1(), "zeros")
-    regs[4] = replace(regs[4], points_to=frozenset({1}))  # 4's neighbors are 3 and 5
+    regs[4] = regs[4]._replace(points_to=frozenset({1}))  # 4's neighbors are 3 and 5
     with pytest.raises(ValueError, match="preset pointer 4 -> 1 does not aim at a neighbor of node 4"):
         run(fig1(), "activate", CentralRoundRobin(), init="preset", preset=regs)
 
@@ -681,9 +682,9 @@ def test_public_apply_event_repairs_registers_initial_registers_refuses(monkeypa
     p = parent[b]
     a, c = [i for i in net.nodes() if i not in (b, p)][:2]
     stray = next(j for j in net.nodes() if j != a and j not in dict(net.neighbors(a)))
-    regs[a] = replace(regs[a], points_to=regs[a].points_to | {stray})  # aims at a non-neighbor
+    regs[a] = regs[a]._replace(points_to=regs[a].points_to | {stray})  # aims at a non-neighbor
     g1 = regs[b].g1
-    regs[b] = replace(regs[b], cutset_g1=((p, g1 + 10**9), (p, g1 + 2 * 10**9)))  # pairs outside the cutset; p reads the first
+    regs[b] = regs[b]._replace(cutset_g1=((p, g1 + 10**9), (p, g1 + 2 * 10**9)))  # pairs outside the cutset; p reads the first
     assert regs[c].cutset_g1 is None  # c joins the cutset without pairs
     calls = []
     monkeypatch.setattr(engine, "_array_event", lambda *args: calls.append(args[2]) or _array_event(*args))
@@ -751,7 +752,7 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
         rng = random.Random(1)
         perturbed = perturb(net, initial_registers(net, "zeros", cutset), 1)
         bounded = [None] + [
-            replace(r, x=1, g0=rng.randint(-(2**62), 2**62), g1=rng.randint(-(2**62), 2**62)) for r in perturbed[1:]
+            r._replace(x=1, g0=rng.randint(-(2**62), 2**62), g1=rng.randint(-(2**62), 2**62)) for r in perturbed[1:]
         ]
         ran.clear()
         for regs, full_events in ((perturbed, 1), (bounded, 4), (perturbed, 1)):
@@ -790,7 +791,7 @@ def test_array_events_over_two_register_lists_match_reference(data):
             assert apply_event(net, regs, ids, rule, cutset) == apply_event_per_unit(net, reference, ids, rule, cutset)
         elif between == "replace":
             i = data.draw(units)
-            regs[i] = reference[i] = replace(regs[i], x=1 - regs[i].x, g1=data.draw(st.integers(-(10**9), 10**9)))
+            regs[i] = reference[i] = regs[i]._replace(x=1 - regs[i].x, g1=data.draw(st.integers(-(10**9), 10**9)))
         elif between == "cutset" and rule != "hopfield":
             cutset = data.draw(st.frozensets(units, max_size=3))
         assert regs == reference
@@ -849,8 +850,8 @@ def test_a_register_past_int64_runs_its_event_per_unit(rule, monkeypatch):
     fits = initial_registers(net, "random", cutset, 3)
     past = list(fits)
     j = net.micros_adjacency()[6][1][0][0]
-    past[5] = replace(past[5], x=1 - past[5].x, points_to=frozenset(), g0=2**70, g1=-(2**70))
-    past[6] = replace(past[6], cutset_g1=((j, 2**65), (j, 1)))  # j reads the first entry, the others 0
+    past[5] = past[5]._replace(x=1 - past[5].x, points_to=frozenset(), g0=2**70, g1=-(2**70))
+    past[6] = past[6]._replace(cutset_g1=((j, 2**65), (j, 1)))  # j reads the first entry, the others 0
     for regs in (fits, past, fits, past, fits):
         kept = None if net._register_columns is None else list(net._register_columns.regs)
         assert_event_matches_reference(net, list(regs), net.nodes(), rule, cutset)
@@ -858,6 +859,55 @@ def test_a_register_past_int64_runs_its_event_per_unit(rule, monkeypatch):
             assert all(a is b for a, b in zip(net._register_columns.regs, kept))
         assert_columns_describe_their_list(net)
     assert ran == [True, False, True, False, True]
+
+
+def test_registers_are_immutable():
+    reg = initial_registers(fig1(), "zeros")[1]
+    with pytest.raises(AttributeError):
+        reg.x = 1
+    assert reg == ActivationRegister() and reg.x == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shared_register_objects_match_reference_over_mixed_events(data):
+    # a zeros start holds the one ZERO_REGISTER at every unit outside the
+    # cutset, and a preset list may hold one register at every unit.  The
+    # array pass reads a row again only when its object is not the one it
+    # last read, so two lists from that start, driven by singleton and
+    # array-sized events in turn, must match the per-unit reference
+    n = data.draw(st.integers(18, 30))
+    net = random_network("sparse", n, m=data.draw(st.integers(0, 4)), seed=data.draw(st.integers(0, 2**16)))
+    rule = data.draw(st.sampled_from(TREE_RULES))
+    cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
+    if data.draw(st.booleans()):
+        start = initial_registers(net, "zeros", cutset)
+        assert all(start[i] is ZERO_REGISTER for i in net.nodes() if i not in cutset)
+    else:
+        values = st.integers(-(10**9), 10**9)
+        pairs = st.none() | st.lists(st.tuples(st.integers(0, n), values), max_size=3).map(tuple)
+        shared = ActivationRegister(x=data.draw(st.integers(0, 1)), g0=data.draw(values), g1=data.draw(values), cutset_g1=data.draw(pairs))
+        start = initial_registers(net, "preset", preset=[None] + [shared] * n)
+    lists, references = [list(start), list(start)], [list(start), list(start)]
+    units = st.integers(1, n)
+    array_sized = 0
+    with pytest.MonkeyPatch.context() as mp:
+        ran = array_events_run(mp)
+        for _ in range(data.draw(st.integers(2, 8))):
+            k = data.draw(st.integers(0, 1))
+            regs, reference = lists[k], references[k]
+            if data.draw(st.booleans()):
+                ids = frozenset({data.draw(units)})
+            else:
+                ids = frozenset(net.nodes()) - data.draw(st.frozensets(units, max_size=n - engine.ARRAY_MIN_UNITS - n // 12))
+                array_sized += 1
+            before = list(regs)
+            deltas = apply_event(net, regs, ids, rule, cutset)
+            assert deltas == apply_event_per_unit(net, reference, ids, rule, cutset)
+            assert regs == reference
+            changed = {i for i, _, _ in deltas}
+            assert all(regs[i] is before[i] for i in net.nodes() if i not in changed)
+    assert ran == [True] * array_sized
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,6 @@ from goodnet import (
     ActivationRegister,
     Legality,
     LocalView,
-    NeighborView,
     Network,
     activation_step,
     boltzmann_step,
@@ -25,12 +24,14 @@ from goodnet import (
     run,
     tree_direct_step,
     CentralRoundRobin,
+    Weight,
 )
 from goodnet.rules import update_legal
 
 from helpers import (
     D,
     M,
+    NeighborView,
     W,
     activation_step_reference,
     goodness_step_reference,
@@ -320,6 +321,18 @@ def test_boltzmann_saturates():
     v = view(1, M(100), [])
     assert all(boltzmann_step(v, D("0.01"), rng) == 1 for _ in range(1000))
     assert 1.0 - 1.0 / (1.0 + math.exp(-100 / 0.01)) < 1e-9
+
+
+def test_boltzmann_saturates_without_overflow_at_one_micro():
+    # at T = 1 micro a field of +-1000 puts (field + theta) / T at +-1e9, far
+    # past where exp overflows a float; each call still draws exactly once
+    rng, draws = random.Random(7), random.Random(7)
+    for w, expected in ((M(1000), 1), (M(-1000), 0)):
+        v = view(1, M(1), [(2, w, reg(x=1)), (3, M(-1), ZERO_REG)])
+        assert [boltzmann_step(v, Weight(1), rng) for _ in range(100)] == [expected] * 100
+    for _ in range(200):
+        draws.random()
+    assert rng.getstate() == draws.getstate()
 
 
 def test_boltzmann_deterministic_under_seed():
