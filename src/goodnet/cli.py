@@ -31,26 +31,27 @@ from .oracle import (
     tree_conditioned_max,
 )
 from .schedulers import parse_scheduler
-from .weights import Weight
+from .weights import Weight, format_micros
 
 
 def _delta_text(node: int, field: str, value) -> str:
     """One register change; goodness values are micros, printed as decimals."""
     if field == "points_to":
-        return f"{node}:p={'|'.join(str(j) for j in sorted(value)) or '-'}"
+        return f"{node}:p={'|'.join(map(str, sorted(value))) or '-'}"
     if field == "cutset_g1":
-        body = "|".join(f"{j}:{Weight(g)}" for j, g in value)
+        body = "|".join(f"{j}:{format_micros(g)}" for j, g in value)
         return f"{node}:cg1={body}"
     if field in ("g0", "g1"):
-        return f"{node}:{field}={Weight(value)}"
+        return f"{node}:{field}={format_micros(value)}"
     return f"{node}:{field}={value}"
 
 
 def trace_line(ev: TraceEvent) -> str:
     """One TSV line per event: step, pass, ids, goodness, illegal count, deltas."""
-    ids = ",".join(str(i) for i in sorted(ev.ids))
-    deltas = ",".join(_delta_text(*d) for d in ev.deltas)
-    return f"{ev.step}\t{ev.pass_idx}\t{ids}\t{ev.goodness}\t{ev.illegal}\t{deltas}"
+    step, pass_idx, ids, goodness, illegal, deltas = ev
+    ids_text = str(next(iter(ids))) if len(ids) == 1 else ",".join(map(str, sorted(ids)))
+    deltas_text = ",".join([_delta_text(*d) for d in deltas])
+    return f"{step}\t{pass_idx}\t{ids_text}\t{format_micros(goodness.micros)}\t{illegal}\t{deltas_text}"
 
 
 def result_line(result: RunResult) -> str:
@@ -93,13 +94,12 @@ def cmd_run(args) -> int:
         max_passes=args.max_passes,
         collect_trace=want_trace,
     )
-    lines = [trace_line(ev) for ev in result.trace] if want_trace else []
+    text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    if args.format == "tsv":
-        for line in lines:
-            print(line)
+            fh.write(text + "\n")
+    if args.format == "tsv" and text:
+        print(text)
     print(result_line(result))
     return 0 if result.stable else 2
 

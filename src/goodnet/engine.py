@@ -28,8 +28,10 @@ must therefore not be driven by two threads at once.
 
 A run is declared stable after a full quiet window: no register
 changed for 2n consecutive events and every unit was re-activated on
-the final state at least once.  Stochastic rules simply exhaust their
-pass budget and report stable=False.
+the final state at least once.  The boltzmann rule skips that stop: its
+units flip with positive probability on any state, so a quiet window
+is chance, and a boltzmann run exhausts its pass budget and reports
+stable=False.
 
 An untraced run under central-rr or sync-all and a rule other than
 boltzmann that enters a register cycle skips whole cycles up to its
@@ -40,12 +42,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .network import Network
 from .rules import (
+    ONE_REGISTER,
     ActivationRegister,
     Legality,
     LocalView,
@@ -66,9 +69,8 @@ RULES = ("hopfield", "boltzmann", "activate", "activate-with-cutset")
 _tuple_new = tuple.__new__  # builds a named tuple from its fields without the generated Python __new__
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One scheduled event: who ran, what changed, running measurements."""
+class TraceEvent(NamedTuple):
+    """One scheduled event (immutable): who ran, what changed, running measurements."""
 
     step: int
     pass_idx: int
@@ -366,7 +368,9 @@ def initial_registers(
             raise ValueError("init='random' needs a seed")
         rng = random.Random(seed)
         for i in net.nodes():
-            regs[i] = regs[i]._replace(x=rng.randint(0, 1))
+            if rng.randint(0, 1):
+                pairs = regs[i].cutset_g1
+                regs[i] = ONE_REGISTER if pairs is None else ActivationRegister(x=1, cutset_g1=pairs)
         return regs
     if init == "preset":
         if preset is None:
@@ -461,7 +465,8 @@ def run(
     untraced run does neither.
 
     A run stops once no register changed for 2n events and every unit is
-    in `seen`, the units activated on unchanged registers since then.
+    in `seen`, the units activated on unchanged registers since then.  A
+    boltzmann run never stops before its budget.
 
     An untraced run under a scheduler with a `period` (central-rr,
     sync-all) and a rule other than boltzmann compares its registers,
@@ -505,7 +510,8 @@ def run(
         legal = {i for i, c in legality_map(net, pointers).items() if c is Legality.LEGAL}
         # running goodness, updated by each flip's O(degree) gain
         xs = [0, *assignment_of(regs)]
-        g = net.goodness(xs[1:]).micros
+        goodness = net.goodness(xs[1:])
+        g = goodness.micros
         adjacency = net.micros_adjacency()
 
     max_events = max_passes * n
@@ -533,26 +539,18 @@ def run(
             for i, field, value in deltas:
                 if field == "x":
                     bias, nbs = adjacency[i]
-                    gain = bias + sum(w for j, w in nbs if xs[j])
+                    gain = bias + sum([w for j, w in nbs if xs[j]])
                     xs[i] = value
                     g += gain if value else -gain
+                    goodness = Weight(g)
                 elif field == "points_to":
                     pointers[i] = value
                     moved.append(i)
             if moved:
                 update_legal(net, pointers, legal, moved)
-            trace.append(
-                TraceEvent(
-                    step=step,
-                    pass_idx=step // n + 1,
-                    ids=ids,
-                    goodness=Weight(g),
-                    illegal=n - len(legal),
-                    deltas=deltas,
-                )
-            )
+            trace.append(_tuple_new(TraceEvent, (step, step // n + 1, ids, goodness, n - len(legal), deltas)))
         done = step + 1
-        if step - last_change >= window and len(seen) == n:
+        if step - last_change >= window and len(seen) == n and rule != "boltzmann":
             stable = True
             break
         if done == check_at:

@@ -65,6 +65,7 @@ class ActivationRegister(NamedTuple):
 
 
 ZERO_REGISTER = ActivationRegister()
+ONE_REGISTER = ActivationRegister(x=1)  # shared by the non-cutset units a random start sets
 
 
 def zero_register(net: Network, i: int, cutset: frozenset[int]) -> ActivationRegister:
@@ -278,7 +279,7 @@ def update_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: se
     adjacency = net.micros_adjacency()
     seeds = set(moved)
     for v in moved:
-        seeds.update(j for j, _ in adjacency[v][1])
+        seeds.update([j for j, _ in adjacency[v][1]])
     cleared = list(seeds)
     stack = [v for v in seeds if v in legal]
     legal.difference_update(seeds)

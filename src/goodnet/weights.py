@@ -4,19 +4,25 @@ Threshold rules of the form ``sum >= -theta`` and max-recurrences over
 goodness values must be decided exactly; binary floats cannot represent
 decimals like 0.1 and would make tie decisions platform-dependent.  A
 :class:`Weight` stores an integer number of millionths ("micros").  The
-rules and solvers compute on those integers directly; a Weight appears
-where a value is parsed, printed, compared or returned, and its
-comparisons, addition and negation are exact.
+rules, solvers and trace lines use those integers (`format_micros` is
+``str()`` of a Weight); a Weight appears where a value is parsed,
+printed, compared or returned, exact in comparison, sum and negation.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 
 SCALE = 10**6
 
-_DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
+
+def format_micros(micros: int) -> str:
+    """`micros` millionths as decimal text, with no point when whole and no trailing zeros."""
+    if not micros % SCALE:
+        return str(micros // SCALE)
+    sign = "-" if micros < 0 else ""
+    whole, frac = divmod(abs(micros), SCALE)
+    return f"{sign}{whole}.{str(frac).zfill(6).rstrip('0')}"
 
 
 @functools.total_ordering
@@ -36,15 +42,16 @@ class Weight:
 
     @classmethod
     def from_decimal(cls, text: str) -> "Weight":
-        """Parse a decimal literal with at most six fractional digits."""
-        m = _DECIMAL_RE.match(text.strip())
-        if m is None:
+        """Parse a decimal literal (sign, digits, point and digits) with at most six fractional digits."""
+        whole, point, frac = text.strip().partition(".")
+        sign = whole[:1]
+        if sign == "-" or sign == "+":
+            whole = whole[1:]
+        if not whole.isdecimal() or (point and not frac.isdecimal()):
             raise ValueError(f"malformed number: {text!r}")
-        sign, whole, frac = m.groups()
-        frac = frac or ""
         if len(frac) > 6:
             raise ValueError(f"more than 6 fractional digits: {text!r}")
-        micros = int(whole) * SCALE + int(frac.ljust(6, "0") or "0")
+        micros = int(whole) * SCALE + (int(frac.ljust(6, "0")) if point else 0)
         return cls(-micros if sign == "-" else micros)
 
     def __setattr__(self, name, value):
@@ -78,11 +85,7 @@ class Weight:
         return self.micros / SCALE
 
     def __str__(self):
-        sign = "-" if self.micros < 0 else ""
-        whole, frac = divmod(abs(self.micros), SCALE)
-        if frac == 0:
-            return f"{sign}{whole}"
-        return f"{sign}{whole}.{str(frac).zfill(6).rstrip('0')}"
+        return format_micros(self.micros)
 
     def __repr__(self):
         return f"Weight({str(self)})"

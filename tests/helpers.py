@@ -7,6 +7,7 @@ shortcuts.
 
 import itertools
 import random
+import re
 from typing import NamedTuple
 
 from goodnet import FairExclusion, Legality, Network, Weight
@@ -19,6 +20,7 @@ from goodnet.rules import (
     hopfield_step,
 )
 from goodnet.schedulers import Scheduler
+from goodnet.weights import SCALE
 
 
 def enumerate_optima(net: Network):
@@ -337,6 +339,32 @@ def replay_deltas(initial_regs, trace) -> list:
         for node, field, value in ev.deltas:
             regs[node] = regs[node]._replace(**{field: value})
     return regs
+
+
+_DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
+
+
+def decimal_micros_reference(text: str) -> int:
+    """`Weight.from_decimal(text).micros` by a regex, raising ValueError
+    with the same message on the same strings."""
+    m = _DECIMAL_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"malformed number: {text!r}")
+    sign, whole, frac = m.groups()
+    frac = frac or ""
+    if len(frac) > 6:
+        raise ValueError(f"more than 6 fractional digits: {text!r}")
+    micros = int(whole) * SCALE + int(frac.ljust(6, "0") or "0")
+    return -micros if sign == "-" else micros
+
+
+def micros_text_reference(micros: int) -> str:
+    """`format_micros(micros)` from the sign, whole part and zero-padded fraction."""
+    sign = "-" if micros < 0 else ""
+    whole, frac = divmod(abs(micros), SCALE)
+    if frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{str(frac).zfill(6).rstrip('0')}"
 
 
 def W(x: int) -> Weight:

@@ -137,12 +137,12 @@ def test_run_tsv_trace(capsys, tmp_path):
         "--trace", str(trace_path),
     )
     assert code == 0
-    lines = out.strip().splitlines()
+    lines = out.splitlines()
     assert lines[-1].startswith("RESULT ")
     first = lines[0].split("\t")
     assert len(first) == 6
     assert first[0] == "0"
-    assert trace_path.read_text().splitlines()[0] == lines[0]
+    assert trace_path.read_text() == "\n".join(lines[:-1]) + "\n"
 
 
 def test_run_rejects_init_preset(capsys):

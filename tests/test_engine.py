@@ -23,6 +23,7 @@ from goodnet import (
     dominance_experiment,
     example51,
     fig1,
+    fixture,
     greedy_cutset,
     illegal_count,
     illegal_ring,
@@ -224,6 +225,26 @@ def test_trace_and_result_lines_format():
     assert parts[3:] == ["2", "4", "1:x=1,1:g0=2,1:g1=1,1:p=3"]  # goodness, illegal count, deltas
 
 
+def test_trace_events_are_immutable_and_print_as_before():
+    ev = run(fig1(), "activate", CentralRoundRobin(), collect_trace=True).trace[0]
+    with pytest.raises(AttributeError):
+        ev.illegal = 0
+    assert type(ev.goodness) is Weight
+    assert repr(ev) == (
+        "TraceEvent(step=0, pass_idx=1, ids=frozenset({1}), goodness=Weight(2), illegal=4, "
+        "deltas=((1, 'x', 1), (1, 'g0', 2000000), (1, 'g1', 1000000), (1, 'points_to', frozenset({3}))))"
+    )
+
+
+def test_a_boltzmann_run_goes_through_a_quiet_window_to_its_budget():
+    # at T=1 every unit flips with positive probability on any state, so a
+    # quiet window is chance: this run has one in pass 17 and runs on to 50
+    result = run(fixture("ring6"), "boltzmann", CentralRoundRobin(), temperature=W(1), seed=7, max_passes=50, collect_trace=True)
+    assert naive_stop(result.trace, 6, 12) == (100, 100)  # where the quiet-window stop would end it
+    assert naive_stop(result.trace, 6, 12, "boltzmann") == (None, 100)
+    assert not result.stable and result.events == 300 and result.passes_used == 50
+
+
 def test_budget_exhaustion_is_not_an_error():
     result = run(fig1(), "boltzmann", CentralRoundRobin(), init="zeros",
                  temperature=W(1), max_passes=3, seed=1)
@@ -417,11 +438,12 @@ def test_scripted_run_example51_escapes_both_local_optima():
     assert result.assignment == (1, 1, 1, 1, 1)
 
 
-def naive_stop(trace, n, window):
+def naive_stop(trace, n, window, rule="activate"):
     """(stop step or None, first step with a quiet window) recomputed from a trace.
 
     A run stops at the first step that ends a quiet window of `window`
-    events and by which every unit has run since the last change.
+    events and by which every unit has run since the last change, unless
+    its rule is boltzmann, which never stops before its budget.
     """
     last_change = -1
     ran = set()
@@ -435,7 +457,7 @@ def naive_stop(trace, n, window):
         if ev.step - last_change >= window:
             if window_open is None:
                 window_open = ev.step
-            if len(ran) == n:
+            if len(ran) == n and rule != "boltzmann":
                 return ev.step, window_open
     return None, window_open
 
@@ -470,7 +492,7 @@ def test_traced_goodness_and_stop_rule_match_naive_recomputation(data):
     for ev in result.trace:
         regs = replay_deltas(regs, [ev])
         assert ev.goodness == net.goodness(assignment_of(regs))
-    stop, _ = naive_stop(result.trace, n, 2 * n)
+    stop, _ = naive_stop(result.trace, n, 2 * n, rule)
     changes = [ev.step for ev in result.trace if ev.deltas]
     assert result.stable == (stop is not None)
     assert result.events == len(result.trace) == (stop + 1 if stop is not None else max_passes * n)

@@ -2,10 +2,12 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goodnet import Weight
-from goodnet.weights import SCALE
+from goodnet.weights import SCALE, format_micros
+
+from helpers import decimal_micros_reference, micros_text_reference
 
 
 @pytest.mark.parametrize(
@@ -84,3 +86,48 @@ def test_text_round_trip(micros):
 def test_addition_matches_integer_arithmetic(a, b):
     assert (Weight(a) + Weight(b)).micros == a + b
     assert (Weight(a) < Weight(b)) == (a < b)
+
+
+@given(st.one_of(st.integers(-(2**62), 2**62), st.integers(-3 * SCALE, 3 * SCALE)))
+@example(-1)
+@example(-SCALE - 1)
+@example(SCALE * 10**12 + 500_000)
+def test_format_micros_matches_the_reference(micros):
+    assert format_micros(micros) == micros_text_reference(micros) == str(Weight(micros))
+
+
+# digits, signs, points, whitespace, an underscore, an exponent and non-ASCII digits
+_NEAR_DECIMALS = st.text(alphabet="0123456789+-._ \t\ne٣０", max_size=12)
+_DECIMALS = st.builds(
+    lambda pad, sign, whole, frac: f"{pad}{sign}{whole}{frac}{pad}",
+    st.sampled_from(["", " ", "\t", "\n"]),
+    st.sampled_from(["", "+", "-"]),
+    st.text(alphabet="0123456789٣", min_size=1, max_size=8),
+    st.one_of(st.just(""), st.text(alphabet="0123456789", max_size=8).map(lambda f: "." + f)),
+)
+
+
+def _same_outcome(text):
+    """Weight.from_decimal and the reference parser accept `text` alike (equal
+    micros) or reject it alike (the same message)."""
+    try:
+        expected = decimal_micros_reference(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            Weight.from_decimal(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert Weight.from_decimal(text).micros == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["+5", "-0", ".5", "5.", "1_0", " 3 ", "1.1234567", "", "٣", "-٣.٣", "5\n", "1 0", "+-5", "5.5.5", "-0.000001"]
+)
+def test_from_decimal_on_edge_cases_matches_the_reference(text):
+    _same_outcome(text)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_NEAR_DECIMALS, _DECIMALS))
+def test_from_decimal_matches_the_reference(text):
+    _same_outcome(text)
