@@ -26,6 +26,9 @@ objects in that copy (every one on the net's first array event or on
 another list), and writes its own changes into the columns.  A network
 must therefore not be driven by two threads at once.
 
+`steps` is the one loop that turns a scheduler into events; `run` and the
+negative-result demos consume it, and only a traced run attaches `_traced`.
+
 A run is declared stable after a full quiet window: no register
 changed for 2n consecutive events and every unit was re-activated on
 the final state at least once.  The boltzmann rule skips that stop: its
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -436,6 +439,49 @@ def assignment_of(regs: Sequence) -> tuple[int, ...]:
     return tuple(regs[i].x for i in range(1, len(regs)))
 
 
+def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=frozenset(), rng=None, temperature=None) -> Iterator:
+    """Apply `scheduler`'s events to `regs` in place, without end, yielding each
+    `(ids, deltas)`; an empty event or one outside 1..n raises ValueError first."""
+    units = frozenset(net.nodes())
+    while True:
+        ids = scheduler.next_set(net.n)
+        if not ids or not ids <= units:
+            raise ValueError(f"scheduler produced the event {sorted(ids)}, not a non-empty set of units in 1..{net.n}")
+        yield ids, apply_event(net, regs, ids, rule, cutset, rng, temperature)
+
+
+def _traced(net: Network, regs: list, events: Iterator, trace: list) -> Iterator:
+    """Pass `events` (`steps` over `regs`) through, appending a TraceEvent
+    per event to `trace`: its goodness moves by each flip's gain; its
+    illegal count (nodes outside the least legal fixed point, candidates
+    included) comes from a legal set classified once by `legality_map` and
+    re-derived after each pointer move on the moved nodes, their neighbors
+    and the legal chains above them (`update_legal`)."""
+    n = net.n
+    pointers = pointer_snapshot(regs)
+    legal = {i for i, c in legality_map(net, pointers).items() if c is Legality.LEGAL}
+    xs = [0, *assignment_of(regs)]
+    goodness = net.goodness(xs[1:])
+    g = goodness.micros
+    adjacency = net.micros_adjacency()
+    for step, (ids, deltas) in enumerate(events):
+        moved = []
+        for i, field, value in deltas:
+            if field == "x":
+                bias, nbs = adjacency[i]
+                gain = bias + sum([w for j, w in nbs if xs[j]])
+                xs[i] = value
+                g += gain if value else -gain
+                goodness = Weight(g)
+            elif field == "points_to":
+                pointers[i] = value
+                moved.append(i)
+        if moved:
+            update_legal(net, pointers, legal, moved)
+        trace.append(_tuple_new(TraceEvent, (step, step // n + 1, ids, goodness, n - len(legal), deltas)))
+        yield ids, deltas
+
+
 def run(
     net: Network,
     rule: str,
@@ -449,20 +495,12 @@ def run(
     preset=None,
     collect_trace: bool = False,
 ) -> RunResult:
-    """Iterate scheduler events until a quiet window or the pass budget.
+    """Consume `steps` (through `_traced` for a trace) until a quiet window or the pass budget.
 
     `cutset` defaults to the network's declared cutset for the
     activate-with-cutset rule and to the empty set otherwise; no other
     rule accepts a non-empty one.  Only the boltzmann rule takes a
     `temperature`, and it needs one.
-
-    A collected trace carries the running goodness and illegal count
-    (nodes outside the least legal fixed point, candidates included).
-    Both are kept incrementally: goodness moves by each flip's gain,
-    and the legal set, classified once by `legality_map` at the start,
-    is re-derived after each pointer move only on the moved nodes, their
-    neighbors and the legal chains above them (`update_legal`).  An
-    untraced run does neither.
 
     A run stops once no register changed for 2n events and every unit is
     in `seen`, the units activated on unchanged registers since then.  A
@@ -501,18 +539,12 @@ def run(
     rng = random.Random(seed)
 
     trace: list[TraceEvent] | None = [] if collect_trace else None
+    events = steps(net, regs, rule, scheduler, cutset, rng, temperature)
+    if trace is not None:
+        events = _traced(net, regs, events, trace)
     last_change = -1
     seen: set[int] = set()  # units activated on unchanged registers since the last change
     stable = False
-    if trace is not None:
-        # running legal set, carried across pointer moves by update_legal
-        pointers = pointer_snapshot(regs)
-        legal = {i for i, c in legality_map(net, pointers).items() if c is Legality.LEGAL}
-        # running goodness, updated by each flip's O(degree) gain
-        xs = [0, *assignment_of(regs)]
-        goodness = net.goodness(xs[1:])
-        g = goodness.micros
-        adjacency = net.micros_adjacency()
 
     max_events = max_passes * n
     # Brent's cycle test at the ends of scheduler periods: `saved` is the
@@ -525,30 +557,12 @@ def run(
     done = 0
     while done < max_events:
         step = done
-        ids = scheduler.next_set(n)
-        if not ids:
-            raise ValueError("scheduler produced an empty event")
-        deltas = apply_event(net, regs, ids, rule, cutset, rng, temperature)
+        ids, deltas = next(events)
         if deltas:
             last_change = step
             seen.clear()
         else:
             seen.update(ids)
-        if trace is not None:
-            moved = []
-            for i, field, value in deltas:
-                if field == "x":
-                    bias, nbs = adjacency[i]
-                    gain = bias + sum([w for j, w in nbs if xs[j]])
-                    xs[i] = value
-                    g += gain if value else -gain
-                    goodness = Weight(g)
-                elif field == "points_to":
-                    pointers[i] = value
-                    moved.append(i)
-            if moved:
-                update_legal(net, pointers, legal, moved)
-            trace.append(_tuple_new(TraceEvent, (step, step // n + 1, ids, goodness, n - len(legal), deltas)))
         done = step + 1
         if step - last_change >= window and len(seen) == n and rule != "boltzmann":
             stable = True

@@ -11,9 +11,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
-from .engine import RunResult, apply_event, assignment_of, initial_registers, perturb, pointer_snapshot, run
+# apply_event is not called here: perfbench/layers.py resolves experiments.apply_event by name.
+from .engine import RunResult, apply_event, assignment_of, initial_registers, perturb, pointer_snapshot, run, steps
 from .fixtures import chain2i, illegal_ring, random_network, ring6
 from .network import Network
 from .oracle import brute_force_optima, greedy_cutset, tree_conditioned_max
@@ -80,19 +82,11 @@ def cutset_dominance_experiment(net: Network, members: frozenset[int], seed: int
     return _pair(base, _dominance_run(net, "activate-with-cutset", seed, scheduler_factory, members), members)
 
 
-def _tree_steps(net: Network, regs: list, sched, events: int):
-    """Apply `events` tree-rule events to `regs` in place, yielding each
-    step index once its event is committed."""
-    for step in range(events):
-        apply_event(net, regs, sched.next_set(net.n), "activate")
-        yield step
-
-
 def symmetry_lock_demo() -> DemoResult:
     """Synchronous scheduler on mirror-symmetric chains: the two middle
     units stay equal at every step, yet every exact optimum splits them,
     so no step ever reaches an optimum."""
-    steps = 10_000
+    events = 10_000
     lines = []
     passed = True
     for i in (3, 4, 5):
@@ -100,11 +94,11 @@ def symmetry_lock_demo() -> DemoResult:
         report = brute_force_optima(net)
         optima_split = all(a[i - 1] != a[i] for a in report.argmax)
         regs = initial_registers(net, "zeros")
-        locked = all(regs[i].x == regs[i + 1].x for _ in _tree_steps(net, regs, SynchronousAll(), steps))
+        locked = all(regs[i].x == regs[i + 1].x for _ in islice(steps(net, regs, "activate", SynchronousAll()), events))
         ok = locked and optima_split
         passed = passed and ok
         lines.append(
-            f"chain2i({i}): middle pair equal for {steps} steps={locked}, "
+            f"chain2i({i}): middle pair equal for {events} steps={locked}, "
             f"all {len(report.argmax)} optima split the pair={optima_split}"
         )
     return DemoResult("thm41", passed, lines)
@@ -124,7 +118,7 @@ def ring_schedule_demo() -> DemoResult:
     regs = initial_registers(net, "zeros")
     pairs_equal = True
     optimum_seen = False
-    for step in _tree_steps(net, regs, CentralRoundRobin((1, 4, 2, 5, 3, 6)), events):
+    for step, _ in enumerate(islice(steps(net, regs, "activate", CentralRoundRobin((1, 4, 2, 5, 3, 6))), events)):
         a = assignment_of(regs)
         if a in optima:
             optimum_seen = True
@@ -148,8 +142,8 @@ def stuck_ring_demo() -> DemoResult:
     n, passes = 6, 1_000
     net, pointers = illegal_ring(n)
     regs = initial_registers(net, "preset", preset=pointers)
-    steps = _tree_steps(net, regs, CentralRoundRobin(), passes * n)
-    unchanged = all(pointer_snapshot(regs) == pointers for _ in steps)
+    events = islice(steps(net, regs, "activate", CentralRoundRobin()), passes * n)
+    unchanged = all(pointer_snapshot(regs) == pointers for _ in events)
     lines = [f"illegal_ring({n}): pointer state unchanged over {passes} passes={unchanged}"]
     return DemoResult("fig9", unchanged, lines)
 

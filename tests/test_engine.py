@@ -1,6 +1,7 @@
 import copy
 import random
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -37,8 +38,9 @@ from goodnet import (
 )
 
 from goodnet import engine
-from goodnet.engine import _array_event, _load_rows, pointer_snapshot
+from goodnet.engine import RULES, _array_event, _load_rows, pointer_snapshot, steps
 from goodnet.rules import ZERO_REGISTER
+from goodnet.schedulers import Scheduler
 
 from helpers import (
     D,
@@ -136,9 +138,7 @@ def test_plain_hopfield_stalls_on_example51():
 def test_chain_sync_all_symmetry_lock():
     net = chain2i(3)
     regs = initial_registers(net, "zeros")
-    sched = SynchronousAll()
-    for _ in range(300):
-        apply_event(net, regs, sched.next_set(net.n), "activate")
+    for _ in islice(steps(net, regs, "activate", SynchronousAll()), 300):
         a = assignment_of(regs)
         assert a[:3] == tuple(reversed(a[3:]))  # mirror pairs stay equal
 
@@ -581,6 +581,55 @@ def test_tracing_changes_nothing_but_the_trace(rule, scheduler, data):
     traced, plain = go(True), go(False)
     assert traced.trace and plain.trace is None
     assert replace(traced, trace=None) == plain
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+@pytest.mark.parametrize("rule", RULES)
+def test_steps_are_the_hand_driven_events_a_traced_run_records(rule, scheduler):
+    # 40 nodes: sync-all events take the array pass, the others run per unit
+    net = random_network("sparse", 40, m=5, seed=11)
+    cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
+    temperature = W(1) if rule == "boltzmann" else None
+    start = initial_registers(net, "random", cutset, seed=3)
+    regs, hand = list(start), list(start)
+    stepped = list(islice(steps(net, regs, rule, SCHEDULERS[scheduler](5), cutset, random.Random(3), temperature), 120))
+    sched, rng = SCHEDULERS[scheduler](5), random.Random(3)
+    expected = []
+    for _ in range(120):
+        ids = sched.next_set(net.n)
+        expected.append((ids, apply_event(net, hand, ids, rule, cutset, rng, temperature)))
+    assert stepped == expected and regs == hand
+
+    result = run(
+        net, rule, SCHEDULERS[scheduler](5), init="random", seed=3, cutset=cutset,
+        temperature=temperature, max_passes=5, collect_trace=True,
+    )
+    regs = list(start)
+    stepped = list(islice(steps(net, regs, rule, SCHEDULERS[scheduler](5), cutset, random.Random(3), temperature), result.events))
+    assert [(ev.ids, ev.deltas) for ev in result.trace] == stepped
+    assert regs == result.registers
+
+
+class Always(Scheduler):
+    """Hands out the same unit set on every call."""
+
+    def __init__(self, ids):
+        self.ids = frozenset(ids)
+
+    def next_set(self, n: int) -> frozenset[int]:
+        return self.ids
+
+
+@pytest.mark.parametrize("ids", [(-1,), (0,), (6,), (), (1, 6)])
+def test_events_outside_the_units_are_refused_before_any_register_changes(ids):
+    net = fig1()  # n = 5, so 6 is n + 1
+    with pytest.raises(ValueError, match=r"1\.\.5"):
+        run(net, "activate", Always(ids))
+    regs = initial_registers(net, "zeros")
+    start = list(regs)
+    with pytest.raises(ValueError, match=r"1\.\.5"):
+        next(steps(net, regs, "activate", Always(ids)))
+    assert all(new is old for new, old in zip(regs, start, strict=True))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the cutset rule cycles under central-rr on this net")
