@@ -79,6 +79,8 @@ def _parse_cutset(net, text):
 
 
 def cmd_run(args) -> int:
+    if args.trace == "":
+        raise ValueError("--trace needs a file path, got ''")
     net = _load_network(args)
     scheduler = parse_scheduler(args.sched, seed=args.seed)
     cutset = _parse_cutset(net, args.cutset)
@@ -95,7 +97,7 @@ def cmd_run(args) -> int:
         collect_trace=want_trace,
     )
     text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
-    if args.trace:
+    if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     if args.format == "tsv" and text:

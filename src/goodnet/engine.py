@@ -6,25 +6,23 @@ computes its whole update (pointer step, then goodness, then
 activation); all writes commit together afterwards.  A singleton event
 therefore behaves exactly like one sequential activation.
 
-An event computes the same deltas one of two ways.  Singletons, other
-small events, boltzmann events and events past int64 run the rule steps
-of :mod:`goodnet.rules`, the executable specification, once per unit; a
-per-unit update costs less than the array pass's fixed set-up, and
-boltzmann's per-unit random draws must keep their order.  An event of
-at least ARRAY_MIN_UNITS + n // 12 units under hopfield, activate or
-activate-with-cutset runs as one pass of int64 segment sums over the
-network's CSR half-edges (`Network.half_edges`), which differential
-tests pin to the per-unit steps.  Both read int micros from the net's
-one adjacency (`Network.micros_adjacency`), the steps through views of
-(id, weight, register) triples, the array pass through CSR arrays built
-from it.  Both hand each unit's new field values to one commit: one
-tuple compare with the register, and on a difference a delta per changed
-field and a new register.  The array pass keeps the
-registers as columns on the network, with a copy of the register list
-they describe: an event reads again only the registers that are not the
-objects in that copy (every one on the net's first array event or on
-another list), and writes its own changes into the columns.  A network
-must therefore not be driven by two threads at once.
+An event computes the same deltas one of two ways.  An activate event
+with an empty cutset and at least ARRAY_MIN_UNITS + n // 12 units runs as
+one pass of int64 segment sums over the network's CSR half-edges
+(`Network.half_edges`), which differential tests pin to the per-unit
+steps.  Every other event (small, boltzmann, hopfield or cutset, or on
+registers the pass does not load) runs the rule steps of
+:mod:`goodnet.rules`, the executable specification, once per unit.  Both
+read int micros from the net's one adjacency (`Network.micros_adjacency`),
+the steps through views of (id, weight, register) triples, the array
+pass through CSR arrays built from it.  Both hand each unit's new field
+values to one commit: one tuple compare with the register, and on a
+difference a delta per changed field and a new register.  The array pass
+keeps the registers as columns on the network, with a copy of the
+register list they describe: an event reads again only the registers
+that are not the objects in that copy (every one on the net's first
+array event or on another list), and writes its own changes into the
+columns.  A network must therefore not be driven by two threads at once.
 
 `steps` is the one loop that turns a scheduler into events; `run` and the
 negative-result demos consume it, and only a traced run attaches `_traced`.
@@ -65,7 +63,7 @@ from .rules import (
     update_legal,
     zero_register,
 )
-from .schedulers import Scheduler
+from .schedulers import Scheduler, seeded_rng
 from .weights import Weight
 
 RULES = ("hopfield", "boltzmann", "activate", "activate-with-cutset")
@@ -166,49 +164,42 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
 class _Columns:
     """The registers of one register list as int64 arrays: `x`, `g0` and
     `g1` per node, and per half-edge i -> j the `pointer` bit (j in
-    regs[i].points_to) and the value i publishes toward j (`pub`:
-    regs[i].g1_toward(j)); `paired` marks the registers with a cutset_g1
-    and `dropped` those with fewer pointer bits than pointer ids (one aims
-    at a non-neighbor, at itself or outside 1..n, and their update drops
-    it).  `regs` is a copy of the list they describe, [None] * (n + 1)
-    before the first load."""
+    regs[i].points_to).  `regs` is a copy of the list they describe,
+    [None] * (n + 1) before the first load."""
 
     regs: list
     x: np.ndarray
     g0: np.ndarray
     g1: np.ndarray
     pointer: np.ndarray
-    pub: np.ndarray
-    paired: np.ndarray
-    dropped: np.ndarray
 
 
-def _load_rows(net: Network, cols: _Columns, regs: list, rows: list) -> None:
-    """Read the registers regs[i], i in `rows` (ascending), into their
-    entries of the columns.  The one place a register becomes column
-    entries.  Raises OverflowError, having written nothing, when a value
-    does not fit int64."""
-    if not rows:
-        return
-    he = net.half_edges()
+def _load_rows(net: Network, cols: _Columns, regs: list, rows: list) -> bool:
+    """Read the registers regs[i], i in `rows` (ascending and not empty),
+    into their entries of the columns at an event's start: the one place a
+    register becomes column entries.  Returns False, having written
+    nothing, when one of them holds per-neighbor pairs, a pointer off its
+    node's neighbors or a value past int64."""
     adjacency = net.micros_adjacency()
     units = [regs[i] for i in rows]
-    x, g0, g1 = np.array([(r.x, r.g0, r.g1) for r in units], dtype=np.int64).T
-    published = np.array([r.g1_toward(j) for i, r in zip(rows, units) if r.cutset_g1 is not None for j, _ in adjacency[i][1]], dtype=np.int64)
+    pointer = [j in r.points_to for i, r in zip(rows, units) for j, _ in adjacency[i][1]]
+    # a pointer bit per neighbor in points_to, so fewer bits than ids means one aims off the neighbors
+    if any(r.cutset_g1 is not None for r in units) or sum(pointer) != sum(len(r.points_to) for r in units):
+        return False
+    try:
+        x, g0, g1 = np.array([(r.x, r.g0, r.g1) for r in units], dtype=np.int64).T
+    except OverflowError:
+        return False
     loaded = np.zeros(net.n + 1, dtype=bool)
     loaded[rows] = True
-    edges = loaded[he.src]  # the rows' half-edges; masks take values in ascending order
-    cols.pointer[edges] = [j in r.points_to for i, r in zip(rows, units) for j, _ in adjacency[i][1]]
-    cols.dropped[loaded] = he.row_sums(cols.pointer)[loaded] != [len(r.points_to) for r in units]
-    cols.paired[loaded] = [r.cutset_g1 is not None for r in units]
-    cols.x[loaded], cols.g0[loaded], cols.g1[loaded] = x, g0, g1
-    cols.pub[edges] = cols.g1[he.src[edges]]
-    cols.pub[edges & cols.paired[he.src]] = published
+    cols.pointer[loaded[net.half_edges().src]] = pointer  # masks take values in ascending order
+    cols.x[rows], cols.g0[rows], cols.g1[rows] = x, g0, g1
+    return True
 
 
-def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutset: frozenset[int]) -> tuple | None:
-    """`apply_event` for the hopfield, activate and activate-with-cutset
-    rules, computed as int64 segment sums over the net's CSR half-edges.
+def _array_event(net: Network, regs: list, ids: frozenset[int]) -> tuple | None:
+    """`apply_event` for the activate rule with an empty cutset, computed
+    as int64 segment sums over the net's CSR half-edges.
 
     Reads the same snapshot and yields the same deltas and registers as
     the per-unit rule steps of :mod:`goodnet.rules`, which stay the
@@ -216,30 +207,26 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     (`_Columns`) that the net keeps across events: every register on the
     net's first array event, and then only those that are not the objects
     of the list the columns last described.  After the event the changed
-    tree units are written back from the new columns and the changed
-    cutset, paired and dropped units read again.  Every array value is
-    bounded by 2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros, checked
-    on the columns on every event; past int64 (that bound reaches 2**62,
-    or a register does not load) it returns None and the event runs per unit.
+    units are written back from the event's own columns.  Every array
+    value is bounded by 2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros,
+    checked on the columns on every event.  It returns None, and the event
+    runs per unit, when that bound reaches 2**62 or a register does not
+    load: one with per-neighbor pairs, a pointer off its neighbors or a
+    value past int64.
     """
     he = net.half_edges()
-    adjacency = net.micros_adjacency()
     n = net.n
     cols = net._register_columns
     if cols is None:  # no register is kept, so the load below reads every one
         x, g0, g1 = np.zeros((3, n + 1), dtype=np.int64)
-        paired, dropped = np.zeros((2, n + 1), dtype=bool)
-        m = len(he.dst)
-        cols = _Columns([None] * (n + 1), x, g0, g1, np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64), paired, dropped)
+        cols = _Columns([None] * (n + 1), x, g0, g1, np.zeros(len(he.dst), dtype=bool))
         object.__setattr__(net, "_register_columns", cols)
     if cols.regs != regs:
-        try:
-            _load_rows(net, cols, regs, [i for i, (kept, r) in enumerate(zip(cols.regs, regs)) if kept is not r])
-        except OverflowError:  # the rows keep their old objects in cols.regs, so the next load reads them again
-            return None
+        if not _load_rows(net, cols, regs, [i for i, (kept, r) in enumerate(zip(cols.regs, regs)) if kept is not r]):
+            return None  # the rows keep their old objects in cols.regs, so the next load reads them again
         cols.regs[:] = regs
-    x, g0, g1, pub, pointer = cols.x, cols.g0, cols.g1, cols.pub, cols.pointer
-    g = np.concatenate((g0, g1, pub))
+    x, g0, g1, pointer = cols.x, cols.g0, cols.g1, cols.pointer
+    g = np.concatenate((g0, g1))
     g_max = max(int(g.max()), -int(g.min()))
     x_max = max(1, int(x.max()), -int(x.min()))
     if 2 * (he.max_degree + 1) * g_max + 2 * he.magnitude * x_max >= _INT64_LIMIT:
@@ -248,62 +235,39 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], rule: str, cutse
     first = he.indptr.tolist()
     act = np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
 
-    # hopfield_step
-    threshold = (he.row_sums(w * x[dst]) >= -bias).astype(np.int64)
-    deltas: list = []
-    if rule == "hopfield":
-        flipped = act[threshold[act] != x[act]]
-        for i in flipped.tolist():
-            old = regs[i]
-            _commit(regs, i, (int(threshold[i]), old.g0, old.g1, old.points_to, old.cutset_g1), deltas)
-        x[flipped] = threshold[flipped]
-        cols.regs[:] = regs
-        return tuple(deltas)
-
     points_at_me = pointer[rev]
     non_pointing = he.degree - he.row_sums(points_at_me)
-    cut = np.zeros(n + 1, dtype=bool)
-    cut[[i for i in cutset if 1 <= i <= n]] = True
-    # tree_direct_step: cutset units point at every non-pointing neighbor, others at the only one
-    new_pointer = ~points_at_me & (cut | (non_pointing == 1))[src]
-    # goodness_step on tree units (cutset units get cutset_goodness_step below)
+    # tree_direct_step: point at the only non-pointing neighbor
+    new_pointer = ~points_at_me & (non_pointing == 1)[src]
+    # goodness_step
     read_g0 = np.where(points_at_me, g0[dst], 0)
-    read_g1 = np.where(points_at_me, pub[rev], 0)
+    read_g1 = np.where(points_at_me, g1[dst], 0)
     s0 = he.row_sums(read_g0)
     s1 = he.row_sums(read_g1) + bias
     new_g0 = np.maximum(s0, s1)
     new_g1 = np.maximum(s0, s1 + he.row_sums(np.where(new_pointer, w, 0)))
-    # activation_step: the threshold rule on cutset units and units off the tree
+    # activation_step: the threshold rule on units off the tree
+    threshold = (he.row_sums(w * x[dst]) >= -bias).astype(np.int64)
     tree_sum = he.row_sums(read_g1 - read_g0 + np.where(new_pointer, w * x[dst], 0))
-    new_x = np.where(cut | (non_pointing > 1), threshold, (tree_sum >= -bias).astype(np.int64))
+    new_x = np.where(non_pointing > 1, threshold, (tree_sum >= -bias).astype(np.int64))
 
-    moved = (he.row_sums(new_pointer != pointer) > 0) | cols.dropped
-    special = cut | cols.paired | cols.dropped
-    maybe = (new_x != x) | (new_g0 != g0) | (new_g1 != g1) | moved | special
+    moved = he.row_sums(new_pointer != pointer) > 0
+    maybe = (new_x != x) | (new_g0 != g0) | (new_g1 != g1) | moved
     changed = act[maybe[act]]
+    deltas: list = []
     for i, xi, g0i, g1i in zip(changed.tolist(), new_x[changed].tolist(), new_g0[changed].tolist(), new_g1[changed].tolist()):
-        old = regs[i]
-        points_to = old.points_to
+        points_to = regs[i].points_to
         if moved[i]:
             row = slice(first[i], first[i + 1])
             points_to = frozenset(dst[row][new_pointer[row]].tolist())
-        if cut[i]:
-            b, nbs = adjacency[i]
-            new = (xi, old.x * b, 0, points_to, tuple((j, old.x * (b + w)) for j, w in nbs))
-        else:
-            new = (xi, g0i, g1i, points_to, None)
-        _commit(regs, i, new, deltas)
+        _commit(regs, i, (xi, g0i, g1i, points_to, None), deltas)
 
-    # write the changed units back: tree units from the new columns, the rest from their registers
-    tree = np.zeros(n + 1, dtype=bool)
-    tree[changed] = True
-    reload = np.flatnonzero(tree & special).tolist()
-    tree &= ~special
-    x[tree], g0[tree], g1[tree] = new_x[tree], new_g0[tree], new_g1[tree]
-    tree_rows = tree[src]
-    pointer[tree_rows] = new_pointer[tree_rows]
-    pub[tree_rows] = new_g1[src[tree_rows]]
-    _load_rows(net, cols, regs, reload)  # new values the bound above keeps within int64
+    # write the changed units back from the event's columns
+    x[changed], g0[changed], g1[changed] = new_x[changed], new_g0[changed], new_g1[changed]
+    written = np.zeros(n + 1, dtype=bool)
+    written[changed] = True
+    edges = written[src]
+    pointer[edges] = new_pointer[edges]
     cols.regs[:] = regs
     return tuple(deltas)
 
@@ -324,15 +288,15 @@ def apply_event(
     and returns the field-level deltas, ordered by node id and then by
     field (x, g0, g1, points_to, cutset_g1).
 
-    An event of at least ARRAY_MIN_UNITS + n // 12 units under a rule
-    other than boltzmann runs as one array pass (`_array_event`), whose
-    fixed cost outweighs the per-unit updates only on large events.
-    Smaller events, singletons among them, boltzmann events, whose
-    per-unit random draws keep their order, and events whose values pass
-    int64 run the rule steps of :mod:`goodnet.rules` one unit at a time.
+    An activate event with an empty cutset and at least ARRAY_MIN_UNITS
+    + n // 12 units runs as one array pass (`_array_event`), whose fixed
+    cost outweighs the per-unit updates only on large events.  Every other
+    event, and one on registers the array pass does not load, runs the
+    rule steps of :mod:`goodnet.rules` one unit at a time; boltzmann's
+    per-unit random draws keep their order.
     """
-    if rule != "boltzmann" and len(ids) >= ARRAY_MIN_UNITS + net.n // 12:
-        if (array := _array_event(net, regs, ids, rule, cutset)) is not None:
+    if rule == "activate" and not cutset and len(ids) >= ARRAY_MIN_UNITS + net.n // 12:
+        if (array := _array_event(net, regs, ids)) is not None:
             return array
     deltas: list = []
     if len(ids) == 1:
@@ -367,9 +331,7 @@ def initial_registers(
     if init == "zeros":
         return regs
     if init == "random":
-        if seed is None:
-            raise ValueError("init='random' needs a seed")
-        rng = random.Random(seed)
+        rng = seeded_rng(seed, "init='random'")
         for i in net.nodes():
             if rng.randint(0, 1):
                 pairs = regs[i].cutset_g1
@@ -407,7 +369,7 @@ def perturb(net: Network, regs: Sequence, seed: int) -> list:
     Goodness values are drawn from the attainable envelope
     [-(sum|w| + sum|theta|), +(sum|w| + sum|theta|)].
     """
-    rng = random.Random(seed)
+    rng = seeded_rng(seed, "perturb")
     m = net.magnitude_micros()
     adjacency = net.micros_adjacency()
     out: list = [None]
@@ -525,8 +487,7 @@ def run(
         raise ValueError("boltzmann rule needs a temperature")
     if rule != "boltzmann" and temperature is not None:
         raise ValueError(f"a temperature is only meaningful with the boltzmann rule, not {rule!r}")
-    if rule == "boltzmann" and seed is None:
-        raise ValueError("boltzmann rule needs a seed")
+    rng = seeded_rng(seed, "boltzmann rule") if rule == "boltzmann" else None
     if cutset is None:
         cutset = net.cutset if rule == "activate-with-cutset" else frozenset()
     else:
@@ -536,7 +497,6 @@ def run(
     n = net.n
     window = 2 * n  # quiet events that end a stable run
     regs = initial_registers(net, init, cutset, seed, preset)
-    rng = random.Random(seed)
 
     trace: list[TraceEvent] | None = [] if collect_trace else None
     events = steps(net, regs, rule, scheduler, cutset, rng, temperature)

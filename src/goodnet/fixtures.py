@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import random
 from collections.abc import Sequence
 
 from .network import Network
+from .schedulers import seeded_rng
 from .weights import Weight
 
 W = Weight.from_int
@@ -153,7 +153,7 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
         raise ValueError(f"unknown network kind {kind!r}")
     if kind == "tree" and m != 0:
         raise ValueError(f"a tree takes no extra edges, got m={m}")
-    rng = random.Random(seed)
+    rng = seeded_rng(seed, "random_network")
 
     def rw() -> Weight:
         return W(rng.randint(-5, 5))

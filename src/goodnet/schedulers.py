@@ -16,6 +16,13 @@ from typing import Sequence
 from .network import parse_node_ids
 
 
+def seeded_rng(seed: int, what: str) -> random.Random:
+    """A generator seeded with `seed`; ValueError names `what` on seed=None."""
+    if seed is None:
+        raise ValueError(f"{what} needs a seed")
+    return random.Random(seed)
+
+
 class Scheduler:
     """A source of activation sets.
 
@@ -74,7 +81,7 @@ class CentralRandom(Scheduler):
     """Uniform random singletons."""
 
     def __init__(self, seed: int):
-        self._rng = random.Random(seed)
+        self._rng = seeded_rng(seed, "central-random")
 
     def next_set(self, n: int) -> frozenset[int]:
         return frozenset({self._rng.randint(1, n)})
@@ -105,7 +112,7 @@ class FairExclusion(Scheduler):
     """
 
     def __init__(self, seed: int):
-        self._rng = random.Random(seed)
+        self._rng = seeded_rng(seed, "fair-excl")
         self._step = 0
         self._cursor = 0
 

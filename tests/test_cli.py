@@ -145,6 +145,14 @@ def test_run_tsv_trace(capsys, tmp_path):
     assert trace_path.read_text() == "\n".join(lines[:-1]) + "\n"
 
 
+def test_run_refuses_an_empty_trace_path(capsys, monkeypatch):
+    # refused before the run starts: no trace is collected only to be dropped
+    monkeypatch.setattr("goodnet.cli.run", lambda *args, **kwargs: pytest.fail("the run started"))
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--trace", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--trace" in err
+
+
 def test_run_rejects_init_preset(capsys):
     # the stuck pointer ring is reached through `goodnet demo fig9`
     with pytest.raises(SystemExit) as exc:
@@ -424,10 +432,12 @@ def test_cutset_tsv_output_is_unchanged(capsys, argv, code, golden):
 
 @pytest.mark.parametrize(
     "rule, sched",
-    [("activate", "sync-all"), ("activate-with-cutset", "fair-excl")],
+    [("activate", "sync-all"), ("activate", "fair-excl"), ("activate-with-cutset", "fair-excl")],
 )
 def test_array_pass_leaves_the_tsv_trace_byte_identical(capsys, monkeypatch, tmp_path, rule, sched):
-    # n=60: the cutoff is 21 units; fair-excl's random subsets fall on both sides
+    # n=60: the cutoff is 21 units; fair-excl's random subsets fall on both
+    # sides.  Every activate event past it takes the array pass; cutset
+    # events never do, and print the same bytes either way
     path = tmp_path / "sparse60.net"
     path.write_text(serialize_network(random_network("sparse", 60, m=6, seed=4)))
     argv = ["run", "--net", str(path), "--rule", rule, "--sched", sched, "--init", "random",
@@ -438,8 +448,12 @@ def test_array_pass_leaves_the_tsv_trace_byte_identical(capsys, monkeypatch, tmp
     array_event = engine._array_event
     monkeypatch.setattr(engine, "_array_event", lambda *args: sizes.append(len(args[2])) or array_event(*args))
     fast = run_cli(capsys, *argv)
-    assert fast[0] == 2 and len(fast[1].splitlines()) == 121  # 120 events, then RESULT
-    assert sizes and min(sizes) >= engine.ARRAY_MIN_UNITS + 60 // 12
+    lines = fast[1].splitlines()
+    assert fast[0] == 2 and len(lines) == 121  # 120 events, then RESULT
+    events = [len(line.split("\t")[2].split(",")) for line in lines[:-1]]
+    cutoff = engine.ARRAY_MIN_UNITS + 60 // 12
+    assert any(size >= cutoff for size in events) and (sched == "sync-all" or min(events) < cutoff)
+    assert sizes == ([size for size in events if size >= cutoff] if rule == "activate" else [])
     sizes.clear()
     monkeypatch.setattr(engine, "ARRAY_MIN_UNITS", 61)
     assert run_cli(capsys, *argv) == fast and not sizes

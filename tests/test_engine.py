@@ -329,6 +329,13 @@ def test_run_rejects_a_cutset_for_other_rules():
     )
 
 
+def test_perturb_needs_a_seed():
+    regs = initial_registers(fig1(), "zeros")
+    with pytest.raises(ValueError, match="perturb needs a seed"):
+        perturb(fig1(), regs, None)
+    assert perturb(fig1(), regs, 0) == perturb(fig1(), regs, 0)
+
+
 def test_random_init_needs_a_seed():
     with pytest.raises(ValueError, match="needs a seed"):
         initial_registers(fig1(), "random")
@@ -586,7 +593,7 @@ def test_tracing_changes_nothing_but_the_trace(rule, scheduler, data):
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 @pytest.mark.parametrize("rule", RULES)
 def test_steps_are_the_hand_driven_events_a_traced_run_records(rule, scheduler):
-    # 40 nodes: sync-all events take the array pass, the others run per unit
+    # 40 nodes: activate's sync-all events take the array pass, the others run per unit
     net = random_network("sparse", 40, m=5, seed=11)
     cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
     temperature = W(1) if rule == "boltzmann" else None
@@ -649,29 +656,39 @@ def test_cutset_rule_settles_under_central_round_robin():
 TREE_RULES = ["hopfield", "activate", "activate-with-cutset"]
 
 
+def takes_array_pass(rule, cutset):
+    """Whether `apply_event` hands an array-sized event to `_array_event`."""
+    return rule == "activate" and not cutset
+
+
 def assert_same_event(net, regs, ids, rule, cutset):
-    """The array pass and the per-unit loop give equal deltas and registers
-    from copies of `regs`; returns the array pass's registers."""
-    fast, slow = list(regs), list(regs)
-    deltas = _array_event(net, fast, frozenset(ids), rule, cutset)
+    """`apply_event`, the per-unit loop and, for an activate event without
+    a cutset, the array pass wherever it loads the registers give equal
+    deltas and registers from copies of `regs`; returns `apply_event`'s
+    registers."""
+    fast, slow, array = list(regs), list(regs), list(regs)
+    deltas = apply_event(net, fast, frozenset(ids), rule, cutset)
     assert deltas == apply_event_per_unit(net, slow, ids, rule, cutset)
     assert fast == slow
-    for _, field, value in deltas:
-        if field in ("x", "g0", "g1"):
-            assert type(value) is int  # not a numpy scalar
+    if takes_array_pass(rule, cutset) and (array_deltas := _array_event(net, array, frozenset(ids))) is not None:
+        assert array_deltas == deltas and array == slow
+        for _, field, value in array_deltas:
+            if field in ("x", "g0", "g1"):
+                assert type(value) is int  # not a numpy scalar
     return fast
 
 
 @st.composite
 def odd_registers(draw, net):
     """Registers `initial_registers` would refuse: pointers at any id in
-    0..n+2, and goodness pairs per neighbor on any unit, with repeated,
-    missing and unknown readers."""
+    0..n+2, and, on half the lists, goodness pairs per neighbor on any
+    unit, with repeated, missing and unknown readers."""
     ids = st.integers(0, net.n + 2)
     values = st.integers(-(10**9), 10**9)
+    paired = draw(st.booleans())  # a list without pairs reaches the array pass's pointer check
     regs = [None]
     for _ in net.nodes():
-        pairs = draw(st.none() | st.lists(st.tuples(ids, values), max_size=4).map(tuple))
+        pairs = draw(st.none() | st.lists(st.tuples(ids, values), max_size=4).map(tuple)) if paired else None
         regs.append(ActivationRegister(
             x=draw(st.integers(0, 1)), g0=draw(values), g1=draw(values),
             points_to=draw(st.frozensets(ids, max_size=3)), cutset_g1=pairs,
@@ -689,7 +706,10 @@ def draw_event_case(data, rules):
     micros = st.integers(-5 * 10**6, 5 * 10**6)
     net = Network(n, [(i, j, Weight(data.draw(micros))) for i, j in chosen], {i: Weight(data.draw(micros)) for i in range(1, n + 1)})
     rule = data.draw(st.sampled_from(rules))
-    cutset = data.draw(st.frozensets(st.integers(1, n), max_size=3)) if rule in ("activate", "activate-with-cutset") else frozenset()
+    cutsets = st.frozensets(st.integers(1, n), max_size=3)
+    if rule == "activate":  # half the activate events go without a cutset, as the array pass needs
+        cutsets = st.just(frozenset()) | cutsets
+    cutset = data.draw(cutsets) if rule in ("activate", "activate-with-cutset") else frozenset()
     seed = data.draw(st.integers(0, 2**16))
     start = data.draw(st.sampled_from(["zeros", "random", "perturbed", "odd"]))
     if start == "odd":
@@ -745,7 +765,7 @@ def test_array_pass_on_a_net_without_edges(rule, n):
 
 def test_public_apply_event_repairs_registers_initial_registers_refuses(monkeypatch):
     # settled tree registers, then three units off what initial_registers allows;
-    # one synchronous event over all 20 units takes the array pass
+    # one synchronous event over all 20 units, a cutset event, runs per unit
     net = random_network("tree", 20, seed=8)
     regs = run(net, "activate", CentralRoundRobin()).registers
     parent = {i: next(iter(regs[i].points_to)) for i in net.nodes() if regs[i].points_to}
@@ -762,7 +782,7 @@ def test_public_apply_event_repairs_registers_initial_registers_refuses(monkeypa
     expected = list(regs)
     ids = frozenset(net.nodes())
     deltas = apply_event(net, regs, ids, "activate-with-cutset", frozenset({c}))
-    assert calls == [ids]
+    assert calls == []
     assert deltas == apply_event_per_unit(net, expected, ids, "activate-with-cutset", frozenset({c}))
     assert regs == expected
     fields = {(i, field): value for i, field, value in deltas}
@@ -783,16 +803,16 @@ def assert_event_matches_reference(net, regs, ids, rule, cutset):
 def assert_columns_describe_their_list(net):
     """The columns the net keeps are int64 and hold the registers of the
     list they name, `cols.regs`, field for field (None names no register
-    yet)."""
+    yet); none of those registers has per-neighbor pairs."""
     cols = net._register_columns
     regs, he = cols.regs, net.half_edges()
-    assert all(c.dtype == np.int64 for c in (cols.x, cols.g0, cols.g1, cols.pub))
+    assert all(c.dtype == np.int64 for c in (cols.x, cols.g0, cols.g1))
     for i in net.nodes():
         if regs[i] is not None:
-            assert (cols.x[i], cols.g0[i], cols.g1[i], cols.paired[i]) == (regs[i].x, regs[i].g0, regs[i].g1, regs[i].cutset_g1 is not None)
+            assert (cols.x[i], cols.g0[i], cols.g1[i], regs[i].cutset_g1) == (regs[i].x, regs[i].g0, regs[i].g1, None)
     for e, (i, j) in enumerate(zip(he.src.tolist(), he.dst.tolist())):
         if regs[i] is not None:
-            assert (cols.pointer[e], cols.pub[e]) == (j in regs[i].points_to, regs[i].g1_toward(j))
+            assert cols.pointer[e] == (j in regs[i].points_to)
 
 
 def array_events_run(monkeypatch) -> list:
@@ -811,8 +831,8 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
     # event per unit (the perturbed goodness, drawn from the 2.1e19-micro
     # envelope, does not even load).  At scale 1 only the bounded registers
     # go per unit: the array pass runs again, on columns that stayed int64,
-    # as the register lists alternate and, under the tree rules, as the
-    # bounded goodness settles
+    # as the register lists alternate and as the bounded goodness settles.
+    # Hopfield and cutset events never reach the array pass
     monkeypatch.setattr(engine, "ARRAY_MIN_UNITS", 0)  # every event on these 6 nodes tries the array pass
     ran = array_events_run(monkeypatch)
     for scale in (10**12, 1):
@@ -830,12 +850,15 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
             regs = list(regs)
             for ids in [[1, 2, 3]] + [range(1, 7)] * full_events:
                 assert_event_matches_reference(net, regs, ids, rule, cutset)
-                assert_columns_describe_their_list(net)
-        if scale > 1:
+                if rule == "activate":
+                    assert_columns_describe_their_list(net)
+        if rule != "activate":
+            assert ran == [] and net._register_columns is None
+        elif scale > 1:
             assert ran == [False] * 9
         else:
             assert ran[:3] == [True, True, False] and ran[-2:] == [True, True]
-            assert any(ran[3:7]) == (rule != "hopfield")
+            assert any(ran[3:7])
 
 
 @settings(max_examples=100, deadline=None)
@@ -843,7 +866,9 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
 def test_array_events_over_two_register_lists_match_reference(data):
     # the net keeps the columns of the register list its last array event
     # read: array events on two lists, per-unit events, outside replaces
-    # and new cutsets in between must never leave an event reading stale ones
+    # and new cutsets in between must never leave an event reading stale
+    # ones.  Events the array pass refuses (hopfield or cutset events, or
+    # registers it does not load) run through `apply_event`
     net, rule, cutset, regs, seed = draw_event_case(data, TREE_RULES)
     lists = [regs, perturb(net, regs, seed)]
     references = [list(r) for r in lists]
@@ -852,7 +877,10 @@ def test_array_events_over_two_register_lists_match_reference(data):
         k = data.draw(st.integers(0, 1))
         regs, reference = lists[k], references[k]
         ids = data.draw(st.frozensets(units, min_size=1))
-        assert _array_event(net, regs, ids, rule, cutset) == apply_event_per_unit(net, reference, ids, rule, cutset)
+        deltas = _array_event(net, regs, ids) if takes_array_pass(rule, cutset) else None
+        if deltas is None:
+            deltas = apply_event(net, regs, ids, rule, cutset)
+        assert deltas == apply_event_per_unit(net, reference, ids, rule, cutset)
         assert regs == reference
         k = data.draw(st.integers(0, 1))
         regs, reference = lists[k], references[k]
@@ -870,8 +898,9 @@ def test_array_events_over_two_register_lists_match_reference(data):
 
 @pytest.mark.parametrize("rule", TREE_RULES)
 def test_sync_runs_sharing_a_net_match_runs_on_copies(rule):
-    # every event of these runs takes the array pass, so each run meets
-    # the columns the previous one left on the net
+    # under activate every event of these runs takes the array pass, so
+    # each run meets the columns the previous one left on the net; hopfield
+    # and cutset runs go per unit and leave none
     net = random_network("sparse", 40, m=6, seed=12)
     cutset = frozenset({1, 5, 9}) if rule == "activate-with-cutset" else None
     for seed in (1, 2, 3, 4):
@@ -879,14 +908,15 @@ def test_sync_runs_sharing_a_net_match_runs_on_copies(rule):
             run(on, rule, SynchronousAll(), init="random", seed=seed, cutset=cutset, max_passes=2, collect_trace=True)
             for on in (net, copy.deepcopy(net))
         ]
-        assert net._register_columns is not None
+        assert (net._register_columns is not None) == (rule == "activate")
         assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("rule", TREE_RULES)
 def test_array_event_reads_again_only_the_registers_that_differ(rule, monkeypatch):
     # the first array event on a net reads every register; per-unit events
-    # then change k of them, and the next array event reads those k only
+    # then change k of them, and the next array event reads those k only.
+    # Hopfield and cutset events read none
     net = random_network("sparse", 40, m=6, seed=7)
     cutset = frozenset({4}) if rule == "activate-with-cutset" else frozenset()
     regs = initial_registers(net, "random", cutset, 2)
@@ -895,7 +925,7 @@ def test_array_event_reads_again_only_the_registers_that_differ(rule, monkeypatc
     monkeypatch.setattr(engine, "_load_rows", lambda net, cols, regs, rows: loads.append(list(rows)) or _load_rows(net, cols, regs, rows))
     sync = frozenset(net.nodes())
     assert apply_event(net, regs, sync, rule, cutset) == apply_event_per_unit(net, reference, sync, rule, cutset)
-    assert loads[0] == list(net.nodes())
+    assert loads == ([list(net.nodes())] if rule == "activate" else [])
     changed = set()
     for i in (3, 8, 8, 21, 30, 31, 35, 37):
         deltas = apply_event(net, regs, frozenset({i}), rule, cutset)
@@ -905,16 +935,15 @@ def test_array_event_reads_again_only_the_registers_that_differ(rule, monkeypatc
     loads.clear()
     assert apply_event(net, regs, sync, rule, cutset) == apply_event_per_unit(net, reference, sync, rule, cutset)
     assert regs == reference
-    assert loads[0] == sorted(changed)
-    # afterwards only the changed cutset unit is read from its register
-    assert [rows for rows in loads[1:] if rows] == ([[4]] if cutset else [])
+    assert loads == ([sorted(changed)] if rule == "activate" else [])
 
 
 @pytest.mark.parametrize("rule", TREE_RULES)
 def test_a_register_past_int64_runs_its_event_per_unit(rule, monkeypatch):
     # registers past int64 do not load into the int64 columns: the array
     # pass writes none of them and hands the event to the per-unit path,
-    # and the next list that fits takes the array pass again
+    # and the next list that fits takes the array pass again.  Hopfield and
+    # cutset events never reach it
     net = random_network("sparse", 20, m=3, seed=4)
     cutset = frozenset({2}) if rule == "activate-with-cutset" else frozenset()
     ran = array_events_run(monkeypatch)
@@ -922,14 +951,44 @@ def test_a_register_past_int64_runs_its_event_per_unit(rule, monkeypatch):
     past = list(fits)
     j = net.micros_adjacency()[6][1][0][0]
     past[5] = past[5]._replace(x=1 - past[5].x, points_to=frozenset(), g0=2**70, g1=-(2**70))
-    past[6] = past[6]._replace(cutset_g1=((j, 2**65), (j, 1)))  # j reads the first entry, the others 0
     for regs in (fits, past, fits, past, fits):
         kept = None if net._register_columns is None else list(net._register_columns.regs)
         assert_event_matches_reference(net, list(regs), net.nodes(), rule, cutset)
-        if regs is past:  # the columns still describe the list before
-            assert all(a is b for a, b in zip(net._register_columns.regs, kept))
-        assert_columns_describe_their_list(net)
-    assert ran == [True, False, True, False, True]
+        if rule == "activate":
+            if regs is past:  # the columns still describe the list before
+                assert all(a is b for a, b in zip(net._register_columns.regs, kept))
+            assert_columns_describe_their_list(net)
+    assert ran == ([True, False, True, False, True] if rule == "activate" else [])
+
+
+@pytest.mark.parametrize("case", ["hopfield", "activate-with-cutset", "cutset", "stray-pointer", "pairs", "past-int64"])
+def test_only_activate_events_without_a_cutset_and_loadable_registers_take_the_array_pass(case, monkeypatch):
+    # one synchronous event over 48 units, past the cutoff of 16 + 48 // 12:
+    # hopfield and cutset-rule events, and activate events with a cutset,
+    # never call the array pass; activate events on a register with a
+    # pointer at a non-neighbor, with pairs outside the cutset or with a
+    # value past int64 call it and get None.  Each runs per unit, and the
+    # next activate event on registers a run produced takes the pass again
+    net = random_network("sparse", 48, m=6, seed=5)
+    rule = case if case in ("hopfield", "activate-with-cutset") else "activate"
+    cutset = greedy_cutset(net).members if case in ("activate-with-cutset", "cutset") else frozenset()
+    assert cutset or case not in ("activate-with-cutset", "cutset")
+    regs = perturb(net, initial_registers(net, "zeros", cutset if rule == "activate-with-cutset" else frozenset()), 3)
+    stray = next(j for j in net.nodes() if j != 7 and j not in dict(net.neighbors(7)))
+    if case == "stray-pointer":
+        regs[7] = regs[7]._replace(points_to=regs[7].points_to | {stray})
+    elif case == "pairs":
+        regs[7] = regs[7]._replace(cutset_g1=tuple((j, 5 * 10**6) for j, _ in net.neighbors(7)))
+    elif case == "past-int64":
+        regs[7] = regs[7]._replace(g1=2**70)
+    ran = array_events_run(monkeypatch)
+    ids = frozenset(net.nodes())
+    assert len(ids) >= engine.ARRAY_MIN_UNITS + net.n // 12
+    assert_event_matches_reference(net, regs, ids, rule, cutset)
+    assert ran == ([False] if takes_array_pass(rule, cutset) else [])
+    produced = run(net, "activate", CentralRoundRobin(), init="random", seed=4, max_passes=1).registers
+    assert_event_matches_reference(net, produced, ids, "activate", frozenset())
+    assert ran[-1] is True
 
 
 def test_registers_are_immutable():
@@ -946,7 +1005,9 @@ def test_shared_register_objects_match_reference_over_mixed_events(data):
     # cutset, and a preset list may hold one register at every unit.  The
     # array pass reads a row again only when its object is not the one it
     # last read, so two lists from that start, driven by singleton and
-    # array-sized events in turn, must match the per-unit reference
+    # array-sized events in turn, must match the per-unit reference.  Under
+    # activate it runs every array-sized event unless the shared register
+    # has per-neighbor pairs; hopfield and cutset events never reach it
     n = data.draw(st.integers(18, 30))
     net = random_network("sparse", n, m=data.draw(st.integers(0, 4)), seed=data.draw(st.integers(0, 2**16)))
     rule = data.draw(st.sampled_from(TREE_RULES))
@@ -978,7 +1039,12 @@ def test_shared_register_objects_match_reference_over_mixed_events(data):
             assert regs == reference
             changed = {i for i, _, _ in deltas}
             assert all(regs[i] is before[i] for i in net.nodes() if i not in changed)
-    assert ran == [True] * array_sized
+    if rule != "activate":
+        assert ran == []
+    elif start[1].cutset_g1 is None:
+        assert ran == [True] * array_sized
+    else:
+        assert len(ran) == array_sized
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,6 +18,12 @@ from goodnet.fixtures import _AbsentPairs
 from helpers import D, W, enumerate_optima, sparse_network_reference
 
 
+def test_random_network_needs_a_seed():
+    with pytest.raises(ValueError, match="random_network needs a seed"):
+        random_network("tree", 30, seed=None)
+    assert random_network("tree", 30) == random_network("tree", 30, seed=0)
+
+
 def test_fig1_shape():
     net = fig1()
     assert net.n == 5

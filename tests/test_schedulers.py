@@ -73,6 +73,18 @@ def test_central_random_deterministic_singletons():
     assert a != collect(CentralRandom(6), 8, 100)
 
 
+def test_central_random_needs_a_seed():
+    with pytest.raises(ValueError, match="central-random needs a seed"):
+        CentralRandom(None)
+    assert collect(CentralRandom(0), 50, 5) == collect(CentralRandom(0), 50, 5)
+
+
+def test_fair_exclusion_needs_a_seed():
+    with pytest.raises(ValueError, match="fair-excl needs a seed"):
+        FairExclusion(None)
+    assert collect(FairExclusion(0), 30, 5) == collect(FairExclusion(0), 30, 5)
+
+
 def test_fair_exclusion_contract():
     n = 7
     sched = FairExclusion(11)
