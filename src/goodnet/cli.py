@@ -14,6 +14,7 @@ First output tokens are machine-parseable: RESULT / OPT / COND / PASS / FAIL.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import sys
@@ -85,20 +86,21 @@ def cmd_run(args) -> int:
     scheduler = parse_scheduler(args.sched, seed=args.seed)
     cutset = _parse_cutset(net, args.cutset)
     want_trace = args.format == "tsv" or args.trace is not None
-    result = run(
-        net,
-        args.rule,
-        scheduler,
-        init=args.init,
-        seed=args.seed,
-        temperature=Weight.from_decimal(args.temp) if args.temp else None,
-        cutset=cutset,
-        max_passes=args.max_passes,
-        collect_trace=want_trace,
-    )
-    text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+    # opened before the run, so that a path that cannot be written fails at once
+    with open(args.trace, "w", encoding="utf-8") if args.trace is not None else contextlib.nullcontext() as fh:
+        result = run(
+            net,
+            args.rule,
+            scheduler,
+            init=args.init,
+            seed=args.seed,
+            temperature=Weight.from_decimal(args.temp) if args.temp else None,
+            cutset=cutset,
+            max_passes=args.max_passes,
+            collect_trace=want_trace,
+        )
+        text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
+        if args.trace is not None:
             fh.write(text + "\n")
     if args.format == "tsv" and text:
         print(text)
@@ -116,11 +118,10 @@ def cmd_oracle(args) -> int:
         report = cutset_exact_optimize(net, plan)
     else:
         report = brute_force_optima(net)
-    print(f"OPT goodness={report.gmax} count={len(report.argmax)}")
-    for a in report.argmax:
-        print("".join(str(b) for b in a))
-    for bits, value in report.conditionings:
-        print(f"COND y={''.join(str(b) for b in bits)} goodness={value}")
+    lines = [f"OPT goodness={format_micros(report.gmax.micros)} count={len(report.argmax)}"]
+    lines += ["".join(map(str, a)) for a in report.argmax]
+    lines += [f"COND y={''.join(map(str, bits))} goodness={format_micros(value.micros)}" for bits, value in report.conditionings]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -4,13 +4,16 @@ Everything here works on immutable Networks and is deliberately
 independent of the distributed simulator.  Each solver enumerates the
 codes of a fixed node set (first node most significant) as numpy columns.
 `brute_force_optima` builds the goodness column of the last log2(_CHUNK)
-nodes once; per code of the nodes before them it adds that code's own
-goodness, and its coupling on strided views of the low nodes' on codes.
+nodes, and one coupling column per node before them, once; it visits the
+codes of those nodes in Gray order, so each step adds or subtracts one
+contiguous coupling column.
 `cutset_exact_optimize` walks the forest left without the cutset once and
 runs the leaf-to-root DP on columns over the cutset codes;
-`tree_conditioned_max` is its one-code case.  Every partial sum is bounded
-by sum |w| + sum |theta|: the scan refuses a network where that reaches
-2**62 micros, and the DP runs the same code with dtype=object there.
+`tree_conditioned_max` is its one-code case.  Every partial sum, the
+scan's running column after a subtraction included, sums a subset of the
+net's terms, so it is bounded by sum |w| + sum |theta|: the scan refuses
+a network where that reaches 2**62 micros, and the DP runs the same code
+with dtype=object there.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .network import Network
 from .weights import Weight
 
-_CHUNK = 1 << 18  # states per scan column
+_CHUNK = 1 << 14  # states per scan column: it and the coupling column it adds stay in cache
 _CODE_CHUNK = 1 << 12  # cutset codes per conditioning-DP column
 
 BRUTE_FORCE_MAX_NODES = 26
@@ -92,23 +95,26 @@ def brute_force_optima(net: Network) -> OptimumReport:
     if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS:
         raise ValueError("weights too large for an exact int64 scan (sum |w| + sum |theta| >= 2**62 micros)")
     split = max(0, net.n - (_CHUNK.bit_length() - 1))  # nodes 1..split are high, the rest low
-    high_g = _subnet_column(net, range(1, split + 1))
-    low_g = _subnet_column(net, range(split + 1, net.n + 1))
-    high_bits = _bits(np.arange(len(high_g)), split).tolist()
-    # each low node's bit, and its (high bit index, weight) links
+    high_g = _subnet_column(net, range(1, split + 1)).tolist()
+    g = _subnet_column(net, range(split + 1, net.n + 1))  # running: low goodness plus the coupling of the high nodes on in h
     adjacency = net.micros_adjacency()
-    boundary = [(net.n - v, [(j - 1, w) for j, w in adjacency[v][1] if j <= split]) for v in range(split + 1, net.n + 1)]
-    g, best, best_rows = np.empty_like(low_g), None, []  # one chunk buffer, refilled per high code
-    for h, base in enumerate(high_g.tolist()):
-        np.add(low_g, base, out=g)
-        for bit, links in boundary:
-            if coupling := sum(w for j, w in links if high_bits[h][j]):
-                _on(g, bit)[...] += coupling
-        chunk_best = int(g.max())
+    coupling = [np.zeros_like(g) for _ in range(split)]  # high node j's weights to its low neighbours that are on
+    for j, column in enumerate(coupling, 1):
+        for v, w in adjacency[j][1]:
+            if v > split:
+                _on(column, net.n - v)[...] += w
+    best, best_rows, h = None, [], 0
+    for step in range(1 << split):  # Gray order: each step turns one high node on or off
+        if step:
+            bit = (step & -step).bit_length() - 1
+            h ^= 1 << bit
+            (np.add if h >> bit & 1 else np.subtract)(g, coupling[split - 1 - bit], out=g)
+        chunk_best = int(g.max()) + high_g[h]
         if best is None or chunk_best > best:
             best, best_rows = chunk_best, []
         if chunk_best == best:
-            best_rows += [tuple(high_bits[h] + low) for low in _bits(np.flatnonzero(g == best), net.n - split).tolist()]
+            high = [h >> (split - 1 - k) & 1 for k in range(split)]
+            best_rows += [tuple(high + low) for low in _bits(np.flatnonzero(g == best - high_g[h]), net.n - split).tolist()]
     return OptimumReport(Weight(best), tuple(sorted(best_rows)), 1 << net.n)
 
 

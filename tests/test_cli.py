@@ -153,6 +153,14 @@ def test_run_refuses_an_empty_trace_path(capsys, monkeypatch):
     assert err.startswith("error: ") and "--trace" in err
 
 
+def test_run_refuses_an_unwritable_trace_path_before_the_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("goodnet.cli.run", lambda *args, **kwargs: pytest.fail("the run started"))
+    path = tmp_path / "missing" / "t.tsv"
+    code, out, err = run_cli(capsys, "run", "--fixture", "chain2i:5", "--max-passes", "20000", "--trace", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "No such file or directory" in err and not path.parent.exists()
+
+
 def test_run_rejects_init_preset(capsys):
     # the stuck pointer ring is reached through `goodnet demo fig9`
     with pytest.raises(SystemExit) as exc:

@@ -316,17 +316,47 @@ def test_subnet_column_on_fixed_ranges(nodes):
 
 
 def test_brute_force_scan_at_full_chunk_size():
-    # n=20 leaves 2 high nodes over chunks of 2**18 codes, and this net's
-    # argmax spans three of the four chunks
+    # n=20 leaves 6 high nodes over chunks of 2**14 codes, and this net's
+    # argmax spans three of the 64 high codes
     net = random_network("sparse", 20, m=4, seed=9)
     report = brute_force_optima(net)
-    assert oracle._CHUNK == 1 << 18 and len({row[:2] for row in report.argmax}) == 3
+    assert oracle._CHUNK == 1 << 14 and len({row[:6] for row in report.argmax}) == 3
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_CHUNK", 1 << 10)
+        mp.setattr(oracle, "_CHUNK", 1 << 3)
         small = brute_force_optima(net)
     assert (report.gmax, report.argmax, report.states_scanned) == (small.gmax, small.argmax, 2**20)
     assert report.gmax == cutset_exact_optimize(net, greedy_cutset(net)).gmax
     assert all(net.goodness(row) == report.gmax for row in report.argmax)
+
+
+def test_brute_force_scan_at_its_node_cap():
+    net = random_network("sparse", oracle.BRUTE_FORCE_MAX_NODES, m=6, seed=3)
+    report = brute_force_optima(net)
+    assert report.states_scanned == 2**26 and report.argmax
+    assert report.gmax == cutset_exact_optimize(net, greedy_cutset(net)).gmax
+    assert all(net.goodness(row) == report.gmax for row in report.argmax)
+
+
+def test_brute_force_scan_collects_ties_over_every_gray_step():
+    # every state of an all-zero net is an argmax: 4 high codes of one chunk each
+    n = oracle._CHUNK.bit_length() - 1 + 2
+    report = brute_force_optima(Network(n))
+    assert report.gmax == Weight(0) and report.states_scanned == 2**n
+    assert report.argmax == tuple(itertools.product((0, 1), repeat=n))
+
+
+def test_brute_force_scan_subtractions_stay_exact_at_the_int64_limit():
+    # sum |w| + sum |theta| is 2**62 - 1 micros: each high node links to one
+    # low node by about 2**62 / 3 and to another by -1 micro, so the walk
+    # adds and subtracts coupling columns whose sums need all 62 bits
+    a = ((1 << 62) - 1) // 3 - 2
+    edges = [(1, 4, a), (2, 5, a), (3, 6, a), (1, 5, -1), (2, 6, -1), (3, 4, -1), (4, 5, -1)]
+    net = Network(6, [(i, j, Weight(w)) for i, j, w in edges], {1: Weight(-1), 6: Weight(1)})
+    assert net.magnitude_micros() == (1 << 62) - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK", 1 << 3)
+        report = brute_force_optima(net)
+    assert (report.gmax, list(report.argmax)) == enumerate_optima(net)
 
 
 def test_conditioning_dp_is_exact_past_int64():
