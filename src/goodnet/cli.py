@@ -14,9 +14,9 @@ First output tokens are machine-parseable: RESULT / OPT / COND / PASS / FAIL.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import inspect
+import os
 import sys
 
 from . import experiments
@@ -86,21 +86,22 @@ def cmd_run(args) -> int:
     scheduler = parse_scheduler(args.sched, seed=args.seed)
     cutset = _parse_cutset(net, args.cutset)
     want_trace = args.format == "tsv" or args.trace is not None
-    # opened before the run, so that a path that cannot be written fails at once
-    with open(args.trace, "w", encoding="utf-8") if args.trace is not None else contextlib.nullcontext() as fh:
-        result = run(
-            net,
-            args.rule,
-            scheduler,
-            init=args.init,
-            seed=args.seed,
-            temperature=Weight.from_decimal(args.temp) if args.temp else None,
-            cutset=cutset,
-            max_passes=args.max_passes,
-            collect_trace=want_trace,
-        )
-        text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
-        if args.trace is not None:
+    if args.trace is not None:
+        open(args.trace, "a").close()  # a bad path fails before the run, and a failed run leaves the file as it was
+    result = run(
+        net,
+        args.rule,
+        scheduler,
+        init=args.init,
+        seed=args.seed,
+        temperature=Weight.from_decimal(args.temp) if args.temp else None,
+        cutset=cutset,
+        max_passes=args.max_passes,
+        collect_trace=want_trace,
+    )
+    text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     if args.format == "tsv" and text:
         print(text)
@@ -193,7 +194,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: exit as SIGPIPE would (128 + 13), with stdout on devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import Network
+from .network import INT64_SCAN_MAX_MICROS, Network
 from .rules import (
     ONE_REGISTER,
     ActivationRegister,
@@ -136,7 +136,6 @@ def _unit_update(
 # on another register list pays the first cost.  The floor of 16 keeps
 # every net under 16 nodes on the per-unit path.
 ARRAY_MIN_UNITS = 16
-_INT64_LIMIT = 1 << 62  # array values stay below this, or the event runs per unit
 
 
 def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
@@ -210,10 +209,13 @@ def _array_event(net: Network, regs: list, ids: frozenset[int]) -> tuple | None:
     units are written back from the event's own columns.  Every array
     value is bounded by 2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros,
     checked on the columns on every event.  It returns None, and the event
-    runs per unit, when that bound reaches 2**62 or a register does not
-    load: one with per-neighbor pairs, a pointer off its neighbors or a
-    value past int64.
+    runs per unit, when that bound reaches `INT64_SCAN_MAX_MICROS` (2**62)
+    or a register does not load: one with per-neighbor pairs, a pointer
+    off its neighbors or a value past int64.  A net whose 2*magnitude
+    alone reaches it returns None before any array or column is built.
     """
+    if 2 * (magnitude := net.magnitude_micros()) >= INT64_SCAN_MAX_MICROS:
+        return None
     he = net.half_edges()
     n = net.n
     cols = net._register_columns
@@ -229,7 +231,7 @@ def _array_event(net: Network, regs: list, ids: frozenset[int]) -> tuple | None:
     g = np.concatenate((g0, g1))
     g_max = max(int(g.max()), -int(g.min()))
     x_max = max(1, int(x.max()), -int(x.min()))
-    if 2 * (he.max_degree + 1) * g_max + 2 * he.magnitude * x_max >= _INT64_LIMIT:
+    if 2 * (he.max_degree + 1) * g_max + 2 * magnitude * x_max >= INT64_SCAN_MAX_MICROS:
         return None
     w, bias, src, dst, rev = he.w, he.bias, he.src, he.dst, he.rev
     first = he.indptr.tolist()

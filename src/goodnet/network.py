@@ -1,8 +1,9 @@
 """Symmetric weighted networks over 0/1 units.
 
 A network is a set of nodes 1..n, an undirected edge set with exact
-weights, and a per-node bias.  The objective ("goodness") of an
-assignment X is
+weights, and a per-node bias, each stored once in int micros
+(`Network.micros_adjacency`); `Weight`s wrap them only on the way out.
+The objective ("goodness") of an assignment X is
 
     sum_{i<j} w_ij * X_i * X_j  +  sum_i theta_i * X_i
 
@@ -17,7 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .weights import Weight
+from .weights import Weight, format_micros
+
+INT64_SCAN_MAX_MICROS = 1 << 62  # numpy sums of a net's terms run in int64 only while magnitude_micros() stays below
 
 
 class ParseError(ValueError):
@@ -28,14 +31,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _micros_array(values: list[int]) -> np.ndarray:
-    """int64 when every value fits, Python ints (dtype=object) otherwise."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 @dataclass(frozen=True)
 class HalfEdges:
     """The edges as CSR half-edges, one per direction, rows indexed by node id.
@@ -44,7 +39,7 @@ class HalfEdges:
     neighbors in ascending id order, as in `Network.micros_adjacency`:
     half-edge e runs ``src[e] -> dst[e]`` with weight ``w[e]`` in micros
     and ``rev[e]`` is the half-edge ``dst[e] -> src[e]``.  ``bias`` holds
-    the node biases in micros.
+    the node biases in micros.  Every array is int64.
     """
 
     indptr: np.ndarray
@@ -55,17 +50,14 @@ class HalfEdges:
     bias: np.ndarray
     degree: np.ndarray
     max_degree: int
-    magnitude: int  # Network.magnitude_micros()
     _nonempty: np.ndarray
     _starts: np.ndarray
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-node sum of a per-half-edge array (0 on isolated nodes),
-        in the values' dtype; bools are counted in int64."""
-        dtype = np.int64 if values.dtype == bool else values.dtype
-        out = np.zeros(len(self.degree), dtype=dtype)
+        """Per-node int64 sum of a per-half-edge array (0 on isolated nodes)."""
+        out = np.zeros(len(self.degree), dtype=np.int64)
         if len(values):
-            out[self._nonempty] = np.add.reduceat(values, self._starts, dtype=dtype)
+            out[self._nonempty] = np.add.reduceat(values, self._starts, dtype=np.int64)
         return out
 
 
@@ -78,7 +70,7 @@ class Network:
 
     # _register_columns belongs to the engine: its array pass keeps the
     # register columns of the last register list it ran on there
-    __slots__ = ("n", "_edges", "_bias", "cutset", "_adjacency", "_half_edges", "_register_columns")
+    __slots__ = ("n", "cutset", "_adjacency", "_magnitude", "_half_edges", "_register_columns")
 
     def __init__(
         self,
@@ -106,25 +98,25 @@ class Network:
             bias_list[i] = b
         object.__setattr__(self, "n", n)
         cutset_set = self.check_cutset(cutset)
-        edge_map = dict(sorted(edge_map.items()))
         rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for (i, j), w in edge_map.items():  # ascending keys fill every row in ascending id order
+        magnitude = 0
+        for (i, j), w in sorted(edge_map.items()):  # ascending keys fill every row in ascending id order
             try:
                 w = w.micros
             except AttributeError:
                 raise TypeError(f"edge ({i},{j}) has weight {w!r}, not a Weight") from None
             rows[i].append((j, w))
             rows[j].append((i, w))
-        adjacency = []
-        for i, (b, row) in enumerate(zip(bias_list, rows)):
+            magnitude += abs(w)
+        bias_micros = []
+        for i, b in enumerate(bias_list):
             try:
-                adjacency.append((b.micros, tuple(row)))
+                bias_micros.append(b.micros)
             except AttributeError:
                 raise TypeError(f"node {i} has bias {b!r}, not a Weight") from None
-        object.__setattr__(self, "_edges", edge_map)
-        object.__setattr__(self, "_bias", tuple(bias_list))
         object.__setattr__(self, "cutset", cutset_set)
-        object.__setattr__(self, "_adjacency", tuple(adjacency))
+        object.__setattr__(self, "_adjacency", tuple(zip(bias_micros, map(tuple, rows))))
+        object.__setattr__(self, "_magnitude", magnitude + sum(map(abs, bias_micros)))
         object.__setattr__(self, "_half_edges", None)
         object.__setattr__(self, "_register_columns", None)
 
@@ -134,7 +126,7 @@ class Network:
     def __reduce__(self):
         # copies and pickles go through __init__, which builds the adjacency
         # again and starts without half-edges or register columns
-        return Network, (self.n, self.edges(), dict(enumerate(self._bias[1:], 1)), self.cutset)
+        return Network, (self.n, self.edges(), {i: self.bias(i) for i in self.nodes()}, self.cutset)
 
     # -- structure ---------------------------------------------------------
 
@@ -142,11 +134,11 @@ class Network:
         return range(1, self.n + 1)
 
     def edges(self) -> list[tuple[int, int, Weight]]:
-        return [(i, j, w) for (i, j), w in self._edges.items()]
+        return [(i, j, Weight(w)) for i, (_, row) in enumerate(self._adjacency) for j, w in row if i < j]
 
     def neighbors(self, i: int) -> tuple[tuple[int, Weight], ...]:
         """Node i's ``(j, w_ij)`` pairs in ascending id order."""
-        return tuple([(j, self.weight(i, j)) for j, _ in self._adjacency[i][1]])
+        return tuple([(j, Weight(w)) for j, w in self._adjacency[i][1]])
 
     def micros_adjacency(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
         """Per node id, ``(bias, ((j, w_ij), ...))`` in int micros with the
@@ -155,7 +147,8 @@ class Network:
         return self._adjacency
 
     def half_edges(self) -> HalfEdges:
-        """The CSR half-edge arrays, built on first use and kept."""
+        """The CSR half-edge arrays, built on first use and kept; int64, so
+        a net with a value past int64 raises OverflowError."""
         if self._half_edges is None:
             adj = self._adjacency
             n = self.n
@@ -170,12 +163,11 @@ class Network:
                 indptr=indptr,
                 src=src,
                 dst=dst,
-                w=_micros_array([w for _, a in adj for _, w in a]),
+                w=np.array([w for _, a in adj for _, w in a], dtype=np.int64),
                 rev=rev,
-                bias=_micros_array([b for b, _ in adj]),
+                bias=np.array([b for b, _ in adj], dtype=np.int64),
                 degree=degree,
                 max_degree=int(degree.max()),
-                magnitude=self.magnitude_micros(),
                 _nonempty=degree > 0,
                 _starts=indptr[:-1][degree > 0],
             )
@@ -190,19 +182,18 @@ class Network:
                 raise ValueError(f"cutset references node {i} outside 1..{self.n}")
         return members
 
-    def degree(self, i: int) -> int:
-        return len(self._adjacency[i][1])
-
     def weight(self, i: int, j: int) -> Weight:
-        key = (i, j) if i < j else (j, i)
-        return self._edges[key]
+        for k, w in self._adjacency[i][1] if 0 <= i <= self.n else ():
+            if k == j:
+                return Weight(w)
+        raise KeyError((i, j) if i < j else (j, i))
 
     def bias(self, i: int) -> Weight:
-        return self._bias[i]
+        return Weight(self._adjacency[i][0])
 
     def magnitude_micros(self) -> int:
-        """sum |w| + sum |theta| in micros: a bound on |goodness| of any assignment."""
-        return sum(abs(w.micros) for w in self._edges.values()) + sum(abs(b.micros) for b in self._bias)
+        """sum |w| + sum |theta| in micros, summed with the net: a bound on |goodness| of any assignment."""
+        return self._magnitude
 
     # -- objective ---------------------------------------------------------
 
@@ -213,32 +204,29 @@ class Network:
     def goodness(self, a: Sequence[int]) -> Weight:
         """Exact goodness of an assignment (indexing is a[i-1] for node i)."""
         self.check_assignment(a)
-        total = 0
-        for (i, j), w in self._edges.items():
-            if a[i - 1] and a[j - 1]:
-                total += w.micros
-        for i in self.nodes():
-            if a[i - 1]:
-                total += self._bias[i].micros
-        return Weight(total)
+        xs = (0, *a)
+        total = pairs = 0  # an edge between two on nodes adds to pairs from both ends
+        for (bias, row), x in zip(self._adjacency, xs):
+            if x:
+                total += bias
+                for j, w in row:
+                    if xs[j]:
+                        pairs += w
+        return Weight(total + pairs // 2)
 
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Network):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self._edges == other._edges
-            and self._bias == other._bias
-            and self.cutset == other.cutset
-        )
+        return self.n == other.n and self._adjacency == other._adjacency and self.cutset == other.cutset
 
     def __hash__(self):
-        return hash((self.n, tuple(self._edges.items()), self._bias, self.cutset))
+        return hash((self.n, self._adjacency, self.cutset))
 
     def __repr__(self):
-        return f"Network(n={self.n}, edges={len(self._edges)}, cutset={sorted(self.cutset)})"
+        edges = sum([len(row) for _, row in self._adjacency]) // 2
+        return f"Network(n={self.n}, edges={edges}, cutset={sorted(self.cutset)})"
 
 
 def parse_network(text: str) -> Network:
@@ -325,11 +313,10 @@ def parse_network(text: str) -> Network:
 
 def serialize_network(net: Network) -> str:
     """Canonical text form; parse(serialize(net)) == net."""
+    adjacency = net.micros_adjacency()
     lines = [f"nodes {net.n}"]
-    for i in net.nodes():
-        lines.append(f"bias {i} {net.bias(i)}")
-    for i, j, w in net.edges():
-        lines.append(f"edge {i} {j} {w}")
+    lines += [f"bias {i} {format_micros(adjacency[i][0])}" for i in net.nodes()]
+    lines += [f"edge {i} {j} {format_micros(w)}" for i in net.nodes() for j, w in adjacency[i][1] if i < j]
     if net.cutset:
         lines.append("cutset " + " ".join(str(i) for i in sorted(net.cutset)))
     return "\n".join(lines) + "\n"

@@ -12,8 +12,9 @@ runs the leaf-to-root DP on columns over the cutset codes;
 `tree_conditioned_max` is its one-code case.  Every partial sum, the
 scan's running column after a subtraction included, sums a subset of the
 net's terms, so it is bounded by sum |w| + sum |theta|: the scan refuses
-a network where that reaches 2**62 micros, and the DP runs the same code
-with dtype=object there.
+a network where that reaches `INT64_SCAN_MAX_MICROS` (2**62), and the DP
+runs the same code with dtype=object there.  Both read only the net's
+int micros (`Network.micros_adjacency`); `Weight` wraps what they report.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import Network
+from .network import INT64_SCAN_MAX_MICROS, Network
 from .weights import Weight
 
 _CHUNK = 1 << 14  # states per scan column: it and the coupling column it adds stay in cache
@@ -32,7 +33,6 @@ _CODE_CHUNK = 1 << 12  # cutset codes per conditioning-DP column
 
 BRUTE_FORCE_MAX_NODES = 26
 CUTSET_MAX_SIZE = 20
-INT64_SCAN_MAX_MICROS = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def _conditioned_chunk(net: Network, trees, members: list[int], ybits: np.ndarra
     y = dict(zip(members, ybits.T.astype(dtype)))
     zero = np.zeros(len(ybits), dtype=dtype)
     total = zero + sum(adjacency[i][0] * y[i] for i in members)
-    total = total + sum(w.micros * y[i] * y[j] for i, j, w in net.edges() if i in y and j in y)
+    total = total + sum(w * y[i] * y[j] for i in members for j, w in adjacency[i][1] if i < j and j in y)
     acc0, acc1 = {}, {}  # node -> sum of its children's best with it off, with it on
     choice = {}  # free node -> its best bit with its parent off, with it on
     for order, parent in trees:
@@ -215,7 +215,7 @@ def _conditioned_chunk(net: Network, trees, members: list[int], ybits: np.ndarra
             off = acc0.pop(v, zero)
             on = acc1.pop(v, zero) + bias + sum(w * y[j] for j, w in nbs if j in y)
             p = parent[v]
-            on_up = on + net.weight(v, p).micros if p else on
+            on_up = on + next(w for j, w in nbs if j == p) if p else on
             choice[v] = (on >= off, on_up >= off)
             acc0[p] = acc0.get(p, zero) + np.maximum(off, on)
             acc1[p] = acc1.get(p, zero) + np.maximum(off, on_up)

@@ -212,7 +212,7 @@ def legality_map_fixpoint(net: Network, pointers) -> dict:
             result[i] = Legality.LEGAL
         else:
             pointing = sum(1 for j, _ in net.neighbors(i) if i in pointers.get(j, frozenset()))
-            non_pointing = net.degree(i) - pointing
+            non_pointing = len(net.neighbors(i)) - pointing
             result[i] = Legality.CANDIDATE if non_pointing <= 1 else Legality.ILLEGAL
     return result
 

@@ -57,6 +57,19 @@ def test_module_entry_point_exit_codes(argv, code):
         assert proc.stdout.startswith("RESULT stable=") and proc.stderr == ""
 
 
+def test_a_closed_stdout_stops_the_command_quietly():
+    # `goodnet run ... | head -n 1`: 1.8 MB of trace meets a reader that
+    # has gone; the command stops with the SIGPIPE status and says nothing
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = ["run", "--fixture", "chain2i:5", "--sched", "sync-all", "--max-passes", "2000", "--format", "tsv"]
+    proc = subprocess.Popen([sys.executable, "-m", "goodnet", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"0\t1\t")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_run_missing_file(capsys):
     code, _, err = run_cli(capsys, "run", "--net", "missing.net")
     assert code == 1
@@ -159,6 +172,17 @@ def test_run_refuses_an_unwritable_trace_path_before_the_run(capsys, monkeypatch
     code, out, err = run_cli(capsys, "run", "--fixture", "chain2i:5", "--max-passes", "20000", "--trace", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "No such file or directory" in err and not path.parent.exists()
+
+
+def test_a_failed_run_keeps_the_trace_file_it_would_have_written(capsys, tmp_path):
+    # the path is checked before the run but written only after it
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"old contents\n")
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "boltzmann", "--trace", str(path))
+    assert (code, out, err) == (1, "", "error: boltzmann rule needs a temperature\n")
+    assert path.read_bytes() == b"old contents\n"
+    code, out, _ = run_cli(capsys, "run", "--fixture", "fig1", "--format", "tsv", "--trace", str(path))
+    assert code == 0 and path.read_text() == out[: out.rindex("RESULT")]
 
 
 def test_run_rejects_init_preset(capsys):

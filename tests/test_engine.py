@@ -827,9 +827,9 @@ def array_events_run(monkeypatch) -> list:
 @pytest.mark.parametrize("rule", TREE_RULES)
 def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
     # five links into node 1.  At scale 10**12 (3e12 links) every weight
-    # fits in int64 but the sums pass 2**63, so the bound check sends every
-    # event per unit (the perturbed goodness, drawn from the 2.1e19-micro
-    # envelope, does not even load).  At scale 1 only the bounded registers
+    # fits in int64 but the sums pass 2**63: 2 * magnitude alone reaches
+    # the bound, so every event runs per unit before the array pass builds
+    # its CSR arrays or columns.  At scale 1 only the bounded registers
     # go per unit: the array pass runs again, on columns that stayed int64,
     # as the register lists alternate and as the bounded goodness settles.
     # Hopfield and cutset events never reach the array pass
@@ -838,8 +838,7 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
     for scale in (10**12, 1):
         net = Network(6, [(1, j, W(3 * scale)) for j in range(2, 7)], {i: W(-scale) for i in range(1, 7)})
         cutset = frozenset({2}) if rule == "activate-with-cutset" else frozenset()
-        he = net.half_edges()
-        assert he.w.dtype == np.int64 and (2 * he.magnitude >= 2**62) == (scale > 1)
+        assert (2 * net.magnitude_micros() >= 2**62) == (scale > 1)
         rng = random.Random(1)
         perturbed = perturb(net, initial_registers(net, "zeros", cutset), 1)
         bounded = [None] + [
@@ -850,15 +849,36 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
             regs = list(regs)
             for ids in [[1, 2, 3]] + [range(1, 7)] * full_events:
                 assert_event_matches_reference(net, regs, ids, rule, cutset)
-                if rule == "activate":
+                if rule == "activate" and scale == 1:
                     assert_columns_describe_their_list(net)
         if rule != "activate":
             assert ran == [] and net._register_columns is None
         elif scale > 1:
-            assert ran == [False] * 9
+            assert ran == [False] * 9 and net._half_edges is None and net._register_columns is None
         else:
+            assert net.half_edges().w.dtype == np.int64
             assert ran[:3] == [True, True, False] and ran[-2:] == [True, True]
             assert any(ran[3:7])
+
+
+def test_weights_past_int64_run_per_unit_without_arrays(monkeypatch):
+    # one weight of 2**63 micros does not fit int64, so the CSR arrays
+    # could not hold it: every sync-all event on these 40 units is large
+    # enough for the array pass, which hands it to the rule steps before
+    # it builds any array
+    n = 40
+    rng = random.Random(2)
+    edges = [(i, i + 1, W(rng.randint(-3, 3))) for i in range(1, n)] + [(1, n, Weight(1 << 63)), (5, 9, W(-2))]
+    net = Network(n, edges, {i: W(rng.randint(-2, 2)) for i in range(1, n + 1)})
+    ran = array_events_run(monkeypatch)
+    regs = initial_registers(net, "random", seed=4)
+    reference = list(regs)
+    ids = frozenset(net.nodes())
+    for _ in range(12):
+        assert apply_event(net, regs, ids, "activate") == apply_event_per_unit(net, reference, ids, "activate", frozenset())
+        assert regs == reference
+    assert ran == [False] * 12
+    assert net._half_edges is None and net._register_columns is None
 
 
 @settings(max_examples=100, deadline=None)

@@ -91,8 +91,11 @@ def test_network_rejects_non_weight_values(edges, biases, named):
 def test_parse_minimal():
     net = parse_network("nodes 2\nedge 1 2 1.5")
     assert net.n == 2
-    assert net.weight(1, 2) == D("1.5")
+    assert net.weight(1, 2) == D("1.5") and net.weight(2, 1) == D("1.5")
     assert net.bias(1) == Weight(0) and net.bias(2) == Weight(0)
+    for i, j in ((1, 1), (3, 1), (-1, 1), (0, 2)):
+        with pytest.raises(KeyError):
+            net.weight(i, j)
 
     single = parse_network("nodes 1\nbias 1 -3")
     assert single.bias(1) == W(-3)
@@ -160,6 +163,25 @@ def test_network_copies_and_pickles(clone):
     assert twin_half_edges.dst.tolist() == half_edges.dst.tolist()
 
 
+def test_networks_from_reordered_inputs_are_equal():
+    # equality, hashing and the text form see the weights, biases and
+    # cutset, not the order they came in (an omitted bias is a zero one)
+    edges = [(1, 2, W(1)), (3, 2, D("-0.5")), (1, 4, W(2)), (3, 4, W(0))]
+    biases = {4: D("0.25"), 1: W(1)}
+    net = Network(4, edges, biases, {2})
+    twin = Network(4, [(j, i, w) for i, j, w in reversed(edges)], {1: W(1), 2: W(0), 4: D("0.25")}, [2, 2])
+    assert twin == net and hash(twin) == hash(net)
+    assert serialize_network(twin) == serialize_network(net)
+    for other in (
+        Network(4, edges[:3] + [(3, 4, D("0.000001"))], biases, {2}),  # one weight
+        Network(4, edges[:3], biases, {2}),  # a zero weight is still an edge
+        Network(4, edges, {**biases, 3: D("-0.000001")}, {2}),  # one bias
+        Network(4, edges, biases, {2, 3}),  # the cutset
+        Network(4, edges, biases),
+    ):
+        assert other != net and serialize_network(other) != serialize_network(net)
+
+
 def test_micros_adjacency_is_built_once_from_the_weights():
     net = random_network("sparse", 12, m=3, seed=4)
     adjacency = net.micros_adjacency()
@@ -173,7 +195,7 @@ def test_micros_adjacency_is_built_once_from_the_weights():
         assert adjacency[i] == (net.bias(i).micros, tuple(sorted(rows[i])))
         ids = sorted(j for j, _ in rows[i])
         assert net.neighbors(i) == tuple((j, net.weight(i, j)) for j in ids)
-        assert net.degree(i) == len(ids)
+        assert net.half_edges().degree[i] == len(ids)
 
 
 def test_serialize_round_trip_fixtures():
