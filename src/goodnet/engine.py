@@ -26,6 +26,14 @@ columns.  A network must therefore not be driven by two threads at once.
 
 `steps` is the one loop that turns a scheduler into events; `run` and the
 negative-result demos consume it, and only a traced run attaches `_traced`.
+It keeps a dirty flag per unit, and an event of two or more units that
+runs the rule steps activates only its dirty units: a unit is clean once
+it ran and no neighbor changed since (nor itself, for a cutset unit,
+which reads its own bit), so running it again could change nothing
+(Dijkstra's unprivileged state).  Array-pass events, boltzmann events
+and singletons run every scheduled unit.  Singletons could skip too, but
+the benchmark's self-test pins the `apply_event` and rule-step calls of a
+central-rr run.
 
 A run is declared stable after a full quiet window: no register
 changed for 2n consecutive events and every unit was re-activated on
@@ -127,15 +135,21 @@ def _unit_update(
 
 
 # An event takes the array pass when it activates at least
-# ARRAY_MIN_UNITS + n // 12 units.  Measured on sparse nets of 10 to 2,560
-# nodes: a per-unit update costs 16-19 us and an array event 90-120 us
-# plus 1.0-1.7 us per node, so the array pass wins from about 5-8 + n/11-16
-# units.  An array event that finds its register columns kept from the
-# previous one costs 110-130 us plus 0.6-0.9 us per node; after per-unit
-# events it reads again only the registers they changed, and only an event
-# on another register list pays the first cost.  The floor of 16 keeps
-# every net under 16 nodes on the per-unit path.
+# ARRAY_MIN_UNITS + n // 12 units.  Measured on sparse nets of 40 to 2,560
+# nodes (random registers, best of 300, Python 3.11 and numpy 2.4 on a
+# shared 2-core Xeon): a 33-unit event of per-unit updates costs 2.7-5.5
+# us per unit, and an array event that finds its register columns kept
+# from the previous one 40 us plus 0.2 us per node, so the array pass
+# wins from about 15 + n/13 units.  An array event on another register
+# list reads every register again, at about 2 us per node; after
+# per-unit events it reads again only the registers they changed.  The
+# floor of 16 keeps every net under 16 nodes on the per-unit path.
 ARRAY_MIN_UNITS = 16
+
+
+def _takes_array_pass(net: Network, rule: str, cutset: frozenset[int], ids: frozenset[int]) -> bool:
+    """Whether `apply_event` hands the event to `_array_event`."""
+    return rule == "activate" and not cutset and len(ids) >= ARRAY_MIN_UNITS + net.n // 12
 
 
 def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
@@ -295,16 +309,18 @@ def apply_event(
     cost outweighs the per-unit updates only on large events.  Every other
     event, and one on registers the array pass does not load, runs the
     rule steps of :mod:`goodnet.rules` one unit at a time; boltzmann's
-    per-unit random draws keep their order.
+    per-unit random draws keep their order.  Of an event of two or
+    more units on the per-unit path, under any rule but boltzmann, `steps`
+    hands over only the dirty units.
     """
-    if rule == "activate" and not cutset and len(ids) >= ARRAY_MIN_UNITS + net.n // 12:
-        if (array := _array_event(net, regs, ids)) is not None:
-            return array
     deltas: list = []
     if len(ids) == 1:
         (i,) = ids
         _commit(regs, i, _unit_update(net, regs, i, rule, cutset, rng, temperature), deltas)
         return tuple(deltas)
+    if _takes_array_pass(net, rule, cutset, ids):
+        if (array := _array_event(net, regs, ids)) is not None:
+            return array
     updates = {i: _unit_update(net, regs, i, rule, cutset, rng, temperature) for i in sorted(ids)}
     for i, new in updates.items():
         _commit(regs, i, new, deltas)
@@ -405,13 +421,56 @@ def assignment_of(regs: Sequence) -> tuple[int, ...]:
 
 def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=frozenset(), rng=None, temperature=None) -> Iterator:
     """Apply `scheduler`'s events to `regs` in place, without end, yielding each
-    `(ids, deltas)`; an empty event or one outside 1..n raises ValueError first."""
+    `(ids, deltas)`; an empty event or one outside 1..n raises ValueError first.
+
+    `regs` may change only through these events, since a per-unit flag
+    records which units are dirty.  Every unit starts dirty; running a unit
+    makes it clean, and a unit whose register changed makes its neighbors
+    dirty, and itself too when it is a cutset unit (its update reads its
+    own pre-event bit; every other unit's reads only its neighbors').  A
+    clean unit's register is what running it would give.  So an event of
+    two or more units that runs the rule steps hands `apply_event` only
+    its dirty units, and yields () without a call when none is.  An event
+    that takes the array pass, or a boltzmann event of two or more units,
+    runs all its units and leaves every unit dirty: the pass computes
+    every node anyway, and boltzmann's random draws keep their order.  A
+    singleton runs its unit.  The yielded `ids` are the scheduled ones,
+    and the deltas those of the whole event."""
+    n = net.n
     units = frozenset(net.nodes())
+    adjacency = net.micros_adjacency()
+    dirty = [True] * (n + 1)  # dirty[i]: unit i is not clean
+    all_dirty = dirty[:]
     while True:
-        ids = scheduler.next_set(net.n)
+        ids = scheduler.next_set(n)
         if not ids or not ids <= units:
-            raise ValueError(f"scheduler produced the event {sorted(ids)}, not a non-empty set of units in 1..{net.n}")
-        yield ids, apply_event(net, regs, ids, rule, cutset, rng, temperature)
+            raise ValueError(f"scheduler produced the event {sorted(ids)}, not a non-empty set of units in 1..{n}")
+        if len(ids) == 1:
+            deltas = apply_event(net, regs, ids, rule, cutset, rng, temperature)
+            changed = ids
+            (i,) = ids
+            dirty[i] = False
+        elif rule == "boltzmann" or _takes_array_pass(net, rule, cutset, ids):
+            deltas = apply_event(net, regs, ids, rule, cutset, rng, temperature)
+            dirty[:] = all_dirty
+            yield ids, deltas
+            continue
+        else:
+            active = [i for i in ids if dirty[i]]
+            if not active:
+                yield ids, ()
+                continue
+            for i in active:
+                dirty[i] = False
+            deltas = apply_event(net, regs, frozenset(active), rule, cutset, rng, temperature)
+            changed = {i for i, _, _ in deltas}
+        if deltas:
+            for i in changed:
+                for j, _ in adjacency[i][1]:
+                    dirty[j] = True
+                if i in cutset:
+                    dirty[i] = True
+        yield ids, deltas
 
 
 def _traced(net: Network, regs: list, events: Iterator, trace: list) -> Iterator:

@@ -10,7 +10,7 @@ import random
 import re
 from typing import NamedTuple
 
-from goodnet import FairExclusion, Legality, Network, Weight
+from goodnet import FairExclusion, Legality, Network, Weight, apply_event
 from goodnet.oracle import _forest_walk
 from goodnet.rules import (
     ActivationRegister,
@@ -329,6 +329,14 @@ def apply_event_per_unit(net: Network, regs, ids, rule: str, cutset=frozenset(),
                     deltas.append((i, field, getattr(new, field)))
             regs[i] = new
     return tuple(deltas)
+
+
+def steps_in_full(net: Network, regs, rule: str, scheduler: Scheduler, cutset=frozenset(), rng=None, temperature=None):
+    """`engine.steps` without its skip of clean units: every scheduled
+    event runs in full through `apply_event`."""
+    while True:
+        ids = scheduler.next_set(net.n)
+        yield ids, apply_event(net, regs, ids, rule, cutset, rng, temperature)
 
 
 def replay_deltas(initial_regs, trace) -> list:

@@ -2,6 +2,7 @@ import copy
 import random
 from dataclasses import replace
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from helpers import (
     local_field,
     non_tree_nodes_reference,
     replay_deltas,
+    steps_in_full,
 )
 
 
@@ -1156,10 +1158,79 @@ def test_an_oscillating_chain_runs_ten_million_passes_at_once(monkeypatch):
 )
 def test_runs_that_may_not_skip_make_one_call_per_event(rule, scheduler, traced, monkeypatch):
     net = random_network("sparse", 8, m=2, seed=3034658173)
-    calls = counted_events(monkeypatch)
+    sched = SCHEDULERS[scheduler](5)
+    calls = []
+    next_set = sched.next_set
+    monkeypatch.setattr(sched, "next_set", lambda n: calls.append(n) or next_set(n))
     result = run(
-        net, rule, SCHEDULERS[scheduler](5), init="random", seed=2351240810, max_passes=40,
+        net, rule, sched, init="random", seed=2351240810, max_passes=40,
         cutset=frozenset({1}) if rule == "activate-with-cutset" else None,
         temperature=W(1) if rule == "boltzmann" else None, collect_trace=traced,
     )
     assert len(calls) == result.events
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_steps_run_only_units_that_are_not_clean_and_match_full_events(data):
+    # n up to 40, so sync-all and the larger fair-excl sets of the activate
+    # rule take the array pass between events that run the rule steps
+    n = data.draw(st.one_of(st.integers(2, 12), st.integers(17, 40)))
+    m = data.draw(st.integers(0, min(6, (n - 1) * (n - 2) // 2)))
+    net = random_network("sparse", n, m=m, seed=data.draw(st.integers(0, 2**32 - 1)))
+    rule = data.draw(st.sampled_from(RULES))
+    name = data.draw(st.sampled_from(sorted(SCHEDULERS)))
+    seed = data.draw(st.integers(0, 2**16))
+    cutset = frozenset()
+    if rule == "activate-with-cutset":  # any members are allowed; more of them run the cutset steps more often
+        cutset = greedy_cutset(net).members | data.draw(st.frozensets(st.integers(1, n), max_size=3))
+    temperature = W(1) if rule == "boltzmann" else None
+    regs = initial_registers(net, "random", cutset, seed)
+    if data.draw(st.booleans()):
+        regs = perturb(net, regs, seed)
+    full_regs = list(regs)
+    handed: list = []
+    real = engine.apply_event
+
+    def recorded(net, regs, ids, *args):
+        handed.append(ids)
+        return real(net, regs, ids, *args)
+
+    events = steps(net, regs, rule, SCHEDULERS[name](seed), cutset, random.Random(seed), temperature)
+    full = steps_in_full(net, full_regs, rule, SCHEDULERS[name](seed), cutset, random.Random(seed), temperature)
+    with mock.patch.object(engine, "apply_event", recorded):
+        for step in range(4 * n):
+            called = len(handed)
+            ids, deltas = next(events)
+            ran = handed[-1] if len(handed) > called else frozenset()
+            assert (ids, deltas) == next(full), step
+            assert ran <= ids and {i for i, _, _ in deltas} <= ran, step  # every unit left out yields no delta
+            assert regs == full_regs, step
+
+    start = dict(init="preset", preset=full_regs, seed=seed, cutset=cutset, temperature=temperature, max_passes=data.draw(st.integers(1, 8)))
+    result = run(net, rule, SCHEDULERS[name](seed), **start)
+    with mock.patch.object(engine, "steps", steps_in_full):
+        assert run(net, rule, SCHEDULERS[name](seed), **start) == result
+
+
+def test_a_fair_exclusion_run_activates_fewer_units_than_it_schedules(monkeypatch):
+    # its larger sets take the array pass, the others skip clean units
+    net = random_network("sparse", 30, m=4, seed=11)
+    with mock.patch.object(engine, "steps", steps_in_full):
+        replayed = run(net, "activate", FairExclusion(11), init="random", seed=11, collect_trace=True)
+    calls = counted_events(monkeypatch)
+    result = run(net, "activate", FairExclusion(11), init="random", seed=11, collect_trace=True)
+    assert result == replayed and result.stable
+    assert sum(map(len, calls)) < sum(len(ev.ids) for ev in result.trace)
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+@pytest.mark.parametrize("rule", ["hopfield", "activate", "activate-with-cutset"])
+def test_a_stable_stop_leaves_a_fixed_point(rule, scheduler):
+    # every unit is clean at a quiet stop: one full per-unit event on all of
+    # them changes nothing (a net on which all twelve runs stop quietly)
+    net = random_network("sparse", 12, m=2, seed=20)
+    cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
+    result = run(net, rule, SCHEDULERS[scheduler](3), init="random", seed=3, cutset=cutset)
+    assert result.stable
+    assert apply_event_per_unit(net, list(result.registers), frozenset(net.nodes()), rule, cutset) == ()
