@@ -229,6 +229,12 @@ class Network:
         return f"Network(n={self.n}, edges={edges}, cutset={sorted(self.cutset)})"
 
 
+def _is_ascii_digits(token: str) -> bool:
+    """The one spelling of a node id or count: ASCII digits only, so
+    ``1_0``, ``+3`` and non-ASCII digits are refused although `int` reads them."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_network(text: str) -> Network:
     """Parse the line-oriented network file format.
 
@@ -238,6 +244,8 @@ def parse_network(text: str) -> Network:
         bias <i> <decimal>
         edge <i> <j> <decimal>
         cutset <i> [<i> ...]
+
+    Node ids and the node count are ASCII digit strings.
     """
     n = None
     edges: list[tuple[int, int, Weight]] = []
@@ -246,10 +254,9 @@ def parse_network(text: str) -> Network:
     cutset: set[int] = set()
 
     def parse_id(tok: str, lineno: int) -> int:
-        try:
-            i = int(tok)
-        except ValueError:
-            raise ParseError(lineno, f"bad node id {tok!r}") from None
+        if not _is_ascii_digits(tok):
+            raise ParseError(lineno, f"bad node id {tok!r}")
+        i = int(tok)
         if n is None:
             raise ParseError(lineno, "directive before 'nodes'")
         if not 1 <= i <= n:
@@ -273,10 +280,9 @@ def parse_network(text: str) -> Network:
                 raise ParseError(lineno, "repeated 'nodes' directive")
             if len(args) != 1:
                 raise ParseError(lineno, "'nodes' takes exactly one argument")
-            try:
-                n = int(args[0])
-            except ValueError:
-                raise ParseError(lineno, f"bad node count {args[0]!r}") from None
+            if not _is_ascii_digits(args[0]):
+                raise ParseError(lineno, f"bad node count {args[0]!r}")
+            n = int(args[0])
             if n < 1:
                 raise ParseError(lineno, f"node count must be >= 1, got {n}")
         elif kind == "bias":
@@ -328,6 +334,6 @@ def parse_node_ids(text: str, source: str) -> list[int]:
     raises ValueError naming `source` and the token."""
     tokens = text.split(",")
     for token in tokens:
-        if not (token.isascii() and token.isdigit()):
+        if not _is_ascii_digits(token):
             raise ValueError(f"{source}: bad node id {token!r}, expected comma-separated integers")
     return [int(token) for token in tokens]

@@ -8,12 +8,13 @@ nodes, and one coupling column per node before them, once; it visits the
 codes of those nodes in Gray order, so each step adds or subtracts one
 contiguous coupling column.
 `cutset_exact_optimize` walks the forest left without the cutset once and
-runs the leaf-to-root DP on columns over the cutset codes;
-`tree_conditioned_max` is its one-code case.  Every partial sum, the
-scan's running column after a subtraction included, sums a subset of the
-net's terms, so it is bounded by sum |w| + sum |theta|: the scan refuses
-a network where that reaches `INT64_SCAN_MAX_MICROS` (2**62), and the DP
-runs the same code with dtype=object there.  Both read only the net's
+runs the leaf-to-root DP over the cutset codes, with columns over the
+codes only in the sums that a fixed unit reaches; `tree_conditioned_max`
+is its one-code case.  Every partial sum, the scan's running column after
+a subtraction included, sums a subset of the net's terms, so it is bounded
+by sum |w| + sum |theta|: the scan refuses a network where that reaches
+`INT64_SCAN_MAX_MICROS` (2**62), and the DP runs the same code with
+dtype=object columns there.  Both read only the net's
 int micros (`Network.micros_adjacency`); `Weight` wraps what they report.
 """
 
@@ -200,45 +201,63 @@ def _conditioned_chunk(net: Network, trees, members: list[int], ybits: np.ndarra
     """Conditioned maxima of a chunk of cutset codes (`ybits`: one row per
     code, one column per member), and a function giving the witness rows
     of the codes whose maximum equals a given value.  Fixed neighbors fold
-    into a free node's bias; ties prefer the unit on, as in the >= rules."""
+    into a free node's bias; ties prefer the unit on, as in the >= rules.
+
+    A free node whose subtree no fixed unit reaches has the same sums for
+    every code, so they stay Python ints and its >= choices Python bools;
+    they become columns over the codes (dtype=object past the int64 bound)
+    only once a fixed neighbor's term enters them, and numpy broadcasting
+    mixes the two forms.  `witnesses` backtracks only the codes it returns."""
     dtype = object if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS else np.int64
     adjacency = net.micros_adjacency()
     y = dict(zip(members, ybits.T.astype(dtype)))
-    zero = np.zeros(len(ybits), dtype=dtype)
-    total = zero + sum(adjacency[i][0] * y[i] for i in members)
+    total = sum(adjacency[i][0] * y[i] for i in members)
     total = total + sum(w * y[i] * y[j] for i in members for j, w in adjacency[i][1] if i < j and j in y)
     acc0, acc1 = {}, {}  # node -> sum of its children's best with it off, with it on
     choice = {}  # free node -> its best bit with its parent off, with it on
     for order, parent in trees:
         for v in reversed(order):  # a root's parent is node 0, which stays off
             bias, nbs = adjacency[v]
-            off = acc0.pop(v, zero)
-            on = acc1.pop(v, zero) + bias + sum(w * y[j] for j, w in nbs if j in y)
+            off = acc0.pop(v, 0)
+            on = acc1.pop(v, 0) + sum((w * y[j] for j, w in nbs if j in y), bias)
             p = parent[v]
             on_up = on + next(w for j, w in nbs if j == p) if p else on
-            choice[v] = (on >= off, on_up >= off)
-            acc0[p] = acc0.get(p, zero) + np.maximum(off, on)
-            acc1[p] = acc1.get(p, zero) + np.maximum(off, on_up)
-    total = total + acc0.get(0, zero)
+            c0, c1 = choice[v] = (on >= off, on_up >= off)
+            if isinstance(c0, bool):  # no fixed unit reaches v's subtree: both sums are ints
+                best0, best1 = on if c0 else off, on_up if c1 else off
+            else:
+                best0, best1 = np.maximum(off, on), np.maximum(off, on_up)
+            acc0[p], acc1[p] = (acc0[p] + best0, acc1[p] + best1) if p in acc0 else (best0, best1)
+    total = np.zeros(len(ybits), dtype=dtype) + (total + acc0.get(0, 0))
 
     def witnesses(value: int) -> list[tuple[int, ...]]:
-        rows = np.empty((len(ybits), net.n), dtype=np.int8)
-        for i in members:
-            rows[:, i - 1] = y[i]
-        bit = {0: zero != zero}
-        for order, parent in trees:
-            for v in order:
-                bit[v] = np.where(bit[parent[v]], choice[v][1], choice[v][0])
-                rows[:, v - 1] = bit[v]
-        return list(map(tuple, rows[total == value].tolist()))
+        rows = []
+        for k in np.flatnonzero(total == value).tolist():
+            bit = [0] * (net.n + 1)  # bit[0] is the roots' parent, off
+            for i, b in zip(members, ybits[k].tolist()):
+                bit[i] = b
+            for order, parent in trees:
+                for v in order:
+                    c = choice[v][bit[parent[v]]]
+                    bit[v] = int(c if isinstance(c, bool) else c[k])
+            rows.append(tuple(bit[1:]))
+        return rows
 
     return total, witnesses
 
 
 def tree_conditioned_max(net: Network, y: Mapping[int, int]) -> tuple[Weight, tuple[int, ...]]:
     """Exact max goodness given fixed values y, via DP on the remaining
-    forest, and its witness: the one-code case of `cutset_exact_optimize`."""
+    forest, and its witness: the one-code case of `cutset_exact_optimize`.
+    Nodes that no fixed unit reaches (all of them when y is empty) run on
+    Python ints alone.  A node outside 1..n or a value other than 0/1
+    raises ValueError naming the entry."""
     members = sorted(y)
+    for i in members:
+        if not 1 <= i <= net.n:
+            raise ValueError(f"fixed node {i} outside 1..{net.n}")
+        if y[i] not in (0, 1):
+            raise ValueError(f"fixed node {i} has value {y[i]!r}, expected 0 or 1")
     ybits = np.array([[y[i] for i in members]], dtype=np.int64)
     total, witnesses = _conditioned_chunk(net, _forest_walk(net, frozenset(members)), members, ybits)
     value = int(total[0])

@@ -127,6 +127,13 @@ def test_parse_comments_and_cutset():
         ("nodes 2\nwobble 1", 2),
         ("nodes 2\nbias 1 1\nbias 1 2", 3),
         ("nodes 2\nbias x 1", 2),
+        # node ids and counts are ASCII digits, as in the CLI's id lists, though `int` reads these
+        ("nodes 20\nedge 1_0 2 1", 2),
+        ("nodes 3\nbias \u0661 1", 2),
+        ("nodes 3\nedge 1 +2 1", 2),
+        ("nodes 1_0", 1),
+        ("nodes \u0663", 1),
+        ("nodes +3", 1),
         ("nodes 2\nnodes 2", 2),
         ("nodes 2 3", 1),
         ("nodes x", 1),

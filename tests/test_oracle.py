@@ -371,3 +371,94 @@ def test_conditioning_dp_is_exact_past_int64():
     report = cutset_exact_optimize(net, plan_from_members(net, {1}))
     assert (report.gmax, report.argmax, report.conditionings) == cutset_optimize_reference(net, {1})
     assert report.gmax == net.goodness(report.argmax[0])
+
+
+@pytest.mark.parametrize(
+    "y,message",
+    [
+        ({1: 2}, "fixed node 1 has value 2, expected 0 or 1"),
+        ({1: -1}, "fixed node 1 has value -1, expected 0 or 1"),
+        ({2: 0, 99: 0}, "fixed node 99 outside 1..5"),
+        ({0: 1}, "fixed node 0 outside 1..5"),
+    ],
+)
+def test_tree_conditioned_max_rejects_bad_entries(y, message):
+    with pytest.raises(ValueError) as err:
+        tree_conditioned_max(fig1(), y)
+    assert str(err.value) == message
+
+
+def test_conditioning_dp_on_a_long_chain_with_nothing_fixed():
+    # no fixed unit reaches any node, so every sum and choice stays a Python int
+    rng = random.Random(3)
+    n = 1500
+    edges = [(v, v + 1, W(rng.randint(-2, 2))) for v in range(1, n)]
+    net = Network(n, edges, {v: W(rng.randint(-2, 2)) for v in range(1, n + 1)})
+    assert tree_conditioned_max(net, {}) == tree_conditioned_max_reference(net, {})
+    report = cutset_exact_optimize(net, plan_from_members(net, set()))
+    gmax, argmax, rows = cutset_optimize_reference(net, set())
+    assert (report.gmax, report.argmax, report.conditionings) == (gmax, argmax, rows)
+
+
+def fixed_everywhere_net(seed: int, scale: int = 1) -> Network:
+    """Members 1-3 and a path 4..12 whose every node also links to one
+    member, so each free node's sums are columns over the codes."""
+    rng = random.Random(seed)
+    edges = [(v, v + 1, W(rng.randint(-1, 1) * scale)) for v in range(4, 12)]
+    edges += [(1 + v % 3, v, W(rng.randint(-2, 2) * scale)) for v in range(4, 13)]
+    edges += [(1, 2, W(rng.randint(-1, 1) * scale))]
+    return Network(12, edges, {v: W(rng.randint(-1, 1) * scale) for v in range(1, 13)})
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("chunk", [1, 2, 8])
+def test_conditioning_dp_with_a_fixed_neighbour_at_every_free_node(seed, chunk):
+    net = fixed_everywhere_net(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CODE_CHUNK", chunk)
+        report = cutset_exact_optimize(net, plan_from_members(net, {1, 2, 3}))
+    assert (report.gmax, report.argmax, report.conditionings) == cutset_optimize_reference(net, {1, 2, 3})
+    for bits in itertools.product((0, 1), repeat=3):
+        y = dict(zip((1, 2, 3), bits))
+        assert tree_conditioned_max(net, y) == tree_conditioned_max_reference(net, y)
+
+
+def test_conditioning_witnesses_follow_code_order_across_chunks():
+    # a zero-weight ring on 1..6 plus a free path: every code of the cutset
+    # {1, 3, 5} ties, and each of them has its own witness row
+    ring = [(i, i % 6 + 1, Weight(0)) for i in range(1, 7)]
+    net = Network(9, ring + [(2, 7, W(1)), (7, 8, W(-1)), (8, 9, W(2))], {7: W(-1), 9: W(-1)})
+    members = [1, 3, 5]
+    gmax, argmax, rows = cutset_optimize_reference(net, members)
+    assert all(value == gmax for _, value in rows)
+    trees = oracle._forest_walk(net, frozenset(members))
+    ybits = oracle._bits(np.arange(8), 3)
+    total, witnesses = oracle._conditioned_chunk(net, trees, members, ybits)
+    assert total.tolist() == [gmax.micros] * 8
+    expected = [tree_conditioned_max_reference(net, dict(zip(members, bits)))[1] for bits in itertools.product((0, 1), repeat=3)]
+    assert witnesses(gmax.micros) == expected
+    assert [row[0] for row in expected] == [0, 0, 0, 0, 1, 1, 1, 1]  # code order, first member most significant
+    assert witnesses(gmax.micros + 1) == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CODE_CHUNK", 3)
+        report = cutset_exact_optimize(net, plan_from_members(net, members))
+    assert (report.gmax, report.argmax, report.conditionings) == (gmax, argmax, rows)
+    assert len(report.argmax) == 8
+
+
+def test_conditioning_dp_past_int64_with_an_unreached_subtree():
+    # weights of about 9e18 micros force dtype=object; nodes 13-16 form a
+    # tree that no member touches, so its sums stay Python ints
+    big = 9_000_000_000_000
+    base = fixed_everywhere_net(4, scale=big)
+    far = [(13, 14, W(big)), (14, 15, W(-big)), (14, 16, W(3 * big))]
+    net = Network(16, [*base.edges(), *far], {**{v: base.bias(v) for v in base.nodes()}, 15: W(big), 16: W(-2 * big)})
+    assert net.magnitude_micros() >= oracle.INT64_SCAN_MAX_MICROS
+    trees = oracle._forest_walk(net, frozenset({1, 2, 3}))
+    total, _ = oracle._conditioned_chunk(net, trees, [1, 2, 3], oracle._bits(np.arange(8), 3))
+    assert total.dtype == object
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CODE_CHUNK", 2)
+        report = cutset_exact_optimize(net, plan_from_members(net, {1, 2, 3}))
+    assert (report.gmax, report.argmax, report.conditionings) == cutset_optimize_reference(net, {1, 2, 3})
+    assert tree_conditioned_max(net, {1: 1, 2: 0, 3: 1}) == tree_conditioned_max_reference(net, {1: 1, 2: 0, 3: 1})
