@@ -37,7 +37,6 @@ from .oracle import (
 )
 from .rules import (
     ActivationRegister,
-    Legality,
     LocalView,
     activation_step,
     boltzmann_step,

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .network import INT64_SCAN_MAX_MICROS, Network
 from .rules import (
     ONE_REGISTER,
     ActivationRegister,
-    Legality,
     LocalView,
     activation_step,
     boltzmann_step,
@@ -329,22 +328,37 @@ def apply_event(
 
 def initial_registers(
     net: Network,
-    init: str = "zeros",
+    init: str | Sequence = "zeros",
     cutset: frozenset[int] = frozenset(),
     seed: int | None = None,
-    preset=None,
 ) -> list:
     """Build the starting register list (index 0 unused).
 
     init 'zeros' clears everything (the explicit initialization step);
-    'random' randomizes only the activation bits and needs a seed;
-    'preset' takes either a full register list (n + 1 entries, an
-    ActivationRegister at every index 1..n) or a mapping node ->
-    pointer set over nodes 1..n; in both forms every pointer must aim
-    at a neighbor of its node.  Any other init refuses a preset.
+    'random' randomizes only the activation bits and needs a seed; a
+    register list (n + 1 entries, an ActivationRegister at every index
+    1..n) is copied once checked: x is the int 0 or 1, g0, g1 and every
+    cutset_g1 value are ints (no bool, no float), and every pointer aims
+    at a neighbor of its node.
     """
-    if preset is not None and init != "preset":
-        raise ValueError(f"a preset is only meaningful with init='preset', not {init!r}")
+    if not isinstance(init, str):
+        if len(init) != net.n + 1:
+            raise ValueError(f"a start register list needs n + 1 = {net.n + 1} entries (index 0 unused), got {len(init)}")
+        adjacency = net.micros_adjacency()
+        for i in net.nodes():
+            reg = init[i]
+            if not isinstance(reg, ActivationRegister):
+                raise ValueError(f"start register {i} is {type(reg).__name__}, not an ActivationRegister")
+            if type(reg.x) is not int or reg.x not in (0, 1):
+                raise ValueError(f"start register {i} has x={reg.x!r}, not the int 0 or 1")
+            for field, value in [("g0", reg.g0), ("g1", reg.g1)] + [("cutset_g1", v) for _, v in reg.cutset_g1 or ()]:
+                if type(value) is not int:
+                    raise ValueError(f"start register {i} has {field}={value!r}, not an int")
+            nbs = {j for j, _ in adjacency[i][1]}
+            for j in reg.points_to:
+                if j not in nbs:
+                    raise ValueError(f"start pointer {i} -> {j!r} does not aim at a neighbor of node {i}")
+        return list(init)
     regs: list = [None] + [zero_register(net, i, cutset) for i in net.nodes()]
     if init == "zeros":
         return regs
@@ -354,29 +368,6 @@ def initial_registers(
             if rng.randint(0, 1):
                 pairs = regs[i].cutset_g1
                 regs[i] = ONE_REGISTER if pairs is None else ActivationRegister(x=1, cutset_g1=pairs)
-        return regs
-    if init == "preset":
-        if preset is None:
-            raise ValueError("init='preset' requires a preset")
-        if isinstance(preset, Mapping):
-            for i in preset:
-                if i not in net.nodes():
-                    raise ValueError(f"preset references node {i!r} outside 1..{net.n}")
-            for i in net.nodes():
-                regs[i] = regs[i]._replace(points_to=frozenset(preset.get(i, frozenset())))
-        else:
-            if len(preset) != net.n + 1:
-                raise ValueError(f"a preset register list needs n + 1 = {net.n + 1} entries (index 0 unused), got {len(preset)}")
-            for i in net.nodes():
-                if not isinstance(preset[i], ActivationRegister):
-                    raise ValueError(f"preset entry {i} is {type(preset[i]).__name__}, not an ActivationRegister")
-            regs = list(preset)
-        adjacency = net.micros_adjacency()
-        for i in net.nodes():
-            nbs = {j for j, _ in adjacency[i][1]}
-            for j in regs[i].points_to:
-                if j not in nbs:
-                    raise ValueError(f"preset pointer {i} -> {j!r} does not aim at a neighbor of node {i}")
         return regs
     raise ValueError(f"unknown init mode {init!r}")
 
@@ -410,9 +401,8 @@ def pointer_snapshot(regs: Sequence) -> dict[int, frozenset[int]]:
 
 
 def illegal_count(net: Network, regs: Sequence) -> int:
-    """Number of nodes whose pointer-state classification is not legal."""
-    lmap = legality_map(net, pointer_snapshot(regs))
-    return sum(1 for v in lmap.values() if v is not Legality.LEGAL)
+    """Number of nodes outside the least-fixed-point legal set of the registers' pointers."""
+    return net.n - len(legality_map(net, pointer_snapshot(regs)))
 
 
 def assignment_of(regs: Sequence) -> tuple[int, ...]:
@@ -476,13 +466,13 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
 def _traced(net: Network, regs: list, events: Iterator, trace: list) -> Iterator:
     """Pass `events` (`steps` over `regs`) through, appending a TraceEvent
     per event to `trace`: its goodness moves by each flip's gain; its
-    illegal count (nodes outside the least legal fixed point, candidates
-    included) comes from a legal set classified once by `legality_map` and
-    re-derived after each pointer move on the moved nodes, their neighbors
-    and the legal chains above them (`update_legal`)."""
+    illegal count (nodes outside the least-fixed-point legal set) comes
+    from the set `legality_map` returns at the start, re-derived after each
+    pointer move on the moved nodes, their neighbors and the legal chains
+    above them (`update_legal`)."""
     n = net.n
     pointers = pointer_snapshot(regs)
-    legal = {i for i, c in legality_map(net, pointers).items() if c is Legality.LEGAL}
+    legal = legality_map(net, pointers)
     xs = [0, *assignment_of(regs)]
     goodness = net.goodness(xs[1:])
     g = goodness.micros
@@ -509,17 +499,18 @@ def run(
     net: Network,
     rule: str,
     scheduler: Scheduler,
-    init: str = "zeros",
+    init: str | Sequence = "zeros",
     *,
     max_passes: int = 100,
     seed: int | None = None,
     temperature=None,
     cutset: frozenset[int] | None = None,
-    preset=None,
     collect_trace: bool = False,
 ) -> RunResult:
     """Consume `steps` (through `_traced` for a trace) until a quiet window or the pass budget.
 
+    `init` alone says where the run starts: 'zeros', 'random' (drawn
+    from `seed`) or a register list, checked by `initial_registers`.
     `cutset` defaults to the network's declared cutset for the
     activate-with-cutset rule and to the empty set otherwise; no other
     rule accepts a non-empty one.  Only the boltzmann rule takes a
@@ -557,7 +548,7 @@ def run(
             raise ValueError(f"a cutset is only meaningful with the activate-with-cutset rule, not {rule!r}")
     n = net.n
     window = 2 * n  # quiet events that end a stable run
-    regs = initial_registers(net, init, cutset, seed, preset)
+    regs = initial_registers(net, init, cutset, seed)
 
     trace: list[TraceEvent] | None = [] if collect_trace else None
     events = steps(net, regs, rule, scheduler, cutset, rng, temperature)

@@ -19,6 +19,7 @@ from .engine import RunResult, apply_event, assignment_of, initial_registers, pe
 from .fixtures import chain2i, illegal_ring, random_network, ring6
 from .network import Network
 from .oracle import brute_force_optima, greedy_cutset, tree_conditioned_max
+from .rules import ActivationRegister
 from .schedulers import CentralRoundRobin, FairExclusion, SynchronousAll
 from .weights import Weight
 
@@ -46,8 +47,8 @@ class DominancePair:
 
 def non_tree_nodes(net: Network, regs: Sequence) -> frozenset[int]:
     """Nodes left outside any directed tree: two or more non-pointing
-    neighbors.  A legal node has at most one, so these are the ILLEGAL
-    class of `legality_map`."""
+    neighbors.  A legal node has at most one, so none of these is in the
+    legal set `legality_map` returns."""
     adjacency = net.micros_adjacency()
     return frozenset(i for i in net.nodes() if sum(1 for j, _ in adjacency[i][1] if i not in regs[j].points_to) >= 2)
 
@@ -141,7 +142,7 @@ def stuck_ring_demo() -> DemoResult:
     bogus pointer state survives indefinitely."""
     n, passes = 6, 1_000
     net, pointers = illegal_ring(n)
-    regs = initial_registers(net, "preset", preset=pointers)
+    regs = [None] + [ActivationRegister(points_to=pointers[i]) for i in net.nodes()]
     events = islice(steps(net, regs, "activate", CentralRoundRobin()), passes * n)
     unchanged = all(pointer_snapshot(regs) == pointers for _ in events)
     lines = [f"illegal_ring({n}): pointer state unchanged over {passes} passes={unchanged}"]
@@ -158,14 +159,7 @@ def self_stabilization_demo(trials: int = 100, seed: int = 0) -> DemoResult:
         n = rng.randint(2, 12)
         net = random_network("tree", n, seed=rng.randrange(2**32))
         regs = perturb(net, initial_registers(net, "zeros"), seed=rng.randrange(2**32))
-        result = run(
-            net,
-            "activate",
-            FairExclusion(rng.randrange(2**32)),
-            init="preset",
-            preset=regs,
-            max_passes=400,
-        )
+        result = run(net, "activate", FairExclusion(rng.randrange(2**32)), init=regs, max_passes=400)
         gmax = brute_force_optima(net).gmax
         ok = result.stable and result.goodness_final == gmax
         successes += ok

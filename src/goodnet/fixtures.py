@@ -11,8 +11,8 @@ re-verified by the brute-force solver in the test suite):
                     alternating patterns at goodness 3.
 * ``chain2i(i)`` -- chain of 2i units, unit weights and biases except a -4
                     middle edge; exactly two mirror-image optima.
-* ``illegal_ring(n)`` -- n-cycle plus a pointer preset in which every unit
-                    already points at its clockwise neighbor: a stable but
+* ``illegal_ring(n)`` -- n-cycle plus a pointer set per unit, each aimed at
+                    the unit's clockwise neighbor: a stable but
                     meaningless pointer state that uniform tree directing
                     cannot escape.
 """
@@ -23,7 +23,7 @@ import bisect
 import itertools
 from collections.abc import Sequence
 
-from .network import Network
+from .network import Network, _is_ascii_digits
 from .schedulers import seeded_rng
 from .weights import Weight
 
@@ -74,7 +74,7 @@ def chain2i(i: int) -> Network:
 
 
 def illegal_ring(n: int) -> tuple[Network, dict[int, frozenset[int]]]:
-    """n-cycle plus the clockwise pointer preset that tree directing keeps."""
+    """n-cycle plus the clockwise pointers that tree directing keeps."""
     if n < 3:
         raise ValueError(f"illegal_ring needs n >= 3, got {n}")
     edges = [(i, i % n + 1, W(-3)) for i in range(1, n + 1)]
@@ -97,7 +97,7 @@ def fixture(name: str) -> Network:
         return FIXED_FIXTURES[name]()
     if ":" in name:
         base, arg = name.split(":", 1)
-        if base in ("chain2i", "illegal_ring") and not (arg.isascii() and arg.isdigit()):
+        if base in ("chain2i", "illegal_ring") and not _is_ascii_digits(arg):
             raise ValueError(f"fixture {name!r}: bad argument {arg!r}, expected an integer")
         if base == "chain2i":
             return chain2i(int(arg))

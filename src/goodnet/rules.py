@@ -29,7 +29,6 @@ back down, so a settled tree carries its exact conditional optimum.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
 from .network import Network
@@ -89,12 +88,6 @@ class LocalView(NamedTuple):
     bias: int
     is_cutset: bool
     neighbors: tuple[tuple[int, int, ActivationRegister], ...]
-
-
-class Legality(Enum):
-    LEGAL = "legal"
-    CANDIDATE = "candidate"
-    ILLEGAL = "illegal"
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +285,16 @@ def update_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: se
     _derive_legal(net, pointers, legal, cleared)
 
 
-def legality_map(net: Network, pointers: Mapping[int, frozenset[int]]) -> dict[int, Legality]:
-    """Classify every node as legal / candidate / illegal for a pointer snapshot.
+def legality_map(net: Network, pointers: Mapping[int, frozenset[int]]) -> set[int]:
+    """The legal nodes of a pointer snapshot, in O(n + m) time.
 
     A node is legal if it is a root (points at nobody, every neighbor
     points at it and is legal) or an intermediate (points at exactly one
-    neighbor, every other neighbor points at it and is legal).  Legality
-    is taken as the least fixed point (see :func:`_derive_legal`, run
-    here from every node with nothing legal yet); mutually-supporting
-    pointer rings do not count.  A candidate is an illegal node with at
-    most one non-pointing neighbor.  The whole map takes O(n + m) time.
+    neighbor, every other neighbor points at it and is legal).  The set
+    is the least fixed point of that condition (see :func:`_derive_legal`,
+    run here from every node with nothing legal yet), so mutually
+    supporting pointer rings do not count.
     """
-    none: frozenset[int] = frozenset()
-    adjacency = net.micros_adjacency()
     legal: set[int] = set()
     _derive_legal(net, pointers, legal, net.nodes())
-    result = {}
-    for i in net.nodes():
-        if i in legal:
-            result[i] = Legality.LEGAL
-        else:
-            non_pointing = sum(1 for j, _ in adjacency[i][1] if i not in pointers.get(j, none))
-            result[i] = Legality.CANDIDATE if non_pointing <= 1 else Legality.ILLEGAL
-    return result
+    return legal

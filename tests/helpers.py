@@ -10,7 +10,7 @@ import random
 import re
 from typing import NamedTuple
 
-from goodnet import FairExclusion, Legality, Network, Weight, apply_event
+from goodnet import FairExclusion, Network, Weight, apply_event
 from goodnet.oracle import _forest_walk
 from goodnet.rules import (
     ActivationRegister,
@@ -181,8 +181,8 @@ def is_forest_without(net: Network, members) -> bool:
     return len(edges) == len(alive) - len(set(label.values()))
 
 
-def legality_map_fixpoint(net: Network, pointers) -> dict:
-    """Reference legality classification: sweep all nodes until no new one turns legal."""
+def legality_map_fixpoint(net: Network, pointers) -> set[int]:
+    """Reference legal set: sweep all nodes until no new one turns legal."""
     legal: set[int] = set()
     changed = True
     while changed:
@@ -206,15 +206,7 @@ def legality_map_fixpoint(net: Network, pointers) -> dict:
             if ok:
                 legal.add(i)
                 changed = True
-    result = {}
-    for i in net.nodes():
-        if i in legal:
-            result[i] = Legality.LEGAL
-        else:
-            pointing = sum(1 for j, _ in net.neighbors(i) if i in pointers.get(j, frozenset()))
-            non_pointing = len(net.neighbors(i)) - pointing
-            result[i] = Legality.CANDIDATE if non_pointing <= 1 else Legality.ILLEGAL
-    return result
+    return legal
 
 
 def non_tree_nodes_reference(net: Network, regs) -> frozenset[int]:

@@ -13,7 +13,6 @@ from goodnet import (
     CentralRandom,
     CentralRoundRobin,
     FairExclusion,
-    Legality,
     Network,
     SynchronousAll,
     Weight,
@@ -180,7 +179,7 @@ def test_perturbed_tree_recovers_exact_optimum():
     regs = perturb(net, initial_registers(net, "zeros"), seed=78)
     result = run(
         net, "activate", IndependentFairExclusion(79, net),
-        init="preset", preset=regs, max_passes=200,
+        init=regs, max_passes=200,
     )
     assert result.stable
     assert result.goodness_final == brute_force_optima(net).gmax
@@ -188,8 +187,8 @@ def test_perturbed_tree_recovers_exact_optimum():
 
 def test_illegal_count_cases():
     net = path3()
-    regs = initial_registers(net, "preset", preset={1: {2}, 3: {2}})
-    assert illegal_count(net, regs) == 0
+    toward_2 = ActivationRegister(points_to=frozenset({2}))
+    assert illegal_count(net, [None, toward_2, ActivationRegister(), toward_2]) == 0
     star = Network(4, [(1, 2, W(1)), (1, 3, W(1)), (1, 4, W(1))])
     assert illegal_count(star, initial_registers(star, "zeros")) == 4
     result = run(net, "activate", CentralRoundRobin(), init="zeros")
@@ -198,8 +197,8 @@ def test_illegal_count_cases():
 
 def test_stuck_ring_keeps_pointers_and_stays_illegal():
     net, pointers = illegal_ring(6)
-    result = run(net, "activate", CentralRoundRobin(), init="preset",
-                 preset=pointers, max_passes=50)
+    start = [None] + [ActivationRegister(points_to=pointers[i]) for i in net.nodes()]
+    result = run(net, "activate", CentralRoundRobin(), init=start, max_passes=50)
     for i in net.nodes():
         assert result.registers[i].points_to == pointers[i]
     assert illegal_count(net, result.registers) == net.n
@@ -313,7 +312,7 @@ def test_non_tree_nodes_match_non_pointing_count_reference(data):
     if data.draw(st.booleans()):
         scheduler = SCHEDULERS[data.draw(st.sampled_from(sorted(SCHEDULERS)))](seed)
         max_passes = data.draw(st.integers(1, 20))
-        regs = run(net, "activate", scheduler, init="preset", preset=regs, max_passes=max_passes).registers
+        regs = run(net, "activate", scheduler, init=regs, max_passes=max_passes).registers
     for i in net.nodes():
         if data.draw(st.integers(0, 3)) == 0:
             regs[i] = regs[i]._replace(points_to=data.draw(st.frozensets(st.integers(1, n), max_size=3)))
@@ -351,59 +350,71 @@ def test_random_init_needs_a_seed():
 @pytest.mark.parametrize("length", [3, 7])
 def test_preset_register_list_of_wrong_length_is_rejected(length):
     net = fig1()
-    preset = [None] + [ActivationRegister()] * (length - 1)
+    start = [None] + [ActivationRegister()] * (length - 1)
     with pytest.raises(ValueError, match="n \\+ 1 = 6 entries"):
-        initial_registers(net, "preset", preset=preset)
+        initial_registers(net, start)
     with pytest.raises(ValueError, match="n \\+ 1 = 6 entries"):
-        run(net, "activate", CentralRoundRobin(), init="preset", preset=preset)
+        run(net, "activate", CentralRoundRobin(), init=start)
 
 
 @pytest.mark.parametrize(
-    "preset, node", [({9: {1}, 0: {2}}, 9), ({0: {2}}, 0), ({"1": {3}}, "'1'")], ids=["9-and-0", "0", "str-1"]
-)
-def test_preset_pointers_for_unknown_nodes_are_rejected(preset, node):
-    with pytest.raises(ValueError, match=f"preset references node {node} outside 1..5"):
-        run(fig1(), "activate", CentralRoundRobin(), init="preset", preset=preset)
-
-
-@pytest.mark.parametrize(
-    "preset, message",
+    "pointers, message",
     [
-        ({1: {99}, 2: {1, 2}}, "preset pointer 1 -> 99 does not aim at a neighbor of node 1"),
-        ({2: {2}}, "preset pointer 2 -> 2 does not aim at a neighbor of node 2"),
-        ({1: {"a"}}, "preset pointer 1 -> 'a' does not aim at a neighbor of node 1"),
+        ({1: {99}, 2: {1, 2}}, "start pointer 1 -> 99 does not aim at a neighbor of node 1"),
+        ({2: {2}}, "start pointer 2 -> 2 does not aim at a neighbor of node 2"),
+        ({1: {"a"}}, "start pointer 1 -> 'a' does not aim at a neighbor of node 1"),
     ],
     ids=["missing-node", "self", "str"],
 )
-def test_preset_pointer_mapping_aimed_off_the_neighbors_is_rejected(preset, message):
+def test_preset_pointer_mapping_aimed_off_the_neighbors_is_rejected(pointers, message):
+    start = initial_registers(fig1(), "zeros")
+    for i, aims in pointers.items():
+        start[i] = start[i]._replace(points_to=frozenset(aims))
     with pytest.raises(ValueError, match=message):
-        run(fig1(), "activate", CentralRoundRobin(), init="preset", preset=preset)
+        run(fig1(), "activate", CentralRoundRobin(), init=start)
 
 
 def test_preset_register_list_aimed_off_the_neighbors_is_rejected():
     regs = initial_registers(fig1(), "zeros")
     regs[4] = regs[4]._replace(points_to=frozenset({1}))  # 4's neighbors are 3 and 5
-    with pytest.raises(ValueError, match="preset pointer 4 -> 1 does not aim at a neighbor of node 4"):
-        run(fig1(), "activate", CentralRoundRobin(), init="preset", preset=regs)
-
-
-@pytest.mark.parametrize("init", ["zeros", "random"])
-def test_a_preset_with_another_init_is_rejected(init):
-    with pytest.raises(ValueError, match=f"a preset is only meaningful with init='preset', not '{init}'"):
-        initial_registers(fig1(), init, seed=0, preset={1: {3}})
-    with pytest.raises(ValueError, match=f"a preset is only meaningful with init='preset', not '{init}'"):
-        run(fig1(), "activate", CentralRoundRobin(), init=init, seed=0, preset={1: {3}})
+    with pytest.raises(ValueError, match="start pointer 4 -> 1 does not aim at a neighbor of node 4"):
+        run(fig1(), "activate", CentralRoundRobin(), init=regs)
 
 
 def test_preset_register_list_needs_a_register_at_every_node():
-    with pytest.raises(ValueError, match="init='preset' requires a preset"):
-        initial_registers(fig1(), "preset")
-    preset = [None] * 6
-    with pytest.raises(ValueError, match="preset entry 1 is NoneType, not an ActivationRegister"):
-        initial_registers(fig1(), "preset", preset=preset)
-    preset = [None] + [ActivationRegister()] * 4 + [{"x": 1}]
-    with pytest.raises(ValueError, match="preset entry 5 is dict"):
-        run(fig1(), "activate", CentralRoundRobin(), init="preset", preset=preset)
+    start = [None] * 6
+    with pytest.raises(ValueError, match="start register 1 is NoneType, not an ActivationRegister"):
+        initial_registers(fig1(), start)
+    start = [None] + [ActivationRegister()] * 4 + [{"x": 1}]
+    with pytest.raises(ValueError, match="start register 5 is dict"):
+        run(fig1(), "activate", CentralRoundRobin(), init=start)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("x", 2, "x=2, not the int 0 or 1"),
+        ("x", True, "x=True, not the int 0 or 1"),
+        ("x", 1.0, "x=1.0, not the int 0 or 1"),
+        ("g0", 0.5, "g0=0.5, not an int"),
+        ("g0", False, "g0=False, not an int"),
+        ("g1", 2.0, "g1=2.0, not an int"),
+        ("g1", True, "g1=True, not an int"),
+        ("cutset_g1", ((4, 0), (1, 0.5)), "cutset_g1=0.5, not an int"),
+        ("cutset_g1", ((4, True), (1, 0)), "cutset_g1=True, not an int"),
+    ],
+    ids=["x-2", "x-bool", "x-float", "g0-float", "g0-bool", "g1-float", "g1-bool", "cutset_g1-float", "cutset_g1-bool"],
+)
+def test_start_register_with_a_malformed_field_is_rejected(field, value, message):
+    # an x of 2 would run and print it in the assignment, and the array
+    # pass's int64 load would truncate a float g0 or g1 without a word
+    net = fig1()
+    start = initial_registers(net, "zeros", frozenset({5}))
+    start[5] = start[5]._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"start register 5 has {message}"):
+        initial_registers(net, start)
+    with pytest.raises(ValueError, match=f"start register 5 has {message}"):
+        run(net, "activate-with-cutset", CentralRandom(2), init=start, cutset=frozenset({5}), max_passes=1)
 
 
 def test_cutset_run_is_conditionally_optimal_at_stability():
@@ -489,15 +500,16 @@ def test_traced_goodness_and_stop_rule_match_naive_recomputation(data):
     seed = data.draw(st.integers(0, 2**16))
     scheduler = SCHEDULERS[data.draw(st.sampled_from(sorted(SCHEDULERS)))](seed)
     cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
-    init = data.draw(st.sampled_from(["zeros", "random", "preset"]))
-    preset = perturb(net, initial_registers(net, "zeros", cutset), seed) if init == "preset" else None
+    init = data.draw(st.sampled_from(["zeros", "random", "perturbed"]))
+    if init == "perturbed":
+        init = perturb(net, initial_registers(net, "zeros", cutset), seed)
     max_passes = data.draw(st.integers(1, 30))
     result = run(
-        net, rule, scheduler, init=init, seed=seed, cutset=cutset, preset=preset,
+        net, rule, scheduler, init=init, seed=seed, cutset=cutset,
         temperature=W(1) if rule == "boltzmann" else None,
         max_passes=max_passes, collect_trace=True,
     )
-    regs = preset if preset is not None else initial_registers(net, init, cutset, seed)
+    regs = initial_registers(net, init, cutset, seed)
     for ev in result.trace:
         regs = replay_deltas(regs, [ev])
         assert ev.goodness == net.goodness(assignment_of(regs))
@@ -542,28 +554,29 @@ def test_traced_illegal_count_matches_fixpoint_reference(data):
     if start == "ring":
         net, ring = illegal_ring(n)
         released = data.draw(st.frozensets(st.integers(1, n), max_size=3))
-        init, preset = "preset", {i: p for i, p in ring.items() if i not in released}
     else:
         m = data.draw(st.integers(0, min(4, (n - 1) * (n - 2) // 2)))
         net = random_network("sparse", n, m=m, seed=data.draw(st.integers(0, 2**32 - 1)))
-        init, preset = ("random", None) if start == "random" else ("zeros", None)
     rule = data.draw(st.sampled_from(["activate", "activate-with-cutset"]))
     cutset = greedy_cutset(net).members if rule == "activate-with-cutset" else frozenset()
-    if start == "perturbed":
-        init, preset = "preset", perturb(net, initial_registers(net, "zeros", cutset), seed)
+    init = start if start in ("zeros", "random") else initial_registers(net, "zeros", cutset)
+    if start == "ring":
+        for i in ring.keys() - released:
+            init[i] = init[i]._replace(points_to=ring[i])
+    elif start == "perturbed":
+        init = perturb(net, init, seed)
     scheduler = SCHEDULERS[data.draw(st.sampled_from(sorted(SCHEDULERS)))](seed)
     result = run(
-        net, rule, scheduler, init=init, seed=seed, cutset=cutset, preset=preset,
+        net, rule, scheduler, init=init, seed=seed, cutset=cutset,
         max_passes=data.draw(st.integers(1, 6)), collect_trace=True,
     )
-    pointers = pointer_snapshot(initial_registers(net, init, cutset, seed, preset))
+    pointers = pointer_snapshot(initial_registers(net, init, cutset, seed))
     expected = None
     for ev in result.trace:
         moves = [(node, value) for node, field, value in ev.deltas if field == "points_to"]
         pointers.update(moves)
         if moves or expected is None:
-            lmap = legality_map_fixpoint(net, pointers)
-            expected = sum(1 for c in lmap.values() if c is not Legality.LEGAL)
+            expected = net.n - len(legality_map_fixpoint(net, pointers))
         assert ev.illegal == expected, ev.step
 
 
@@ -1024,7 +1037,7 @@ def test_registers_are_immutable():
 @given(st.data())
 def test_shared_register_objects_match_reference_over_mixed_events(data):
     # a zeros start holds the one ZERO_REGISTER at every unit outside the
-    # cutset, and a preset list may hold one register at every unit.  The
+    # cutset, and a start register list may hold one register at every unit.  The
     # array pass reads a row again only when its object is not the one it
     # last read, so two lists from that start, driven by singleton and
     # array-sized events in turn, must match the per-unit reference.  Under
@@ -1041,7 +1054,7 @@ def test_shared_register_objects_match_reference_over_mixed_events(data):
         values = st.integers(-(10**9), 10**9)
         pairs = st.none() | st.lists(st.tuples(st.integers(0, n), values), max_size=3).map(tuple)
         shared = ActivationRegister(x=data.draw(st.integers(0, 1)), g0=data.draw(values), g1=data.draw(values), cutset_g1=data.draw(pairs))
-        start = initial_registers(net, "preset", preset=[None] + [shared] * n)
+        start = initial_registers(net, [None] + [shared] * n)
     lists, references = [list(start), list(start)], [list(start), list(start)]
     units = st.integers(1, n)
     array_sized = 0
@@ -1207,7 +1220,7 @@ def test_steps_run_only_units_that_are_not_clean_and_match_full_events(data):
             assert ran <= ids and {i for i, _, _ in deltas} <= ran, step  # every unit left out yields no delta
             assert regs == full_regs, step
 
-    start = dict(init="preset", preset=full_regs, seed=seed, cutset=cutset, temperature=temperature, max_passes=data.draw(st.integers(1, 8)))
+    start = dict(init=full_regs, seed=seed, cutset=cutset, temperature=temperature, max_passes=data.draw(st.integers(1, 8)))
     result = run(net, rule, SCHEDULERS[name](seed), **start)
     with mock.patch.object(engine, "steps", steps_in_full):
         assert run(net, rule, SCHEDULERS[name](seed), **start) == result

@@ -1,13 +1,13 @@
 import pytest
 
 from goodnet import (
+    ActivationRegister,
     build_view,
     chain2i,
     example51,
     fig1,
     fixture,
     illegal_ring,
-    initial_registers,
     random_network,
     ring6,
     tree_direct_step,
@@ -69,7 +69,7 @@ def test_ring6_two_alternating_optima():
 
 def test_illegal_ring_is_tree_directing_fixed_point():
     net, pointers = illegal_ring(6)
-    regs = initial_registers(net, "preset", preset=pointers)
+    regs = [None] + [ActivationRegister(points_to=pointers[i]) for i in net.nodes()]
     for i in net.nodes():
         view = build_view(net, regs, i, frozenset())
         assert tree_direct_step(view) == pointers[i]

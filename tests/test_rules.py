@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from goodnet import (
     ActivationRegister,
-    Legality,
     LocalView,
     Network,
     activation_step,
@@ -342,7 +341,7 @@ def test_boltzmann_deterministic_under_seed():
 
 
 # ---------------------------------------------------------------------------
-# legality classification
+# the legal set
 
 
 def path3(pointers):
@@ -352,34 +351,29 @@ def path3(pointers):
 
 def test_legality_directed_path_is_legal():
     net, ptrs = path3({1: {2}, 3: {2}})
-    lmap = legality_map(net, ptrs)
-    assert all(v is Legality.LEGAL for v in lmap.values())
+    assert legality_map(net, ptrs) == {1, 2, 3}
 
 
 def test_legality_clear_path():
     net, ptrs = path3({})
-    lmap = legality_map(net, ptrs)
-    assert lmap[1] is Legality.CANDIDATE
-    assert lmap[3] is Legality.CANDIDATE
-    assert lmap[2] is Legality.ILLEGAL
+    assert legality_map(net, ptrs) == set()
 
 
 def test_legality_illegal_ring_all_candidates():
-    # every unit has exactly one pointing neighbor, so by the letter of
-    # the definitions each is a (never-resolving) candidate, none legal
+    # every unit has exactly one pointing neighbor, so each is a
+    # (never-resolving) candidate for legality by the letter of the
+    # definitions, and none is legal
     net, pointers = illegal_ring(5)
-    lmap = legality_map(net, pointers)
-    assert all(v is Legality.CANDIDATE for v in lmap.values())
+    assert legality_map(net, pointers) == set()
 
 
 def test_legality_pointer_rings_are_not_legal():
     # mutually-supporting claims must not bootstrap themselves legal
     net = Network(2, [(1, 2, W(1))])
-    lmap = legality_map(net, {1: frozenset({2}), 2: frozenset({1})})
-    assert lmap[1] is Legality.LEGAL  # points at 2, no other neighbors
-    assert lmap[2] is Legality.LEGAL  # symmetric; resolved by the next step
+    # each points at the other, with no other neighbors; resolved by the next step
+    assert legality_map(net, {1: frozenset({2}), 2: frozenset({1})}) == {1, 2}
     ring, ptrs = illegal_ring(3)
-    assert all(v is not Legality.LEGAL for v in legality_map(ring, ptrs).values())
+    assert legality_map(ring, ptrs) == set()
 
 
 def pointers_toward(net, root):
@@ -431,9 +425,9 @@ def test_legality_worklist_matches_fixpoint_reference(data):
     reference = legality_map_fixpoint(net, pointers)
     assert legality_map(net, pointers) == reference
     # the incremental update carries the undisturbed legal set to the same place
-    legal = {i for i, c in legality_map(net, before).items() if c is Legality.LEGAL}
+    legal = legality_map(net, before)
     update_legal(net, pointers, legal, [i for i in net.nodes() if pointers.get(i) != before.get(i)])
-    assert legal == {i for i, c in reference.items() if c is Legality.LEGAL}
+    assert legal == reference
 
 
 # ---------------------------------------------------------------------------
