@@ -79,6 +79,17 @@ def _parse_cutset(net, text):
     return frozenset(parse_node_ids(text, f"--cutset {text!r}"))
 
 
+def _open_trace_path(path: str) -> bool:
+    """Opens `path` for writing so that a bad path fails before the run;
+    True iff this created the file."""
+    try:
+        open(path, "x").close()
+        return True
+    except FileExistsError:
+        open(path, "a").close()
+        return False
+
+
 def cmd_run(args) -> int:
     if args.trace == "":
         raise ValueError("--trace needs a file path, got ''")
@@ -86,23 +97,27 @@ def cmd_run(args) -> int:
     scheduler = parse_scheduler(args.sched, seed=args.seed)
     cutset = _parse_cutset(net, args.cutset)
     want_trace = args.format == "tsv" or args.trace is not None
-    if args.trace is not None:
-        open(args.trace, "a").close()  # a bad path fails before the run, and a failed run leaves the file as it was
-    result = run(
-        net,
-        args.rule,
-        scheduler,
-        init=args.init,
-        seed=args.seed,
-        temperature=Weight.from_decimal(args.temp) if args.temp else None,
-        cutset=cutset,
-        max_passes=args.max_passes,
-        collect_trace=want_trace,
-    )
-    text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    created = args.trace is not None and _open_trace_path(args.trace)
+    try:
+        result = run(
+            net,
+            args.rule,
+            scheduler,
+            init=args.init,
+            seed=args.seed,
+            temperature=Weight.from_decimal(args.temp) if args.temp else None,
+            cutset=cutset,
+            max_passes=args.max_passes,
+            collect_trace=want_trace,
+        )
+        text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
+        if args.trace is not None:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except BaseException:
+        if created:  # a failed run leaves the path as it was: absent
+            os.remove(args.trace)
+        raise
     if args.format == "tsv" and text:
         print(text)
     print(result_line(result))
@@ -121,7 +136,10 @@ def cmd_oracle(args) -> int:
         report = brute_force_optima(net)
     lines = [f"OPT goodness={format_micros(report.gmax.micros)} count={len(report.argmax)}"]
     lines += ["".join(map(str, a)) for a in report.argmax]
-    lines += [f"COND y={''.join(map(str, bits))} goodness={format_micros(value.micros)}" for bits, value in report.conditionings]
+    if report.conditionings:  # in code order, so a row's cutset bits are its index in k binary digits
+        k = len(plan.members)
+        spec = f"0{k}b"
+        lines += [f"COND y={format(code, spec) if k else ''} goodness={format_micros(value.micros)}" for code, (_, value) in enumerate(report.conditionings)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

@@ -3,19 +3,21 @@
 Everything here works on immutable Networks and is deliberately
 independent of the distributed simulator.  Each solver enumerates the
 codes of a fixed node set (first node most significant) as numpy columns.
-`brute_force_optima` builds the goodness column of the last log2(_CHUNK)
-nodes, and one coupling column per node before them, once; it visits the
-codes of those nodes in Gray order, so each step adds or subtracts one
-contiguous coupling column.
+`brute_force_optima` builds the goodness column of the last nodes, as
+many as fill a 128 KB column, and one coupling column per node before
+them, once; it visits the codes of those nodes in Gray order, so each
+step adds or subtracts one contiguous coupling column.
 `cutset_exact_optimize` walks the forest left without the cutset once and
 runs the leaf-to-root DP over the cutset codes, with columns over the
 codes only in the sums that a fixed unit reaches; `tree_conditioned_max`
 is its one-code case.  Every partial sum, the scan's running column after
 a subtraction included, sums a subset of the net's terms, so it is bounded
-by sum |w| + sum |theta|: the scan refuses a network where that reaches
-`INT64_SCAN_MAX_MICROS` (2**62), and the DP runs the same code with
-dtype=object columns there.  Both read only the net's
-int micros (`Network.micros_adjacency`); `Weight` wraps what they report.
+by sum |w| + sum |theta|: the scan's columns are int32 while that stays
+below `INT32_SCAN_MAX_MICROS` (2**31) and int64 up to
+`INT64_SCAN_MAX_MICROS` (2**62), where the scan refuses the network and
+the DP runs the same code with dtype=object columns.  Both read only the
+net's int micros (`Network.micros_adjacency`); `Weight` wraps what they
+report.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 from .network import INT64_SCAN_MAX_MICROS, Network
 from .weights import Weight
 
-_CHUNK = 1 << 14  # states per scan column: it and the coupling column it adds stay in cache
+_CHUNK_BYTES = 1 << 17  # bytes per scan column: it and the coupling column it adds stay in cache
+INT32_SCAN_MAX_MICROS = 1 << 31  # the scan's sums fit int32 while magnitude_micros() stays below
 _CODE_CHUNK = 1 << 12  # cutset codes per conditioning-DP column
 
 BRUTE_FORCE_MAX_NODES = 26
@@ -71,13 +74,23 @@ def _on(column: np.ndarray, bit: int) -> np.ndarray:
     return column.reshape(-1, 2, 1 << bit)[:, 1]  # view of the entries whose code has `bit` set
 
 
+def _scan_dtype(net: Network) -> type:
+    """int32 while every partial sum of the net's terms fits it, else int64;
+    refuses a net past the int64 bound."""
+    magnitude = net.magnitude_micros()
+    if magnitude >= INT64_SCAN_MAX_MICROS:
+        raise ValueError("weights too large for an exact int64 scan (sum |w| + sum |theta| >= 2**62 micros)")
+    return np.int32 if magnitude < INT32_SCAN_MAX_MICROS else np.int64
+
+
 def _subnet_column(net: Network, nodes: range) -> np.ndarray:
-    """Goodness of the subnet on `nodes` over all its codes.  The column
-    doubles once per node, last node first: the codes with the node on add
-    its bias, and each edge to a placed node its weight where that node is on."""
+    """Goodness of the subnet on `nodes` over all its codes, in the net's
+    scan dtype.  The column doubles once per node, last node first: the
+    codes with the node on add its bias, and each edge to a placed node its
+    weight where that node is on."""
     adjacency = net.micros_adjacency()
     last = nodes.stop - 1
-    g = np.zeros(1 << len(nodes), dtype=np.int64)
+    g = np.zeros(1 << len(nodes), dtype=_scan_dtype(net))
     for v in reversed(nodes):
         bias, nbs = adjacency[v]
         half = 1 << (last - v)
@@ -90,12 +103,15 @@ def _subnet_column(net: Network, nodes: range) -> np.ndarray:
 
 
 def brute_force_optima(net: Network) -> OptimumReport:
-    """Exact maximum and complete argmax set over all 2**n assignments."""
+    """Exact maximum and complete argmax set over all 2**n assignments.
+    Columns are int32 while sum |w| + sum |theta| < 2**31 micros and int64
+    below 2**62, where the scan refuses the net; each spans `_CHUNK_BYTES`
+    (128 KB), so it holds 2**15 int32 or 2**14 int64 codes."""
     if net.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes, got {net.n}")
-    if net.magnitude_micros() >= INT64_SCAN_MAX_MICROS:
-        raise ValueError("weights too large for an exact int64 scan (sum |w| + sum |theta| >= 2**62 micros)")
-    split = max(0, net.n - (_CHUNK.bit_length() - 1))  # nodes 1..split are high, the rest low
+    dtype = _scan_dtype(net)
+    chunk_bits = (_CHUNK_BYTES // np.dtype(dtype).itemsize).bit_length() - 1
+    split = max(0, net.n - chunk_bits)  # nodes 1..split are high, the rest low
     high_g = _subnet_column(net, range(1, split + 1)).tolist()
     g = _subnet_column(net, range(split + 1, net.n + 1))  # running: low goodness plus the coupling of the high nodes on in h
     adjacency = net.micros_adjacency()
@@ -217,11 +233,17 @@ def _conditioned_chunk(net: Network, trees, members: list[int], ybits: np.ndarra
     choice = {}  # free node -> its best bit with its parent off, with it on
     for order, parent in trees:
         for v in reversed(order):  # a root's parent is node 0, which stays off
-            bias, nbs = adjacency[v]
-            off = acc0.pop(v, 0)
-            on = acc1.pop(v, 0) + sum((w * y[j] for j, w in nbs if j in y), bias)
+            field, nbs = adjacency[v]  # grows into v's bias plus its fixed neighbours' terms
             p = parent[v]
-            on_up = on + next(w for j, w in nbs if j == p) if p else on
+            up = 0  # v's weight to its parent, 0 at a root
+            for j, w in nbs:
+                if j in y:
+                    field = field + w * y[j]
+                elif j == p:
+                    up = w
+            off = acc0.pop(v, 0)
+            on = acc1.pop(v, 0) + field
+            on_up = on + up if up else on
             c0, c1 = choice[v] = (on >= off, on_up >= off)
             if isinstance(c0, bool):  # no fixed unit reaches v's subtree: both sums are ints
                 best0, best1 = on if c0 else off, on_up if c1 else off

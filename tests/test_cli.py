@@ -185,6 +185,31 @@ def test_a_failed_run_keeps_the_trace_file_it_would_have_written(capsys, tmp_pat
     assert code == 0 and path.read_text() == out[: out.rindex("RESULT")]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--rule", "boltzmann"), ("--max-passes", "0"), ("--rule", "boltzmann", "--temp", "abc")],
+    ids=["no-temperature", "no-passes", "bad-temperature"],
+)
+def test_a_failed_run_removes_the_trace_file_it_created(capsys, tmp_path, argv):
+    # the path is created before the run, so that a bad one fails at once,
+    # and removed again when the run fails; a file that was there keeps its bytes
+    path = tmp_path / "t.tsv"
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", *argv, "--trace", str(path))
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"old contents\n")
+    assert run_cli(capsys, "run", "--fixture", "fig1", *argv, "--trace", str(path)) == (1, "", err)
+    assert path.read_bytes() == b"old contents\n"
+
+
+def test_a_trace_to_the_null_device_runs_and_a_failed_run_leaves_it(capsys):
+    code, out, _ = run_cli(capsys, "run", "--fixture", "fig1", "--trace", os.devnull)
+    assert code == 0 and out.startswith("RESULT stable=1 ")
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "boltzmann", "--trace", os.devnull)
+    assert (code, out, err) == (1, "", "error: boltzmann rule needs a temperature\n")
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
 def test_run_rejects_init_preset(capsys):
     # the stuck pointer ring is reached through `goodnet demo fig9`
     with pytest.raises(SystemExit) as exc:
@@ -233,6 +258,39 @@ def test_oracle_cutset_auto_prints_the_conditioning_table(capsys, tmp_path):
         ]
         assert [line for line in out.splitlines() if line.startswith("COND")] == expected
         assert len(expected) == 2 ** len(goodnet.greedy_cutset(net).members)
+
+
+# a 6-ring whose odd nodes have distinct biases, so each code of {1, 3, 5} has its own maximum
+ODD_BIASED_RING = "nodes 6\n" + "".join(f"edge {i} {i % 6 + 1} -1\n" for i in range(1, 7)) + "bias 1 4\nbias 3 2\nbias 5 1\nbias 2 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "cutset, members",
+    [("5,1,3,1", [1, 3, 5]), ("3,3", [3]), ("auto", [])],
+    ids=["three", "one", "none"],
+)
+def test_oracle_cond_rows_are_in_code_order_with_the_lowest_id_first(capsys, tmp_path, cutset, members):
+    import goodnet
+
+    text = ODD_BIASED_RING if members else serialize_network(random_network("tree", 8, seed=1))
+    net = goodnet.parse_network(text)
+    path = tmp_path / "net.net"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "oracle", "--net", str(path), "--cutset", cutset)
+    assert (code, err) == (0, "")
+    rows = [line for line in out.splitlines() if line.startswith("COND ")]
+    k = len(members)
+    expected = []
+    for c in range(2**k):
+        bits = [(c >> (k - 1 - i)) & 1 for i in range(k)]
+        value = goodnet.tree_conditioned_max(net, dict(zip(members, bits)))[0]
+        expected.append(f"COND y={''.join(map(str, bits))} goodness={value}")
+    assert rows == expected
+    assert len({row.split()[2] for row in rows}) == len(rows)  # the maxima differ, so order shows
+    report = goodnet.cutset_exact_optimize(net, goodnet.plan_from_members(net, members))
+    assert rows == [f"COND y={''.join(map(str, bits))} goodness={value}" for bits, value in report.conditionings]
+    if not members:
+        assert rows == [f"COND y= goodness={report.gmax}"]
 
 
 def test_oracle_cutset_auto_conditions_on_an_acyclic_net(capsys, tmp_path):

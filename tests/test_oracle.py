@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodnet import oracle
+from goodnet.weights import SCALE
 from goodnet import (
     CutsetPlan,
     Network,
@@ -40,11 +41,15 @@ from helpers import (
 @st.composite
 def sparse_nets(draw, max_n):
     """Sparse nets with drawn weights, or -1/0/1 weights (many ties), or all
-    zeros (every assignment ties), or multiples of 3e12 (past int64 sums)."""
+    zeros (every assignment ties), or multiples of 3e12 (past int64 sums),
+    or whole multiples of 2**31 / 12 to 2**31 / 4 micros, whose
+    sum |w| + sum |theta| falls on either side of the scan's int32 bound."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(0, min(6, (n - 1) * (n - 2) // 2)))
     net = random_network("sparse", n, m=m, seed=draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from([None, 1, 0, 3_000_000_000_000]))
+    scale = draw(st.sampled_from([None, 1, 0, 3_000_000_000_000, "int32"]))
+    if scale == "int32":
+        scale = draw(st.integers(oracle.INT32_SCAN_MAX_MICROS // 12 // SCALE, oracle.INT32_SCAN_MAX_MICROS // 4 // SCALE))
     if scale is None:
         return net
 
@@ -274,6 +279,10 @@ def test_conditioning_dp_matches_scalar_reference(data):
     assert tree_conditioned_max(net, y) == tree_conditioned_max_reference(net, y)
 
 
+def expected_scan_dtype(net):
+    return np.int32 if net.magnitude_micros() < oracle.INT32_SCAN_MAX_MICROS else np.int64
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_brute_force_scan_matches_plain_enumeration(data):
@@ -282,8 +291,9 @@ def test_brute_force_scan_matches_plain_enumeration(data):
         with pytest.raises(ValueError, match="int64"):
             brute_force_optima(net)
         return
+    assert oracle._scan_dtype(net) == expected_scan_dtype(net)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_CHUNK", 1 << 3)
+        mp.setattr(oracle, "_CHUNK_BYTES", 1 << 5)  # 8 int32 or 4 int64 codes
         report = brute_force_optima(net)
     gmax, argmax = enumerate_optima(net)
     assert (report.gmax, list(report.argmax), report.states_scanned) == (gmax, argmax, 2**net.n)
@@ -293,7 +303,7 @@ def assert_subnet_column(net, nodes):
     """`_subnet_column` against goodness with every node off the range off,
     so that edges leaving the range add nothing."""
     column = oracle._subnet_column(net, nodes)
-    assert column.dtype == np.int64 and len(column) == 2 ** len(nodes)
+    assert column.dtype == expected_scan_dtype(net) and len(column) == 2 ** len(nodes)
     for code, value in enumerate(column.tolist()):
         a = [0] * net.n
         for k, v in enumerate(nodes):
@@ -315,18 +325,29 @@ def test_subnet_column_on_fixed_ranges(nodes):
     assert_subnet_column(random_network("sparse", 10, m=5, seed=4), nodes)
 
 
+def scaled(net, factor):
+    """`net` with every weight and bias times `factor`: the same argmax."""
+    return Network(net.n, [(i, j, Weight(w.micros * factor)) for i, j, w in net.edges()], {i: Weight(net.bias(i).micros * factor) for i in net.nodes()})
+
+
 def test_brute_force_scan_at_full_chunk_size():
-    # n=20 leaves 6 high nodes over chunks of 2**14 codes, and this net's
-    # argmax spans three of the 64 high codes
+    # 128 KB columns: n=20 leaves 5 high nodes over 2**15 int32 codes, and
+    # 6 over 2**14 int64 codes once the weights pass 2**31 micros; the
+    # argmax spans three high codes either way
     net = random_network("sparse", 20, m=4, seed=9)
-    report = brute_force_optima(net)
-    assert oracle._CHUNK == 1 << 14 and len({row[:6] for row in report.argmax}) == 3
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_CHUNK", 1 << 3)
-        small = brute_force_optima(net)
-    assert (report.gmax, report.argmax, report.states_scanned) == (small.gmax, small.argmax, 2**20)
-    assert report.gmax == cutset_exact_optimize(net, greedy_cutset(net)).gmax
-    assert all(net.goodness(row) == report.gmax for row in report.argmax)
+    big = scaled(net, oracle.INT32_SCAN_MAX_MICROS // net.magnitude_micros() + 1)
+    assert oracle._CHUNK_BYTES == 1 << 17
+    assert (oracle._scan_dtype(net), oracle._scan_dtype(big)) == (np.int32, np.int64)
+    for each, high in ((net, 5), (big, 6)):
+        report = brute_force_optima(each)
+        assert len({row[:high] for row in report.argmax}) == 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_CHUNK_BYTES", 1 << 6)  # 16 int32 or 8 int64 codes
+            small = brute_force_optima(each)
+        assert (report.gmax, report.argmax, report.states_scanned) == (small.gmax, small.argmax, 2**20)
+        assert report.gmax == cutset_exact_optimize(each, greedy_cutset(each)).gmax
+        assert all(each.goodness(row) == report.gmax for row in report.argmax)
+    assert brute_force_optima(big).argmax == brute_force_optima(net).argmax
 
 
 def test_brute_force_scan_at_its_node_cap():
@@ -338,11 +359,17 @@ def test_brute_force_scan_at_its_node_cap():
 
 
 def test_brute_force_scan_collects_ties_over_every_gray_step():
-    # every state of an all-zero net is an argmax: 4 high codes of one chunk each
-    n = oracle._CHUNK.bit_length() - 1 + 2
-    report = brute_force_optima(Network(n))
-    assert report.gmax == Weight(0) and report.states_scanned == 2**n
-    assert report.argmax == tuple(itertools.product((0, 1), repeat=n))
+    # 4 high codes of one full chunk each, and every state of an all-zero
+    # net is an argmax; for int64, the last node's bias of -2**31 micros
+    # widens the columns, and every other state with that node off ties
+    for dtype in (np.int32, np.int64):
+        n = (oracle._CHUNK_BYTES // np.dtype(dtype).itemsize).bit_length() - 1 + 2
+        net = Network(n) if dtype is np.int32 else Network(n, biases={n: Weight(-oracle.INT32_SCAN_MAX_MICROS)})
+        free = n if dtype is np.int32 else n - 1
+        assert oracle._scan_dtype(net) == dtype
+        report = brute_force_optima(net)
+        assert report.gmax == Weight(0) and report.states_scanned == 2**n
+        assert report.argmax == tuple(row + (0,) * (n - free) for row in itertools.product((0, 1), repeat=free))
 
 
 def test_brute_force_scan_subtractions_stay_exact_at_the_int64_limit():
@@ -354,9 +381,28 @@ def test_brute_force_scan_subtractions_stay_exact_at_the_int64_limit():
     net = Network(6, [(i, j, Weight(w)) for i, j, w in edges], {1: Weight(-1), 6: Weight(1)})
     assert net.magnitude_micros() == (1 << 62) - 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_CHUNK", 1 << 3)
+        mp.setattr(oracle, "_CHUNK_BYTES", 1 << 6)  # 8 int64 codes: 3 high nodes
         report = brute_force_optima(net)
     assert (report.gmax, list(report.argmax)) == enumerate_optima(net)
+
+
+@pytest.mark.parametrize("magnitude, dtype", [((1 << 31) - 1, np.int32), (1 << 31, np.int64)])
+def test_brute_force_scan_subtractions_stay_exact_at_the_int32_bound(magnitude, dtype):
+    # every term is positive and the net's terms sum to `magnitude`, so the
+    # all-on state reaches it: the int32 maximum just below the bound, one
+    # past it at the bound.  Each high node 1-3 links to low node 3 + j by
+    # about magnitude / 3, so the Gray walk adds and then subtracts those
+    # coupling columns with the running column at the bound
+    a = (magnitude - 3) // 3
+    edges = [(1, 4, a), (2, 5, a), (3, 6, a), (4, 5, 1), (5, 6, 1)]
+    net = Network(6, [(i, j, Weight(w)) for i, j, w in edges], {4: Weight(magnitude - 2 - 3 * a)})
+    assert net.magnitude_micros() == magnitude and oracle._scan_dtype(net) == dtype
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_BYTES", 8 * np.dtype(dtype).itemsize)  # 8 codes: 3 high nodes
+        report = brute_force_optima(net)
+    assert (report.gmax, list(report.argmax)) == enumerate_optima(net) == (Weight(magnitude), [(1,) * 6])
+    columns = oracle._subnet_column(net, range(4, 7)), oracle._subnet_column(net, range(1, 7))
+    assert all(column.dtype == dtype for column in columns) and int(columns[1][-1]) == magnitude
 
 
 def test_conditioning_dp_is_exact_past_int64():
