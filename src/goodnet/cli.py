@@ -136,10 +136,10 @@ def cmd_oracle(args) -> int:
         report = brute_force_optima(net)
     lines = [f"OPT goodness={format_micros(report.gmax.micros)} count={len(report.argmax)}"]
     lines += ["".join(map(str, a)) for a in report.argmax]
-    if report.conditionings:  # in code order, so a row's cutset bits are its index in k binary digits
+    if report.conditioning_micros:  # in code order, so a row's cutset bits are its index in k binary digits
         k = len(plan.members)
         spec = f"0{k}b"
-        lines += [f"COND y={format(code, spec) if k else ''} goodness={format_micros(value.micros)}" for code, (_, value) in enumerate(report.conditionings)]
+        lines += [f"COND y={format(code, spec) if k else ''} goodness={format_micros(value)}" for code, value in enumerate(report.conditioning_micros)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -172,7 +172,10 @@ def cmd_demo(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on first use and kept, since
+    parsing reads it without changing it."""
     parser = argparse.ArgumentParser(prog="goodnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -209,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone shows here, not at exit

@@ -21,7 +21,7 @@ from .network import Network
 from .oracle import brute_force_optima, greedy_cutset, tree_conditioned_max
 from .rules import ActivationRegister
 from .schedulers import CentralRoundRobin, FairExclusion, SynchronousAll
-from .weights import Weight
+from .weights import SCALE, Weight
 
 DOMINANCE_MAX_PASSES = 300  # pass budget of each run in a dominance pair
 
@@ -207,8 +207,8 @@ def dominance_demo(trials: int = 100, seed: int = 0) -> DemoResult:
 
 
 def uniform_chain(n: int) -> Network:
-    w1 = Weight.from_int(1)
-    return Network(n, [(v, v + 1, w1) for v in range(1, n)], {v: w1 for v in range(1, n + 1)})
+    """Chain 1-2-...-n with every weight and bias 1."""
+    return Network.__new__(Network)._build(n, {(v, v + 1): SCALE for v in range(1, n)}, [0] + [SCALE] * n)
 
 
 def linear_time_demo() -> DemoResult:

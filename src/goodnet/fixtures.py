@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from .network import Network, _is_ascii_digits
+from .network import Network
 from .schedulers import seeded_rng
-from .weights import Weight
+from .weights import SCALE, Weight, is_ascii_digits
 
 W = Weight.from_int
 
@@ -97,7 +97,7 @@ def fixture(name: str) -> Network:
         return FIXED_FIXTURES[name]()
     if ":" in name:
         base, arg = name.split(":", 1)
-        if base in ("chain2i", "illegal_ring") and not _is_ascii_digits(arg):
+        if base in ("chain2i", "illegal_ring") and not is_ascii_digits(arg):
             raise ValueError(f"fixture {name!r}: bad argument {arg!r}, expected an integer")
         if base == "chain2i":
             return chain2i(int(arg))
@@ -115,9 +115,9 @@ class _AbsentPairs(Sequence):
     over the row's children that lie at or below the candidate j.
     """
 
-    def __init__(self, n: int, tree_edges: list[tuple[int, int, Weight]]):
+    def __init__(self, n: int, tree_edges: Iterable[tuple[int, int]]):
         children: list[list[int]] = [[] for _ in range(n + 1)]
-        for parent, child, _ in tree_edges:
+        for parent, child in tree_edges:
             children[parent].append(child)
         self._children = [sorted(c) for c in children]
         self._ends = list(itertools.accumulate(n - i - len(self._children[i]) for i in range(1, n + 1)))
@@ -155,16 +155,16 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
         raise ValueError(f"a tree takes no extra edges, got m={m}")
     rng = seeded_rng(seed, "random_network")
 
-    def rw() -> Weight:
-        return W(rng.randint(-5, 5))
+    def rw() -> int:
+        return rng.randint(-5, 5) * SCALE
 
-    edges = [(rng.randint(1, v - 1), v, rw()) for v in range(2, n + 1)]
+    # each tree edge (parent, v), parent < v, draws its parent, then its weight
+    edges = {(rng.randint(1, v - 1), v): rw() for v in range(2, n + 1)}
     if m:
         missing = _AbsentPairs(n, edges)
         if m > len(missing):
             raise ValueError(f"cannot add {m} extra edges to {n} nodes")
-        for i, j in rng.sample(missing, m):
-            edges.append((i, j, rw()))
-
-    biases = {i: rw() for i in range(1, n + 1)}
-    return Network(n, edges, biases)
+        for key in rng.sample(missing, m):
+            edges[key] = rw()
+    bias = [0] + [rw() for _ in range(n)]
+    return Network.__new__(Network)._build(n, edges, bias)

@@ -3,6 +3,11 @@
 A network is a set of nodes 1..n, an undirected edge set with exact
 weights, and a per-node bias, each stored once in int micros
 (`Network.micros_adjacency`); `Weight`s wrap them only on the way out.
+The public constructor takes `Weight`s and unwraps each once; the file
+parser (`parse_network`) and the seeded generators hand int micros
+straight to the same private builder, so no `Weight` is built on the
+way in.
+
 The objective ("goodness") of an assignment X is
 
     sum_{i<j} w_ij * X_i * X_j  +  sum_i theta_i * X_i
@@ -13,12 +18,13 @@ goodness, equivalently minimize energy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .weights import Weight, format_micros
+from .weights import Weight, format_micros, is_ascii_digits, parse_micros
 
 INT64_SCAN_MAX_MICROS = 1 << 62  # numpy sums of a net's terms run in int64 only while magnitude_micros() stays below
 
@@ -81,44 +87,47 @@ class Network:
     ):
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
-        edge_map: dict[tuple[int, int], Weight] = {}
+        edge_micros: dict[tuple[int, int], int] = {}
         for i, j, w in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i},{j}) references node outside 1..{n}")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             key = (i, j) if i < j else (j, i)
-            if key in edge_map:
+            if key in edge_micros:
                 raise ValueError(f"duplicate edge {key}")
-            edge_map[key] = w
-        bias_list = [Weight(0)] * (n + 1)
+            try:
+                edge_micros[key] = w.micros
+            except AttributeError:
+                raise TypeError(f"edge ({key[0]},{key[1]}) has weight {w!r}, not a Weight") from None
+        bias_micros = [0] * (n + 1)
         for i, b in (biases or {}).items():
             if not 1 <= i <= n:
                 raise ValueError(f"bias references node {i} outside 1..{n}")
-            bias_list[i] = b
+            try:
+                bias_micros[i] = b.micros
+            except AttributeError:
+                raise TypeError(f"node {i} has bias {b!r}, not a Weight") from None
+        self._build(n, edge_micros, bias_micros, cutset)
+
+    def _build(self, n: int, edges: Mapping[tuple[int, int], int], bias: list[int], cutset: Iterable[int] = ()) -> Network:
+        """Fills this net from checked micros and returns it: `edges` maps each
+        (i, j), i < j, both in 1..n, to its weight, `bias` lists the n + 1
+        biases (entry 0 is 0).  The cutset is checked here."""
         object.__setattr__(self, "n", n)
         cutset_set = self.check_cutset(cutset)
         rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        magnitude = 0
-        for (i, j), w in sorted(edge_map.items()):  # ascending keys fill every row in ascending id order
-            try:
-                w = w.micros
-            except AttributeError:
-                raise TypeError(f"edge ({i},{j}) has weight {w!r}, not a Weight") from None
+        magnitude = sum(map(abs, bias))
+        for (i, j), w in sorted(edges.items()):  # ascending keys fill every row in ascending id order
             rows[i].append((j, w))
             rows[j].append((i, w))
             magnitude += abs(w)
-        bias_micros = []
-        for i, b in enumerate(bias_list):
-            try:
-                bias_micros.append(b.micros)
-            except AttributeError:
-                raise TypeError(f"node {i} has bias {b!r}, not a Weight") from None
         object.__setattr__(self, "cutset", cutset_set)
-        object.__setattr__(self, "_adjacency", tuple(zip(bias_micros, map(tuple, rows))))
-        object.__setattr__(self, "_magnitude", magnitude + sum(map(abs, bias_micros)))
+        object.__setattr__(self, "_adjacency", tuple(zip(bias, map(tuple, rows))))
+        object.__setattr__(self, "_magnitude", magnitude)
         object.__setattr__(self, "_half_edges", None)
         object.__setattr__(self, "_register_columns", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -229,10 +238,25 @@ class Network:
         return f"Network(n={self.n}, edges={edges}, cutset={sorted(self.cutset)})"
 
 
-def _is_ascii_digits(token: str) -> bool:
-    """The one spelling of a node id or count: ASCII digits only, so
-    ``1_0``, ``+3`` and non-ASCII digits are refused although `int` reads them."""
-    return token.isascii() and token.isdigit()
+def _node_id(token: str, n: int, lineno: int) -> int:
+    """`token` as a node id of the file's net of n nodes (n is 0 before its
+    'nodes' line); ParseError names the first check it fails."""
+    if not is_ascii_digits(token):
+        raise ParseError(lineno, f"bad node id {token!r}")
+    i = int(token)
+    if not n:
+        raise ParseError(lineno, "directive before 'nodes'")
+    if not 1 <= i <= n:
+        raise ParseError(lineno, f"node id {i} out of range 1..{n}")
+    return i
+
+
+def _decimal_micros(token: str, lineno: int) -> int:
+    """`token` in int micros by `parse_micros`, whose refusal becomes a ParseError."""
+    try:
+        return parse_micros(token)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def parse_network(text: str) -> Network:
@@ -245,76 +269,67 @@ def parse_network(text: str) -> Network:
         edge <i> <j> <decimal>
         cutset <i> [<i> ...]
 
-    Node ids and the node count are ASCII digit strings.
+    'nodes' comes first and once.  Node ids and the node count are ASCII
+    digit strings; each decimal is read by `weights.parse_micros` (ASCII
+    digits, at most six fractional digits) straight into the net's int
+    micros, with no `Weight` built.  A repeated bias, a self-loop or a
+    duplicate edge is refused.  Each check raises a ParseError naming its line.
     """
-    n = None
-    edges: list[tuple[int, int, Weight]] = []
-    seen_edges: set[tuple[int, int]] = set()
-    biases: dict[int, Weight] = {}
+    n = 0
+    edges: dict[tuple[int, int], int] = {}
+    biases: dict[int, int] = {}
     cutset: set[int] = set()
-
-    def parse_id(tok: str, lineno: int) -> int:
-        if not _is_ascii_digits(tok):
-            raise ParseError(lineno, f"bad node id {tok!r}")
-        i = int(tok)
-        if n is None:
-            raise ParseError(lineno, "directive before 'nodes'")
-        if not 1 <= i <= n:
-            raise ParseError(lineno, f"node id {i} out of range 1..{n}")
-        return i
-
-    def parse_weight(tok: str, lineno: int) -> Weight:
-        try:
-            return Weight.from_decimal(tok)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-
+    # a file repeats few distinct id and weight tokens, so each is read once;
+    # a refused token raises on every line it appears on, with that line
+    node_id = functools.cache(lambda token: _node_id(token, n, lineno))
+    micros = functools.cache(lambda token: _decimal_micros(token, lineno))
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        if kind == "nodes":
-            if n is not None:
-                raise ParseError(lineno, "repeated 'nodes' directive")
-            if len(args) != 1:
-                raise ParseError(lineno, "'nodes' takes exactly one argument")
-            if not _is_ascii_digits(args[0]):
-                raise ParseError(lineno, f"bad node count {args[0]!r}")
-            n = int(args[0])
-            if n < 1:
-                raise ParseError(lineno, f"node count must be >= 1, got {n}")
-        elif kind == "bias":
-            if len(args) != 2:
-                raise ParseError(lineno, "'bias' takes node id and value")
-            i = parse_id(args[0], lineno)
-            if i in biases:
-                raise ParseError(lineno, f"repeated bias for node {i}")
-            biases[i] = parse_weight(args[1], lineno)
-        elif kind == "edge":
-            if len(args) != 3:
+        kind = tokens[0]
+        if kind == "edge":
+            if len(tokens) != 4:
                 raise ParseError(lineno, "'edge' takes two node ids and a weight")
-            i = parse_id(args[0], lineno)
-            j = parse_id(args[1], lineno)
+            _, a, b, value = tokens
+            i = node_id(a)
+            j = node_id(b)
             if i == j:
                 raise ParseError(lineno, f"self-loop at node {i}")
             key = (i, j) if i < j else (j, i)
-            if key in seen_edges:
+            if key in edges:
                 raise ParseError(lineno, f"duplicate edge {key}")
-            seen_edges.add(key)
-            edges.append((i, j, parse_weight(args[2], lineno)))
+            edges[key] = micros(value)
+        elif kind == "bias":
+            if len(tokens) != 3:
+                raise ParseError(lineno, "'bias' takes node id and value")
+            _, a, value = tokens
+            i = node_id(a)
+            if i in biases:
+                raise ParseError(lineno, f"repeated bias for node {i}")
+            biases[i] = micros(value)
+        elif kind == "nodes":
+            if n:
+                raise ParseError(lineno, "repeated 'nodes' directive")
+            if len(tokens) != 2:
+                raise ParseError(lineno, "'nodes' takes exactly one argument")
+            if not is_ascii_digits(tokens[1]):
+                raise ParseError(lineno, f"bad node count {tokens[1]!r}")
+            n = int(tokens[1])
+            if n < 1:
+                raise ParseError(lineno, f"node count must be >= 1, got {n}")
         elif kind == "cutset":
-            if not args:
+            if len(tokens) == 1:
                 raise ParseError(lineno, "'cutset' needs at least one node id")
-            for tok in args:
-                cutset.add(parse_id(tok, lineno))
+            cutset.update([node_id(tok) for tok in tokens[1:]])
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
-
-    if n is None:
+    if not n:
         raise ParseError(1, "missing 'nodes' directive")
-    return Network(n, edges, biases, cutset)
+    bias = [0] * (n + 1)
+    for i, value in biases.items():
+        bias[i] = value
+    return Network.__new__(Network)._build(n, edges, bias, cutset)
 
 
 def serialize_network(net: Network) -> str:
@@ -334,6 +349,6 @@ def parse_node_ids(text: str, source: str) -> list[int]:
     raises ValueError naming `source` and the token."""
     tokens = text.split(",")
     for token in tokens:
-        if not _is_ascii_digits(token):
+        if not is_ascii_digits(token):
             raise ValueError(f"{source}: bad node id {token!r}, expected comma-separated integers")
     return [int(token) for token in tokens]

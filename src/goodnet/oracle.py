@@ -43,15 +43,23 @@ CUTSET_MAX_SIZE = 20
 class OptimumReport:
     """Exact maximum goodness, the assignments attaining it, and scan size.
 
-    A cutset optimization also fills `conditionings`: one
-    (cutset bits in ascending node order, conditioned maximum) row per
-    conditioning, in enumeration order.
+    A cutset optimization also fills `conditioning_micros`: each
+    conditioning's maximum in int micros, in code order (first member
+    most significant), so 2**|Y| values; `conditionings` pairs them with
+    their cutset bits as Weights when it is read.
     """
 
     gmax: Weight
     argmax: tuple[tuple[int, ...], ...]
     states_scanned: int
-    conditionings: tuple[tuple[tuple[int, ...], Weight], ...] = ()
+    conditioning_micros: tuple[int, ...] = ()
+
+    @property
+    def conditionings(self) -> tuple[tuple[tuple[int, ...], Weight], ...]:
+        """(cutset bits in ascending node order, conditioned maximum) per conditioning, in code order."""
+        values = self.conditioning_micros
+        size = len(values).bit_length() - 1  # 2**size values
+        return tuple(zip(itertools.product((0, 1), repeat=size), map(Weight, values))) if values else ()
 
 
 @dataclass(frozen=True)
@@ -310,5 +318,4 @@ def cutset_exact_optimize(net: Network, plan: CutsetPlan) -> OptimumReport:
             best, witnesses = chunk_best, []
         if chunk_best == best:
             witnesses += chunk_witnesses(best)
-    rows = tuple(zip(itertools.product((0, 1), repeat=len(members)), map(Weight, values)))
-    return OptimumReport(Weight(best), tuple(sorted(witnesses)), codes, rows)
+    return OptimumReport(Weight(best), tuple(sorted(witnesses)), codes, tuple(values))

@@ -4,9 +4,10 @@ Threshold rules of the form ``sum >= -theta`` and max-recurrences over
 goodness values must be decided exactly; binary floats cannot represent
 decimals like 0.1 and would make tie decisions platform-dependent.  A
 :class:`Weight` stores an integer number of millionths ("micros").  The
-rules, solvers and trace lines use those integers (`format_micros` is
-``str()`` of a Weight); a Weight appears where a value is parsed,
-printed, compared or returned, exact in comparison, sum and negation.
+rules, solvers and trace lines use those integers: `parse_micros` is the
+one reader of decimal text and `format_micros` (``str()`` of a Weight) the
+one writer.  A Weight appears where a value is handed out, compared or
+printed, exact in comparison, sum and negation.
 """
 
 from __future__ import annotations
@@ -14,6 +15,28 @@ from __future__ import annotations
 import functools
 
 SCALE = 10**6
+
+
+def is_ascii_digits(token: str) -> bool:
+    """The one spelling of a digit run: ASCII digits only, so ``1_0``, ``+3``
+    and non-ASCII digits are refused although `int` reads them."""
+    return token.isascii() and token.isdigit()
+
+
+def parse_micros(text: str) -> int:
+    """A decimal literal (optional sign, ASCII digits, optionally a point and
+    ASCII digits; surrounding whitespace ignored) with at most six fractional
+    digits, as int micros; ValueError otherwise."""
+    whole, point, frac = text.strip().partition(".")
+    sign = whole[:1]
+    if sign == "-" or sign == "+":
+        whole = whole[1:]
+    if not is_ascii_digits(whole) or (point and not is_ascii_digits(frac)):
+        raise ValueError(f"malformed number: {text!r}")
+    if len(frac) > 6:
+        raise ValueError(f"more than 6 fractional digits: {text!r}")
+    micros = int(whole) * SCALE + (int(frac.ljust(6, "0")) if point else 0)
+    return -micros if sign == "-" else micros
 
 
 def format_micros(micros: int) -> str:
@@ -42,17 +65,8 @@ class Weight:
 
     @classmethod
     def from_decimal(cls, text: str) -> "Weight":
-        """Parse a decimal literal (sign, digits, point and digits) with at most six fractional digits."""
-        whole, point, frac = text.strip().partition(".")
-        sign = whole[:1]
-        if sign == "-" or sign == "+":
-            whole = whole[1:]
-        if not whole.isdecimal() or (point and not frac.isdecimal()):
-            raise ValueError(f"malformed number: {text!r}")
-        if len(frac) > 6:
-            raise ValueError(f"more than 6 fractional digits: {text!r}")
-        micros = int(whole) * SCALE + (int(frac.ljust(6, "0")) if point else 0)
-        return cls(-micros if sign == "-" else micros)
+        """The Weight of a decimal literal, read by `parse_micros`."""
+        return cls(parse_micros(text))
 
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")

@@ -341,12 +341,12 @@ def replay_deltas(initial_regs, trace) -> list:
     return regs
 
 
-_DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
+_DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$", re.ASCII)
 
 
 def decimal_micros_reference(text: str) -> int:
-    """`Weight.from_decimal(text).micros` by a regex, raising ValueError
-    with the same message on the same strings."""
+    """`Weight.from_decimal(text).micros` by a regex whose digits are ASCII,
+    raising ValueError with the same message on the same strings."""
     m = _DECIMAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed number: {text!r}")
@@ -356,6 +356,23 @@ def decimal_micros_reference(text: str) -> int:
         raise ValueError(f"more than 6 fractional digits: {text!r}")
     micros = int(whole) * SCALE + int(frac.ljust(6, "0") or "0")
     return -micros if sign == "-" else micros
+
+
+def from_decimal_reference(text: str) -> Weight:
+    """`Weight.from_decimal` as it was before decimals became ASCII-only:
+    its own partition-based reader, building the Weight itself.  It reads
+    any Unicode decimal digit, so it agrees with `weights.parse_micros`
+    exactly on text that is ASCII once stripped."""
+    whole, point, frac = text.strip().partition(".")
+    sign = whole[:1]
+    if sign == "-" or sign == "+":
+        whole = whole[1:]
+    if not whole.isdecimal() or (point and not frac.isdecimal()):
+        raise ValueError(f"malformed number: {text!r}")
+    if len(frac) > 6:
+        raise ValueError(f"more than 6 fractional digits: {text!r}")
+    micros = int(whole) * SCALE + (int(frac.ljust(6, "0")) if point else 0)
+    return Weight(-micros if sign == "-" else micros)
 
 
 def micros_text_reference(micros: int) -> str:

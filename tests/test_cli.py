@@ -615,3 +615,34 @@ def test_oracle_defaults_to_the_declared_cutset(capsys, tmp_path):
     path = tmp_path / "example51.net"
     path.write_text(text)
     assert run_cli(capsys, "oracle", "--net", str(path)) == (0, EXAMPLE51_ORACLE, "")
+
+
+def test_the_reused_parser_leaks_no_state_between_calls(capsys, tmp_path):
+    # one process, one parser: every call prints what a fresh interpreter prints
+    assert build_parser() is build_parser()
+    path = tmp_path / "chain.net"
+    path.write_text(serialize_network(random_network("sparse", 12, m=3, seed=4)))
+    calls = [
+        ("oracle", "--net", str(path), "--cutset", "auto"),
+        ("run", "--fixture", "fig1", "--max-passes", "x"),
+        ("demo", "thm41"),
+        ("oracle", "--fixture", "example51"),
+        ("oracle", "--net", str(path), "--cutset", "auto"),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "goodnet", *argv], capture_output=True, text=True, env=env)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert code == 0 and build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("temp", ["١", "٣.٥", "1.٥"])
+def test_run_refuses_a_temperature_in_non_ascii_digits(capsys, temp):
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "boltzmann", "--temp", temp, "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed number: {temp!r}\n"

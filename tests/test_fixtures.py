@@ -2,6 +2,7 @@ import pytest
 
 from goodnet import (
     ActivationRegister,
+    Network,
     build_view,
     chain2i,
     example51,
@@ -13,6 +14,7 @@ from goodnet import (
     tree_direct_step,
 )
 
+from goodnet.experiments import uniform_chain
 from goodnet.fixtures import _AbsentPairs
 
 from helpers import D, W, enumerate_optima, sparse_network_reference
@@ -111,12 +113,20 @@ def test_sparse_extra_edges_are_drawn_as_from_the_listed_absent_pairs():
         assert random_network("sparse", n, m=m, seed=seed) == sparse_network_reference(n, m, seed), (n, m, seed)
 
 
+def test_uniform_chain_is_the_chain_of_unit_weights_and_biases():
+    # built from micros, it equals the net the public constructor builds from Weights
+    for n in (1, 2, 7):
+        expected = Network(n, [(v, v + 1, W(1)) for v in range(1, n)], {v: W(1) for v in range(1, n + 1)})
+        net = uniform_chain(n)
+        assert net == expected and net.magnitude_micros() == expected.magnitude_micros() == (2 * n - 1) * 10**6
+
+
 def test_absent_pairs_index_the_lexicographic_complement_of_the_tree():
     for seed in range(5):
         tree = random_network("tree", 9, seed=seed)
         edges = {(i, j) for i, j, _ in tree.edges()}
         expected = [(i, j) for i in range(1, 10) for j in range(i + 1, 10) if (i, j) not in edges]
-        pairs = _AbsentPairs(9, tree.edges())
+        pairs = _AbsentPairs(9, edges)
         assert len(pairs) == len(expected) and list(pairs) == expected
         with pytest.raises(IndexError):
             pairs[len(pairs)]

@@ -88,6 +88,20 @@ def test_network_rejects_non_weight_values(edges, biases, named):
         Network(3, edges, biases)
 
 
+def test_non_weight_values_are_refused_with_the_messages_they_always_had():
+    cases = [
+        ([(1, 2, 5)], {}, "edge (1,2) has weight 5, not a Weight"),
+        ([(3, 1, 0.5)], {}, "edge (1,3) has weight 0.5, not a Weight"),
+        ([(1, 2, W(1)), (2, 3, "1")], {}, "edge (2,3) has weight '1', not a Weight"),
+        ([], {2: 1}, "node 2 has bias 1, not a Weight"),
+        ([(1, 2, W(1))], {1: W(1), 3: None}, "node 3 has bias None, not a Weight"),
+    ]
+    for edges, biases, message in cases:
+        with pytest.raises(TypeError) as err:
+            Network(3, edges, biases)
+        assert str(err.value) == message
+
+
 def test_parse_minimal():
     net = parse_network("nodes 2\nedge 1 2 1.5")
     assert net.n == 2
@@ -142,6 +156,10 @@ def test_parse_comments_and_cutset():
         ("nodes 2\nedge 1 2", 2),
         ("nodes 2\ncutset", 2),
         ("", 1),
+        # decimals take ASCII digits only, as node ids do
+        ("nodes 2\nbias 1 \u0661\nedge 1 2 3", 2),
+        ("nodes 2\nbias 1 1\nedge 1 2 \u0663.\u0665", 3),
+        ("nodes 2\nedge 1 2 1.\u0665", 2),
     ],
 )
 def test_parse_errors_name_line(text, lineno):
@@ -149,6 +167,32 @@ def test_parse_errors_name_line(text, lineno):
         parse_network(text)
     assert err.value.line == lineno
     assert f"line {lineno}" in str(err.value)
+
+
+_MICROS = st.one_of(
+    st.integers(-3 * 10**6, 3 * 10**6),  # negative fractions and zero among them
+    st.integers(-(2**70), 2**70),  # magnitudes past the 2**62 scan bound
+    st.sampled_from([0, -1, 1, -(2**62), 2**62, 2**62 + 1]),
+)
+
+
+@st.composite
+def micros_networks(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(*(pair[::-1] if draw(st.booleans()) else pair), Weight(draw(_MICROS))) for pair in chosen]  # either end first
+    biases = {i: Weight(draw(_MICROS)) for i in draw(st.sets(st.integers(1, n)))}
+    return Network(n, edges, biases, draw(st.sets(st.integers(1, n))))
+
+
+@given(micros_networks())
+def test_parse_serialize_round_trip_over_arbitrary_micros(net):
+    text = serialize_network(net)
+    twin = parse_network(text)
+    assert twin == net and hash(twin) == hash(net)
+    assert twin.magnitude_micros() == net.magnitude_micros()
+    assert serialize_network(twin) == text
 
 
 def pickle_round_trip(obj):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from goodnet import Weight
-from goodnet.weights import SCALE, format_micros
+from goodnet.weights import SCALE, format_micros, parse_micros
 
-from helpers import decimal_micros_reference, micros_text_reference
+from helpers import decimal_micros_reference, from_decimal_reference, micros_text_reference
 
 
 @pytest.mark.parametrize(
@@ -30,6 +30,15 @@ def test_from_decimal_exact():
 @pytest.mark.parametrize("bad", ["", "1.2.3", "1e5", "abc", "--1", "0.1234567"])
 def test_from_decimal_rejects(bad):
     with pytest.raises(ValueError):
+        Weight.from_decimal(bad)
+
+
+# Arabic-Indic and fullwidth digits, which `int` and str.isdecimal accept
+@pytest.mark.parametrize("bad", ["\u0661", "\u0663.\u0665", "1.\u0665", "-\u0663", "\uff13", "2\u0660"])
+def test_decimals_take_ascii_digits_only(bad):
+    with pytest.raises(ValueError, match="^malformed number: "):
+        parse_micros(bad)
+    with pytest.raises(ValueError, match="^malformed number: "):
         Weight.from_decimal(bad)
 
 
@@ -131,3 +140,35 @@ def test_from_decimal_on_edge_cases_matches_the_reference(text):
 @given(st.one_of(_NEAR_DECIMALS, _DECIMALS))
 def test_from_decimal_matches_the_reference(text):
     _same_outcome(text)
+
+
+# sign, digits (some of them non-ASCII), an optional point, 0-8 fractional digits, then junk
+_TOKENS = st.builds(
+    lambda sign, whole, frac, junk: f"{sign}{whole}{frac}{junk}",
+    st.sampled_from(["", "+", "-", "+-", " "]),
+    st.text(alphabet="0123456789\u0663\uff10", max_size=6),
+    st.one_of(st.just(""), st.text(alphabet="0123456789\u0665", max_size=8).map(lambda f: "." + f)),
+    st.one_of(st.just(""), st.text(max_size=3)),
+)
+
+
+@settings(max_examples=400)
+@given(st.one_of(_TOKENS, st.text(max_size=10)))
+@example("\u2003-1.5\u2003")  # non-ASCII whitespace around ASCII digits is stripped, as before
+@example("1" * 30 + ".123456")
+def test_parse_micros_matches_the_kept_from_decimal(text):
+    """The one micros reader agrees with the pre-change Weight.from_decimal
+    (equal value or the same ValueError message) on text that is ASCII once
+    stripped, and refuses any other text as malformed."""
+    if not text.strip().isascii():
+        with pytest.raises(ValueError, match="^malformed number: "):
+            parse_micros(text)
+        return
+    try:
+        expected = from_decimal_reference(text).micros
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            parse_micros(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_micros(text) == Weight.from_decimal(text).micros == expected
