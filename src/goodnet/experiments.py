@@ -208,7 +208,7 @@ def dominance_demo(trials: int = 100, seed: int = 0) -> DemoResult:
 
 def uniform_chain(n: int) -> Network:
     """Chain 1-2-...-n with every weight and bias 1."""
-    return Network.__new__(Network)._build(n, {(v, v + 1): SCALE for v in range(1, n)}, [0] + [SCALE] * n)
+    return Network._from_micros(n, {(v, v + 1): SCALE for v in range(1, n)}, [0] + [SCALE] * n)
 
 
 def linear_time_demo() -> DemoResult:

@@ -167,4 +167,4 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
         for key in rng.sample(missing, m):
             edges[key] = rw()
     bias = [0] + [rw() for _ in range(n)]
-    return Network.__new__(Network)._build(n, edges, bias)
+    return Network._from_micros(n, edges, bias)

@@ -5,8 +5,8 @@ weights, and a per-node bias, each stored once in int micros
 (`Network.micros_adjacency`); `Weight`s wrap them only on the way out.
 The public constructor takes `Weight`s and unwraps each once; the file
 parser (`parse_network`) and the seeded generators hand int micros
-straight to the same private builder, so no `Weight` is built on the
-way in.
+straight to the same builder through `Network._from_micros`, so no
+`Weight` is built on the way in.
 
 The objective ("goodness") of an assignment X is
 
@@ -108,12 +108,24 @@ class Network:
                 bias_micros[i] = b.micros
             except AttributeError:
                 raise TypeError(f"node {i} has bias {b!r}, not a Weight") from None
-        self._build(n, edge_micros, bias_micros, cutset)
+        self._fill(n, edge_micros, bias_micros, cutset)
 
-    def _build(self, n: int, edges: Mapping[tuple[int, int], int], bias: list[int], cutset: Iterable[int] = ()) -> Network:
-        """Fills this net from checked micros and returns it: `edges` maps each
+    @classmethod
+    def _from_micros(
+        cls, n: int, edges: Mapping[tuple[int, int], int], bias: list[int], cutset: Iterable[int] = ()
+    ) -> Network:
+        """The net of checked micros, with no `Weight` built: `edges` maps each
         (i, j), i < j, both in 1..n, to its weight, `bias` lists the n + 1
-        biases (entry 0 is 0).  The cutset is checked here."""
+        biases (entry 0 is 0).  The node count and the cutset are checked here."""
+        if n < 1:
+            raise ValueError(f"node count must be >= 1, got {n}")
+        net = cls.__new__(cls)
+        net._fill(n, edges, bias, cutset)
+        return net
+
+    def _fill(self, n: int, edges: Mapping[tuple[int, int], int], bias: list[int], cutset: Iterable[int]) -> None:
+        # the one builder of the adjacency, for __init__ and _from_micros only,
+        # each of which has checked n and the edges and biases
         object.__setattr__(self, "n", n)
         cutset_set = self.check_cutset(cutset)
         rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
@@ -127,7 +139,6 @@ class Network:
         object.__setattr__(self, "_magnitude", magnitude)
         object.__setattr__(self, "_half_edges", None)
         object.__setattr__(self, "_register_columns", None)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -251,14 +262,6 @@ def _node_id(token: str, n: int, lineno: int) -> int:
     return i
 
 
-def _decimal_micros(token: str, lineno: int) -> int:
-    """`token` in int micros by `parse_micros`, whose refusal becomes a ParseError."""
-    try:
-        return parse_micros(token)
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
-
-
 def parse_network(text: str) -> Network:
     """Parse the line-oriented network file format.
 
@@ -279,10 +282,10 @@ def parse_network(text: str) -> Network:
     edges: dict[tuple[int, int], int] = {}
     biases: dict[int, int] = {}
     cutset: set[int] = set()
-    # a file repeats few distinct id and weight tokens, so each is read once;
-    # a refused token raises on every line it appears on, with that line
+    # each id names an edge end, a bias or a cutset member, so a file repeats
+    # its id tokens and each is read once; a refused token raises on every
+    # line it appears on, with that line
     node_id = functools.cache(lambda token: _node_id(token, n, lineno))
-    micros = functools.cache(lambda token: _decimal_micros(token, lineno))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
@@ -299,7 +302,10 @@ def parse_network(text: str) -> Network:
             key = (i, j) if i < j else (j, i)
             if key in edges:
                 raise ParseError(lineno, f"duplicate edge {key}")
-            edges[key] = micros(value)
+            try:
+                edges[key] = parse_micros(value)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
         elif kind == "bias":
             if len(tokens) != 3:
                 raise ParseError(lineno, "'bias' takes node id and value")
@@ -307,7 +313,10 @@ def parse_network(text: str) -> Network:
             i = node_id(a)
             if i in biases:
                 raise ParseError(lineno, f"repeated bias for node {i}")
-            biases[i] = micros(value)
+            try:
+                biases[i] = parse_micros(value)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
         elif kind == "nodes":
             if n:
                 raise ParseError(lineno, "repeated 'nodes' directive")
@@ -329,7 +338,7 @@ def parse_network(text: str) -> Network:
     bias = [0] * (n + 1)
     for i, value in biases.items():
         bias[i] = value
-    return Network.__new__(Network)._build(n, edges, bias, cutset)
+    return Network._from_micros(n, edges, bias, cutset)
 
 
 def serialize_network(net: Network) -> str:

@@ -119,6 +119,10 @@ def test_uniform_chain_is_the_chain_of_unit_weights_and_biases():
         expected = Network(n, [(v, v + 1, W(1)) for v in range(1, n)], {v: W(1) for v in range(1, n + 1)})
         net = uniform_chain(n)
         assert net == expected and net.magnitude_micros() == expected.magnitude_micros() == (2 * n - 1) * 10**6
+    # the micros builder refuses a bad size as the public constructor does
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"node count must be >= 1, got {n}"):
+            uniform_chain(n)
 
 
 def test_absent_pairs_index_the_lexicographic_complement_of_the_tree():
