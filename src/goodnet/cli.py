@@ -17,7 +17,10 @@ import argparse
 import functools
 import inspect
 import os
+import stat
 import sys
+import tempfile
+from typing import TextIO
 
 from . import experiments
 from .engine import RULES, RunResult, TraceEvent, run
@@ -90,15 +93,50 @@ def _open_trace_path(path: str) -> bool:
         return False
 
 
+# Trace lines per write: each chunk is one write per destination, and only
+# one chunk is held, so a traced run's memory does not grow with its events.
+TRACE_CHUNK_LINES = 1024
+
+
+def _trace_stream(path: str) -> tuple[TextIO, str | None]:
+    """The open file a `--trace` run streams into, and the temp path to move
+    onto `path` once the run has returned: a new file beside the regular file
+    `path` resolves to, so that a run that fails leaves `path` as it was.  A
+    path that is not a regular file (the null device, a FIFO) is written
+    directly, with no temp path."""
+    if not os.path.isfile(path):
+        return open(path, "w", encoding="utf-8"), None
+    real = os.path.realpath(path)
+    fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(real)}.", dir=os.path.dirname(real))
+    return os.fdopen(fd, "w", encoding="utf-8"), temp
+
+
 def cmd_run(args) -> int:
     if args.trace == "":
         raise ValueError("--trace needs a file path, got ''")
     net = _load_network(args)
     scheduler = parse_scheduler(args.sched, seed=args.seed)
     cutset = _parse_cutset(net, args.cutset)
-    want_trace = args.format == "tsv" or args.trace is not None
+    writes = [sys.stdout.write] if args.format == "tsv" else []
+    lines: list[str] = []
+
+    def write_lines() -> None:
+        text = "\n".join(lines) + "\n"
+        lines.clear()
+        for write in writes:
+            write(text)
+
+    def emit(ev: TraceEvent) -> None:
+        lines.append(trace_line(ev))
+        if len(lines) == TRACE_CHUNK_LINES:
+            write_lines()
+
     created = args.trace is not None and _open_trace_path(args.trace)
+    fh = temp = None
     try:
+        if args.trace is not None:
+            fh, temp = _trace_stream(args.trace)
+            writes.append(fh.write)
         result = run(
             net,
             args.rule,
@@ -108,18 +146,25 @@ def cmd_run(args) -> int:
             temperature=Weight.from_decimal(args.temp) if args.temp else None,
             cutset=cutset,
             max_passes=args.max_passes,
-            collect_trace=want_trace,
+            collect_trace=emit if writes else False,
         )
-        text = "\n".join([trace_line(ev) for ev in result.trace]) if want_trace else ""
-        if args.trace is not None:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        if lines:
+            write_lines()
+        if fh is not None:
+            fh.close()
+        if temp is not None:  # mkstemp made the file 0600: give it the target's mode first
+            os.chmod(temp, stat.S_IMODE(os.stat(args.trace).st_mode))
+            os.replace(temp, os.path.realpath(args.trace))
     except BaseException:
-        if created:  # a failed run leaves the path as it was: absent
+        # a failed run, a closed stdout included, leaves the path as it was:
+        # an existing file keeps its bytes, and one this command created goes
+        if fh is not None:
+            fh.close()
+        if temp is not None:
+            os.remove(temp)
+        if created:
             os.remove(args.trace)
         raise
-    if args.format == "tsv" and text:
-        print(text)
     print(result_line(result))
     return 0 if result.stable else 2
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -463,9 +463,11 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
         yield ids, deltas
 
 
-def _traced(net: Network, regs: list, events: Iterator, trace: list) -> Iterator:
-    """Pass `events` (`steps` over `regs`) through, appending a TraceEvent
-    per event to `trace`: its goodness moves by each flip's gain; its
+def _traced(net: Network, regs: list, events: Iterator, emit: Callable[[TraceEvent], object]) -> Iterator:
+    """Pass `events` (`steps` over `regs`) through, handing `emit` a
+    TraceEvent per event as it happens: `run` passes a list's `append` for
+    `collect_trace=True`, or the caller's own callable, which may write the
+    event out and keep nothing.  Its goodness moves by each flip's gain; its
     illegal count (nodes outside the least-fixed-point legal set) comes
     from the set `legality_map` returns at the start, re-derived after each
     pointer move on the moved nodes, their neighbors and the legal chains
@@ -491,7 +493,7 @@ def _traced(net: Network, regs: list, events: Iterator, trace: list) -> Iterator
                 moved.append(i)
         if moved:
             update_legal(net, pointers, legal, moved)
-        trace.append(_tuple_new(TraceEvent, (step, step // n + 1, ids, goodness, n - len(legal), deltas)))
+        emit(_tuple_new(TraceEvent, (step, step // n + 1, ids, goodness, n - len(legal), deltas)))
         yield ids, deltas
 
 
@@ -505,9 +507,16 @@ def run(
     seed: int | None = None,
     temperature=None,
     cutset: frozenset[int] | None = None,
-    collect_trace: bool = False,
+    collect_trace: bool | Callable[[TraceEvent], object] = False,
 ) -> RunResult:
     """Consume `steps` (through `_traced` for a trace) until a quiet window or the pass budget.
+
+    `collect_trace` attaches a trace in one of two forms.  `True` keeps
+    every `TraceEvent` in `RunResult.trace`.  A callable receives each
+    `TraceEvent` as the event happens, and `RunResult.trace` is None, so
+    a caller that writes each event out holds no trace in memory.  Every
+    argument is checked before the first event, so a refused run emits
+    nothing.
 
     `init` alone says where the run starts: 'zeros', 'random' (drawn
     from `seed`) or a register list, checked by `initial_registers`.
@@ -529,7 +538,8 @@ def run(
     unchanged registers, which makes them a fixed point), so the run
     moves the event count and the last change on by as many whole cycles
     as fit in the budget; `seen` is the same after each cycle.  Every
-    field of the result is the one the replayed events would give.
+    field of the result is the one the replayed events would give.  A
+    trace in either form switches the skip off: each event gets its line.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -550,10 +560,13 @@ def run(
     window = 2 * n  # quiet events that end a stable run
     regs = initial_registers(net, init, cutset, seed)
 
-    trace: list[TraceEvent] | None = [] if collect_trace else None
+    trace: list[TraceEvent] | None = None
     events = steps(net, regs, rule, scheduler, cutset, rng, temperature)
-    if trace is not None:
-        events = _traced(net, regs, events, trace)
+    if callable(collect_trace):
+        events = _traced(net, regs, events, collect_trace)
+    elif collect_trace:
+        trace = []
+        events = _traced(net, regs, events, trace.append)
     last_change = -1
     seen: set[int] = set()  # units activated on unchanged registers since the last change
     stable = False
@@ -563,7 +576,7 @@ def run(
     # register list `saved_at` events in, copied again after `span` more.
     # The first copy waits for the first period end, so a run whose
     # registers stop changing in its first period keeps no old ones alive.
-    period = None if trace is not None or rule == "boltzmann" else scheduler.period(n)
+    period = None if collect_trace or rule == "boltzmann" else scheduler.period(n)
     check_at = period or -1  # the next event count that ends a period
     saved, saved_at, span = None, 0, period
     done = 0

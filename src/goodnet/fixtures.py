@@ -11,10 +11,11 @@ re-verified by the brute-force solver in the test suite):
                     alternating patterns at goodness 3.
 * ``chain2i(i)`` -- chain of 2i units, unit weights and biases except a -4
                     middle edge; exactly two mirror-image optima.
+                    2 <= i <= FIXTURE_MAX_NODES / 2.
 * ``illegal_ring(n)`` -- n-cycle plus a pointer set per unit, each aimed at
                     the unit's clockwise neighbor: a stable but
                     meaningless pointer state that uniform tree directing
-                    cannot escape.
+                    cannot escape.  3 <= n <= FIXTURE_MAX_NODES.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections.abc import Iterable, Sequence
 
 from .network import Network
 from .schedulers import seeded_rng
-from .weights import SCALE, Weight, is_ascii_digits
+from .weights import MAX_DIGITS, SCALE, Weight, is_ascii_digits
 
 W = Weight.from_int
 
@@ -61,10 +62,16 @@ def ring6() -> Network:
     return Network(6, edges, {i: W(1) for i in range(1, 7)})
 
 
+# The largest net chain2i and illegal_ring build: a larger one is refused
+# before anything is built, since the net lives in memory at some hundreds
+# of bytes per node and every run or scan of it is Python work per node.
+FIXTURE_MAX_NODES = 100_000
+
+
 def chain2i(i: int) -> Network:
     """Mirror-symmetric chain of 2i units; middle edge weight -4, rest 1."""
-    if i < 2:
-        raise ValueError(f"chain2i needs i >= 2, got {i}")
+    if not 2 <= i <= FIXTURE_MAX_NODES // 2:
+        raise ValueError(f"chain2i needs 2 <= i <= {FIXTURE_MAX_NODES // 2} (at most {FIXTURE_MAX_NODES} nodes), got {i}")
     n = 2 * i
     edges = []
     for a in range(1, n):
@@ -75,8 +82,8 @@ def chain2i(i: int) -> Network:
 
 def illegal_ring(n: int) -> tuple[Network, dict[int, frozenset[int]]]:
     """n-cycle plus the clockwise pointers that tree directing keeps."""
-    if n < 3:
-        raise ValueError(f"illegal_ring needs n >= 3, got {n}")
+    if not 3 <= n <= FIXTURE_MAX_NODES:
+        raise ValueError(f"illegal_ring needs 3 <= n <= {FIXTURE_MAX_NODES}, got {n}")
     edges = [(i, i % n + 1, W(-3)) for i in range(1, n + 1)]
     net = Network(n, edges, {i: W(1) for i in range(1, n + 1)})
     pointers = {i: frozenset({i % n + 1}) for i in range(1, n + 1)}
@@ -92,13 +99,16 @@ FIXED_FIXTURES = {
 
 def fixture(name: str) -> Network:
     """Look up a fixture by name; parametrized ones use 'name:arg' syntax,
-    with arg in ASCII digits."""
+    with arg in at most `MAX_DIGITS` ASCII digits."""
     if name in FIXED_FIXTURES:
         return FIXED_FIXTURES[name]()
     if ":" in name:
         base, arg = name.split(":", 1)
-        if base in ("chain2i", "illegal_ring") and not is_ascii_digits(arg):
-            raise ValueError(f"fixture {name!r}: bad argument {arg!r}, expected an integer")
+        if base in ("chain2i", "illegal_ring"):
+            if not is_ascii_digits(arg):
+                raise ValueError(f"fixture {name!r}: bad argument {arg!r}, expected an integer")
+            if len(arg) > MAX_DIGITS:
+                raise ValueError(f"fixture {base}: argument of {len(arg)} digits, more than {MAX_DIGITS}")
         if base == "chain2i":
             return chain2i(int(arg))
         if base == "illegal_ring":

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .weights import Weight, format_micros, is_ascii_digits, parse_micros
+from .weights import MAX_DIGITS, Weight, format_micros, is_ascii_digits, parse_micros
 
 INT64_SCAN_MAX_MICROS = 1 << 62  # numpy sums of a net's terms run in int64 only while magnitude_micros() stays below
 
@@ -254,9 +254,11 @@ def _node_id(token: str, n: int, lineno: int) -> int:
     'nodes' line); ParseError names the first check it fails."""
     if not is_ascii_digits(token):
         raise ParseError(lineno, f"bad node id {token!r}")
-    i = int(token)
     if not n:
         raise ParseError(lineno, "directive before 'nodes'")
+    if len(token) > MAX_DIGITS:
+        raise ParseError(lineno, f"node id of {len(token)} digits, more than {MAX_DIGITS}")
+    i = int(token)
     if not 1 <= i <= n:
         raise ParseError(lineno, f"node id {i} out of range 1..{n}")
     return i
@@ -273,9 +275,9 @@ def parse_network(text: str) -> Network:
         cutset <i> [<i> ...]
 
     'nodes' comes first and once.  Node ids and the node count are ASCII
-    digit strings; each decimal is read by `weights.parse_micros` (ASCII
-    digits, at most six fractional digits) straight into the net's int
-    micros, with no `Weight` built.  A repeated bias, a self-loop or a
+    digit strings of at most `MAX_DIGITS` digits; each decimal is read by
+    `weights.parse_micros` (ASCII digits, at most six fractional digits)
+    straight into the net's int micros, with no `Weight` built.  A repeated bias, a self-loop or a
     duplicate edge is refused.  Each check raises a ParseError naming its line.
     """
     n = 0
@@ -324,6 +326,8 @@ def parse_network(text: str) -> Network:
                 raise ParseError(lineno, "'nodes' takes exactly one argument")
             if not is_ascii_digits(tokens[1]):
                 raise ParseError(lineno, f"bad node count {tokens[1]!r}")
+            if len(tokens[1]) > MAX_DIGITS:
+                raise ParseError(lineno, f"node count of {len(tokens[1])} digits, more than {MAX_DIGITS}")
             n = int(tokens[1])
             if n < 1:
                 raise ParseError(lineno, f"node count must be >= 1, got {n}")
@@ -354,10 +358,12 @@ def serialize_network(net: Network) -> str:
 
 def parse_node_ids(text: str, source: str) -> list[int]:
     """Comma-separated node ids such as ``3,2,1``, repeats kept.  An empty list,
-    an empty entry or anything but ASCII digits (``1_0``, `` 3``, ``+3``)
-    raises ValueError naming `source` and the token."""
+    an empty entry, anything but ASCII digits (``1_0``, `` 3``, ``+3``) or
+    an id of more than `MAX_DIGITS` digits raises ValueError naming `source`."""
     tokens = text.split(",")
     for token in tokens:
         if not is_ascii_digits(token):
             raise ValueError(f"{source}: bad node id {token!r}, expected comma-separated integers")
+        if len(token) > MAX_DIGITS:
+            raise ValueError(f"{source}: node id of {len(token)} digits, more than {MAX_DIGITS}")
     return [int(token) for token in tokens]

@@ -2,7 +2,8 @@
 
 A scheduler produces, per step, the set of units activated together.
 Central schedulers emit singletons; the synchronous scheduler fires
-everyone at once; the fair-exclusion scheduler emits random subsets
+everyone at once; the fair-exclusion scheduler emits random subsets (a
+size drawn uniformly from 1..n, then a uniform subset of that size)
 interleaved with round-robin singletons so that, within any window of
 2n steps, every unit runs at least once and every ordered neighbor
 pair (i without j) occurs at least once.
@@ -106,9 +107,12 @@ class FairExclusion(Scheduler):
     """Random nonempty subsets alternating with round-robin singletons.
 
     Odd steps are forced singletons from an ascending cycle, so any 2n
-    consecutive steps contain a full pass of solo activations; even
-    steps are uniform random nonempty subsets.  This yields both
-    fairness and fair exclusion with window 2n by construction.
+    consecutive steps contain a full pass of solo activations.  Even
+    steps draw a size uniformly from 1..n and then a uniform subset of
+    that size, so each size is equally likely: a subset of size k comes
+    with probability 1 / (n * C(n, k)), which is not uniform over the
+    nonempty subsets.  This yields both fairness and fair exclusion with
+    window 2n by construction.
     """
 
     def __init__(self, seed: int):

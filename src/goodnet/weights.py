@@ -17,6 +17,12 @@ import functools
 SCALE = 10**6
 
 
+# The longest digit run read as a node id, a node count or a fixture argument:
+# a longer one is refused by its length before `int` reads it, which raises
+# its own bare ValueError past 4,300 digits.  A node id needs at most 18.
+MAX_DIGITS = 18
+
+
 def is_ascii_digits(token: str) -> bool:
     """The one spelling of a digit run: ASCII digits only, so ``1_0``, ``+3``
     and non-ASCII digits are refused although `int` reads them."""

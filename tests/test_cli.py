@@ -1,13 +1,17 @@
+import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from goodnet import engine, experiments, random_network, serialize_network
-from goodnet.cli import bind_demo, build_parser, main
+from goodnet import Weight, engine, experiments, fixture, random_network, serialize_network, trace_line
+from goodnet.cli import TRACE_CHUNK_LINES, bind_demo, build_parser, main, result_line
+from goodnet.engine import run
 from goodnet.experiments import DemoResult
+from goodnet.schedulers import parse_scheduler
 
 
 def run_cli(capsys, *argv):
@@ -646,3 +650,163 @@ def test_run_refuses_a_temperature_in_non_ascii_digits(capsys, temp):
     code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "boltzmann", "--temp", temp, "--seed", "1")
     assert (code, out) == (1, "")
     assert err == f"error: malformed number: {temp!r}\n"
+
+
+LONG_ID = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--fixture", "chain2i:" + LONG_ID), "fixture chain2i: argument of 5000 digits, more than 18"),
+        (("run", "--fixture", "illegal_ring:" + "7" * 19), "fixture illegal_ring: argument of 19 digits, more than 18"),
+        (
+            ("oracle", "--fixture", "example51", "--cutset", "1," + LONG_ID),
+            f"--cutset {'1,' + LONG_ID!r}: node id of 5000 digits, more than 18",
+        ),
+        (
+            ("run", "--fixture", "fig1", "--sched", "central-rr:" + LONG_ID),
+            f"scheduler {'central-rr:' + LONG_ID!r}: node id of 5000 digits, more than 18",
+        ),
+    ],
+    ids=["chain2i", "illegal_ring", "cutset", "central-rr"],
+)
+def test_digit_runs_too_long_for_int_are_refused_by_length_naming_the_flag(capsys, monkeypatch, argv, message):
+    # `int` would raise its own bare ValueError past 4,300 digits, naming no flag;
+    # no parametrized fixture is built, not even when a check is missing
+    for name in ("chain2i", "illegal_ring"):
+        monkeypatch.setattr(f"goodnet.fixtures.{name}", lambda arg: pytest.fail("a fixture was built"))
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_a_network_file_with_a_node_count_too_long_for_int_is_refused_with_its_line(capsys, tmp_path):
+    path = tmp_path / "long.net"
+    path.write_text("# a node count of 5000 digits\nnodes " + "1" * 5000 + "\n")
+    assert run_cli(capsys, "run", "--net", str(path)) == (1, "", "error: line 2: node count of 5000 digits, more than 18\n")
+
+
+@pytest.mark.parametrize("name, cap", [("chain2i:50001", "2 <= i <= 50000 (at most 100000 nodes)"), ("illegal_ring:100001", "3 <= n <= 100000")])
+def test_fixture_node_caps_are_refused_naming_the_cap(capsys, monkeypatch, name, cap):
+    monkeypatch.setattr("goodnet.fixtures.W", lambda value: pytest.fail("a fixture was built"))
+    base, _, arg = name.partition(":")
+    assert run_cli(capsys, "run", "--fixture", name) == (1, "", f"error: {base} needs {cap}, got {arg}\n")
+
+
+# (fixture, rule, scheduler, init, seed, max passes, temperature), each run past
+# 1,024 events or to a stop; "sparse" is a 300-node sparse net read from a
+# file, and sync-all on chain2i:5 oscillates, so an untraced run would skip
+# its cycles
+STREAMED_RUNS = {
+    "central-rr": ("sparse", "activate-with-cutset", "central-rr", "random", 3, 5, None),
+    "sync-all-cycle": ("chain2i:5", "activate", "sync-all", "zeros", 0, 300, None),
+    "fair-excl": ("example51", "activate-with-cutset", "fair-excl", "random", 5, 100, None),
+    "boltzmann": ("ring6", "boltzmann", "central-random", "random", 7, 200, "1"),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "chunk-default"])
+@pytest.mark.parametrize("case", sorted(STREAMED_RUNS))
+def test_the_streamed_trace_is_the_collected_trace(capsys, monkeypatch, tmp_path, case, chunk):
+    name, rule, sched, init, seed, passes, temp = STREAMED_RUNS[case]
+    if name == "sparse":
+        net = random_network("sparse", 300, m=6, seed=1)
+        net_path = tmp_path / "sparse.net"
+        net_path.write_text(serialize_network(net))
+        source = ("--net", str(net_path))
+    else:
+        net = fixture(name)
+        source = ("--fixture", name)
+    expected = run(
+        net, rule, parse_scheduler(sched, seed=seed), init=init, seed=seed, max_passes=passes,
+        temperature=Weight.from_decimal(temp) if temp else None, collect_trace=True,
+    )
+    text = "\n".join(trace_line(ev) for ev in expected.trace) + "\n"
+    assert len(expected.trace) > TRACE_CHUNK_LINES or (expected.stable and case == "fair-excl")
+    if chunk is not None:
+        monkeypatch.setattr("goodnet.cli.TRACE_CHUNK_LINES", chunk)
+    trace_path = tmp_path / "trace.tsv"
+    argv = ["run", *source, "--rule", rule, "--sched", sched, "--init", init, "--seed", str(seed),
+            "--max-passes", str(passes), "--format", "tsv", "--trace", str(trace_path)]
+    if temp:
+        argv += ["--temp", temp]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0 if expected.stable else 2, text + result_line(expected) + "\n", "")
+    assert trace_path.read_text() == text
+
+
+def test_a_long_traced_run_keeps_flat_memory():
+    # tracemalloc peaks of in-process runs with their stdout counted, not kept:
+    # the trace goes out in chunks, so ten times the events take no more memory
+    class LineCounter:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+
+        def flush(self):
+            pass
+
+    def peak(passes):
+        # a boltzmann run on fig1 runs its whole budget: 5 one-unit events a pass
+        sink = LineCounter()
+        argv = ["run", "--fixture", "fig1", "--rule", "boltzmann", "--temp", "1", "--seed", "1",
+                "--max-passes", str(passes), "--format", "tsv"]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(argv)
+            return code, sink.lines, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the parser and every import are in place before either measurement
+    code, lines, small = peak(200)
+    assert (code, lines) == (2, 1_001)
+    code, lines, large = peak(2_000)
+    assert (code, lines) == (2, 10_001)
+    assert large <= small + 1_000_000, (small, large)
+
+
+def _closed_stdout_run(argv):
+    """Start `python -m goodnet` on `argv`, read its first line, then close its
+    stdout; returns (first line, exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "goodnet", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_closed_stdout_leaves_the_trace_path_as_it_was(tmp_path, existing):
+    # the run stops at its first write after the reader has gone, and the
+    # trace it was streaming is dropped with it
+    path = tmp_path / "t.tsv"
+    if existing:
+        path.write_bytes(b"old contents\n")
+    argv = ["run", "--fixture", "chain2i:5", "--sched", "sync-all", "--max-passes", "2000", "--format", "tsv",
+            "--trace", str(path)]
+    first, code, err = _closed_stdout_run(argv)
+    assert first.startswith(b"0\t1\t") and (code, err) == (141, b"")
+    assert list(tmp_path.iterdir()) == ([path] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"old contents\n"
+
+
+def test_a_trace_file_keeps_its_mode_and_a_symlink_stays_a_link(capsys, tmp_path):
+    # the trace streams into a temp file that replaces the file only after the run
+    target = tmp_path / "target.tsv"
+    target.write_bytes(b"old contents\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    code, out, _ = run_cli(capsys, "run", "--fixture", "fig1", "--format", "tsv", "--trace", str(link))
+    assert code == 0 and target.read_text() == out[: out.rindex("RESULT")]
+    assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "target.tsv"]
+    fresh = tmp_path / "fresh.tsv"
+    open(tmp_path / "reference", "w").close()  # the mode a new file gets under this umask
+    assert run_cli(capsys, "run", "--fixture", "fig1", "--trace", str(fresh))[0] == 0
+    assert fresh.stat().st_mode == (tmp_path / "reference").stat().st_mode

@@ -1158,6 +1158,18 @@ def test_an_oscillating_chain_runs_ten_million_passes_at_once(monkeypatch):
     assert all((r.assignment, r.goodness_final) == (result.assignment, result.goodness_final) for r in replayed)
 
 
+def test_a_callable_trace_sink_never_skips_a_cycle():
+    # the oscillating chain would skip to its budget untraced; a sink gets
+    # every event, as the collected trace holds them, and the result keeps none
+    net = chain2i(5)
+    events = []
+    result = run(net, "activate", SynchronousAll(), max_passes=300, collect_trace=events.append)
+    assert result.trace is None and result.events == len(events) == 300 * net.n
+    assert [ev.step for ev in events] == list(range(3000))
+    collected = run(net, "activate", SynchronousAll(), max_passes=300, collect_trace=True)
+    assert events == collected.trace and replace(collected, trace=None) == result
+
+
 @pytest.mark.parametrize(
     "rule, scheduler, traced",
     [

@@ -15,7 +15,8 @@ from goodnet import (
 )
 
 from goodnet.experiments import uniform_chain
-from goodnet.fixtures import _AbsentPairs
+from goodnet import fixtures
+from goodnet.fixtures import FIXTURE_MAX_NODES, _AbsentPairs
 
 from helpers import D, W, enumerate_optima, sparse_network_reference
 
@@ -82,6 +83,33 @@ def test_fixture_arguments_validated():
         chain2i(1)
     with pytest.raises(ValueError):
         illegal_ring(2)
+
+
+@pytest.mark.parametrize(
+    "build, arg, message",
+    [
+        (chain2i, 50_001, "chain2i needs 2 <= i <= 50000 (at most 100000 nodes), got 50001"),
+        (chain2i, 99_999_999_999, "chain2i needs 2 <= i <= 50000 (at most 100000 nodes), got 99999999999"),
+        (illegal_ring, 100_001, "illegal_ring needs 3 <= n <= 100000, got 100001"),
+    ],
+    ids=["chain2i-cap+1", "chain2i-huge", "illegal_ring-cap+1"],
+)
+def test_fixture_node_caps_refuse_before_building(monkeypatch, build, arg, message):
+    assert FIXTURE_MAX_NODES == 100_000
+    monkeypatch.setattr(fixtures, "Network", lambda *args, **kwargs: pytest.fail("a net was built"))
+    monkeypatch.setattr(fixtures, "W", lambda value: pytest.fail("a weight was built"))
+    with pytest.raises(ValueError) as err:
+        build(arg)
+    assert str(err.value) == message
+
+
+def test_fixture_node_caps_admit_the_cap(monkeypatch):
+    # the nets at the cap reach the constructor (not built here: each would take 100,000 nodes)
+    sizes = []
+    monkeypatch.setattr(fixtures, "Network", lambda n, edges, biases: sizes.append((n, len(edges))))
+    chain2i(FIXTURE_MAX_NODES // 2)
+    illegal_ring(FIXTURE_MAX_NODES)
+    assert sizes == [(100_000, 99_999), (100_000, 100_000)]
 
 
 def test_random_network_determinism_and_counts():

@@ -169,6 +169,23 @@ def test_parse_errors_name_line(text, lineno):
     assert f"line {lineno}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("nodes " + "1" * 5000, 1, "node count of 5000 digits, more than 18"),
+        ("nodes " + "1" * 19, 1, "node count of 19 digits, more than 18"),
+        ("nodes 3\nedge 1 " + "2" * 5000 + " 1", 2, "node id of 5000 digits, more than 18"),
+        ("nodes 3\n\ncutset 1 " + "9" * 19, 3, "node id of 19 digits, more than 18"),
+    ],
+    ids=["count-5000", "count-19", "edge-id-5000", "cutset-id-19"],
+)
+def test_digit_runs_too_long_for_int_are_refused_by_length_with_their_line(text, lineno, message):
+    # `int` would raise its own bare ValueError past 4,300 digits, with no line
+    with pytest.raises(ParseError) as err:
+        parse_network(text)
+    assert (err.value.line, str(err.value)) == (lineno, f"line {lineno}: {message}")
+
+
 _MICROS = st.one_of(
     st.integers(-3 * 10**6, 3 * 10**6),  # negative fractions and zero among them
     st.integers(-(2**70), 2**70),  # magnitudes past the 2**62 scan bound
