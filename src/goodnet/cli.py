@@ -35,7 +35,7 @@ from .oracle import (
     tree_conditioned_max,
 )
 from .schedulers import parse_scheduler
-from .weights import Weight, format_micros
+from .weights import Weight, format_micros, parse_micros
 
 
 def _delta_text(node: int, field: str, value) -> str:
@@ -68,7 +68,7 @@ def result_line(result: RunResult) -> str:
 
 
 def _load_network(args):
-    if args.fixture:
+    if args.fixture is not None:
         return fixture(args.fixture)
     with open(args.net, encoding="utf-8") as fh:
         return parse_network(fh.read())
@@ -82,6 +82,19 @@ def _parse_cutset(net, text):
     return frozenset(parse_node_ids(text, f"--cutset {text!r}"))
 
 
+def _parse_temp(text: str | None) -> Weight | None:
+    """`--temp` as a positive Weight, None when not given; every refusal names the flag."""
+    if text is None:
+        return None
+    try:
+        micros = parse_micros(text)
+    except ValueError as exc:
+        raise ValueError(f"--temp: {exc}") from None
+    if micros <= 0:
+        raise ValueError(f"--temp: temperature must be positive, got {text!r}")
+    return Weight(micros)
+
+
 def _open_trace_path(path: str) -> bool:
     """Opens `path` for writing so that a bad path fails before the run;
     True iff this created the file."""
@@ -91,11 +104,6 @@ def _open_trace_path(path: str) -> bool:
     except FileExistsError:
         open(path, "a").close()
         return False
-
-
-# Trace lines per write: each chunk is one write per destination, and only
-# one chunk is held, so a traced run's memory does not grow with its events.
-TRACE_CHUNK_LINES = 1024
 
 
 def _trace_stream(path: str) -> tuple[TextIO, str | None]:
@@ -117,19 +125,13 @@ def cmd_run(args) -> int:
     net = _load_network(args)
     scheduler = parse_scheduler(args.sched, seed=args.seed)
     cutset = _parse_cutset(net, args.cutset)
+    temperature = _parse_temp(args.temp)
     writes = [sys.stdout.write] if args.format == "tsv" else []
-    lines: list[str] = []
-
-    def write_lines() -> None:
-        text = "\n".join(lines) + "\n"
-        lines.clear()
-        for write in writes:
-            write(text)
 
     def emit(ev: TraceEvent) -> None:
-        lines.append(trace_line(ev))
-        if len(lines) == TRACE_CHUNK_LINES:
-            write_lines()
+        line = trace_line(ev) + "\n"
+        for write in writes:
+            write(line)
 
     created = args.trace is not None and _open_trace_path(args.trace)
     fh = temp = None
@@ -143,13 +145,11 @@ def cmd_run(args) -> int:
             scheduler,
             init=args.init,
             seed=args.seed,
-            temperature=Weight.from_decimal(args.temp) if args.temp else None,
+            temperature=temperature,
             cutset=cutset,
             max_passes=args.max_passes,
-            collect_trace=emit if writes else False,
+            collect_trace=emit if writes else None,
         )
-        if lines:
-            write_lines()
         if fh is not None:
             fh.close()
         if temp is not None:  # mkstemp made the file 0600: give it the target's mode first

@@ -97,7 +97,6 @@ class RunResult:
     events: int
     last_change_step: int
     registers: list
-    trace: list[TraceEvent] | None = None
 
 
 def build_view(net: Network, regs: Sequence[ActivationRegister], i: int, cutset: frozenset[int]) -> LocalView:
@@ -464,14 +463,13 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
 
 
 def _traced(net: Network, regs: list, events: Iterator, emit: Callable[[TraceEvent], object]) -> Iterator:
-    """Pass `events` (`steps` over `regs`) through, handing `emit` a
-    TraceEvent per event as it happens: `run` passes a list's `append` for
-    `collect_trace=True`, or the caller's own callable, which may write the
-    event out and keep nothing.  Its goodness moves by each flip's gain; its
-    illegal count (nodes outside the least-fixed-point legal set) comes
-    from the set `legality_map` returns at the start, re-derived after each
-    pointer move on the moved nodes, their neighbors and the legal chains
-    above them (`update_legal`)."""
+    """Pass `events` (`steps` over `regs`) through, handing `emit` (the
+    `collect_trace` callable of `run`) a TraceEvent per event as it
+    happens.  Its goodness moves by each flip's gain; its illegal count
+    (nodes outside the least-fixed-point legal set) comes from the set
+    `legality_map` returns at the start, re-derived after each pointer
+    move on the moved nodes, their neighbors and the legal chains above
+    them (`update_legal`)."""
     n = net.n
     pointers = pointer_snapshot(regs)
     legal = legality_map(net, pointers)
@@ -507,16 +505,14 @@ def run(
     seed: int | None = None,
     temperature=None,
     cutset: frozenset[int] | None = None,
-    collect_trace: bool | Callable[[TraceEvent], object] = False,
+    collect_trace: Callable[[TraceEvent], object] | None = None,
 ) -> RunResult:
     """Consume `steps` (through `_traced` for a trace) until a quiet window or the pass budget.
 
-    `collect_trace` attaches a trace in one of two forms.  `True` keeps
-    every `TraceEvent` in `RunResult.trace`.  A callable receives each
-    `TraceEvent` as the event happens, and `RunResult.trace` is None, so
-    a caller that writes each event out holds no trace in memory.  Every
-    argument is checked before the first event, so a refused run emits
-    nothing.
+    `collect_trace`, a callable, receives each `TraceEvent` as the event
+    happens: a list's `append` keeps the trace, a writer streams it out.
+    Every argument is checked before the first event, so a refused run
+    emits nothing.
 
     `init` alone says where the run starts: 'zeros', 'random' (drawn
     from `seed`) or a register list, checked by `initial_registers`.
@@ -539,7 +535,7 @@ def run(
     moves the event count and the last change on by as many whole cycles
     as fit in the budget; `seen` is the same after each cycle.  Every
     field of the result is the one the replayed events would give.  A
-    trace in either form switches the skip off: each event gets its line.
+    trace switches the skip off: each event reaches `collect_trace`.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -549,6 +545,8 @@ def run(
         raise ValueError("boltzmann rule needs a temperature")
     if rule != "boltzmann" and temperature is not None:
         raise ValueError(f"a temperature is only meaningful with the boltzmann rule, not {rule!r}")
+    if collect_trace is not None and not callable(collect_trace):
+        raise TypeError(f"collect_trace must be a callable or None, got {collect_trace!r}")
     rng = seeded_rng(seed, "boltzmann rule") if rule == "boltzmann" else None
     if cutset is None:
         cutset = net.cutset if rule == "activate-with-cutset" else frozenset()
@@ -560,13 +558,9 @@ def run(
     window = 2 * n  # quiet events that end a stable run
     regs = initial_registers(net, init, cutset, seed)
 
-    trace: list[TraceEvent] | None = None
     events = steps(net, regs, rule, scheduler, cutset, rng, temperature)
-    if callable(collect_trace):
+    if collect_trace is not None:
         events = _traced(net, regs, events, collect_trace)
-    elif collect_trace:
-        trace = []
-        events = _traced(net, regs, events, trace.append)
     last_change = -1
     seen: set[int] = set()  # units activated on unchanged registers since the last change
     stable = False
@@ -576,7 +570,7 @@ def run(
     # register list `saved_at` events in, copied again after `span` more.
     # The first copy waits for the first period end, so a run whose
     # registers stop changing in its first period keeps no old ones alive.
-    period = None if collect_trace or rule == "boltzmann" else scheduler.period(n)
+    period = None if collect_trace is not None or rule == "boltzmann" else scheduler.period(n)
     check_at = period or -1  # the next event count that ends a period
     saved, saved_at, span = None, 0, period
     done = 0
@@ -609,5 +603,4 @@ def run(
         events=done,
         last_change_step=last_change,
         registers=regs,
-        trace=trace,
     )

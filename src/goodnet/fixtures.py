@@ -11,11 +11,11 @@ re-verified by the brute-force solver in the test suite):
                     alternating patterns at goodness 3.
 * ``chain2i(i)`` -- chain of 2i units, unit weights and biases except a -4
                     middle edge; exactly two mirror-image optima.
-                    2 <= i <= FIXTURE_MAX_NODES / 2.
+                    2 <= i <= MAX_NODES / 2.
 * ``illegal_ring(n)`` -- n-cycle plus a pointer set per unit, each aimed at
                     the unit's clockwise neighbor: a stable but
                     meaningless pointer state that uniform tree directing
-                    cannot escape.  3 <= n <= FIXTURE_MAX_NODES.
+                    cannot escape.  3 <= n <= MAX_NODES.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import bisect
 import itertools
 from collections.abc import Iterable, Sequence
 
-from .network import Network
+from .network import MAX_NODES, Network
 from .schedulers import seeded_rng
 from .weights import MAX_DIGITS, SCALE, Weight, is_ascii_digits
 
@@ -62,16 +62,10 @@ def ring6() -> Network:
     return Network(6, edges, {i: W(1) for i in range(1, 7)})
 
 
-# The largest net chain2i and illegal_ring build: a larger one is refused
-# before anything is built, since the net lives in memory at some hundreds
-# of bytes per node and every run or scan of it is Python work per node.
-FIXTURE_MAX_NODES = 100_000
-
-
 def chain2i(i: int) -> Network:
     """Mirror-symmetric chain of 2i units; middle edge weight -4, rest 1."""
-    if not 2 <= i <= FIXTURE_MAX_NODES // 2:
-        raise ValueError(f"chain2i needs 2 <= i <= {FIXTURE_MAX_NODES // 2} (at most {FIXTURE_MAX_NODES} nodes), got {i}")
+    if not 2 <= i <= MAX_NODES // 2:
+        raise ValueError(f"chain2i needs 2 <= i <= {MAX_NODES // 2} (at most {MAX_NODES} nodes), got {i}")
     n = 2 * i
     edges = []
     for a in range(1, n):
@@ -82,8 +76,8 @@ def chain2i(i: int) -> Network:
 
 def illegal_ring(n: int) -> tuple[Network, dict[int, frozenset[int]]]:
     """n-cycle plus the clockwise pointers that tree directing keeps."""
-    if not 3 <= n <= FIXTURE_MAX_NODES:
-        raise ValueError(f"illegal_ring needs 3 <= n <= {FIXTURE_MAX_NODES}, got {n}")
+    if not 3 <= n <= MAX_NODES:
+        raise ValueError(f"illegal_ring needs 3 <= n <= {MAX_NODES}, got {n}")
     edges = [(i, i % n + 1, W(-3)) for i in range(1, n + 1)]
     net = Network(n, edges, {i: W(1) for i in range(1, n + 1)})
     pointers = {i: frozenset({i % n + 1}) for i in range(1, n + 1)}

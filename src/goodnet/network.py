@@ -28,6 +28,12 @@ from .weights import MAX_DIGITS, Weight, format_micros, is_ascii_digits, parse_m
 
 INT64_SCAN_MAX_MICROS = 1 << 62  # numpy sums of a net's terms run in int64 only while magnitude_micros() stays below
 
+# The largest net a network file or a parametrized fixture builds: a larger
+# one is refused before any per-node list is built, since a net lives in
+# memory at some hundreds of bytes per node and every run or scan of it is
+# Python work per node.
+MAX_NODES = 100_000
+
 
 class ParseError(ValueError):
     """Raised on a malformed network file; carries the 1-based line number."""
@@ -274,8 +280,9 @@ def parse_network(text: str) -> Network:
         edge <i> <j> <decimal>
         cutset <i> [<i> ...]
 
-    'nodes' comes first and once.  Node ids and the node count are ASCII
-    digit strings of at most `MAX_DIGITS` digits; each decimal is read by
+    'nodes' comes first and once, with a count of at most `MAX_NODES`.
+    Node ids and the node count are ASCII digit strings of at most
+    `MAX_DIGITS` digits; each decimal is read by
     `weights.parse_micros` (ASCII digits, at most six fractional digits)
     straight into the net's int micros, with no `Weight` built.  A repeated bias, a self-loop or a
     duplicate edge is refused.  Each check raises a ParseError naming its line.
@@ -331,6 +338,8 @@ def parse_network(text: str) -> Network:
             n = int(tokens[1])
             if n < 1:
                 raise ParseError(lineno, f"node count must be >= 1, got {n}")
+            if n > MAX_NODES:
+                raise ParseError(lineno, f"node count {n} is more than {MAX_NODES}")
         elif kind == "cutset":
             if len(tokens) == 1:
                 raise ParseError(lineno, "'cutset' needs at least one node id")

@@ -17,9 +17,11 @@ import functools
 SCALE = 10**6
 
 
-# The longest digit run read as a node id, a node count or a fixture argument:
-# a longer one is refused by its length before `int` reads it, which raises
-# its own bare ValueError past 4,300 digits.  A node id needs at most 18.
+# The longest digit run read as a node id, a node count, a fixture argument or
+# the whole part of a decimal: a longer one is refused by its length before
+# `int` reads it, which raises its own bare ValueError past 4,300 digits.  A
+# node id needs at most 18, and 18 whole digits are 10**24 micros, past the
+# bound of every exact path.
 MAX_DIGITS = 18
 
 
@@ -32,13 +34,16 @@ def is_ascii_digits(token: str) -> bool:
 def parse_micros(text: str) -> int:
     """A decimal literal (optional sign, ASCII digits, optionally a point and
     ASCII digits; surrounding whitespace ignored) with at most six fractional
-    digits, as int micros; ValueError otherwise."""
+    digits and at most `MAX_DIGITS` whole ones, as int micros; ValueError
+    otherwise."""
     whole, point, frac = text.strip().partition(".")
     sign = whole[:1]
     if sign == "-" or sign == "+":
         whole = whole[1:]
     if not is_ascii_digits(whole) or (point and not is_ascii_digits(frac)):
         raise ValueError(f"malformed number: {text!r}")
+    if len(whole) > MAX_DIGITS:
+        raise ValueError(f"whole part of {len(whole)} digits, more than {MAX_DIGITS}")
     if len(frac) > 6:
         raise ValueError(f"more than 6 fractional digits: {text!r}")
     micros = int(whole) * SCALE + (int(frac.ljust(6, "0")) if point else 0)

@@ -352,6 +352,8 @@ def decimal_micros_reference(text: str) -> int:
         raise ValueError(f"malformed number: {text!r}")
     sign, whole, frac = m.groups()
     frac = frac or ""
+    if len(whole) > 18:
+        raise ValueError(f"whole part of {len(whole)} digits, more than 18")
     if len(frac) > 6:
         raise ValueError(f"more than 6 fractional digits: {text!r}")
     micros = int(whole) * SCALE + int(frac.ljust(6, "0") or "0")
@@ -359,8 +361,9 @@ def decimal_micros_reference(text: str) -> int:
 
 
 def from_decimal_reference(text: str) -> Weight:
-    """`Weight.from_decimal` as it was before decimals became ASCII-only:
-    its own partition-based reader, building the Weight itself.  It reads
+    """`Weight.from_decimal` as it was before decimals became ASCII-only,
+    with the later cap of 18 whole digits: its own partition-based reader,
+    building the Weight itself.  It reads
     any Unicode decimal digit, so it agrees with `weights.parse_micros`
     exactly on text that is ASCII once stripped."""
     whole, point, frac = text.strip().partition(".")
@@ -369,6 +372,8 @@ def from_decimal_reference(text: str) -> Weight:
         whole = whole[1:]
     if not whole.isdecimal() or (point and not frac.isdecimal()):
         raise ValueError(f"malformed number: {text!r}")
+    if len(whole) > 18:
+        raise ValueError(f"whole part of {len(whole)} digits, more than 18")
     if len(frac) > 6:
         raise ValueError(f"more than 6 fractional digits: {text!r}")
     micros = int(whole) * SCALE + (int(frac.ljust(6, "0")) if point else 0)

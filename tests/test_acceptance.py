@@ -83,16 +83,17 @@ def tree_suite():
                 sched = CentralRoundRobin()
             else:
                 sched = IndependentFairExclusion(seed, net)
+            trace = []
             result = run(net, "activate", sched, init="zeros",
-                         max_passes=6 * net.n, collect_trace=True)
-            runs.append((seed, kind, net, gmax, result))
+                         max_passes=6 * net.n, collect_trace=trace.append)
+            runs.append((seed, kind, net, gmax, result, trace))
     return runs, time.time() - t0
 
 
 def test_criterion_02_tree_oracle_equivalence(tree_suite):
     runs, elapsed = tree_suite
     assert len(runs) == 400
-    for seed, kind, net, gmax, result in runs:
+    for seed, kind, net, gmax, result, _ in runs:
         assert result.stable, (seed, kind)
         assert result.goodness_final == gmax, (seed, kind)
         converged_pass = result.last_change_step // net.n + 1
@@ -151,11 +152,12 @@ def test_criterion_07_example51_trajectory():
     # ascending round robin reads node 3's flip at node 1 before node 2
     # ever sees it, skipping the -199.8 plateau; the cycle 3,2,1,4,5
     # realizes the narrative exactly.  Both must stabilize at all-ones.
+    trace = []
     result = run(net, "activate-with-cutset", CentralRoundRobin((3, 2, 1, 4, 5)),
-                 init="zeros", collect_trace=True)
+                 init="zeros", collect_trace=trace.append)
     assert result.stable
     levels = []
-    for ev in result.trace:
+    for ev in trace:
         if not levels or levels[-1] != ev.goodness:
             levels.append(ev.goodness)
     wanted = [Weight(0), D("199.8"), D("249.7"), D("250.7")]
@@ -230,8 +232,8 @@ def legality_sequence(net, trace):
 
 def test_criterion_11_legality_invariants(tree_suite):
     runs, _ = tree_suite
-    for seed, kind, net, _, result in runs:
-        seq = legality_sequence(net, result.trace)
+    for seed, kind, net, _, _, trace in runs:
+        seq = legality_sequence(net, trace)
         for before, after in zip(seq, seq[1:]):
             assert before <= after, (seed, kind, before - after)
         counts = [net.n - len(legal) for legal in seq]

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,10 +7,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from goodnet import Weight, engine, experiments, fixture, random_network, serialize_network, trace_line
-from goodnet.cli import TRACE_CHUNK_LINES, bind_demo, build_parser, main, result_line
-from goodnet.engine import run
+from goodnet.cli import bind_demo, build_parser, main, result_line
+from goodnet.engine import RULES, run
 from goodnet.experiments import DemoResult
 from goodnet.schedulers import parse_scheduler
 
@@ -72,6 +74,11 @@ def test_a_closed_stdout_stops_the_command_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_an_empty_fixture_name_is_an_unknown_fixture(capsys, command):
+    assert run_cli(capsys, command, "--fixture", "") == (1, "", "error: unknown fixture ''\n")
 
 
 def test_run_missing_file(capsys):
@@ -649,7 +656,7 @@ def test_the_reused_parser_leaks_no_state_between_calls(capsys, tmp_path):
 def test_run_refuses_a_temperature_in_non_ascii_digits(capsys, temp):
     code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "boltzmann", "--temp", temp, "--seed", "1")
     assert (code, out) == (1, "")
-    assert err == f"error: malformed number: {temp!r}\n"
+    assert err == f"error: --temp: malformed number: {temp!r}\n"
 
 
 LONG_ID = "1" * 5000
@@ -668,8 +675,12 @@ LONG_ID = "1" * 5000
             ("run", "--fixture", "fig1", "--sched", "central-rr:" + LONG_ID),
             f"scheduler {'central-rr:' + LONG_ID!r}: node id of 5000 digits, more than 18",
         ),
+        (
+            ("run", "--fixture", "fig1", "--rule", "boltzmann", "--seed", "1", "--temp", LONG_ID),
+            "--temp: whole part of 5000 digits, more than 18",
+        ),
     ],
-    ids=["chain2i", "illegal_ring", "cutset", "central-rr"],
+    ids=["chain2i", "illegal_ring", "cutset", "central-rr", "temp"],
 )
 def test_digit_runs_too_long_for_int_are_refused_by_length_naming_the_flag(capsys, monkeypatch, argv, message):
     # `int` would raise its own bare ValueError past 4,300 digits, naming no flag;
@@ -685,6 +696,29 @@ def test_a_network_file_with_a_node_count_too_long_for_int_is_refused_with_its_l
     assert run_cli(capsys, "run", "--net", str(path)) == (1, "", "error: line 2: node count of 5000 digits, more than 18\n")
 
 
+@pytest.mark.parametrize(
+    "temp, message",
+    [
+        ("0", "temperature must be positive, got '0'"),
+        ("-1.5", "temperature must be positive, got '-1.5'"),
+        ("", "malformed number: ''"),
+        ("0.0000001", "more than 6 fractional digits: '0.0000001'"),
+    ],
+    ids=["zero", "negative", "empty", "fraction"],
+)
+def test_every_refusal_of_a_temperature_names_the_flag(capsys, tmp_path, temp, message):
+    path = tmp_path / "t.tsv"
+    argv = ("run", "--fixture", "fig1", "--rule", "boltzmann", "--seed", "1", "--temp", temp, "--trace", str(path))
+    assert run_cli(capsys, *argv) == (1, "", f"error: --temp: {message}\n")
+    assert not path.exists()
+
+
+def test_a_network_file_past_the_node_cap_is_refused_with_its_line(capsys, tmp_path):
+    path = tmp_path / "huge.net"
+    path.write_text("nodes 99999999999\n")
+    assert run_cli(capsys, "oracle", "--net", str(path)) == (1, "", "error: line 1: node count 99999999999 is more than 100000\n")
+
+
 @pytest.mark.parametrize("name, cap", [("chain2i:50001", "2 <= i <= 50000 (at most 100000 nodes)"), ("illegal_ring:100001", "3 <= n <= 100000")])
 def test_fixture_node_caps_are_refused_naming_the_cap(capsys, monkeypatch, name, cap):
     monkeypatch.setattr("goodnet.fixtures.W", lambda value: pytest.fail("a fixture was built"))
@@ -693,9 +727,9 @@ def test_fixture_node_caps_are_refused_naming_the_cap(capsys, monkeypatch, name,
 
 
 # (fixture, rule, scheduler, init, seed, max passes, temperature), each run past
-# 1,024 events or to a stop; "sparse" is a 300-node sparse net read from a
-# file, and sync-all on chain2i:5 oscillates, so an untraced run would skip
-# its cycles
+# 1,024 events (many 8 KiB file buffers of lines) or to a stop; "sparse" is a
+# 300-node sparse net read from a file, and sync-all on chain2i:5 oscillates,
+# so an untraced run would skip its cycles
 STREAMED_RUNS = {
     "central-rr": ("sparse", "activate-with-cutset", "central-rr", "random", 3, 5, None),
     "sync-all-cycle": ("chain2i:5", "activate", "sync-all", "zeros", 0, 300, None),
@@ -704,9 +738,8 @@ STREAMED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "chunk-default"])
 @pytest.mark.parametrize("case", sorted(STREAMED_RUNS))
-def test_the_streamed_trace_is_the_collected_trace(capsys, monkeypatch, tmp_path, case, chunk):
+def test_the_streamed_trace_is_the_collected_trace(capsys, tmp_path, case):
     name, rule, sched, init, seed, passes, temp = STREAMED_RUNS[case]
     if name == "sparse":
         net = random_network("sparse", 300, m=6, seed=1)
@@ -716,14 +749,13 @@ def test_the_streamed_trace_is_the_collected_trace(capsys, monkeypatch, tmp_path
     else:
         net = fixture(name)
         source = ("--fixture", name)
+    trace = []
     expected = run(
         net, rule, parse_scheduler(sched, seed=seed), init=init, seed=seed, max_passes=passes,
-        temperature=Weight.from_decimal(temp) if temp else None, collect_trace=True,
+        temperature=Weight.from_decimal(temp) if temp else None, collect_trace=trace.append,
     )
-    text = "\n".join(trace_line(ev) for ev in expected.trace) + "\n"
-    assert len(expected.trace) > TRACE_CHUNK_LINES or (expected.stable and case == "fair-excl")
-    if chunk is not None:
-        monkeypatch.setattr("goodnet.cli.TRACE_CHUNK_LINES", chunk)
+    text = "\n".join(trace_line(ev) for ev in trace) + "\n"
+    assert len(trace) > 1_024 or (expected.stable and case == "fair-excl")
     trace_path = tmp_path / "trace.tsv"
     argv = ["run", *source, "--rule", rule, "--sched", sched, "--init", init, "--seed", str(seed),
             "--max-passes", str(passes), "--format", "tsv", "--trace", str(trace_path)]
@@ -736,7 +768,7 @@ def test_the_streamed_trace_is_the_collected_trace(capsys, monkeypatch, tmp_path
 
 def test_a_long_traced_run_keeps_flat_memory():
     # tracemalloc peaks of in-process runs with their stdout counted, not kept:
-    # the trace goes out in chunks, so ten times the events take no more memory
+    # each line goes out as its event happens, so ten times the events take no more memory
     class LineCounter:
         lines = 0
 
@@ -810,3 +842,103 @@ def test_a_trace_file_keeps_its_mode_and_a_symlink_stays_a_link(capsys, tmp_path
     open(tmp_path / "reference", "w").close()  # the mode a new file gets under this umask
     assert run_cli(capsys, "run", "--fixture", "fig1", "--trace", str(fresh))[0] == 0
     assert fresh.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+# Argv pieces for the fuzz test below.  Every budget stays small: a digit run
+# lands only where its size is refused or costs nothing, so no drawn run goes
+# past 50 passes on 18 nodes and no demo past its default trials.
+_ODD_NUMBERS = st.sampled_from(
+    ["", "0", "-0", "-1", "+3", "+-", ".", "1.5", "-2.25", "0.0000001", "1e3", " 3", "1_0",
+     "\u0663", "\u0661\u0662", "\uff13", "1.\u0665", "-\u0663.5"]
+)
+_NUMBERS = st.one_of(st.text("0123456789", min_size=1, max_size=5_000), _ODD_NUMBERS)
+_IDS = st.one_of(st.integers(0, 7).map(str), _NUMBERS)
+_ID_LISTS = st.lists(_IDS, min_size=1, max_size=3).map(",".join)
+# "9" and 5+ digits is past every node cap, so it is refused before anything is built
+_FIXTURE_ARGS = st.one_of(
+    st.integers(0, 9).map(str), st.text("0123456789", min_size=5, max_size=5_000).map("9".__add__), _ODD_NUMBERS
+)
+_FIXTURES = st.one_of(
+    st.sampled_from(["fig1", "example51", "ring6", "", "nope"]),
+    st.builds("{}:{}".format, st.sampled_from(["chain2i", "illegal_ring", "fig1"]), _FIXTURE_ARGS),
+)
+# "1" and 6+ digits is past the node cap
+_NODE_COUNTS = st.one_of(
+    st.integers(1, 6).map(str), st.text("0123456789", min_size=6, max_size=5_000).map("1".__add__), _ODD_NUMBERS
+)
+_DIRECTIVES = st.one_of(
+    st.builds("edge {} {} {}".format, _IDS, _IDS, _NUMBERS),
+    st.builds("bias {} {}".format, _IDS, _NUMBERS),
+    st.builds("cutset {}".format, _IDS),
+    st.sampled_from(["edge 1 2", "nodes 3", "# comment", "", "wire 1 2 3"]),
+)
+_NET_TEXTS = st.builds(lambda count, lines: "\n".join([f"nodes {count}", *lines]), _NODE_COUNTS, st.lists(_DIRECTIVES, max_size=4))
+_SCHEDULERS = st.one_of(
+    st.sampled_from(["central-rr", "central-random", "sync-all", "fair-excl", "sync-all:1", "scripted:", "chaotic"]),
+    st.builds("{}:{}".format, st.sampled_from(["central-rr", "scripted"]), _ID_LISTS),
+)
+_SMALL_COUNTS = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["", "x", "+2", "1.5", "\u0663"]))
+_PASSES = st.one_of(st.integers(-1, 50).map(str), _ODD_NUMBERS)  # odd ones read as at most 12
+
+
+@st.composite
+def _argv(draw):
+    """A `run`, `oracle` or `demo` argv, and the text of the net file its
+    `--net NET` names (None without one); `--trace TRACE` names a file."""
+    command = draw(st.sampled_from(["run", "oracle", "demo"]))
+    net_text = None
+    if command == "demo":
+        # thm41 (half a second) and linear (seconds) are left out for time
+        argv = ["demo", draw(st.sampled_from(["thm42", "fig9", "selfstab", "dominance", "", "nope"]))]
+        options = {"--trials": _SMALL_COUNTS, "--seed": _NUMBERS}
+    elif draw(st.booleans()):
+        argv = [command, "--fixture", draw(_FIXTURES)]
+        options = {"--cutset": st.one_of(st.just("auto"), _ID_LISTS)}
+    else:
+        net_text = draw(_NET_TEXTS)
+        argv = [command, "--net", "NET"]
+        options = {"--cutset": st.one_of(st.just("auto"), _ID_LISTS)}
+    if command == "run":
+        options.update({
+            "--rule": st.sampled_from(RULES),
+            "--sched": _SCHEDULERS,
+            "--seed": _NUMBERS,
+            "--init": st.sampled_from(["zeros", "random"]),
+            "--temp": _NUMBERS,
+            "--max-passes": _PASSES,
+            "--format": st.sampled_from(["summary", "tsv"]),
+            "--trace": st.sampled_from(["TRACE", ""]),
+        })
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv += [flag, draw(options[flag])]
+    return argv, net_text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv-fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+@example((["run", "--fixture", ""], None))  # '' names a fixture: it is not a missing --fixture
+@example((["oracle", "--net", "NET"], "nodes 99999999999"))  # refused before any per-node list is built
+@example((["run", "--fixture", "fig1", "--rule", "boltzmann", "--seed", "1", "--temp", "1" * 5_000], None))
+def test_any_argv_exits_0_1_or_2_without_a_traceback(fuzz_dir, drawn):
+    # in process: 0, or 1 with one `error:` line, or 2 (argparse's refusal or
+    # a run that did not stabilize); an exception escaping `main` fails here
+    argv, net_text = drawn
+    if net_text is not None:
+        (fuzz_dir / "net").write_text(net_text, encoding="utf-8")
+    argv = [{"NET": str(fuzz_dir / "net"), "TRACE": str(fuzz_dir / "trace.tsv")}.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    else:
+        assert code in (0, 2) and err.getvalue() == "", (argv, code, err.getvalue())

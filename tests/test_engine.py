@@ -1,6 +1,5 @@
 import copy
 import random
-from dataclasses import replace
 from itertools import islice
 from unittest import mock
 
@@ -91,11 +90,12 @@ def test_apply_event_writes_only_activated_units():
 def test_hopfield_singleton_goodness_never_decreases():
     for seed in range(100):
         net = random_network("sparse", 8, m=2, seed=seed)
+        trace = []
         result = run(
             net, "hopfield", CentralRoundRobin(), init="random", seed=seed,
-            max_passes=40, collect_trace=True,
+            max_passes=40, collect_trace=trace.append,
         )
-        values = [ev.goodness for ev in result.trace]
+        values = [ev.goodness for ev in trace]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert result.stable
 
@@ -147,14 +147,16 @@ def test_chain_sync_all_symmetry_lock():
 def test_run_is_deterministic():
     net = random_network("sparse", 9, m=2, seed=5)
     def go():
-        return run(
+        trace = []
+        result = run(
             net, "activate", FairExclusion(3), init="random", seed=8,
-            max_passes=60, collect_trace=True,
+            max_passes=60, collect_trace=trace.append,
         )
-    a, b = go(), go()
+        return result, trace
+    (a, a_trace), (b, b_trace) = go(), go()
     assert a.assignment == b.assignment
-    assert [ev.deltas for ev in a.trace] == [ev.deltas for ev in b.trace]
-    assert [sorted(ev.ids) for ev in a.trace] == [sorted(ev.ids) for ev in b.trace]
+    assert [ev.deltas for ev in a_trace] == [ev.deltas for ev in b_trace]
+    assert [sorted(ev.ids) for ev in a_trace] == [sorted(ev.ids) for ev in b_trace]
 
 
 def test_perturb_deterministic_and_in_envelope():
@@ -207,19 +209,21 @@ def test_stuck_ring_keeps_pointers_and_stays_illegal():
 def test_trace_replay_reconstructs_final_registers():
     net = example51()
     initial = initial_registers(net, "zeros", cutset=net.cutset)
+    trace = []
     result = run(net, "activate-with-cutset", CentralRoundRobin(), init="zeros",
-                 collect_trace=True)
-    rebuilt = replay_deltas(initial, result.trace)
+                 collect_trace=trace.append)
+    rebuilt = replay_deltas(initial, trace)
     assert rebuilt[1:] == result.registers[1:]
 
 
 def test_trace_and_result_lines_format():
+    trace = []
     result = run(fig1(), "activate", CentralRoundRobin(), init="zeros",
-                 collect_trace=True)
+                 collect_trace=trace.append)
     assert result_line(result) == (
         f"RESULT stable=1 passes={result.passes_used} goodness=3 assignment=10001"
     )
-    line = trace_line(result.trace[0])
+    line = trace_line(trace[0])
     parts = line.split("\t")
     assert len(parts) == 6
     assert parts[0] == "0" and parts[1] == "1" and parts[2] == "1"
@@ -227,7 +231,9 @@ def test_trace_and_result_lines_format():
 
 
 def test_trace_events_are_immutable_and_print_as_before():
-    ev = run(fig1(), "activate", CentralRoundRobin(), collect_trace=True).trace[0]
+    trace = []
+    run(fig1(), "activate", CentralRoundRobin(), collect_trace=trace.append)
+    ev = trace[0]
     with pytest.raises(AttributeError):
         ev.illegal = 0
     assert type(ev.goodness) is Weight
@@ -240,9 +246,10 @@ def test_trace_events_are_immutable_and_print_as_before():
 def test_a_boltzmann_run_goes_through_a_quiet_window_to_its_budget():
     # at T=1 every unit flips with positive probability on any state, so a
     # quiet window is chance: this run has one in pass 17 and runs on to 50
-    result = run(fixture("ring6"), "boltzmann", CentralRoundRobin(), temperature=W(1), seed=7, max_passes=50, collect_trace=True)
-    assert naive_stop(result.trace, 6, 12) == (100, 100)  # where the quiet-window stop would end it
-    assert naive_stop(result.trace, 6, 12, "boltzmann") == (None, 100)
+    trace = []
+    result = run(fixture("ring6"), "boltzmann", CentralRoundRobin(), temperature=W(1), seed=7, max_passes=50, collect_trace=trace.append)
+    assert naive_stop(trace, 6, 12) == (100, 100)  # where the quiet-window stop would end it
+    assert naive_stop(trace, 6, 12, "boltzmann") == (None, 100)
     assert not result.stable and result.events == 300 and result.passes_used == 50
 
 
@@ -444,12 +451,13 @@ def test_cutset_run_is_conditionally_optimal_at_stability():
 
 
 def test_scripted_run_example51_escapes_both_local_optima():
+    trace = []
     result = run(
         example51(), "activate-with-cutset", CentralRoundRobin((3, 2, 1, 4, 5)),
-        init="zeros", collect_trace=True,
+        init="zeros", collect_trace=trace.append,
     )
     levels = []
-    for ev in result.trace:
+    for ev in trace:
         if not levels or levels[-1] != ev.goodness:
             levels.append(ev.goodness)
     wanted = [Weight(0), D("199.8"), D("249.7"), D("250.7")]
@@ -504,27 +512,29 @@ def test_traced_goodness_and_stop_rule_match_naive_recomputation(data):
     if init == "perturbed":
         init = perturb(net, initial_registers(net, "zeros", cutset), seed)
     max_passes = data.draw(st.integers(1, 30))
+    trace = []
     result = run(
         net, rule, scheduler, init=init, seed=seed, cutset=cutset,
         temperature=W(1) if rule == "boltzmann" else None,
-        max_passes=max_passes, collect_trace=True,
+        max_passes=max_passes, collect_trace=trace.append,
     )
     regs = initial_registers(net, init, cutset, seed)
-    for ev in result.trace:
+    for ev in trace:
         regs = replay_deltas(regs, [ev])
         assert ev.goodness == net.goodness(assignment_of(regs))
-    stop, _ = naive_stop(result.trace, n, 2 * n, rule)
-    changes = [ev.step for ev in result.trace if ev.deltas]
+    stop, _ = naive_stop(trace, n, 2 * n, rule)
+    changes = [ev.step for ev in trace if ev.deltas]
     assert result.stable == (stop is not None)
-    assert result.events == len(result.trace) == (stop + 1 if stop is not None else max_passes * n)
+    assert result.events == len(trace) == (stop + 1 if stop is not None else max_passes * n)
     assert result.last_change_step == (changes[-1] if changes else -1)
 
 
 def test_central_random_run_stops_after_its_quiet_window_opens():
     # node coverage, not the window, ends this run: 36 quiet events pass
     # before every unit has run again on the final state
-    result = run(fig1(), "activate", CentralRandom(4), collect_trace=True)
-    stop, window_open = naive_stop(result.trace, 5, 10)
+    trace = []
+    result = run(fig1(), "activate", CentralRandom(4), collect_trace=trace.append)
+    stop, window_open = naive_stop(trace, 5, 10)
     assert result.stable and result.events == stop + 1 == 60
     assert window_open == 23
 
@@ -534,12 +544,13 @@ def test_the_last_changing_unit_must_run_again_before_a_stop():
     # 10 and units 1, 2 and 4 ran quietly by step 8, but 3 runs again only
     # at step 16, where the run stops
     net = random_network("sparse", 4, m=2, seed=1)
-    result = run(net, "activate", CentralRandom(1), init="random", seed=1, max_passes=30, collect_trace=True)
-    assert [ev.step for ev in result.trace if ev.deltas] == [2] and result.trace[2].ids == {3}
-    assert [ev.step for ev in result.trace if 3 in ev.ids] == [2, 16]
-    assert naive_stop(result.trace, 4, 8) == (16, 10)
+    trace = []
+    result = run(net, "activate", CentralRandom(1), init="random", seed=1, max_passes=30, collect_trace=trace.append)
+    assert [ev.step for ev in trace if ev.deltas] == [2] and trace[2].ids == {3}
+    assert [ev.step for ev in trace if 3 in ev.ids] == [2, 16]
+    assert naive_stop(trace, 4, 8) == (16, 10)
     assert result.stable and result.events == 17
-    assert run(net, "activate", CentralRandom(1), init="random", seed=1, max_passes=30) == replace(result, trace=None)
+    assert run(net, "activate", CentralRandom(1), init="random", seed=1, max_passes=30) == result
 
 
 @settings(max_examples=50, deadline=None)
@@ -566,13 +577,14 @@ def test_traced_illegal_count_matches_fixpoint_reference(data):
     elif start == "perturbed":
         init = perturb(net, init, seed)
     scheduler = SCHEDULERS[data.draw(st.sampled_from(sorted(SCHEDULERS)))](seed)
-    result = run(
+    trace = []
+    run(
         net, rule, scheduler, init=init, seed=seed, cutset=cutset,
-        max_passes=data.draw(st.integers(1, 6)), collect_trace=True,
+        max_passes=data.draw(st.integers(1, 6)), collect_trace=trace.append,
     )
     pointers = pointer_snapshot(initial_registers(net, init, cutset, seed))
     expected = None
-    for ev in result.trace:
+    for ev in trace:
         moves = [(node, value) for node, field, value in ev.deltas if field == "points_to"]
         pointers.update(moves)
         if moves or expected is None:
@@ -600,9 +612,9 @@ def test_tracing_changes_nothing_but_the_trace(rule, scheduler, data):
             temperature=W(1) if rule == "boltzmann" else None,
             max_passes=max_passes, collect_trace=collect_trace,
         )
-    traced, plain = go(True), go(False)
-    assert traced.trace and plain.trace is None
-    assert replace(traced, trace=None) == plain
+    trace = []
+    traced, plain = go(trace.append), go(None)
+    assert trace and traced == plain
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
@@ -622,13 +634,14 @@ def test_steps_are_the_hand_driven_events_a_traced_run_records(rule, scheduler):
         expected.append((ids, apply_event(net, hand, ids, rule, cutset, rng, temperature)))
     assert stepped == expected and regs == hand
 
+    trace = []
     result = run(
         net, rule, SCHEDULERS[scheduler](5), init="random", seed=3, cutset=cutset,
-        temperature=temperature, max_passes=5, collect_trace=True,
+        temperature=temperature, max_passes=5, collect_trace=trace.append,
     )
     regs = list(start)
     stepped = list(islice(steps(net, regs, rule, SCHEDULERS[scheduler](5), cutset, random.Random(3), temperature), result.events))
-    assert [(ev.ids, ev.deltas) for ev in result.trace] == stepped
+    assert [(ev.ids, ev.deltas) for ev in trace] == stepped
     assert regs == result.registers
 
 
@@ -939,12 +952,13 @@ def test_sync_runs_sharing_a_net_match_runs_on_copies(rule):
     net = random_network("sparse", 40, m=6, seed=12)
     cutset = frozenset({1, 5, 9}) if rule == "activate-with-cutset" else None
     for seed in (1, 2, 3, 4):
+        traces = [[], []]
         results = [
-            run(on, rule, SynchronousAll(), init="random", seed=seed, cutset=cutset, max_passes=2, collect_trace=True)
-            for on in (net, copy.deepcopy(net))
+            run(on, rule, SynchronousAll(), init="random", seed=seed, cutset=cutset, max_passes=2, collect_trace=trace.append)
+            for on, trace in zip((net, copy.deepcopy(net)), traces)
         ]
         assert (net._register_columns is not None) == (rule == "activate")
-        assert results[0] == results[1]
+        assert results[0] == results[1] and traces[0] == traces[1]
 
 
 @pytest.mark.parametrize("rule", TREE_RULES)
@@ -1158,16 +1172,23 @@ def test_an_oscillating_chain_runs_ten_million_passes_at_once(monkeypatch):
     assert all((r.assignment, r.goodness_final) == (result.assignment, result.goodness_final) for r in replayed)
 
 
+@pytest.mark.parametrize("sink", [True, False, [], "trace.tsv"], ids=["true", "false", "list", "path"])
+def test_a_trace_sink_that_is_not_callable_is_refused_before_the_first_event(sink, monkeypatch):
+    scheduler = CentralRoundRobin()
+    monkeypatch.setattr(scheduler, "next_set", lambda n: pytest.fail("an event ran"))
+    with pytest.raises(TypeError, match="^collect_trace must be a callable or None, got "):
+        run(fig1(), "activate", scheduler, collect_trace=sink)
+
+
 def test_a_callable_trace_sink_never_skips_a_cycle():
     # the oscillating chain would skip to its budget untraced; a sink gets
-    # every event, as the collected trace holds them, and the result keeps none
+    # every event, and the result is the one the untraced run gives
     net = chain2i(5)
     events = []
     result = run(net, "activate", SynchronousAll(), max_passes=300, collect_trace=events.append)
-    assert result.trace is None and result.events == len(events) == 300 * net.n
+    assert result.events == len(events) == 300 * net.n
     assert [ev.step for ev in events] == list(range(3000))
-    collected = run(net, "activate", SynchronousAll(), max_passes=300, collect_trace=True)
-    assert events == collected.trace and replace(collected, trace=None) == result
+    assert run(net, "activate", SynchronousAll(), max_passes=300) == result
 
 
 @pytest.mark.parametrize(
@@ -1190,7 +1211,7 @@ def test_runs_that_may_not_skip_make_one_call_per_event(rule, scheduler, traced,
     result = run(
         net, rule, sched, init="random", seed=2351240810, max_passes=40,
         cutset=frozenset({1}) if rule == "activate-with-cutset" else None,
-        temperature=W(1) if rule == "boltzmann" else None, collect_trace=traced,
+        temperature=W(1) if rule == "boltzmann" else None, collect_trace=[].append if traced else None,
     )
     assert len(calls) == result.events
 
@@ -1242,11 +1263,12 @@ def test_a_fair_exclusion_run_activates_fewer_units_than_it_schedules(monkeypatc
     # its larger sets take the array pass, the others skip clean units
     net = random_network("sparse", 30, m=4, seed=11)
     with mock.patch.object(engine, "steps", steps_in_full):
-        replayed = run(net, "activate", FairExclusion(11), init="random", seed=11, collect_trace=True)
+        replayed = run(net, "activate", FairExclusion(11), init="random", seed=11, collect_trace=[].append)
     calls = counted_events(monkeypatch)
-    result = run(net, "activate", FairExclusion(11), init="random", seed=11, collect_trace=True)
+    trace = []
+    result = run(net, "activate", FairExclusion(11), init="random", seed=11, collect_trace=trace.append)
     assert result == replayed and result.stable
-    assert sum(map(len, calls)) < sum(len(ev.ids) for ev in result.trace)
+    assert sum(map(len, calls)) < sum(len(ev.ids) for ev in trace)
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))

@@ -16,7 +16,8 @@ from goodnet import (
 
 from goodnet.experiments import uniform_chain
 from goodnet import fixtures
-from goodnet.fixtures import FIXTURE_MAX_NODES, _AbsentPairs
+from goodnet.fixtures import _AbsentPairs
+from goodnet.network import MAX_NODES
 
 from helpers import D, W, enumerate_optima, sparse_network_reference
 
@@ -95,7 +96,7 @@ def test_fixture_arguments_validated():
     ids=["chain2i-cap+1", "chain2i-huge", "illegal_ring-cap+1"],
 )
 def test_fixture_node_caps_refuse_before_building(monkeypatch, build, arg, message):
-    assert FIXTURE_MAX_NODES == 100_000
+    assert MAX_NODES == 100_000
     monkeypatch.setattr(fixtures, "Network", lambda *args, **kwargs: pytest.fail("a net was built"))
     monkeypatch.setattr(fixtures, "W", lambda value: pytest.fail("a weight was built"))
     with pytest.raises(ValueError) as err:
@@ -107,8 +108,8 @@ def test_fixture_node_caps_admit_the_cap(monkeypatch):
     # the nets at the cap reach the constructor (not built here: each would take 100,000 nodes)
     sizes = []
     monkeypatch.setattr(fixtures, "Network", lambda n, edges, biases: sizes.append((n, len(edges))))
-    chain2i(FIXTURE_MAX_NODES // 2)
-    illegal_ring(FIXTURE_MAX_NODES)
+    chain2i(MAX_NODES // 2)
+    illegal_ring(MAX_NODES)
     assert sizes == [(100_000, 99_999), (100_000, 100_000)]
 
 

@@ -15,6 +15,8 @@ from goodnet import (
     serialize_network,
 )
 
+from goodnet.network import MAX_NODES
+
 from helpers import D, W
 
 
@@ -184,6 +186,22 @@ def test_digit_runs_too_long_for_int_are_refused_by_length_with_their_line(text,
     with pytest.raises(ParseError) as err:
         parse_network(text)
     assert (err.value.line, str(err.value)) == (lineno, f"line {lineno}: {message}")
+
+
+@pytest.mark.parametrize("count", ["100001", "99999999999"])
+def test_a_node_count_past_the_cap_is_refused_with_its_line_before_the_next_line(count):
+    # the edge on line 3 is out of range for any count, so reading it would raise at line 3
+    assert MAX_NODES == 100_000
+    with pytest.raises(ParseError) as err:
+        parse_network(f"# too many\nnodes {count}\nedge 1 0 1\n")
+    assert (err.value.line, str(err.value)) == (2, f"line 2: node count {count} is more than 100000")
+
+
+def test_a_node_count_at_the_cap_is_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(Network, "_from_micros", lambda n, edges, bias, cutset: built.append((n, edges, len(bias))))
+    parse_network("nodes 100000\nedge 1 100000 1\n")
+    assert built == [(100_000, {(1, 100_000): 1_000_000}, 100_001)]
 
 
 _MICROS = st.one_of(

@@ -42,6 +42,22 @@ def test_decimals_take_ascii_digits_only(bad):
         Weight.from_decimal(bad)
 
 
+@pytest.mark.parametrize("digits", [19, 5000])
+def test_a_whole_part_too_long_is_refused_by_its_length(monkeypatch, digits):
+    # `int` would raise its own bare ValueError past 4,300 digits; the length
+    # check comes first, so no digit is read
+    monkeypatch.setattr("goodnet.weights.int", lambda text: pytest.fail("int read the digits"), raising=False)
+    for text in ("1" * digits, "-" + "1" * digits + ".5"):
+        with pytest.raises(ValueError) as info:
+            parse_micros(text)
+        assert str(info.value) == f"whole part of {digits} digits, more than 18"
+
+
+def test_the_longest_whole_part_is_read():
+    assert parse_micros("9" * 18 + ".999999") == 10**24 - 1
+    assert parse_micros("-" + "9" * 18) == -(10**24 - 10**6)
+
+
 def test_arithmetic_is_exact():
     # the float trap this type exists to avoid: 0.1 + 0.2 != 0.3 in binary
     a = Weight.from_decimal("0.1")
