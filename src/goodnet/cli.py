@@ -14,13 +14,16 @@ First output tokens are machine-parseable: RESULT / OPT / COND / PASS / FAIL.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import os
+import signal
 import stat
 import sys
 import tempfile
-from typing import TextIO
+import threading
+from typing import Callable, TextIO
 
 from . import experiments
 from .engine import RULES, RunResult, TraceEvent, run
@@ -35,7 +38,7 @@ from .oracle import (
     tree_conditioned_max,
 )
 from .schedulers import parse_scheduler
-from .weights import Weight, format_micros, parse_micros
+from .weights import Weight, format_micros, parse_digits, parse_micros
 
 
 def _delta_text(node: int, field: str, value) -> str:
@@ -82,14 +85,26 @@ def _parse_cutset(net, text):
     return frozenset(parse_node_ids(text, f"--cutset {text!r}"))
 
 
+def _read_flag(flag: str, read: Callable, *args):
+    """`read(*args)` for the value of `flag`; its ValueError is raised again
+    naming the flag."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _parse_int(flag: str, text: str) -> int:
+    """An integer flag's value, read by `weights.parse_digits`: at most 18
+    ASCII digits, so a sign, ``1_0`` or a non-ASCII digit is refused."""
+    return _read_flag(flag, parse_digits, text, "integer")
+
+
 def _parse_temp(text: str | None) -> Weight | None:
     """`--temp` as a positive Weight, None when not given; every refusal names the flag."""
     if text is None:
         return None
-    try:
-        micros = parse_micros(text)
-    except ValueError as exc:
-        raise ValueError(f"--temp: {exc}") from None
+    micros = _read_flag("--temp", parse_micros, text)
     if micros <= 0:
         raise ValueError(f"--temp: temperature must be positive, got {text!r}")
     return Weight(micros)
@@ -119,11 +134,33 @@ def _trace_stream(path: str) -> tuple[TextIO, str | None]:
     return os.fdopen(fd, "w", encoding="utf-8"), temp
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)  # the status a shell reports for a SIGTERM kill
+
+
+@contextlib.contextmanager
+def _sigterm_raises_exit(active: bool):
+    """Within the block, SIGTERM raises SystemExit, so a killed traced run
+    unwinds through the cleanup that leaves its path as it was; the previous
+    handler comes back after it.  Only the main thread can set a handler, so
+    on another thread, and when not `active`, the block runs as it is."""
+    if not active or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def cmd_run(args) -> int:
     if args.trace == "":
         raise ValueError("--trace needs a file path, got ''")
+    seed = _parse_int("--seed", args.seed)
+    max_passes = _parse_int("--max-passes", args.max_passes)
     net = _load_network(args)
-    scheduler = parse_scheduler(args.sched, seed=args.seed)
+    scheduler = parse_scheduler(args.sched, seed=seed)
     cutset = _parse_cutset(net, args.cutset)
     temperature = _parse_temp(args.temp)
     writes = [sys.stdout.write] if args.format == "tsv" else []
@@ -133,38 +170,40 @@ def cmd_run(args) -> int:
         for write in writes:
             write(line)
 
-    created = args.trace is not None and _open_trace_path(args.trace)
-    fh = temp = None
-    try:
-        if args.trace is not None:
-            fh, temp = _trace_stream(args.trace)
-            writes.append(fh.write)
-        result = run(
-            net,
-            args.rule,
-            scheduler,
-            init=args.init,
-            seed=args.seed,
-            temperature=temperature,
-            cutset=cutset,
-            max_passes=args.max_passes,
-            collect_trace=emit if writes else None,
-        )
-        if fh is not None:
-            fh.close()
-        if temp is not None:  # mkstemp made the file 0600: give it the target's mode first
-            os.chmod(temp, stat.S_IMODE(os.stat(args.trace).st_mode))
-            os.replace(temp, os.path.realpath(args.trace))
-    except BaseException:
-        # a failed run, a closed stdout included, leaves the path as it was:
-        # an existing file keeps its bytes, and one this command created goes
-        if fh is not None:
-            fh.close()
-        if temp is not None:
-            os.remove(temp)
-        if created:
-            os.remove(args.trace)
-        raise
+    with _sigterm_raises_exit(args.trace is not None):
+        created = args.trace is not None and _open_trace_path(args.trace)
+        fh = temp = None
+        try:
+            if args.trace is not None:
+                fh, temp = _trace_stream(args.trace)
+                writes.append(fh.write)
+            result = run(
+                net,
+                args.rule,
+                scheduler,
+                init=args.init,
+                seed=seed,
+                temperature=temperature,
+                cutset=cutset,
+                max_passes=max_passes,
+                collect_trace=emit if writes else None,
+            )
+            if fh is not None:
+                fh.close()
+            if temp is not None:  # mkstemp made the file 0600: give it the target's mode first
+                os.chmod(temp, stat.S_IMODE(os.stat(args.trace).st_mode))
+                os.replace(temp, os.path.realpath(args.trace))
+        except BaseException:
+            # a failed run, a closed stdout or a SIGTERM included, leaves the path
+            # as it was: an existing file keeps its bytes, and one this command
+            # created goes
+            if fh is not None:
+                fh.close()
+            if temp is not None:
+                os.remove(temp)
+            if created:
+                os.remove(args.trace)
+            raise
     print(result_line(result))
     return 0 if result.stable else 2
 
@@ -195,11 +234,11 @@ def bind_demo(args):
     demo = experiments.DEMOS.get(args.name)
     if demo is None:
         raise ValueError(f"unknown demo {args.name!r}; choose from {sorted(experiments.DEMOS)}")
-    kwargs = {key: value for key, value in (("trials", args.trials), ("seed", args.seed)) if value is not None}
+    kwargs = {key: _parse_int(f"--{key}", text) for key, text in (("trials", args.trials), ("seed", args.seed)) if text is not None}
     if not kwargs.keys() <= inspect.signature(demo).parameters.keys():
         raise ValueError(f"demo {args.name} takes neither --trials nor --seed")
     if kwargs.get("trials", 1) < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {kwargs['trials']}")
     return functools.partial(demo, **kwargs)
 
 
@@ -233,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_net_args(p_run)
     p_run.add_argument("--rule", default="activate", choices=RULES)
     p_run.add_argument("--sched", default="central-rr", help="central-rr[:order] | central-random | sync-all | fair-excl | scripted:<ids>")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", default="0", help="ASCII digits (default 0)")
     p_run.add_argument("--init", default="zeros", choices=["zeros", "random"])
     p_run.add_argument("--temp", help="temperature for the boltzmann rule (decimal)")
     p_run.add_argument("--cutset", help="comma-separated node ids, or 'auto'")
-    p_run.add_argument("--max-passes", type=int, default=100)
+    p_run.add_argument("--max-passes", default="100", help="ASCII digits (default 100)")
     p_run.add_argument("--trace", help="write the event trace (TSV) to this path")
     p_run.add_argument("--format", default="summary", choices=["summary", "tsv"])
     p_run.set_defaults(func=cmd_run)
@@ -249,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a named experiment")
     p_demo.add_argument("name", help="thm41 | thm42 | fig9 | selfstab | dominance | linear")
-    p_demo.add_argument("--trials", type=int, help="randomized demos only (default 100)")
-    p_demo.add_argument("--seed", type=int, help="randomized demos only (default 0)")
+    p_demo.add_argument("--trials", help="randomized demos only (default 100)")
+    p_demo.add_argument("--seed", help="randomized demos only (default 0)")
     p_demo.set_defaults(func=cmd_demo)
 
     return parser

@@ -28,12 +28,11 @@ columns.  A network must therefore not be driven by two threads at once.
 negative-result demos consume it, and only a traced run attaches `_traced`.
 It keeps a dirty flag per unit, and an event of two or more units that
 runs the rule steps activates only its dirty units: a unit is clean once
-it ran and no neighbor changed since (nor itself, for a cutset unit,
-which reads its own bit), so running it again could change nothing
-(Dijkstra's unprivileged state).  Array-pass events, boltzmann events
-and singletons run every scheduled unit.  Singletons could skip too, but
-the benchmark's self-test pins the `apply_event` and rule-step calls of a
-central-rr run.
+it ran and no neighbor changed since, so running it again could change
+nothing (Dijkstra's unprivileged state).  Array-pass events, boltzmann
+events and singletons run every scheduled unit.  Singletons could skip
+too, but the benchmark's self-test pins the `apply_event` and rule-step
+calls of a central-rr run.
 
 A run is declared stable after a full quiet window: no register
 changed for 2n consecutive events and every unit was re-activated on
@@ -122,13 +121,12 @@ def _unit_update(
         return boltzmann_step(view, temperature, rng), old.g0, old.g1, old.points_to, old.cutset_g1
     # tree-optimizing rule: pointer step feeds the goodness and activation steps
     new_points = tree_direct_step(view)
+    x = activation_step(view, new_points)
     if view.is_cutset:
-        # a cutset unit publishes goodness for its pre-event bit
-        g0, pairs = cutset_goodness_step(view, old.x)
-        x = activation_step(view, new_points)
+        # a cutset unit publishes goodness for the bit it sets
+        g0, pairs = cutset_goodness_step(view, x)
         return x, g0, 0, new_points, pairs
     g0, g1 = goodness_step(view, new_points)
-    x = activation_step(view, new_points)
     return x, g0, g1, new_points, None
 
 
@@ -415,9 +413,8 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
     `regs` may change only through these events, since a per-unit flag
     records which units are dirty.  Every unit starts dirty; running a unit
     makes it clean, and a unit whose register changed makes its neighbors
-    dirty, and itself too when it is a cutset unit (its update reads its
-    own pre-event bit; every other unit's reads only its neighbors').  A
-    clean unit's register is what running it would give.  So an event of
+    dirty (a unit's update reads only its neighbors' registers).  A clean
+    unit's register is what running it would give.  So an event of
     two or more units that runs the rule steps hands `apply_event` only
     its dirty units, and yields () without a call when none is.  An event
     that takes the array pass, or a boltzmann event of two or more units,
@@ -457,8 +454,6 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
             for i in changed:
                 for j, _ in adjacency[i][1]:
                     dirty[j] = True
-                if i in cutset:
-                    dirty[i] = True
         yield ids, deltas
 
 

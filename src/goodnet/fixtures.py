@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 
 from .network import MAX_NODES, Network
 from .schedulers import seeded_rng
-from .weights import MAX_DIGITS, SCALE, Weight, is_ascii_digits
+from .weights import SCALE, Weight, parse_digits
 
 W = Weight.from_int
 
@@ -93,20 +93,16 @@ FIXED_FIXTURES = {
 
 def fixture(name: str) -> Network:
     """Look up a fixture by name; parametrized ones use 'name:arg' syntax,
-    with arg in at most `MAX_DIGITS` ASCII digits."""
+    with arg read by `weights.parse_digits`."""
     if name in FIXED_FIXTURES:
         return FIXED_FIXTURES[name]()
-    if ":" in name:
-        base, arg = name.split(":", 1)
-        if base in ("chain2i", "illegal_ring"):
-            if not is_ascii_digits(arg):
-                raise ValueError(f"fixture {name!r}: bad argument {arg!r}, expected an integer")
-            if len(arg) > MAX_DIGITS:
-                raise ValueError(f"fixture {base}: argument of {len(arg)} digits, more than {MAX_DIGITS}")
-        if base == "chain2i":
-            return chain2i(int(arg))
-        if base == "illegal_ring":
-            return illegal_ring(int(arg))[0]
+    base, colon, arg = name.partition(":")
+    if colon and base in ("chain2i", "illegal_ring"):
+        try:
+            value = parse_digits(arg, "argument")
+        except ValueError as exc:
+            raise ValueError(f"fixture {base}: {exc}") from None
+        return chain2i(value) if base == "chain2i" else illegal_ring(value)[0]
     raise ValueError(f"unknown fixture {name!r}")
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .weights import MAX_DIGITS, Weight, format_micros, is_ascii_digits, parse_micros
+from .weights import Weight, format_micros, parse_digits, parse_micros
 
 INT64_SCAN_MAX_MICROS = 1 << 62  # numpy sums of a net's terms run in int64 only while magnitude_micros() stays below
 
@@ -255,18 +255,14 @@ class Network:
         return f"Network(n={self.n}, edges={edges}, cutset={sorted(self.cutset)})"
 
 
-def _node_id(token: str, n: int, lineno: int) -> int:
+def _node_id(token: str, n: int) -> int:
     """`token` as a node id of the file's net of n nodes (n is 0 before its
-    'nodes' line); ParseError names the first check it fails."""
-    if not is_ascii_digits(token):
-        raise ParseError(lineno, f"bad node id {token!r}")
+    'nodes' line); ValueError names the first check it fails."""
+    i = parse_digits(token, "node id")
     if not n:
-        raise ParseError(lineno, "directive before 'nodes'")
-    if len(token) > MAX_DIGITS:
-        raise ParseError(lineno, f"node id of {len(token)} digits, more than {MAX_DIGITS}")
-    i = int(token)
+        raise ValueError("directive before 'nodes'")
     if not 1 <= i <= n:
-        raise ParseError(lineno, f"node id {i} out of range 1..{n}")
+        raise ValueError(f"node id {i} out of range 1..{n}")
     return i
 
 
@@ -281,8 +277,8 @@ def parse_network(text: str) -> Network:
         cutset <i> [<i> ...]
 
     'nodes' comes first and once, with a count of at most `MAX_NODES`.
-    Node ids and the node count are ASCII digit strings of at most
-    `MAX_DIGITS` digits; each decimal is read by
+    Node ids and the node count are read by `weights.parse_digits` (ASCII
+    digits, at most 18 of them); each decimal is read by
     `weights.parse_micros` (ASCII digits, at most six fractional digits)
     straight into the net's int micros, with no `Weight` built.  A repeated bias, a self-loop or a
     duplicate edge is refused.  Each check raises a ParseError naming its line.
@@ -293,59 +289,52 @@ def parse_network(text: str) -> Network:
     cutset: set[int] = set()
     # each id names an edge end, a bias or a cutset member, so a file repeats
     # its id tokens and each is read once; a refused token raises on every
-    # line it appears on, with that line
-    node_id = functools.cache(lambda token: _node_id(token, n, lineno))
+    # line it appears on
+    node_id = functools.cache(lambda token: _node_id(token, n))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         kind = tokens[0]
-        if kind == "edge":
-            if len(tokens) != 4:
-                raise ParseError(lineno, "'edge' takes two node ids and a weight")
-            _, a, b, value = tokens
-            i = node_id(a)
-            j = node_id(b)
-            if i == j:
-                raise ParseError(lineno, f"self-loop at node {i}")
-            key = (i, j) if i < j else (j, i)
-            if key in edges:
-                raise ParseError(lineno, f"duplicate edge {key}")
-            try:
+        try:  # every refusal below is a ValueError, raised again with its line
+            if kind == "edge":
+                if len(tokens) != 4:
+                    raise ValueError("'edge' takes two node ids and a weight")
+                _, a, b, value = tokens
+                i = node_id(a)
+                j = node_id(b)
+                if i == j:
+                    raise ValueError(f"self-loop at node {i}")
+                key = (i, j) if i < j else (j, i)
+                if key in edges:
+                    raise ValueError(f"duplicate edge {key}")
                 edges[key] = parse_micros(value)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-        elif kind == "bias":
-            if len(tokens) != 3:
-                raise ParseError(lineno, "'bias' takes node id and value")
-            _, a, value = tokens
-            i = node_id(a)
-            if i in biases:
-                raise ParseError(lineno, f"repeated bias for node {i}")
-            try:
+            elif kind == "bias":
+                if len(tokens) != 3:
+                    raise ValueError("'bias' takes node id and value")
+                _, a, value = tokens
+                i = node_id(a)
+                if i in biases:
+                    raise ValueError(f"repeated bias for node {i}")
                 biases[i] = parse_micros(value)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-        elif kind == "nodes":
-            if n:
-                raise ParseError(lineno, "repeated 'nodes' directive")
-            if len(tokens) != 2:
-                raise ParseError(lineno, "'nodes' takes exactly one argument")
-            if not is_ascii_digits(tokens[1]):
-                raise ParseError(lineno, f"bad node count {tokens[1]!r}")
-            if len(tokens[1]) > MAX_DIGITS:
-                raise ParseError(lineno, f"node count of {len(tokens[1])} digits, more than {MAX_DIGITS}")
-            n = int(tokens[1])
-            if n < 1:
-                raise ParseError(lineno, f"node count must be >= 1, got {n}")
-            if n > MAX_NODES:
-                raise ParseError(lineno, f"node count {n} is more than {MAX_NODES}")
-        elif kind == "cutset":
-            if len(tokens) == 1:
-                raise ParseError(lineno, "'cutset' needs at least one node id")
-            cutset.update([node_id(tok) for tok in tokens[1:]])
-        else:
-            raise ParseError(lineno, f"unknown directive {kind!r}")
+            elif kind == "nodes":
+                if n:
+                    raise ValueError("repeated 'nodes' directive")
+                if len(tokens) != 2:
+                    raise ValueError("'nodes' takes exactly one argument")
+                n = parse_digits(tokens[1], "node count")
+                if n < 1:
+                    raise ValueError(f"node count must be >= 1, got {n}")
+                if n > MAX_NODES:
+                    raise ValueError(f"node count {n} is more than {MAX_NODES}")
+            elif kind == "cutset":
+                if len(tokens) == 1:
+                    raise ValueError("'cutset' needs at least one node id")
+                cutset.update([node_id(tok) for tok in tokens[1:]])
+            else:
+                raise ValueError(f"unknown directive {kind!r}")
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
     if not n:
         raise ParseError(1, "missing 'nodes' directive")
     bias = [0] * (n + 1)
@@ -366,13 +355,11 @@ def serialize_network(net: Network) -> str:
 
 
 def parse_node_ids(text: str, source: str) -> list[int]:
-    """Comma-separated node ids such as ``3,2,1``, repeats kept.  An empty list,
-    an empty entry, anything but ASCII digits (``1_0``, `` 3``, ``+3``) or
-    an id of more than `MAX_DIGITS` digits raises ValueError naming `source`."""
-    tokens = text.split(",")
-    for token in tokens:
-        if not is_ascii_digits(token):
-            raise ValueError(f"{source}: bad node id {token!r}, expected comma-separated integers")
-        if len(token) > MAX_DIGITS:
-            raise ValueError(f"{source}: node id of {len(token)} digits, more than {MAX_DIGITS}")
-    return [int(token) for token in tokens]
+    """Comma-separated node ids such as ``3,2,1``, repeats kept, each read by
+    `weights.parse_digits`: an empty list, an empty entry, anything but ASCII
+    digits (``1_0``, `` 3``, ``+3``) or an id of more than 18 digits raises
+    its ValueError naming `source`."""
+    try:
+        return [parse_digits(token, "node id") for token in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None

@@ -5,8 +5,10 @@ goodness values must be decided exactly; binary floats cannot represent
 decimals like 0.1 and would make tie decisions platform-dependent.  A
 :class:`Weight` stores an integer number of millionths ("micros").  The
 rules, solvers and trace lines use those integers: `parse_micros` is the
-one reader of decimal text and `format_micros` (``str()`` of a Weight) the
-one writer.  A Weight appears where a value is handed out, compared or
+one reader of decimal text, `parse_digits` the one reader of an integer
+token (a node id or count, a fixture argument, a decimal's whole part, an
+integer flag), and `format_micros` (``str()`` of a Weight) the one
+writer.  A Weight appears where a value is handed out, compared or
 printed, exact in comparison, sum and negation.
 """
 
@@ -17,11 +19,10 @@ import functools
 SCALE = 10**6
 
 
-# The longest digit run read as a node id, a node count, a fixture argument or
-# the whole part of a decimal: a longer one is refused by its length before
-# `int` reads it, which raises its own bare ValueError past 4,300 digits.  A
-# node id needs at most 18, and 18 whole digits are 10**24 micros, past the
-# bound of every exact path.
+# The longest digit run `parse_digits` reads: a longer one is refused by its
+# length before `int` reads it, which raises its own bare ValueError past
+# 4,300 digits.  A node id needs at most 18, and 18 whole digits are 10**24
+# micros, past the bound of every exact path.
 MAX_DIGITS = 18
 
 
@@ -29,6 +30,17 @@ def is_ascii_digits(token: str) -> bool:
     """The one spelling of a digit run: ASCII digits only, so ``1_0``, ``+3``
     and non-ASCII digits are refused although `int` reads them."""
     return token.isascii() and token.isdigit()
+
+
+def parse_digits(token: str, what: str) -> int:
+    """`token`, a run of at most `MAX_DIGITS` ASCII digits, as an int;
+    ValueError naming `what` otherwise, a too-long run refused by its
+    length before `int` reads it."""
+    if not is_ascii_digits(token):
+        raise ValueError(f"bad {what} {token!r}")
+    if len(token) > MAX_DIGITS:
+        raise ValueError(f"{what} of {len(token)} digits, more than {MAX_DIGITS}")
+    return int(token)
 
 
 def parse_micros(text: str) -> int:
@@ -42,11 +54,11 @@ def parse_micros(text: str) -> int:
         whole = whole[1:]
     if not is_ascii_digits(whole) or (point and not is_ascii_digits(frac)):
         raise ValueError(f"malformed number: {text!r}")
-    if len(whole) > MAX_DIGITS:
-        raise ValueError(f"whole part of {len(whole)} digits, more than {MAX_DIGITS}")
+    micros = parse_digits(whole, "whole part") * SCALE
     if len(frac) > 6:
         raise ValueError(f"more than 6 fractional digits: {text!r}")
-    micros = int(whole) * SCALE + (int(frac.ljust(6, "0")) if point else 0)
+    if point:
+        micros += int(frac.ljust(6, "0"))
     return -micros if sign == "-" else micros
 
 

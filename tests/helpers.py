@@ -296,13 +296,12 @@ def unit_update_reference(net: Network, regs, i: int, rule: str, cutset, rng, te
     if rule == "boltzmann":
         return regs[i]._replace(x=boltzmann_step(view, temperature, rng))
     new_points = tree_direct_step_reference(view)
+    x = activation_step_reference(view, new_points)
     if view.is_cutset:
-        # a cutset unit publishes goodness for its pre-event bit
-        g0, pairs = cutset_goodness_step(view, regs[i].x)
-        x = activation_step_reference(view, new_points)
+        # a cutset unit publishes goodness for the bit it sets
+        g0, pairs = cutset_goodness_step(view, x)
         return ActivationRegister(x=x, g0=g0, g1=0, points_to=new_points, cutset_g1=pairs)
     g0, g1 = goodness_step_reference(view, new_points)
-    x = activation_step_reference(view, new_points)
     return ActivationRegister(x=x, g0=g0, g1=g1, points_to=new_points, cutset_g1=None)
 
 

@@ -189,11 +189,13 @@ def test_criterion_08_tree_rule_dominates_threshold_rule(dominance_demo):
 
 
 def test_criterion_09_cutset_rule_dominates_tree_rule(dominance_demo):
-    # 3 of the 100 pairs (trials 9, 31 and 35) are not comparable: their
-    # central-rr activate-with-cutset run never settles within 300 passes.
+    # 1 of the 100 pairs (trial 9) is not comparable: its central-rr
+    # activate-with-cutset run never settles within 300 passes (ROADMAP
+    # item 1's residual case).  Trials 31 and 35 settle since a cutset unit
+    # publishes its goodness for the bit it sets.
     assert dominance_demo.passed
-    assert dominance_demo.lines[-1].split("; ")[1] == "cutset vs tree: 97 comparable, 0 violations"
-    ok(9, "cutset rule >= tree rule on all 97 comparable pairs of 100")
+    assert dominance_demo.lines[-1].split("; ")[1] == "cutset vs tree: 99 comparable, 0 violations"
+    ok(9, "cutset rule >= tree rule on all 99 comparable pairs of 100")
 
 
 # -- criterion 10 ------------------------------------------------------------

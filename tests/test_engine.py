@@ -38,8 +38,9 @@ from goodnet import (
 
 from goodnet import engine
 from goodnet.engine import RULES, _array_event, _load_rows, pointer_snapshot, steps
+from goodnet.oracle import tree_conditioned_max
 from goodnet.rules import ZERO_REGISTER
-from goodnet.schedulers import Scheduler
+from goodnet.schedulers import Scheduler, parse_scheduler
 
 from helpers import (
     D,
@@ -667,18 +668,65 @@ def test_events_outside_the_units_are_refused_before_any_register_changes(ids):
     assert all(new is old for new, old in zip(regs, start, strict=True))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the cutset rule cycles under central-rr on this net")
 def test_cutset_rule_settles_under_central_round_robin():
-    # CentralRandom(3) and FairExclusion(3) settle this start at the
-    # optimum, 10, within 5 passes; central-rr repeats every 16 events
-    # with goodness 7, 10 and 6
+    # the cutset rule promises the trees' best given the cutset bits it ends
+    # on (COND[y]: 10 for y=0, 7 for y=1), not the global optimum.  Before a
+    # cutset unit published its goodness for the bit it sets, central-rr
+    # cycled here every 16 events with goodness 7, 10 and 6
     net = random_network("sparse", 8, m=1, seed=155376646)
     result = run(
         net, "activate-with-cutset", CentralRoundRobin(), init="random", seed=3,
         cutset=frozenset({1}), max_passes=400,
     )
     assert result.stable
-    assert result.goodness_final == W(10)
+    assert result.goodness_final == tree_conditioned_max(net, {1: result.assignment[0]})[0] == W(7)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the residual case; the cutset rule still cycles under central-rr on this net")
+def test_cutset_rule_settles_on_a_ring_that_hangs_one_tree_off_the_cutset_unit_twice():
+    # unit 1's ring 1-2-9-10-5-4-1 hangs the tree 2-9-10-5-4 off it at both
+    # ends; COND ties at 15 for y=0 and y=1, and the run repeats every 20
+    # events, with unit 1 flipping each half-period on tree bits that have
+    # not reached COND[y] (goodness 11 and 10)
+    net = random_network("sparse", 10, m=1, seed=2681976643)
+    result = run(
+        net, "activate-with-cutset", CentralRoundRobin(), init="random", seed=0,
+        cutset=frozenset({1}), max_passes=400,
+    )
+    assert result.stable
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(4, 20),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["central-rr", "central-random", "fair-excl"]),
+    st.integers(0, 2**16),
+)
+def test_a_stable_cutset_run_sits_at_cond_of_its_cutset_bits(n, m, net_seed, sched, seed):
+    # what activate-with-cutset promises (ROADMAP item 14's first claim):
+    # a stable run's trees are optimal given its final cutset bits y, and
+    # each cutset bit is its threshold rule's answer on its final
+    # neighbours, so no one cutset-bit flip with the trees held fixed gains
+    net = random_network("sparse", n, m=m, seed=net_seed)
+    members = greedy_cutset(net).members
+    result = run(
+        net, "activate-with-cutset", parse_scheduler(sched, seed=seed), init="random", seed=seed,
+        cutset=members, max_passes=200,
+    )
+    if not result.stable:
+        return
+    x = result.assignment
+    assert result.goodness_final == tree_conditioned_max(net, {i: x[i - 1] for i in members})[0]
+    adjacency = net.micros_adjacency()
+    for i in members:
+        bias, nbs = adjacency[i]
+        field = bias + sum(w for j, w in nbs if x[j - 1])
+        assert x[i - 1] == (field >= 0)
+        flipped = list(x)
+        flipped[i - 1] = 1 - x[i - 1]
+        assert net.goodness(flipped) <= result.goodness_final
 
 
 TREE_RULES = ["hopfield", "activate", "activate-with-cutset"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from goodnet import Weight
-from goodnet.weights import SCALE, format_micros, parse_micros
+from goodnet.weights import SCALE, format_micros, parse_digits, parse_micros
 
 from helpers import decimal_micros_reference, from_decimal_reference, micros_text_reference
 
@@ -51,6 +51,28 @@ def test_a_whole_part_too_long_is_refused_by_its_length(monkeypatch, digits):
         with pytest.raises(ValueError) as info:
             parse_micros(text)
         assert str(info.value) == f"whole part of {digits} digits, more than 18"
+
+
+@pytest.mark.parametrize("token", ["", "x", "1_0", " 3", "3 ", "+3", "-3", "1.0", "\u0663", "1\u0662", "\uff13"])
+def test_parse_digits_takes_ascii_digits_only(token):
+    # `int` reads all of these but "", "x" and "1.0"
+    with pytest.raises(ValueError) as info:
+        parse_digits(token, "node id")
+    assert str(info.value) == f"bad node id {token!r}"
+
+
+@pytest.mark.parametrize("digits", [19, 5000])
+def test_parse_digits_refuses_a_long_run_by_its_length(monkeypatch, digits):
+    monkeypatch.setattr("goodnet.weights.int", lambda text: pytest.fail("int read the digits"), raising=False)
+    with pytest.raises(ValueError) as info:
+        parse_digits("7" * digits, "seed")
+    assert str(info.value) == f"seed of {digits} digits, more than 18"
+
+
+@given(st.integers(0, 10**18 - 1))
+def test_parse_digits_reads_up_to_18_digits(value):
+    assert parse_digits(str(value), "count") == value
+    assert parse_digits(str(value).zfill(18), "count") == value
 
 
 def test_the_longest_whole_part_is_read():
