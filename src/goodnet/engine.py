@@ -15,14 +15,18 @@ registers the pass does not load) runs the rule steps of
 :mod:`goodnet.rules`, the executable specification, once per unit.  Both
 read int micros from the net's one adjacency (`Network.micros_adjacency`),
 the steps through views of (id, weight, register) triples, the array
-pass through CSR arrays built from it.  Both hand each unit's new field
-values to one commit: one tuple compare with the register, and on a
-difference a delta per changed field and a new register.  The array pass
-keeps the registers as columns on the network, with a copy of the
-register list they describe: an event reads again only the registers
-that are not the objects in that copy (every one on the net's first
-array event or on another list), and writes its own changes into the
-columns.  A network must therefore not be driven by two threads at once.
+pass through CSR arrays built from it.  The per-unit steps hand each
+unit's new field values to one commit: one tuple compare with the
+register, and on a difference a delta per changed field and a new
+register.  The array pass keeps the registers as columns on the network,
+with a copy of the register list they describe: an event reads again
+only the registers that are not the objects in that copy (every one on
+the net's first array event or on another list).  It commits from its
+columns: its new x, g0, g1 and pointer columns compared with the kept
+ones give each unit's changed fields, so it builds a delta per changed
+field and a new register per changed unit, and writes the changes into
+the columns.  A network must therefore not be driven by two threads at
+once.
 
 `steps` is the one loop that turns a scheduler into events; `run` and the
 negative-result demos consume it, and only a traced run attaches `_traced`.
@@ -133,13 +137,15 @@ def _unit_update(
 # An event takes the array pass when it activates at least
 # ARRAY_MIN_UNITS + n // 12 units.  Measured on sparse nets of 40 to 2,560
 # nodes (random registers, best of 300, Python 3.11 and numpy 2.4 on a
-# shared 2-core Xeon): a 33-unit event of per-unit updates costs 2.7-5.5
-# us per unit, and an array event that finds its register columns kept
-# from the previous one 40 us plus 0.2 us per node, so the array pass
-# wins from about 15 + n/13 units.  An array event on another register
-# list reads every register again, at about 2 us per node; after
-# per-unit events it reads again only the registers they changed.  The
-# floor of 16 keeps every net under 16 nodes on the per-unit path.
+# shared 2-core Xeon): a 33-unit event of per-unit updates costs 2.5-2.9
+# us per unit, and an array event of 16 + n // 12 random units that finds
+# its register columns kept from the previous one 38 us plus 0.11 us per
+# node, so the array pass wins from about 14 + n/25 units, and the cutoff
+# leaves large nets' mid-sized events on the per-unit path.  An array
+# event on another register list reads every register again, at about 2
+# us per node; after per-unit events it reads again only the registers
+# they changed.  The floor of 16 keeps every net under 16 nodes on the
+# per-unit path.
 ARRAY_MIN_UNITS = 16
 
 
@@ -149,9 +155,10 @@ def _takes_array_pass(net: Network, rule: str, cutset: frozenset[int], ids: froz
 
 
 def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
-    """Write unit i's new field values (x, g0, g1, points_to, cutset_g1):
-    one delta per changed field, in that order, and a new register only
-    when some field changed."""
+    """Write unit i's new field values (x, g0, g1, points_to, cutset_g1)
+    from the per-unit rule steps: one delta per changed field, in that
+    order, and a new register only when some field changed.  The array
+    pass commits from its column compares instead."""
     old = regs[i]
     if new == old:  # one tuple compare: the register equals its field values
         return
@@ -171,16 +178,27 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
 
 @dataclass(slots=True, eq=False)
 class _Columns:
-    """The registers of one register list as int64 arrays: `x`, `g0` and
-    `g1` per node, and per half-edge i -> j the `pointer` bit (j in
-    regs[i].points_to).  `regs` is a copy of the list they describe,
-    [None] * (n + 1) before the first load."""
+    """The registers of one register list as int64 arrays: `x` per node,
+    `g0` and `g1` per node as the two rows of `g`, and per half-edge
+    i -> j the `pointer` bit (j in regs[i].points_to).  `regs` is a copy
+    of the list they describe, [None] * (n + 1) before the first load.
+    `act` is the sorted array of the ids of the last array event, the
+    frozenset `ids`."""
 
     regs: list
     x: np.ndarray
-    g0: np.ndarray
-    g1: np.ndarray
+    g: np.ndarray
     pointer: np.ndarray
+    ids: frozenset | None = None
+    act: np.ndarray | None = None
+
+    @property
+    def g0(self) -> np.ndarray:
+        return self.g[0]
+
+    @property
+    def g1(self) -> np.ndarray:
+        return self.g[1]
 
 
 def _load_rows(net: Network, cols: _Columns, regs: list, rows: list) -> bool:
@@ -215,14 +233,20 @@ def _array_event(net: Network, regs: list, ids: frozenset[int]) -> tuple | None:
     specification.  The registers are read (`_load_rows`) into columns
     (`_Columns`) that the net keeps across events: every register on the
     net's first array event, and then only those that are not the objects
-    of the list the columns last described.  After the event the changed
-    units are written back from the event's own columns.  Every array
-    value is bounded by 2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros,
-    checked on the columns on every event.  It returns None, and the event
-    runs per unit, when that bound reaches `INT64_SCAN_MAX_MICROS` (2**62)
-    or a register does not load: one with per-neighbor pairs, a pointer
-    off its neighbors or a value past int64.  A net whose 2*magnitude
-    alone reaches it returns None before any array or column is built.
+    of the list the columns last described.  The commit diffs columns:
+    `new_x != x`, `new_g0 != g0`, `new_g1 != g1` and the rows whose
+    pointer bits moved name each active unit's changed fields, turned
+    into Python lists once, and a moved unit's new `points_to` is its
+    entry of one parent vector (`tree_direct_step` gives a unit at most
+    one new pointer; 0 stands for none).  No register is compared, and
+    the changed units are written back from the event's own columns.
+    Every array value is bounded by 2*(maxdeg+1)*max|g| +
+    2*magnitude*max|x| micros, checked on the columns on every event.  It
+    returns None, and the event runs per unit, when that bound reaches
+    `INT64_SCAN_MAX_MICROS` (2**62) or a register does not load: one with
+    per-neighbor pairs, a pointer off its neighbors or a value past int64.
+    A net whose 2*magnitude alone reaches it returns None before any
+    array or column is built.
     """
     if 2 * (magnitude := net.magnitude_micros()) >= INT64_SCAN_MAX_MICROS:
         return None
@@ -230,56 +254,78 @@ def _array_event(net: Network, regs: list, ids: frozenset[int]) -> tuple | None:
     n = net.n
     cols = net._register_columns
     if cols is None:  # no register is kept, so the load below reads every one
-        x, g0, g1 = np.zeros((3, n + 1), dtype=np.int64)
-        cols = _Columns([None] * (n + 1), x, g0, g1, np.zeros(len(he.dst), dtype=bool))
+        x, g = np.zeros(n + 1, dtype=np.int64), np.zeros((2, n + 1), dtype=np.int64)
+        cols = _Columns([None] * (n + 1), x, g, np.zeros(len(he.dst), dtype=bool))
         object.__setattr__(net, "_register_columns", cols)
     if cols.regs != regs:
         if not _load_rows(net, cols, regs, [i for i, (kept, r) in enumerate(zip(cols.regs, regs)) if kept is not r]):
             return None  # the rows keep their old objects in cols.regs, so the next load reads them again
         cols.regs[:] = regs
-    x, g0, g1, pointer = cols.x, cols.g0, cols.g1, cols.pointer
-    g = np.concatenate((g0, g1))
+    x, g, pointer = cols.x, cols.g, cols.pointer
+    g0, g1 = g
     g_max = max(int(g.max()), -int(g.min()))
     x_max = max(1, int(x.max()), -int(x.min()))
     if 2 * (he.max_degree + 1) * g_max + 2 * magnitude * x_max >= INT64_SCAN_MAX_MICROS:
         return None
     w, bias, src, dst, rev = he.w, he.bias, he.src, he.dst, he.rev
-    first = he.indptr.tolist()
-    act = np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
+    if ids is not cols.ids:  # sync-all hands out one frozenset per run, so its events sort once
+        cols.ids, cols.act = ids, np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
+    act = cols.act
 
     points_at_me = pointer[rev]
     non_pointing = he.degree - he.row_sums(points_at_me)
-    # tree_direct_step: point at the only non-pointing neighbor
+    # tree_direct_step: point at the only non-pointing neighbor, so a unit
+    # has at most one new pointer: its parent, 0 for none
     new_pointer = ~points_at_me & (non_pointing == 1)[src]
+    child = src[new_pointer]
+    parent, parent_w = np.zeros((2, n + 1), dtype=np.int64)
+    parent[child], parent_w[child] = dst[new_pointer], w[new_pointer]
     # goodness_step
-    read_g0 = np.where(points_at_me, g0[dst], 0)
-    read_g1 = np.where(points_at_me, g1[dst], 0)
-    s0 = he.row_sums(read_g0)
-    s1 = he.row_sums(read_g1) + bias
+    s0 = he.row_sums(np.where(points_at_me, g0[dst], 0))
+    s1 = he.row_sums(np.where(points_at_me, g1[dst], 0)) + bias
     new_g0 = np.maximum(s0, s1)
-    new_g1 = np.maximum(s0, s1 + he.row_sums(np.where(new_pointer, w, 0)))
+    new_g1 = np.maximum(s0, s1 + parent_w)
     # activation_step: the threshold rule on units off the tree
-    threshold = (he.row_sums(w * x[dst]) >= -bias).astype(np.int64)
-    tree_sum = he.row_sums(read_g1 - read_g0 + np.where(new_pointer, w * x[dst], 0))
-    new_x = np.where(non_pointing > 1, threshold, (tree_sum >= -bias).astype(np.int64))
+    threshold = he.row_sums(w * x[dst]) + bias >= 0
+    tree = s1 - s0 + parent_w * x[parent] >= 0
+    new_x = np.where(non_pointing > 1, threshold, tree).astype(np.int64)
 
+    # the commit: the columns hold the registers' fields, so their compares are the deltas
+    dx, dg0, dg1 = new_x != x, new_g0 != g0, new_g1 != g1
     moved = he.row_sums(new_pointer != pointer) > 0
-    maybe = (new_x != x) | (new_g0 != g0) | (new_g1 != g1) | moved
-    changed = act[maybe[act]]
+    changed = act[(dx | dg0 | dg1 | moved)[act]]
     deltas: list = []
-    for i, xi, g0i, g1i in zip(changed.tolist(), new_x[changed].tolist(), new_g0[changed].tolist(), new_g1[changed].tolist()):
-        points_to = regs[i].points_to
-        if moved[i]:
-            row = slice(first[i], first[i + 1])
-            points_to = frozenset(dst[row][new_pointer[row]].tolist())
-        _commit(regs, i, (xi, g0i, g1i, points_to, None), deltas)
+    for i, xi, g0i, g1i, p, cx, c0, c1, mv in zip(
+        changed.tolist(),
+        new_x[changed].tolist(),
+        new_g0[changed].tolist(),
+        new_g1[changed].tolist(),
+        parent[changed].tolist(),
+        dx[changed].tolist(),
+        dg0[changed].tolist(),
+        dg1[changed].tolist(),
+        moved[changed].tolist(),
+    ):
+        if cx:
+            deltas.append((i, "x", xi))
+        if c0:
+            deltas.append((i, "g0", g0i))
+        if c1:
+            deltas.append((i, "g1", g1i))
+        if mv:
+            points_to = frozenset((p,)) if p else frozenset()
+            deltas.append((i, "points_to", points_to))
+        else:
+            points_to = regs[i].points_to
+        regs[i] = _tuple_new(ActivationRegister, (xi, g0i, g1i, points_to, None))
 
     # write the changed units back from the event's columns
-    x[changed], g0[changed], g1[changed] = new_x[changed], new_g0[changed], new_g1[changed]
     written = np.zeros(n + 1, dtype=bool)
     written[changed] = True
-    edges = written[src]
-    pointer[edges] = new_pointer[edges]
+    np.copyto(x, new_x, where=written)
+    np.copyto(g0, new_g0, where=written)
+    np.copyto(g1, new_g1, where=written)
+    np.copyto(pointer, new_pointer, where=written[src])
     cols.regs[:] = regs
     return tuple(deltas)
 

@@ -67,9 +67,15 @@ class HalfEdges:
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-node int64 sum of a per-half-edge array (0 on isolated nodes)."""
+        starts = self._starts
+        if len(starts) == len(self.degree) - 1:  # no node 1..n is isolated: row 0 is the only empty one
+            out = np.empty(len(self.degree), dtype=np.int64)
+            out[0] = 0
+            np.add.reduceat(values, starts, out=out[1:], dtype=np.int64)
+            return out
         out = np.zeros(len(self.degree), dtype=np.int64)
         if len(values):
-            out[self._nonempty] = np.add.reduceat(values, self._starts, dtype=np.int64)
+            out[self._nonempty] = np.add.reduceat(values, starts, dtype=np.int64)
         return out
 
 

@@ -748,9 +748,20 @@ def assert_same_event(net, regs, ids, rule, cutset):
     assert fast == slow
     if takes_array_pass(rule, cutset) and (array_deltas := _array_event(net, array, frozenset(ids))) is not None:
         assert array_deltas == deltas and array == slow
+        changed = {i for i, _, _ in array_deltas}
+        for i in net.nodes():
+            if i not in changed:
+                assert array[i] is regs[i]
+                continue
+            # register equality cannot tell np.int64(3) from 3, so check the types
+            x, g0, g1, points_to, cutset_g1 = array[i]
+            assert type(x) is type(g0) is type(g1) is int and cutset_g1 is None
+            assert type(points_to) is frozenset and all(type(j) is int for j in points_to)
         for _, field, value in array_deltas:
             if field in ("x", "g0", "g1"):
                 assert type(value) is int  # not a numpy scalar
+            elif field == "points_to":
+                assert len(value) <= 1  # tree_direct_step moves a unit to at most one parent
     return fast
 
 
