@@ -4,16 +4,22 @@ Everything here works on immutable Networks and is deliberately
 independent of the distributed simulator.  Each solver enumerates the
 codes of a fixed node set (first node most significant) as numpy columns.
 `brute_force_optima` builds the goodness column of the last nodes, as
-many as fill a 128 KB column, and one coupling column per node before
-them, once; it visits the codes of those nodes in Gray order, so each
-step adds or subtracts one contiguous coupling column.
+many as fill a 128 KB column, and bounds each code of the nodes before
+them (the high codes) by its own goodness, the column's max and its on
+nodes' positive weights to the column's nodes.  It visits the code of
+largest bound first, then the others in Gray order from it, skipping each
+whose bound is below the best found so far (a bound equal to it is
+visited, so ties are kept); the running column moves between visited
+codes by adding or subtracting one contiguous coupling column per high
+node that differs, each built on first use.  A skipped code's states are
+decided without being evaluated, so `states_scanned` stays 2**n.
 `cutset_exact_optimize` walks the forest left without the cutset once and
 runs the leaf-to-root DP over the cutset codes, with columns over the
 codes only in the sums that a fixed unit reaches; `tree_conditioned_max`
 is its one-code case.  Every partial sum, the scan's running column after
-a subtraction included, sums a subset of the net's terms, so it is bounded
-by sum |w| + sum |theta|: the scan's columns are int32 while that stays
-below `INT32_SCAN_MAX_MICROS` (2**31) and int64 up to
+a subtraction and its bounds included, sums a subset of the net's terms,
+so it is bounded by sum |w| + sum |theta|: the scan's columns are int32
+while that stays below `INT32_SCAN_MAX_MICROS` (2**31) and int64 up to
 `INT64_SCAN_MAX_MICROS` (2**62), where the scan refuses the network and
 the DP runs the same code with dtype=object columns.  Both read only the
 net's int micros (`Network.micros_adjacency`); `Weight` wraps what they
@@ -34,6 +40,7 @@ from .weights import Weight
 _CHUNK_BYTES = 1 << 17  # bytes per scan column: it and the coupling column it adds stay in cache
 INT32_SCAN_MAX_MICROS = 1 << 31  # the scan's sums fit int32 while magnitude_micros() stays below
 _CODE_CHUNK = 1 << 12  # cutset codes per conditioning-DP column
+_SLICE_MIN_ENTRIES = 1 << 12  # `_add_on` adds through slices from this column length
 
 BRUTE_FORCE_MAX_NODES = 26
 CUTSET_MAX_SIZE = 20
@@ -78,8 +85,17 @@ def _bits(codes: np.ndarray, size: int) -> np.ndarray:
 # exhaustive scan
 
 
-def _on(column: np.ndarray, bit: int) -> np.ndarray:
-    return column.reshape(-1, 2, 1 << bit)[:, 1]  # view of the entries whose code has `bit` set
+def _add_on(column: np.ndarray, bit: int, w: int) -> None:
+    """Add w to the entries whose code has `bit` set.  At bits 0-2 of a
+    long column those entries form many rows 1-4 wide, which numpy walks
+    several times slower than the 1-4 strided slices that hold them; a
+    short column keeps the one view, which costs one call."""
+    width = 1 << bit
+    if bit < 3 and len(column) >= _SLICE_MIN_ENTRIES:
+        for k in range(width, 2 * width):
+            column[k :: 2 * width] += w
+    else:
+        column.reshape(-1, 2, width)[:, 1] += w
 
 
 def _scan_dtype(net: Network) -> type:
@@ -106,7 +122,7 @@ def _subnet_column(net: Network, nodes: range) -> np.ndarray:
         np.add(g[:half], bias, out=upper)
         for j, w in nbs:
             if v < j <= last:
-                _on(upper, last - j)[...] += w
+                _add_on(upper, last - j, w)
     return g
 
 
@@ -114,26 +130,53 @@ def brute_force_optima(net: Network) -> OptimumReport:
     """Exact maximum and complete argmax set over all 2**n assignments.
     Columns are int32 while sum |w| + sum |theta| < 2**31 micros and int64
     below 2**62, where the scan refuses the net; each spans `_CHUNK_BYTES`
-    (128 KB), so it holds 2**15 int32 or 2**14 int64 codes."""
+    (128 KB), so it holds 2**15 int32 or 2**14 int64 codes.
+
+    The nodes the column holds are low and the ones before them high.
+    High code h bounds its states by UB(h) = the goodness of the high
+    nodes' subnet at h + the low column's max + the positive weights from
+    each high node on in h to low nodes.  A state's goodness sums the
+    first term, a low column entry and each on high node's coupling to
+    the low nodes on, none above its term of UB, so no state of h exceeds
+    UB(h).  The walk visits the code of largest UB first, then the others
+    in Gray order from it, skipping each whose UB is below the best found
+    so far.  A code whose UB equals the best is visited, so ties are kept.
+    A skipped code's states are decided, not evaluated, so
+    `states_scanned` stays 2**n."""
     if net.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes, got {net.n}")
     dtype = _scan_dtype(net)
     chunk_bits = (_CHUNK_BYTES // np.dtype(dtype).itemsize).bit_length() - 1
     split = max(0, net.n - chunk_bits)  # nodes 1..split are high, the rest low
-    high_g = _subnet_column(net, range(1, split + 1)).tolist()
+    high_g = _subnet_column(net, range(1, split + 1))
     g = _subnet_column(net, range(split + 1, net.n + 1))  # running: low goodness plus the coupling of the high nodes on in h
     adjacency = net.micros_adjacency()
-    coupling = [np.zeros_like(g) for _ in range(split)]  # high node j's weights to its low neighbours that are on
-    for j, column in enumerate(coupling, 1):
-        for v, w in adjacency[j][1]:
-            if v > split:
-                _on(column, net.n - v)[...] += w
+    low_edges = [[(net.n - v, w) for v, w in adjacency[j][1] if v > split] for j in range(1, split + 1)]  # (low bit, weight)
+    # row j - 1: high node j's weights to its low neighbours that are on,
+    # built when the walk first moves j; np.zeros leaves a row never built unwritten
+    coupling, built = np.zeros((split, len(g)), dtype=g.dtype), [False] * split
+    reach = [sum(w for _, w in edges if w > 0) for edges in low_edges]  # the most high node j's coupling adds to a state
+    order, bound = [0], None  # one code, always visited, when there is no high node
+    if split:
+        codes = np.arange(1 << split)
+        bound = (high_g + (int(g.max()) + _bits(codes, split) @ np.array(reach, dtype=np.int64))).tolist()
+        start = bound.index(max(bound))
+        order = (start ^ codes ^ codes >> 1).tolist()  # Gray order from `start`: each step turns one high node on or off
+    high_g = high_g.tolist()
     best, best_rows, h = None, [], 0
-    for step in range(1 << split):  # Gray order: each step turns one high node on or off
-        if step:
-            bit = (step & -step).bit_length() - 1
-            h ^= 1 << bit
-            (np.add if h >> bit & 1 else np.subtract)(g, coupling[split - 1 - bit], out=g)
+    for code in order:
+        if best is not None and bound[code] < best:
+            continue
+        flip, h = h ^ code, code
+        while flip:  # move the running column from the last visited code
+            bit = (flip & -flip).bit_length() - 1
+            flip ^= 1 << bit
+            k = split - 1 - bit  # high node k + 1
+            if not built[k]:
+                built[k] = True
+                for low_bit, w in low_edges[k]:
+                    _add_on(coupling[k], low_bit, w)
+            (np.add if h >> bit & 1 else np.subtract)(g, coupling[k], out=g)
         chunk_best = int(g.max()) + high_g[h]
         if best is None or chunk_best > best:
             best, best_rows = chunk_best, []

@@ -372,27 +372,68 @@ def test_brute_force_scan_collects_ties_over_every_gray_step():
         assert report.argmax == tuple(row + (0,) * (n - free) for row in itertools.product((0, 1), repeat=free))
 
 
-def test_brute_force_scan_subtractions_stay_exact_at_the_int64_limit():
-    # sum |w| + sum |theta| is 2**62 - 1 micros: each high node links to one
-    # low node by about 2**62 / 3 and to another by -1 micro, so the walk
-    # adds and subtracts coupling columns whose sums need all 62 bits
-    a = ((1 << 62) - 1) // 3 - 2
-    edges = [(1, 4, a), (2, 5, a), (3, 6, a), (1, 5, -1), (2, 6, -1), (3, 4, -1), (4, 5, -1)]
-    net = Network(6, [(i, j, Weight(w)) for i, j, w in edges], {1: Weight(-1), 6: Weight(1)})
-    assert net.magnitude_micros() == (1 << 62) - 1
+def tied_at_the_bound(magnitude):
+    """6 nodes whose terms sum to `magnitude` in absolute value.  High node 1
+    links to low node 4 by half of it and node 4's bias holds the rest but
+    2 micros; high nodes 2 and 3 link to low nodes 5 and 6 by -1 micro, so
+    the optimum, magnitude - 2, holds nodes 1 and 4 on and at most one node
+    of each pair 2-5 and 3-6 (`TIED_ARGMAX`).  Over 8-code columns (3 high
+    nodes) the bound of codes 100, 101, 110 and 111 is that optimum, so the
+    walk visits them in Gray order from 100: it adds node 3's coupling
+    column, then node 2's, then subtracts node 3's with the running column
+    at magnitude - 2.  No subtraction meets a running column at `magnitude`
+    itself: that needs every term positive, and then the bound of every
+    high code but all-on is below the best."""
+    a = magnitude // 2
+    return Network(6, [(1, 4, Weight(a)), (2, 5, Weight(-1)), (3, 6, Weight(-1))], {4: Weight(magnitude - 2 - a)})
+
+
+TIED_ARGMAX = sorted((1, b2, b3, 1, b5, b6) for b2, b3, b5, b6 in itertools.product((0, 1), repeat=4) if not b2 & b5 | b3 & b6)
+
+
+def scan_recording_subtractions(net):
+    """`brute_force_optima` over 8-code columns (3 high nodes), and the
+    running column's max at each coupling subtraction, read through a
+    stand-in for the numpy module `oracle` calls."""
+    subtracted_at = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def subtract(self, column, coupling, out):
+            subtracted_at.append(int(column.max()))
+            return np.subtract(column, coupling, out=out)
+
+    itemsize = np.dtype(oracle._scan_dtype(net)).itemsize
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_CHUNK_BYTES", 1 << 6)  # 8 int64 codes: 3 high nodes
+        mp.setattr(oracle, "_CHUNK_BYTES", 8 * itemsize)
+        mp.setattr(oracle, "np", Numpy())
         report = brute_force_optima(net)
-    assert (report.gmax, list(report.argmax)) == enumerate_optima(net)
+    return report, subtracted_at
+
+
+def test_brute_force_scan_subtractions_stay_exact_at_the_int64_limit():
+    # sum |w| + sum |theta| is 2**62 - 1 micros, and the walk subtracts a
+    # coupling column from a running column at 2**62 - 3, a sum that needs
+    # all 62 bits
+    magnitude = (1 << 62) - 1
+    net = tied_at_the_bound(magnitude)
+    assert net.magnitude_micros() == magnitude and oracle._scan_dtype(net) == np.int64
+    report, subtracted_at = scan_recording_subtractions(net)
+    assert magnitude - 2 in subtracted_at
+    assert (report.gmax, list(report.argmax)) == enumerate_optima(net) == (Weight(magnitude - 2), TIED_ARGMAX)
 
 
 @pytest.mark.parametrize("magnitude, dtype", [((1 << 31) - 1, np.int32), (1 << 31, np.int64)])
 def test_brute_force_scan_subtractions_stay_exact_at_the_int32_bound(magnitude, dtype):
-    # every term is positive and the net's terms sum to `magnitude`, so the
-    # all-on state reaches it: the int32 maximum just below the bound, one
-    # past it at the bound.  Each high node 1-3 links to low node 3 + j by
-    # about magnitude / 3, so the Gray walk adds and then subtracts those
-    # coupling columns with the running column at the bound
+    # every term of `net` is positive and the terms sum to `magnitude`, so
+    # the all-on state reaches it: the int32 maximum just below the bound,
+    # one past it at the bound.  Each high node 1-3 links to low node 3 + j
+    # by about magnitude / 3, so the bound of every other high code is
+    # below it and the walk visits all-on alone; `tied_at_the_bound`, with
+    # two terms of -1 micro, makes the walk subtract a coupling column
+    # from a running column 2 micros below `magnitude`
     a = (magnitude - 3) // 3
     edges = [(1, 4, a), (2, 5, a), (3, 6, a), (4, 5, 1), (5, 6, 1)]
     net = Network(6, [(i, j, Weight(w)) for i, j, w in edges], {4: Weight(magnitude - 2 - 3 * a)})
@@ -403,6 +444,11 @@ def test_brute_force_scan_subtractions_stay_exact_at_the_int32_bound(magnitude, 
     assert (report.gmax, list(report.argmax)) == enumerate_optima(net) == (Weight(magnitude), [(1,) * 6])
     columns = oracle._subnet_column(net, range(4, 7)), oracle._subnet_column(net, range(1, 7))
     assert all(column.dtype == dtype for column in columns) and int(columns[1][-1]) == magnitude
+    tied = tied_at_the_bound(magnitude)
+    assert tied.magnitude_micros() == magnitude and oracle._scan_dtype(tied) == dtype
+    report, subtracted_at = scan_recording_subtractions(tied)
+    assert magnitude - 2 in subtracted_at
+    assert (report.gmax, list(report.argmax)) == enumerate_optima(tied) == (Weight(magnitude - 2), TIED_ARGMAX)
 
 
 def test_conditioning_dp_is_exact_past_int64():
