@@ -14,16 +14,11 @@ First output tokens are machine-parseable: RESULT / OPT / COND / PASS / FAIL.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import inspect
 import os
-import signal
-import stat
 import sys
-import tempfile
-import threading
-from typing import Callable, TextIO
+from typing import Callable
 
 from . import experiments
 from .engine import RULES, RunResult, TraceEvent, run
@@ -110,100 +105,26 @@ def _parse_temp(text: str | None) -> Weight | None:
     return Weight(micros)
 
 
-def _open_trace_path(path: str) -> bool:
-    """Opens `path` for writing so that a bad path fails before the run;
-    True iff this created the file."""
-    try:
-        open(path, "x").close()
-        return True
-    except FileExistsError:
-        open(path, "a").close()
-        return False
-
-
-def _trace_stream(path: str) -> tuple[TextIO, str | None]:
-    """The open file a `--trace` run streams into, and the temp path to move
-    onto `path` once the run has returned: a new file beside the regular file
-    `path` resolves to, so that a run that fails leaves `path` as it was.  A
-    path that is not a regular file (the null device, a FIFO) is written
-    directly, with no temp path."""
-    if not os.path.isfile(path):
-        return open(path, "w", encoding="utf-8"), None
-    real = os.path.realpath(path)
-    fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(real)}.", dir=os.path.dirname(real))
-    return os.fdopen(fd, "w", encoding="utf-8"), temp
-
-
-def _exit_on_sigterm(signum, frame):
-    raise SystemExit(128 + signum)  # the status a shell reports for a SIGTERM kill
-
-
-@contextlib.contextmanager
-def _sigterm_raises_exit(active: bool):
-    """Within the block, SIGTERM raises SystemExit, so a killed traced run
-    unwinds through the cleanup that leaves its path as it was; the previous
-    handler comes back after it.  Only the main thread can set a handler, so
-    on another thread, and when not `active`, the block runs as it is."""
-    if not active or threading.current_thread() is not threading.main_thread():
-        yield
-        return
-    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
 def cmd_run(args) -> int:
-    if args.trace == "":
-        raise ValueError("--trace needs a file path, got ''")
     seed = _parse_int("--seed", args.seed)
     max_passes = _parse_int("--max-passes", args.max_passes)
     net = _load_network(args)
     scheduler = parse_scheduler(args.sched, seed=seed)
     cutset = _parse_cutset(net, args.cutset)
     temperature = _parse_temp(args.temp)
-    writes = [sys.stdout.write] if args.format == "tsv" else []
-
-    def emit(ev: TraceEvent) -> None:
-        line = trace_line(ev) + "\n"
-        for write in writes:
-            write(line)
-
-    with _sigterm_raises_exit(args.trace is not None):
-        created = args.trace is not None and _open_trace_path(args.trace)
-        fh = temp = None
-        try:
-            if args.trace is not None:
-                fh, temp = _trace_stream(args.trace)
-                writes.append(fh.write)
-            result = run(
-                net,
-                args.rule,
-                scheduler,
-                init=args.init,
-                seed=seed,
-                temperature=temperature,
-                cutset=cutset,
-                max_passes=max_passes,
-                collect_trace=emit if writes else None,
-            )
-            if fh is not None:
-                fh.close()
-            if temp is not None:  # mkstemp made the file 0600: give it the target's mode first
-                os.chmod(temp, stat.S_IMODE(os.stat(args.trace).st_mode))
-                os.replace(temp, os.path.realpath(args.trace))
-        except BaseException:
-            # a failed run, a closed stdout or a SIGTERM included, leaves the path
-            # as it was: an existing file keeps its bytes, and one this command
-            # created goes
-            if fh is not None:
-                fh.close()
-            if temp is not None:
-                os.remove(temp)
-            if created:
-                os.remove(args.trace)
-            raise
+    write = sys.stdout.write
+    result = run(
+        net,
+        args.rule,
+        scheduler,
+        init=args.init,
+        seed=seed,
+        temperature=temperature,
+        cutset=cutset,
+        max_passes=max_passes,
+        # each event's line goes out as it happens; stdout's buffer batches the writes
+        collect_trace=(lambda ev: write(trace_line(ev) + "\n")) if args.format == "tsv" else None,
+    )
     print(result_line(result))
     return 0 if result.stable else 2
 
@@ -277,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--temp", help="temperature for the boltzmann rule (decimal)")
     p_run.add_argument("--cutset", help="comma-separated node ids, or 'auto'")
     p_run.add_argument("--max-passes", default="100", help="ASCII digits (default 100)")
-    p_run.add_argument("--trace", help="write the event trace (TSV) to this path")
-    p_run.add_argument("--format", default="summary", choices=["summary", "tsv"])
+    p_run.add_argument("--format", default="summary", choices=["summary", "tsv"],
+                       help="summary: the RESULT line; tsv: one trace line per event, then the RESULT line (redirect with '> FILE' to keep the trace)")
     p_run.set_defaults(func=cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="exact optima by exhaustive scan or cutset conditioning")

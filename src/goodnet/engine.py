@@ -380,7 +380,8 @@ def initial_registers(
     init 'zeros' clears everything (the explicit initialization step);
     'random' randomizes only the activation bits and needs a seed; a
     register list (n + 1 entries, an ActivationRegister at every index
-    1..n) is copied once checked: x is the int 0 or 1, g0, g1 and every
+    1..n) is copied once checked: x is the int 0 or 1, points_to is a
+    frozenset, cutset_g1 is None or a tuple of pairs, g0, g1 and every
     cutset_g1 value are ints (no bool, no float), and every pointer aims
     at a neighbor of its node.
     """
@@ -394,7 +395,12 @@ def initial_registers(
                 raise ValueError(f"start register {i} is {type(reg).__name__}, not an ActivationRegister")
             if type(reg.x) is not int or reg.x not in (0, 1):
                 raise ValueError(f"start register {i} has x={reg.x!r}, not the int 0 or 1")
-            for field, value in [("g0", reg.g0), ("g1", reg.g1)] + [("cutset_g1", v) for _, v in reg.cutset_g1 or ()]:
+            if type(reg.points_to) is not frozenset:
+                raise ValueError(f"start register {i} has points_to={reg.points_to!r}, not a frozenset")
+            pairs = reg.cutset_g1
+            if pairs is not None and (type(pairs) is not tuple or any(type(p) is not tuple or len(p) != 2 for p in pairs)):
+                raise ValueError(f"start register {i} has cutset_g1={pairs!r}, not None or a tuple of pairs")
+            for field, value in [("g0", reg.g0), ("g1", reg.g1)] + [("cutset_g1", v) for _, v in pairs or ()]:
                 if type(value) is not int:
                     raise ValueError(f"start register {i} has {field}={value!r}, not an int")
             nbs = {j for j, _ in adjacency[i][1]}

@@ -343,12 +343,12 @@ def cutset_exact_optimize(net: Network, plan: CutsetPlan) -> OptimumReport:
     Each of the 2**|Y| fixed assignments to the cutset is solved exactly
     by forest DP; the best conditioning(s) win.  Matches brute force in
     gmax, with one witness assignment per optimal conditioning, and
-    reports every conditioning's maximum in `conditionings`.  A plan that
-    leaves a cycle raises ValueError from the forest walk.
+    reports every conditioning's maximum in `conditionings`.  A plan with
+    a member outside 1..n, or one that leaves a cycle, raises ValueError.
     """
     if len(plan.members) > CUTSET_MAX_SIZE:
         raise ValueError(f"cutset enumeration capped at {CUTSET_MAX_SIZE} members")
-    members = sorted(plan.members)
+    members = sorted(net.check_cutset(plan.members))
     trees = _forest_walk(net, frozenset(members))
     codes = 1 << len(members)
     values, best, witnesses = [], None, []

@@ -1,11 +1,8 @@
 import contextlib
 import io
 import os
-import signal
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -157,71 +154,14 @@ def test_run_budget_exhaustion_exit_2(capsys):
     assert "stable=0" in out
 
 
-def test_run_tsv_trace(capsys, tmp_path):
-    trace_path = tmp_path / "trace.tsv"
-    code, out, _ = run_cli(
-        capsys, "run", "--fixture", "fig1", "--format", "tsv",
-        "--trace", str(trace_path),
-    )
+def test_run_tsv_trace(capsys):
+    code, out, _ = run_cli(capsys, "run", "--fixture", "fig1", "--format", "tsv")
     assert code == 0
     lines = out.splitlines()
     assert lines[-1].startswith("RESULT ")
     first = lines[0].split("\t")
     assert len(first) == 6
     assert first[0] == "0"
-    assert trace_path.read_text() == "\n".join(lines[:-1]) + "\n"
-
-
-def test_run_refuses_an_empty_trace_path(capsys, monkeypatch):
-    # refused before the run starts: no trace is collected only to be dropped
-    monkeypatch.setattr("goodnet.cli.run", lambda *args, **kwargs: pytest.fail("the run started"))
-    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--trace", "")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "--trace" in err
-
-
-def test_run_refuses_an_unwritable_trace_path_before_the_run(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr("goodnet.cli.run", lambda *args, **kwargs: pytest.fail("the run started"))
-    path = tmp_path / "missing" / "t.tsv"
-    code, out, err = run_cli(capsys, "run", "--fixture", "chain2i:5", "--max-passes", "20000", "--trace", str(path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "No such file or directory" in err and not path.parent.exists()
-
-
-def test_a_failed_run_keeps_the_trace_file_it_would_have_written(capsys, tmp_path):
-    # the path is checked before the run but written only after it
-    path = tmp_path / "t.tsv"
-    path.write_bytes(b"old contents\n")
-    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "boltzmann", "--trace", str(path))
-    assert (code, out, err) == (1, "", "error: boltzmann rule needs a temperature\n")
-    assert path.read_bytes() == b"old contents\n"
-    code, out, _ = run_cli(capsys, "run", "--fixture", "fig1", "--format", "tsv", "--trace", str(path))
-    assert code == 0 and path.read_text() == out[: out.rindex("RESULT")]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [("--rule", "boltzmann"), ("--max-passes", "0"), ("--rule", "boltzmann", "--temp", "abc")],
-    ids=["no-temperature", "no-passes", "bad-temperature"],
-)
-def test_a_failed_run_removes_the_trace_file_it_created(capsys, tmp_path, argv):
-    # the path is created before the run, so that a bad one fails at once,
-    # and removed again when the run fails; a file that was there keeps its bytes
-    path = tmp_path / "t.tsv"
-    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", *argv, "--trace", str(path))
-    assert (code, out) == (1, "") and err.startswith("error: ")
-    assert list(tmp_path.iterdir()) == []
-    path.write_bytes(b"old contents\n")
-    assert run_cli(capsys, "run", "--fixture", "fig1", *argv, "--trace", str(path)) == (1, "", err)
-    assert path.read_bytes() == b"old contents\n"
-
-
-def test_a_trace_to_the_null_device_runs_and_a_failed_run_leaves_it(capsys):
-    code, out, _ = run_cli(capsys, "run", "--fixture", "fig1", "--trace", os.devnull)
-    assert code == 0 and out.startswith("RESULT stable=1 ")
-    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--rule", "boltzmann", "--trace", os.devnull)
-    assert (code, out, err) == (1, "", "error: boltzmann rule needs a temperature\n")
-    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 
 def test_run_rejects_init_preset(capsys):
@@ -743,11 +683,9 @@ def test_a_network_file_with_a_node_count_too_long_for_int_is_refused_with_its_l
     ],
     ids=["zero", "negative", "empty", "fraction"],
 )
-def test_every_refusal_of_a_temperature_names_the_flag(capsys, tmp_path, temp, message):
-    path = tmp_path / "t.tsv"
-    argv = ("run", "--fixture", "fig1", "--rule", "boltzmann", "--seed", "1", "--temp", temp, "--trace", str(path))
+def test_every_refusal_of_a_temperature_names_the_flag(capsys, temp, message):
+    argv = ("run", "--fixture", "fig1", "--rule", "boltzmann", "--seed", "1", "--temp", temp, "--format", "tsv")
     assert run_cli(capsys, *argv) == (1, "", f"error: --temp: {message}\n")
-    assert not path.exists()
 
 
 def test_a_network_file_past_the_node_cap_is_refused_with_its_line(capsys, tmp_path):
@@ -793,14 +731,12 @@ def test_the_streamed_trace_is_the_collected_trace(capsys, tmp_path, case):
     )
     text = "\n".join(trace_line(ev) for ev in trace) + "\n"
     assert len(trace) > 1_024 or (expected.stable and case == "fair-excl")
-    trace_path = tmp_path / "trace.tsv"
     argv = ["run", *source, "--rule", rule, "--sched", sched, "--init", init, "--seed", str(seed),
-            "--max-passes", str(passes), "--format", "tsv", "--trace", str(trace_path)]
+            "--max-passes", str(passes), "--format", "tsv"]
     if temp:
         argv += ["--temp", temp]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (0 if expected.stable else 2, text + result_line(expected) + "\n", "")
-    assert trace_path.read_text() == text
 
 
 def test_a_long_traced_run_keeps_flat_memory():
@@ -834,88 +770,6 @@ def test_a_long_traced_run_keeps_flat_memory():
     code, lines, large = peak(2_000)
     assert (code, lines) == (2, 10_001)
     assert large <= small + 1_000_000, (small, large)
-
-
-def _closed_stdout_run(argv):
-    """Start `python -m goodnet` on `argv`, read its first line, then close its
-    stdout; returns (first line, exit code, stderr)."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.Popen([sys.executable, "-m", "goodnet", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    return first, proc.wait(timeout=60), err
-
-
-@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_a_closed_stdout_leaves_the_trace_path_as_it_was(tmp_path, existing):
-    # the run stops at its first write after the reader has gone, and the
-    # trace it was streaming is dropped with it
-    path = tmp_path / "t.tsv"
-    if existing:
-        path.write_bytes(b"old contents\n")
-    argv = ["run", "--fixture", "chain2i:5", "--sched", "sync-all", "--max-passes", "2000", "--format", "tsv",
-            "--trace", str(path)]
-    first, code, err = _closed_stdout_run(argv)
-    assert first.startswith(b"0\t1\t") and (code, err) == (141, b"")
-    assert list(tmp_path.iterdir()) == ([path] if existing else [])
-    if existing:
-        assert path.read_bytes() == b"old contents\n"
-
-
-@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_a_traced_run_killed_by_sigterm_leaves_the_trace_path_as_it_was(tmp_path, existing):
-    # a traced run never skips cycles, so this one streams until it is killed;
-    # SIGTERM unwinds it through the cleanup of a failed run
-    path = tmp_path / "t"
-    if existing:
-        path.write_bytes(b"old contents\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    argv = ["run", "--fixture", "chain2i:5", "--sched", "sync-all", "--max-passes", "10000000", "--trace", str(path)]
-    proc = subprocess.Popen([sys.executable, "-m", "goodnet", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    deadline = time.monotonic() + 60
-    # the temp file beside the path has bytes once the run is streaming into it
-    while not any(p.name.startswith(".t.") and p.stat().st_size for p in tmp_path.iterdir()):
-        assert proc.poll() is None and time.monotonic() < deadline, "the run ended or never started streaming"
-        time.sleep(0.01)
-    proc.send_signal(signal.SIGTERM)
-    out, err = proc.communicate(timeout=60)
-    assert (proc.returncode, out, err) == (128 + signal.SIGTERM, b"", b"")
-    assert list(tmp_path.iterdir()) == ([path] if existing else [])
-    if existing:
-        assert path.read_bytes() == b"old contents\n"
-
-
-def test_a_traced_run_restores_the_sigterm_handler_and_runs_off_the_main_thread(capsys, tmp_path):
-    # only the main thread can set a signal handler, so a run on another
-    # thread leaves SIGTERM alone
-    before = signal.getsignal(signal.SIGTERM)
-    assert run_cli(capsys, "run", "--fixture", "fig1", "--trace", str(tmp_path / "main.tsv"))[0] == 0
-    assert signal.getsignal(signal.SIGTERM) is before
-    codes = []
-    thread = threading.Thread(target=lambda: codes.append(main(["run", "--fixture", "fig1", "--trace", str(tmp_path / "thread.tsv")])))
-    thread.start()
-    thread.join()
-    assert codes == [0] and capsys.readouterr().err == ""
-    assert (tmp_path / "thread.tsv").read_text() == (tmp_path / "main.tsv").read_text() != ""
-
-
-def test_a_trace_file_keeps_its_mode_and_a_symlink_stays_a_link(capsys, tmp_path):
-    # the trace streams into a temp file that replaces the file only after the run
-    target = tmp_path / "target.tsv"
-    target.write_bytes(b"old contents\n")
-    target.chmod(0o640)
-    link = tmp_path / "link.tsv"
-    link.symlink_to(target)
-    code, out, _ = run_cli(capsys, "run", "--fixture", "fig1", "--format", "tsv", "--trace", str(link))
-    assert code == 0 and target.read_text() == out[: out.rindex("RESULT")]
-    assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o640
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "target.tsv"]
-    fresh = tmp_path / "fresh.tsv"
-    open(tmp_path / "reference", "w").close()  # the mode a new file gets under this umask
-    assert run_cli(capsys, "run", "--fixture", "fig1", "--trace", str(fresh))[0] == 0
-    assert fresh.stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
 # Argv pieces for the fuzz test below.  Every budget stays small: a digit run
@@ -958,7 +812,7 @@ _PASSES = st.one_of(st.integers(-1, 50).map(str), _ODD_NUMBERS)  # odd ones are 
 @st.composite
 def _argv(draw):
     """A `run`, `oracle` or `demo` argv, and the text of the net file its
-    `--net NET` names (None without one); `--trace TRACE` names a file."""
+    `--net NET` names (None without one)."""
     command = draw(st.sampled_from(["run", "oracle", "demo"]))
     net_text = None
     if command == "demo":
@@ -981,7 +835,6 @@ def _argv(draw):
             "--temp": _NUMBERS,
             "--max-passes": _PASSES,
             "--format": st.sampled_from(["summary", "tsv"]),
-            "--trace": st.sampled_from(["TRACE", ""]),
         })
     for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
         argv += [flag, draw(options[flag])]
@@ -1004,7 +857,7 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(fuzz_dir, drawn):
     argv, net_text = drawn
     if net_text is not None:
         (fuzz_dir / "net").write_text(net_text, encoding="utf-8")
-    argv = [{"NET": str(fuzz_dir / "net"), "TRACE": str(fuzz_dir / "trace.tsv")}.get(a, a) for a in argv]
+    argv = [str(fuzz_dir / "net") if a == "NET" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -410,8 +410,13 @@ def test_preset_register_list_needs_a_register_at_every_node():
         ("g1", True, "g1=True, not an int"),
         ("cutset_g1", ((4, 0), (1, 0.5)), "cutset_g1=0.5, not an int"),
         ("cutset_g1", ((4, True), (1, 0)), "cutset_g1=True, not an int"),
+        ("points_to", [4], r"points_to=\[4\], not a frozenset"),
+        ("points_to", {4}, r"points_to=\{4\}, not a frozenset"),
+        ("cutset_g1", [(4, 0), (1, 0)], r"cutset_g1=\[\(4, 0\), \(1, 0\)\], not None or a tuple of pairs"),
+        ("cutset_g1", ([4, 0], (1, 0)), r"cutset_g1=\(\[4, 0\], \(1, 0\)\), not None or a tuple of pairs"),
     ],
-    ids=["x-2", "x-bool", "x-float", "g0-float", "g0-bool", "g1-float", "g1-bool", "cutset_g1-float", "cutset_g1-bool"],
+    ids=["x-2", "x-bool", "x-float", "g0-float", "g0-bool", "g1-float", "g1-bool", "cutset_g1-float", "cutset_g1-bool",
+         "points_to-list", "points_to-set", "cutset_g1-list", "cutset_g1-pair-list"],
 )
 def test_start_register_with_a_malformed_field_is_rejected(field, value, message):
     # an x of 2 would run and print it in the assignment, and the array

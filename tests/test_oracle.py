@@ -193,6 +193,10 @@ def test_cutset_exact_rejects_bad_plan():
         cutset_exact_optimize(ring6(), CutsetPlan(frozenset()))
     with pytest.raises(ValueError, match="does not cut all cycles"):
         cutset_exact_optimize(example51(), plan_from_members(example51(), {2}))
+    # a plan built without plan_from_members is checked too: adjacency[-1] would read node 5
+    for member in (-1, 0, 99):
+        with pytest.raises(ValueError, match=f"node {member} outside 1..5"):
+            cutset_exact_optimize(fig1(), CutsetPlan(frozenset({member})))
 
 
 def test_cutset_exact_matches_brute_force():

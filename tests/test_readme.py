@@ -6,6 +6,7 @@ stdout.  The ```python block is the library example and must run as
 written.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -63,6 +64,15 @@ def test_readme_cli_command_parses(argv):
 def test_readme_cli_example_prints_what_the_readme_shows(capsys, argv, expected):
     main(argv)
     assert capsys.readouterr().out == expected
+
+
+def test_every_flag_the_readme_names_is_a_cli_option():
+    # a flag removed from the CLI cannot linger in the docs; pip's own flag is the one exception
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in sub.choices.values() for a in p._actions for opt in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    assert named - {"--no-build-isolation"} <= options, sorted(named - options)
+    assert "--format" in named
 
 
 def test_readme_library_example_runs():
