@@ -18,15 +18,13 @@ the steps through views of (id, weight, register) triples, the array
 pass through CSR arrays built from it.  The per-unit steps hand each
 unit's new field values to one commit: one tuple compare with the
 register, and on a difference a delta per changed field and a new
-register.  The array pass keeps the registers as columns on the network,
-with a copy of the register list they describe: an event reads again
-only the registers that are not the objects in that copy (every one on
-the net's first array event or on another list).  It commits from its
-columns: its new x, g0, g1 and pointer columns compared with the kept
-ones give each unit's changed fields, so it builds a delta per changed
-field and a new register per changed unit, and writes the changes into
-the columns.  A network must therefore not be driven by two threads at
-once.
+register.  The array pass keeps the run's registers as columns
+(`_Columns`, made by `steps`), reads again only the registers that are
+not the objects of the list they describe, and commits from them: its
+new columns compared with the kept ones give each unit's changed fields,
+so a delta per changed field and a new register per changed unit.  The
+network holds no run's state, so any number of runs and threads may
+share one.
 
 `steps` is the one loop that turns a scheduler into events; `run` and the
 negative-result demos consume it, and only a traced run attaches `_traced`.
@@ -141,11 +139,10 @@ def _unit_update(
 # us per unit, and an array event of 16 + n // 12 random units that finds
 # its register columns kept from the previous one 38 us plus 0.11 us per
 # node, so the array pass wins from about 14 + n/25 units, and the cutoff
-# leaves large nets' mid-sized events on the per-unit path.  An array
-# event on another register list reads every register again, at about 2
-# us per node; after per-unit events it reads again only the registers
-# they changed.  The floor of 16 keeps every net under 16 nodes on the
-# per-unit path.
+# leaves large nets' mid-sized events on the per-unit path.  A run's
+# first array event reads every register, at about 2 us per node; after
+# per-unit events one reads again only the registers they changed.  The
+# floor of 16 keeps every net under 16 nodes on the per-unit path.
 ARRAY_MIN_UNITS = 16
 
 
@@ -178,27 +175,18 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
 
 @dataclass(slots=True, eq=False)
 class _Columns:
-    """The registers of one register list as int64 arrays: `x` per node,
-    `g0` and `g1` per node as the two rows of `g`, and per half-edge
-    i -> j the `pointer` bit (j in regs[i].points_to).  `regs` is a copy
-    of the list they describe, [None] * (n + 1) before the first load.
-    `act` is the sorted array of the ids of the last array event, the
-    frozenset `ids`."""
+    """One run's registers as int64 arrays, empty (every field None) until
+    its first array event: `x` per node, `g0` and `g1` as the two rows of
+    `g`, and per half-edge i -> j the `pointer` bit (j in regs[i].points_to).
+    `regs` is a copy of the list they describe, [None] * (n + 1) before the
+    first load; `act` sorts the ids of the last array event, `ids`."""
 
-    regs: list
-    x: np.ndarray
-    g: np.ndarray
-    pointer: np.ndarray
+    regs: list | None = None
+    x: np.ndarray | None = None
+    g: np.ndarray | None = None
+    pointer: np.ndarray | None = None
     ids: frozenset | None = None
     act: np.ndarray | None = None
-
-    @property
-    def g0(self) -> np.ndarray:
-        return self.g[0]
-
-    @property
-    def g1(self) -> np.ndarray:
-        return self.g[1]
 
 
 def _load_rows(net: Network, cols: _Columns, regs: list, rows: list) -> bool:
@@ -214,26 +202,32 @@ def _load_rows(net: Network, cols: _Columns, regs: list, rows: list) -> bool:
     if any(r.cutset_g1 is not None for r in units) or sum(pointer) != sum(len(r.points_to) for r in units):
         return False
     try:
-        x, g0, g1 = np.array([(r.x, r.g0, r.g1) for r in units], dtype=np.int64).T
+        fields = np.array([(r.x, r.g0, r.g1) for r in units], dtype=np.int64).T
     except OverflowError:
         return False
     loaded = np.zeros(net.n + 1, dtype=bool)
     loaded[rows] = True
     cols.pointer[loaded[net.half_edges().src]] = pointer  # masks take values in ascending order
-    cols.x[rows], cols.g0[rows], cols.g1[rows] = x, g0, g1
+    cols.x[rows], cols.g[:, rows] = fields[0], fields[1:]
     return True
 
 
-def _array_event(net: Network, regs: list, ids: frozenset[int]) -> tuple | None:
+def _in_units(order, n: int):
+    """An event's sorted ids `order`, or ValueError when an end lies outside 1..n."""
+    if len(order) and (order[0] < 1 or order[-1] > n):
+        raise ValueError(f"event names node {int(order[0] if order[0] < 1 else order[-1])}, outside the units 1..{n}")
+    return order
+
+
+def _array_event(net: Network, regs: list, ids: frozenset[int], cols: _Columns) -> tuple | None:
     """`apply_event` for the activate rule with an empty cutset, computed
     as int64 segment sums over the net's CSR half-edges.
 
     Reads the same snapshot and yields the same deltas and registers as
     the per-unit rule steps of :mod:`goodnet.rules`, which stay the
-    specification.  The registers are read (`_load_rows`) into columns
-    (`_Columns`) that the net keeps across events: every register on the
-    net's first array event, and then only those that are not the objects
-    of the list the columns last described.  The commit diffs columns:
+    specification.  The registers that are not the objects of the list
+    the run's columns `cols` last described (every one on the run's first
+    array event) are read into them (`_load_rows`).  The commit diffs columns:
     `new_x != x`, `new_g0 != g0`, `new_g1 != g1` and the rows whose
     pointer bits moved name each active unit's changed fields, turned
     into Python lists once, and a moved unit's new `points_to` is its
@@ -252,11 +246,9 @@ def _array_event(net: Network, regs: list, ids: frozenset[int]) -> tuple | None:
         return None
     he = net.half_edges()
     n = net.n
-    cols = net._register_columns
-    if cols is None:  # no register is kept, so the load below reads every one
-        x, g = np.zeros(n + 1, dtype=np.int64), np.zeros((2, n + 1), dtype=np.int64)
-        cols = _Columns([None] * (n + 1), x, g, np.zeros(len(he.dst), dtype=bool))
-        object.__setattr__(net, "_register_columns", cols)
+    if cols.regs is None:  # the run's first array event: no register is kept, so the load below reads every one
+        cols.regs, cols.x, cols.g = [None] * (n + 1), np.zeros(n + 1, dtype=np.int64), np.zeros((2, n + 1), dtype=np.int64)
+        cols.pointer = np.zeros(len(he.dst), dtype=bool)
     if cols.regs != regs:
         if not _load_rows(net, cols, regs, [i for i, (kept, r) in enumerate(zip(cols.regs, regs)) if kept is not r]):
             return None  # the rows keep their old objects in cols.regs, so the next load reads them again
@@ -269,7 +261,7 @@ def _array_event(net: Network, regs: list, ids: frozenset[int]) -> tuple | None:
         return None
     w, bias, src, dst, rev = he.w, he.bias, he.src, he.dst, he.rev
     if ids is not cols.ids:  # sync-all hands out one frozenset per run, so its events sort once
-        cols.ids, cols.act = ids, np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
+        cols.ids, cols.act = ids, _in_units(np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids))), n)
     act = cols.act
 
     points_at_me = pointer[rev]
@@ -338,32 +330,37 @@ def apply_event(
     cutset: frozenset[int] = frozenset(),
     rng: random.Random | None = None,
     temperature=None,
+    *,
+    columns: _Columns | None = None,
 ) -> tuple[tuple[int, str, object], ...]:
     """Activate `ids` synchronously against the current snapshot.
 
     Mutates the register list in place (only at the activated indices
     whose fields changed; every other register stays the same object)
     and returns the field-level deltas, ordered by node id and then by
-    field (x, g0, g1, points_to, cutset_g1).
+    field (x, g0, g1, points_to, cutset_g1).  An id outside 1..n raises
+    ValueError before any register changes.
 
     An activate event with an empty cutset and at least ARRAY_MIN_UNITS
-    + n // 12 units runs as one array pass (`_array_event`), whose fixed
-    cost outweighs the per-unit updates only on large events.  Every other
-    event, and one on registers the array pass does not load, runs the
-    rule steps of :mod:`goodnet.rules` one unit at a time; boltzmann's
-    per-unit random draws keep their order.  Of an event of two or
-    more units on the per-unit path, under any rule but boltzmann, `steps`
-    hands over only the dirty units.
+    + n // 12 units runs as one array pass (`_array_event`) on `columns`,
+    the run's register columns from `steps` (else its own; they change no
+    result), whose fixed cost outweighs the per-unit updates only on
+    large events.  Every other event, and one on registers the array pass
+    does not load, runs the rule steps of :mod:`goodnet.rules` one unit at
+    a time; boltzmann's per-unit random draws keep their order.  Of an
+    event of two or more units on the per-unit path, under any rule but
+    boltzmann, `steps` hands over only the dirty units.
     """
     deltas: list = []
     if len(ids) == 1:
         (i,) = ids
-        _commit(regs, i, _unit_update(net, regs, i, rule, cutset, rng, temperature), deltas)
-        return tuple(deltas)
+        if 1 <= i <= net.n:  # a singleton outside 1..n goes on, to be refused below
+            _commit(regs, i, _unit_update(net, regs, i, rule, cutset, rng, temperature), deltas)
+            return tuple(deltas)
     if _takes_array_pass(net, rule, cutset, ids):
-        if (array := _array_event(net, regs, ids)) is not None:
+        if (array := _array_event(net, regs, ids, _Columns() if columns is None else columns)) is not None:
             return array
-    updates = {i: _unit_update(net, regs, i, rule, cutset, rng, temperature) for i in sorted(ids)}
+    updates = {i: _unit_update(net, regs, i, rule, cutset, rng, temperature) for i in _in_units(sorted(ids), net.n)}
     for i, new in updates.items():
         _commit(regs, i, new, deltas)
     return tuple(deltas)
@@ -469,12 +466,13 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
     unit's register is what running it would give.  So an event of
     two or more units that runs the rule steps hands `apply_event` only
     its dirty units, and yields () without a call when none is.  An event
-    that takes the array pass, or a boltzmann event of two or more units,
-    runs all its units and leaves every unit dirty: the pass computes
-    every node anyway, and boltzmann's random draws keep their order.  A
-    singleton runs its unit.  The yielded `ids` are the scheduled ones,
-    and the deltas those of the whole event."""
+    that takes the array pass (on the run's own columns, made here), or a
+    boltzmann event of two or more units, runs all its units and leaves
+    every unit dirty: the pass computes every node anyway, and boltzmann's
+    random draws keep their order.  A singleton runs its unit.  The yielded
+    `ids` are the scheduled ones, and the deltas those of the whole event."""
     n = net.n
+    columns = _Columns()
     units = frozenset(net.nodes())
     adjacency = net.micros_adjacency()
     dirty = [True] * (n + 1)  # dirty[i]: unit i is not clean
@@ -489,7 +487,7 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
             (i,) = ids
             dirty[i] = False
         elif rule == "boltzmann" or _takes_array_pass(net, rule, cutset, ids):
-            deltas = apply_event(net, regs, ids, rule, cutset, rng, temperature)
+            deltas = apply_event(net, regs, ids, rule, cutset, rng, temperature, columns=columns)
             dirty[:] = all_dirty
             yield ids, deltas
             continue

@@ -47,14 +47,13 @@ class ParseError(ValueError):
 class HalfEdges:
     """The edges as CSR half-edges, one per direction, rows indexed by node id.
 
-    Row i (row 0 is empty) spans ``indptr[i]:indptr[i+1]`` and lists i's
-    neighbors in ascending id order, as in `Network.micros_adjacency`:
+    Row i (row 0 is empty) holds the ``degree[i]`` half-edges out of i,
+    to its neighbors in ascending id order, as in `Network.micros_adjacency`:
     half-edge e runs ``src[e] -> dst[e]`` with weight ``w[e]`` in micros
     and ``rev[e]`` is the half-edge ``dst[e] -> src[e]``.  ``bias`` holds
-    the node biases in micros.  Every array is int64.
+    the node biases in micros.  Every array is int64 and read-only.
     """
 
-    indptr: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     w: np.ndarray
@@ -83,12 +82,12 @@ class Network:
     """Immutable symmetric network: nodes 1..n, weighted edges, biases.
 
     An optional designated cutset (node ids) may ride along; it is
-    ignored by everything except cutset-aware rules and solvers.
+    ignored by everything except cutset-aware rules and solvers.  A net
+    holds no run's state, so any number of runs and threads may share
+    one; a register list and a scheduler belong to one run.
     """
 
-    # _register_columns belongs to the engine: its array pass keeps the
-    # register columns of the last register list it ran on there
-    __slots__ = ("n", "cutset", "_adjacency", "_magnitude", "_half_edges", "_register_columns")
+    __slots__ = ("n", "cutset", "_adjacency", "_magnitude", "_half_edges")
 
     def __init__(
         self,
@@ -150,14 +149,12 @@ class Network:
         object.__setattr__(self, "_adjacency", tuple(zip(bias, map(tuple, rows))))
         object.__setattr__(self, "_magnitude", magnitude)
         object.__setattr__(self, "_half_edges", None)
-        object.__setattr__(self, "_register_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
 
     def __reduce__(self):
-        # copies and pickles go through __init__, which builds the adjacency
-        # again and starts without half-edges or register columns
+        # copies and pickles go through __init__, which builds the adjacency again, without half-edges
         return Network, (self.n, self.edges(), {i: self.bias(i) for i in self.nodes()}, self.cutset)
 
     # -- structure ---------------------------------------------------------
@@ -170,7 +167,7 @@ class Network:
 
     def neighbors(self, i: int) -> tuple[tuple[int, Weight], ...]:
         """Node i's ``(j, w_ij)`` pairs in ascending id order."""
-        return tuple([(j, Weight(w)) for j, w in self._adjacency[i][1]])
+        return tuple([(j, Weight(w)) for j, w in self._adjacency[self._node(i)][1]])
 
     def micros_adjacency(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
         """Per node id, ``(bias, ((j, w_ij), ...))`` in int micros with the
@@ -179,8 +176,8 @@ class Network:
         return self._adjacency
 
     def half_edges(self) -> HalfEdges:
-        """The CSR half-edge arrays, built on first use and kept; int64, so
-        a net with a value past int64 raises OverflowError."""
+        """The CSR half-edge arrays, built on first use and kept read-only;
+        int64, so a net with a value past int64 raises OverflowError."""
         if self._half_edges is None:
             adj = self._adjacency
             n = self.n
@@ -191,19 +188,19 @@ class Network:
             dst = np.array([j for _, a in adj for j, _ in a], dtype=np.int64)
             # (src, dst) keys ascend along the half-edges, so each reverse is one search
             rev = np.searchsorted(src * (n + 1) + dst, dst * (n + 1) + src)
-            half_edges = HalfEdges(
-                indptr=indptr,
+            arrays = dict(
                 src=src,
                 dst=dst,
                 w=np.array([w for _, a in adj for _, w in a], dtype=np.int64),
                 rev=rev,
                 bias=np.array([b for b, _ in adj], dtype=np.int64),
                 degree=degree,
-                max_degree=int(degree.max()),
                 _nonempty=degree > 0,
                 _starts=indptr[:-1][degree > 0],
             )
-            object.__setattr__(self, "_half_edges", half_edges)
+            for array in arrays.values():
+                array.setflags(write=False)
+            object.__setattr__(self, "_half_edges", HalfEdges(**arrays, max_degree=int(degree.max())))
         return self._half_edges
 
     def check_cutset(self, members: Iterable[int]) -> frozenset[int]:
@@ -221,7 +218,12 @@ class Network:
         raise KeyError((i, j) if i < j else (j, i))
 
     def bias(self, i: int) -> Weight:
-        return Weight(self._adjacency[i][0])
+        return Weight(self._adjacency[self._node(i)][0])
+
+    def _node(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise ValueError(f"node {i} outside 1..{self.n}")
+        return i
 
     def magnitude_micros(self) -> int:
         """sum |w| + sum |theta| in micros, summed with the net: a bound on |goodness| of any assignment."""

@@ -1,5 +1,6 @@
 import copy
 import random
+import threading
 from itertools import islice
 from unittest import mock
 
@@ -37,7 +38,7 @@ from goodnet import (
 )
 
 from goodnet import engine
-from goodnet.engine import RULES, _array_event, _load_rows, pointer_snapshot, steps
+from goodnet.engine import RULES, _array_event, _Columns, _load_rows, pointer_snapshot, steps
 from goodnet.oracle import tree_conditioned_max
 from goodnet.rules import ZERO_REGISTER
 from goodnet.schedulers import Scheduler, parse_scheduler
@@ -662,14 +663,44 @@ class Always(Scheduler):
 
 
 @pytest.mark.parametrize("ids", [(-1,), (0,), (6,), (), (1, 6)])
-def test_events_outside_the_units_are_refused_before_any_register_changes(ids):
+def test_events_outside_the_units_are_refused_before_any_register_changes(ids, monkeypatch):
     net = fig1()  # n = 5, so 6 is n + 1
     with pytest.raises(ValueError, match=r"1\.\.5"):
         run(net, "activate", Always(ids))
-    regs = initial_registers(net, "zeros")
+    regs = initial_registers(net, "random", seed=1)
     start = list(regs)
     with pytest.raises(ValueError, match=r"1\.\.5"):
         next(steps(net, regs, "activate", Always(ids)))
+    assert all(new is old for new, old in zip(regs, start, strict=True))
+    outside = [i for i in ids if not 1 <= i <= 5]
+    if not outside:
+        return
+    # apply_event itself: a singleton, the per-unit path, and on 48 nodes
+    # an all-units event that reaches the array pass, with n + 1 for 6
+    for event in (frozenset(ids), frozenset(ids) | {1, 2}):
+        for rule in RULES:
+            with pytest.raises(ValueError, match=rf"node {outside[0]}, outside the units 1\.\.5"):
+                apply_event(net, regs, event, rule, temperature=W(1) if rule == "boltzmann" else None, rng=random.Random(1))
+            assert all(new is old for new, old in zip(regs, start, strict=True))
+    big = random_network("sparse", 48, m=6, seed=5)
+    regs = initial_registers(big, "random", seed=2)
+    start = list(regs)
+    bad = [49 if i == 6 else i for i in outside]
+    event = frozenset(big.nodes()) | set(bad)
+    raised = []
+    real = engine._array_event
+
+    def array_event(*args):
+        try:
+            return real(*args)
+        except ValueError:
+            raised.append(args[2])
+            raise
+
+    monkeypatch.setattr(engine, "_array_event", array_event)
+    with pytest.raises(ValueError, match=rf"node {bad[0]}, outside the units 1\.\.48"):
+        apply_event(big, regs, event, "activate")
+    assert raised == [event]
     assert all(new is old for new, old in zip(regs, start, strict=True))
 
 
@@ -742,16 +773,16 @@ def takes_array_pass(rule, cutset):
     return rule == "activate" and not cutset
 
 
-def assert_same_event(net, regs, ids, rule, cutset):
+def assert_same_event(net, regs, ids, rule, cutset, cols):
     """`apply_event`, the per-unit loop and, for an activate event without
-    a cutset, the array pass wherever it loads the registers give equal
-    deltas and registers from copies of `regs`; returns `apply_event`'s
-    registers."""
+    a cutset, the array pass on the columns `cols` wherever it loads the
+    registers give equal deltas and registers from copies of `regs`;
+    returns `apply_event`'s registers."""
     fast, slow, array = list(regs), list(regs), list(regs)
     deltas = apply_event(net, fast, frozenset(ids), rule, cutset)
     assert deltas == apply_event_per_unit(net, slow, ids, rule, cutset)
     assert fast == slow
-    if takes_array_pass(rule, cutset) and (array_deltas := _array_event(net, array, frozenset(ids))) is not None:
+    if takes_array_pass(rule, cutset) and (array_deltas := _array_event(net, array, frozenset(ids), cols)) is not None:
         assert array_deltas == deltas and array == slow
         changed = {i for i, _, _ in array_deltas}
         for i in net.nodes():
@@ -818,9 +849,10 @@ def draw_event_case(data, rules):
 def test_array_pass_matches_per_unit_updates(data):
     # any event size, 1 included
     net, rule, cutset, regs, _ = draw_event_case(data, TREE_RULES)
+    cols = _Columns()  # kept across the events, as a run keeps them
     for _ in range(data.draw(st.integers(1, 4))):
         ids = data.draw(st.frozensets(st.integers(1, net.n), min_size=1))
-        regs = assert_same_event(net, regs, ids, rule, cutset)
+        regs = assert_same_event(net, regs, ids, rule, cutset, cols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -851,8 +883,9 @@ def test_array_pass_on_a_net_without_edges(rule, n):
     cutset = frozenset({1}) if rule == "activate-with-cutset" else frozenset()
     regs = perturb(net, initial_registers(net, "zeros", cutset), 5)
     assert len(net.half_edges().dst) == 0
+    cols = _Columns()
     for ids in ([1], range(1, n + 1)):
-        regs = assert_same_event(net, regs, ids, rule, cutset)
+        regs = assert_same_event(net, regs, ids, rule, cutset, cols)
 
 
 def test_public_apply_event_repairs_registers_initial_registers_refuses(monkeypatch):
@@ -884,24 +917,24 @@ def test_public_apply_event_repairs_registers_initial_registers_refuses(monkeypa
     assert [j for j, _ in fields[(c, "cutset_g1")]] == [j for j, _ in net.neighbors(c)]
 
 
-def assert_event_matches_reference(net, regs, ids, rule, cutset):
-    """`apply_event` on `regs` gives the deltas and registers of the
-    per-unit reference on a copy."""
+def assert_event_matches_reference(net, regs, ids, rule, cutset, cols=None):
+    """`apply_event` on `regs`, on the columns `cols` when given, gives the
+    deltas and registers of the per-unit reference on a copy."""
     reference = list(regs)
-    assert apply_event(net, regs, frozenset(ids), rule, cutset) == apply_event_per_unit(net, reference, ids, rule, cutset)
+    deltas = apply_event(net, regs, frozenset(ids), rule, cutset, columns=cols)
+    assert deltas == apply_event_per_unit(net, reference, ids, rule, cutset)
     assert regs == reference
 
 
-def assert_columns_describe_their_list(net):
-    """The columns the net keeps are int64 and hold the registers of the
-    list they name, `cols.regs`, field for field (None names no register
-    yet); none of those registers has per-neighbor pairs."""
-    cols = net._register_columns
+def assert_columns_describe_their_list(net, cols):
+    """The columns `cols` are int64 and hold the registers of the list
+    they name, `cols.regs`, field for field (None names no register yet);
+    none of those registers has per-neighbor pairs."""
     regs, he = cols.regs, net.half_edges()
-    assert all(c.dtype == np.int64 for c in (cols.x, cols.g0, cols.g1))
+    assert all(c.dtype == np.int64 for c in (cols.x, cols.g))
     for i in net.nodes():
         if regs[i] is not None:
-            assert (cols.x[i], cols.g0[i], cols.g1[i], regs[i].cutset_g1) == (regs[i].x, regs[i].g0, regs[i].g1, None)
+            assert (cols.x[i], cols.g[0, i], cols.g[1, i], regs[i].cutset_g1) == (regs[i].x, regs[i].g0, regs[i].g1, None)
     for e, (i, j) in enumerate(zip(he.src.tolist(), he.dst.tolist())):
         if regs[i] is not None:
             assert cols.pointer[e] == (j in regs[i].points_to)
@@ -937,16 +970,17 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
             r._replace(x=1, g0=rng.randint(-(2**62), 2**62), g1=rng.randint(-(2**62), 2**62)) for r in perturbed[1:]
         ]
         ran.clear()
+        cols = _Columns()
         for regs, full_events in ((perturbed, 1), (bounded, 4), (perturbed, 1)):
             regs = list(regs)
             for ids in [[1, 2, 3]] + [range(1, 7)] * full_events:
-                assert_event_matches_reference(net, regs, ids, rule, cutset)
+                assert_event_matches_reference(net, regs, ids, rule, cutset, cols)
                 if rule == "activate" and scale == 1:
-                    assert_columns_describe_their_list(net)
+                    assert_columns_describe_their_list(net, cols)
         if rule != "activate":
-            assert ran == [] and net._register_columns is None
+            assert ran == [] and cols.regs is None
         elif scale > 1:
-            assert ran == [False] * 9 and net._half_edges is None and net._register_columns is None
+            assert ran == [False] * 9 and net._half_edges is None and cols.regs is None
         else:
             assert net.half_edges().w.dtype == np.int64
             assert ran[:3] == [True, True, False] and ran[-2:] == [True, True]
@@ -966,17 +1000,19 @@ def test_weights_past_int64_run_per_unit_without_arrays(monkeypatch):
     regs = initial_registers(net, "random", seed=4)
     reference = list(regs)
     ids = frozenset(net.nodes())
+    cols = _Columns()
     for _ in range(12):
-        assert apply_event(net, regs, ids, "activate") == apply_event_per_unit(net, reference, ids, "activate", frozenset())
+        deltas = apply_event(net, regs, ids, "activate", columns=cols)
+        assert deltas == apply_event_per_unit(net, reference, ids, "activate", frozenset())
         assert regs == reference
     assert ran == [False] * 12
-    assert net._half_edges is None and net._register_columns is None
+    assert net._half_edges is None and cols.regs is None
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_array_events_over_two_register_lists_match_reference(data):
-    # the net keeps the columns of the register list its last array event
+    # one set of columns keeps the register list its last array event
     # read: array events on two lists, per-unit events, outside replaces
     # and new cutsets in between must never leave an event reading stale
     # ones.  Events the array pass refuses (hopfield or cutset events, or
@@ -985,13 +1021,14 @@ def test_array_events_over_two_register_lists_match_reference(data):
     lists = [regs, perturb(net, regs, seed)]
     references = [list(r) for r in lists]
     units = st.integers(1, net.n)
+    cols = _Columns()
     for _ in range(data.draw(st.integers(2, 8))):
         k = data.draw(st.integers(0, 1))
         regs, reference = lists[k], references[k]
         ids = data.draw(st.frozensets(units, min_size=1))
-        deltas = _array_event(net, regs, ids) if takes_array_pass(rule, cutset) else None
+        deltas = _array_event(net, regs, ids, cols) if takes_array_pass(rule, cutset) else None
         if deltas is None:
-            deltas = apply_event(net, regs, ids, rule, cutset)
+            deltas = apply_event(net, regs, ids, rule, cutset, columns=cols)
         assert deltas == apply_event_per_unit(net, reference, ids, rule, cutset)
         assert regs == reference
         k = data.draw(st.integers(0, 1))
@@ -999,7 +1036,8 @@ def test_array_events_over_two_register_lists_match_reference(data):
         between = data.draw(st.sampled_from(["nothing", "per-unit", "replace", "cutset"]))
         if between == "per-unit":
             ids = data.draw(st.frozensets(units, min_size=1))
-            assert apply_event(net, regs, ids, rule, cutset) == apply_event_per_unit(net, reference, ids, rule, cutset)
+            deltas = apply_event(net, regs, ids, rule, cutset, columns=cols)
+            assert deltas == apply_event_per_unit(net, reference, ids, rule, cutset)
         elif between == "replace":
             i = data.draw(units)
             regs[i] = reference[i] = regs[i]._replace(x=1 - regs[i].x, g1=data.draw(st.integers(-(10**9), 10**9)))
@@ -1009,20 +1047,149 @@ def test_array_events_over_two_register_lists_match_reference(data):
 
 
 @pytest.mark.parametrize("rule", TREE_RULES)
-def test_sync_runs_sharing_a_net_match_runs_on_copies(rule):
-    # under activate every event of these runs takes the array pass, so
-    # each run meets the columns the previous one left on the net; hopfield
-    # and cutset runs go per unit and leave none
+def test_sync_runs_sharing_a_net_match_runs_on_copies(rule, monkeypatch):
+    # under activate every event of these runs takes the array pass, each
+    # run on columns of its own that the net does not keep; hopfield and
+    # cutset runs go per unit and fill none
     net = random_network("sparse", 40, m=6, seed=12)
     cutset = frozenset({1, 5, 9}) if rule == "activate-with-cutset" else None
+    made = []
+    monkeypatch.setattr(engine, "_Columns", lambda: made.append(cols := _Columns()) or cols)
     for seed in (1, 2, 3, 4):
         traces = [[], []]
+        made.clear()
         results = [
             run(on, rule, SynchronousAll(), init="random", seed=seed, cutset=cutset, max_passes=2, collect_trace=trace.append)
             for on, trace in zip((net, copy.deepcopy(net)), traces)
         ]
-        assert (net._register_columns is not None) == (rule == "activate")
+        assert len(made) == 2 and all((cols.regs is not None) == (rule == "activate") for cols in made)
         assert results[0] == results[1] and traces[0] == traces[1]
+
+
+def pause_first_load_off_the_main_thread(monkeypatch):
+    """Patch engine._load_rows so that the first load outside the main
+    thread, once it returns, sets `loaded` and waits for `resume`: that
+    thread stops inside its array event, its columns loaded and not yet
+    used.  Returns the two events."""
+    loaded, resume = threading.Event(), threading.Event()
+    real = engine._load_rows
+
+    def load_rows(*args):
+        done = real(*args)
+        if threading.current_thread() is not threading.main_thread() and not loaded.is_set():
+            loaded.set()
+            assert resume.wait(30)
+        return done
+
+    monkeypatch.setattr(engine, "_load_rows", load_rows)
+    return loaded, resume
+
+
+def run_in_a_thread(fn) -> tuple[threading.Thread, dict]:
+    """Start `fn` in a thread; the dict gets its "result" or its "error"."""
+    out: dict = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except Exception as exc:  # handed to the main thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    return thread, out
+
+
+def join(thread: threading.Thread, out: dict):
+    thread.join(30)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def test_an_array_event_keeps_its_columns_while_another_thread_runs_one_on_the_same_net(monkeypatch):
+    # thread A stops inside its array event right after its load; the main
+    # thread runs a whole array event on another register list of the same
+    # net.  A's event must still give the per-unit deltas and registers
+    net = random_network("sparse", 60, m=6, seed=4)
+    ids = frozenset(net.nodes())
+    regs, other = initial_registers(net, "random", seed=1), initial_registers(net, "random", seed=2)
+    reference, other_reference = list(regs), list(other)
+    loaded, resume = pause_first_load_off_the_main_thread(monkeypatch)
+    thread, out = run_in_a_thread(lambda: apply_event(net, regs, ids, "activate"))
+    try:
+        assert loaded.wait(30)
+        assert apply_event(net, other, ids, "activate") == apply_event_per_unit(net, other_reference, ids, "activate")
+    finally:
+        resume.set()
+    assert join(thread, out) == apply_event_per_unit(net, reference, ids, "activate")
+    assert regs == reference and other == other_reference
+
+
+def test_sync_runs_in_two_threads_on_one_net_match_runs_alone(monkeypatch):
+    # the same pause in a whole run: thread A stops in its first array
+    # event while the main thread runs another sync-all run on the net
+    net = random_network("sparse", 60, m=6, seed=4)
+    alone = [run(copy.deepcopy(net), "activate", SynchronousAll(), init="random", seed=seed, max_passes=3) for seed in (1, 2)]
+    loaded, resume = pause_first_load_off_the_main_thread(monkeypatch)
+    thread, out = run_in_a_thread(lambda: run(net, "activate", SynchronousAll(), init="random", seed=1, max_passes=3))
+    try:
+        assert loaded.wait(30)
+        assert run(net, "activate", SynchronousAll(), init="random", seed=2, max_passes=3) == alone[1]
+    finally:
+        resume.set()
+    assert join(thread, out) == alone[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_columns_change_no_result(data):
+    # the same events on kept columns, on fresh columns per event, on the
+    # columns apply_event builds itself and by the per-unit reference
+    n = data.draw(st.integers(17, 60))
+    net = random_network("sparse", n, m=data.draw(st.integers(0, 6)), seed=data.draw(st.integers(0, 2**32 - 1)))
+    seed = data.draw(st.integers(0, 2**16))
+    start = initial_registers(net, "random", seed=seed)
+    if data.draw(st.booleans()):
+        start = perturb(net, start, seed)
+    kept, fresh, built, reference = (list(start) for _ in range(4))
+    cols = _Columns()
+    units = st.integers(1, n)
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            ids = frozenset(net.nodes()) - data.draw(st.frozensets(units, max_size=n - engine.ARRAY_MIN_UNITS - n // 12))
+        else:
+            ids = data.draw(st.frozensets(units, min_size=1, max_size=n))
+        deltas = apply_event(net, kept, ids, "activate", columns=cols)
+        assert deltas == apply_event(net, fresh, ids, "activate", columns=_Columns())
+        assert deltas == apply_event(net, built, ids, "activate")
+        assert deltas == apply_event_per_unit(net, reference, ids, "activate")
+        assert kept == fresh == built == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_interleaved_runs_on_one_net_match_runs_stepped_alone(data):
+    # two or three runs' steps on one net, advanced in a drawn order in
+    # one thread: each run's registers are those of the same run stepped
+    # alone for as many events, and those of its events run per unit
+    n = data.draw(st.integers(17, 60))
+    net = random_network("sparse", n, m=data.draw(st.integers(0, 6)), seed=data.draw(st.integers(0, 2**32 - 1)))
+    make = SCHEDULERS[data.draw(st.sampled_from(["sync-all", "fair-excl"]))]
+    seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=2, max_size=3))
+    lists = [initial_registers(net, "random", seed=seed) for seed in seeds]
+    runs = [steps(net, regs, "activate", make(seed)) for regs, seed in zip(lists, seeds)]
+    counts = [0] * len(seeds)
+    for k in data.draw(st.lists(st.integers(0, len(seeds) - 1), min_size=6, max_size=30)):
+        next(runs[k])
+        counts[k] += 1
+    for regs, seed, count in zip(lists, seeds, counts):
+        alone = initial_registers(net, "random", seed=seed)
+        reference = list(alone)
+        for ids, _ in islice(steps(copy.deepcopy(net), alone, "activate", make(seed)), count):
+            apply_event_per_unit(net, reference, ids, "activate")
+        assert regs == alone == reference
 
 
 @pytest.mark.parametrize("rule", TREE_RULES)
@@ -1037,16 +1204,19 @@ def test_array_event_reads_again_only_the_registers_that_differ(rule, monkeypatc
     loads = []
     monkeypatch.setattr(engine, "_load_rows", lambda net, cols, regs, rows: loads.append(list(rows)) or _load_rows(net, cols, regs, rows))
     sync = frozenset(net.nodes())
-    assert apply_event(net, regs, sync, rule, cutset) == apply_event_per_unit(net, reference, sync, rule, cutset)
+    cols = _Columns()
+    deltas = apply_event(net, regs, sync, rule, cutset, columns=cols)
+    assert deltas == apply_event_per_unit(net, reference, sync, rule, cutset)
     assert loads == ([list(net.nodes())] if rule == "activate" else [])
     changed = set()
     for i in (3, 8, 8, 21, 30, 31, 35, 37):
-        deltas = apply_event(net, regs, frozenset({i}), rule, cutset)
+        deltas = apply_event(net, regs, frozenset({i}), rule, cutset, columns=cols)
         assert deltas == apply_event_per_unit(net, reference, {i}, rule, cutset)
         changed |= {j for j, _, _ in deltas}
     assert regs == reference and changed
     loads.clear()
-    assert apply_event(net, regs, sync, rule, cutset) == apply_event_per_unit(net, reference, sync, rule, cutset)
+    deltas = apply_event(net, regs, sync, rule, cutset, columns=cols)
+    assert deltas == apply_event_per_unit(net, reference, sync, rule, cutset)
     assert regs == reference
     assert loads == ([sorted(changed)] if rule == "activate" else [])
 
@@ -1064,13 +1234,14 @@ def test_a_register_past_int64_runs_its_event_per_unit(rule, monkeypatch):
     past = list(fits)
     j = net.micros_adjacency()[6][1][0][0]
     past[5] = past[5]._replace(x=1 - past[5].x, points_to=frozenset(), g0=2**70, g1=-(2**70))
+    cols = _Columns()
     for regs in (fits, past, fits, past, fits):
-        kept = None if net._register_columns is None else list(net._register_columns.regs)
-        assert_event_matches_reference(net, list(regs), net.nodes(), rule, cutset)
+        kept = None if cols.regs is None else list(cols.regs)
+        assert_event_matches_reference(net, list(regs), net.nodes(), rule, cutset, cols)
         if rule == "activate":
             if regs is past:  # the columns still describe the list before
-                assert all(a is b for a, b in zip(net._register_columns.regs, kept))
-            assert_columns_describe_their_list(net)
+                assert all(a is b for a, b in zip(cols.regs, kept))
+            assert_columns_describe_their_list(net, cols)
     assert ran == ([True, False, True, False, True] if rule == "activate" else [])
 
 
@@ -1302,9 +1473,9 @@ def test_steps_run_only_units_that_are_not_clean_and_match_full_events(data):
     handed: list = []
     real = engine.apply_event
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         handed.append(args[2])
-        return real(*args)
+        return real(*args, **kwargs)
 
     events = steps(net, regs, rule, SCHEDULERS[name](seed), cutset, random.Random(seed), temperature)
     full = steps_in_full(net, full_regs, rule, SCHEDULERS[name](seed), cutset, random.Random(seed), temperature)

@@ -284,6 +284,26 @@ def test_micros_adjacency_is_built_once_from_the_weights():
         assert net.half_edges().degree[i] == len(ids)
 
 
+@pytest.mark.parametrize("net", [random_network("sparse", 12, m=3, seed=4), Network(3)], ids=["sparse", "edgeless"])
+def test_every_half_edge_array_refuses_a_write(net):
+    # every run on a net reads its half-edges, so none may write them
+    half_edges = net.half_edges()
+    arrays = {name: value for name, value in vars(half_edges).items() if name != "max_degree"}
+    assert len(arrays) == 8
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert net.half_edges() is half_edges
+
+
+@pytest.mark.parametrize("i", [-1, 0, 6])
+def test_bias_and_neighbors_refuse_an_id_outside_the_nodes(i):
+    net = fig1()  # n = 5; -1 used to read node 5 and 0 the empty row
+    for method in (net.bias, net.neighbors):
+        with pytest.raises(ValueError, match=rf"node {i} outside 1\.\.5"):
+            method(i)
+
+
 def test_serialize_round_trip_fixtures():
     for net in (fig1(), example51()):
         assert parse_network(serialize_network(net)) == net
