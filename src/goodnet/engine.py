@@ -19,12 +19,15 @@ pass through CSR arrays built from it.  The per-unit steps hand each
 unit's new field values to one commit: one tuple compare with the
 register, and on a difference a delta per changed field and a new
 register.  The array pass keeps the run's registers as columns
-(`_Columns`, made by `steps`), reads again only the registers that are
-not the objects of the list they describe, and commits from them: its
-new columns compared with the kept ones give each unit's changed fields,
-so a delta per changed field and a new register per changed unit.  The
-network holds no run's state, so any number of runs and threads may
-share one.
+(`_Columns`, made by `steps`): x, g0, g1 and one parent per node, the one
+id a register points at (0 for none).  It reads again only the registers
+that are not the objects of the list the columns describe, and refuses,
+to the per-unit path, a register with per-neighbor pairs, two or more
+pointers or a pointer off its neighbors; a unit holds at most one pointer
+once it ran.  It commits from the columns: its new block compared with
+the kept one gives each unit's changed fields, so a delta per changed
+field and a new register per changed unit.  The network holds no run's
+state, so any number of runs and threads may share one.
 
 `steps` is the one loop that turns a scheduler into events; `run` and the
 negative-result demos consume it, and only a traced run attaches `_traced`.
@@ -175,48 +178,51 @@ def _commit(regs: list, i: int, new: tuple, deltas: list) -> None:
 
 @dataclass(slots=True, eq=False)
 class _Columns:
-    """One run's registers as int64 arrays, empty (every field None) until
-    its first array event: `x` per node, `g0` and `g1` as the two rows of
-    `g`, and per half-edge i -> j the `pointer` bit (j in regs[i].points_to).
-    `regs` is a copy of the list they describe, [None] * (n + 1) before the
-    first load; `act` sorts the ids of the last array event, `ids`."""
+    """One run's registers as columns, empty (every field None) until its
+    first array event: `fields` is one (4, n + 1) int64 block whose rows
+    hold each node's x, g0, g1 and parent, the one id in its `points_to`
+    or 0 when that is empty.  `regs` is a copy of the list they describe,
+    [None] * (n + 1) before the first load; `act` sorts the ids of the
+    last array event, `ids`."""
 
     regs: list | None = None
-    x: np.ndarray | None = None
-    g: np.ndarray | None = None
-    pointer: np.ndarray | None = None
+    fields: np.ndarray | None = None
     ids: frozenset | None = None
     act: np.ndarray | None = None
 
 
 def _load_rows(net: Network, cols: _Columns, regs: list, rows: list) -> bool:
     """Read the registers regs[i], i in `rows` (ascending and not empty),
-    into their entries of the columns at an event's start: the one place a
-    register becomes column entries.  Returns False, having written
-    nothing, when one of them holds per-neighbor pairs, a pointer off its
-    node's neighbors or a value past int64."""
+    into their columns of `cols.fields` at an event's start, in one
+    assignment: the one place a register becomes column entries.  Returns
+    False, having written nothing, when one of them holds per-neighbor
+    pairs, two or more pointers, a pointer that does not aim at a neighbor
+    (0 included) or a value past int64.  Such a register runs per unit;
+    only perturbed or hand-built starts hold one, since a unit holds at
+    most one pointer once it ran."""
     adjacency = net.micros_adjacency()
-    units = [regs[i] for i in rows]
-    pointer = [j in r.points_to for i, r in zip(rows, units) for j, _ in adjacency[i][1]]
-    # a pointer bit per neighbor in points_to, so fewer bits than ids means one aims off the neighbors
-    if any(r.cutset_g1 is not None for r in units) or sum(pointer) != sum(len(r.points_to) for r in units):
-        return False
+    fields = []
+    for i in rows:
+        r = regs[i]
+        if r.cutset_g1 is not None or len(r.points_to) > 1:
+            return False
+        (p,) = r.points_to or (0,)
+        if r.points_to and not any(j == p for j, _ in adjacency[i][1]):  # 0 is no node's neighbor
+            return False
+        fields.append((r.x, r.g0, r.g1, p))
     try:
-        fields = np.array([(r.x, r.g0, r.g1) for r in units], dtype=np.int64).T
+        cols.fields[:, rows] = np.array(fields, dtype=np.int64).T
     except OverflowError:
         return False
-    loaded = np.zeros(net.n + 1, dtype=bool)
-    loaded[rows] = True
-    cols.pointer[loaded[net.half_edges().src]] = pointer  # masks take values in ascending order
-    cols.x[rows], cols.g[:, rows] = fields[0], fields[1:]
     return True
 
 
-def _in_units(order, n: int):
-    """An event's sorted ids `order`, or ValueError when an end lies outside 1..n."""
-    if len(order) and (order[0] < 1 or order[-1] > n):
-        raise ValueError(f"event names node {int(order[0] if order[0] < 1 else order[-1])}, outside the units 1..{n}")
-    return order
+def _check_ends(lo, hi, n: int) -> None:
+    """ValueError naming an event's smallest id `lo` or its largest `hi`
+    when it lies outside 1..n, or `lo` when it is a bool: a set of ids in
+    1..n can hold True only as its smallest."""
+    if lo < 1 or hi > n or lo is True:
+        raise ValueError(f"event names node {hi if 1 <= lo and lo is not True else lo}, outside the units 1..{n}")
 
 
 def _array_event(net: Network, regs: list, ids: frozenset[int], cols: _Columns) -> tuple | None:
@@ -227,77 +233,70 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], cols: _Columns) 
     the per-unit rule steps of :mod:`goodnet.rules`, which stay the
     specification.  The registers that are not the objects of the list
     the run's columns `cols` last described (every one on the run's first
-    array event) are read into them (`_load_rows`).  The commit diffs columns:
-    `new_x != x`, `new_g0 != g0`, `new_g1 != g1` and the rows whose
-    pointer bits moved name each active unit's changed fields, turned
-    into Python lists once, and a moved unit's new `points_to` is its
-    entry of one parent vector (`tree_direct_step` gives a unit at most
-    one new pointer; 0 stands for none).  No register is compared, and
-    the changed units are written back from the event's own columns.
-    Every array value is bounded by 2*(maxdeg+1)*max|g| +
-    2*magnitude*max|x| micros, checked on the columns on every event.  It
-    returns None, and the event runs per unit, when that bound reaches
-    `INT64_SCAN_MAX_MICROS` (2**62) or a register does not load: one with
-    per-neighbor pairs, a pointer off its neighbors or a value past int64.
-    A net whose 2*magnitude alone reaches it returns None before any
-    array or column is built.
+    array event) are read into them (`_load_rows`).  A unit keeps one
+    parent (0 for none), so unit j points at its neighbor i when
+    `parent[j] == i`, and `tree_direct_step` gives each unit at most one
+    new parent.  The event computes its new x, g0, g1 and parent as one
+    block shaped like `cols.fields`, and the commit diffs the two: `new
+    != fields` names each active unit's changed fields, turned into
+    Python lists once, and a moved unit's new `points_to` is its new
+    parent.  No register is compared, and the changed units' columns are
+    written back in one assignment.  Every array value is bounded by
+    2*(maxdeg+1)*max|g| + 2*magnitude*max|x| micros, checked on the
+    columns on every event.  It returns None, and the event runs per unit,
+    when that bound reaches `INT64_SCAN_MAX_MICROS` (2**62) or a register
+    does not load (see `_load_rows`).  A net whose 2*magnitude alone
+    reaches it returns None before any array or column is built.
     """
     if 2 * (magnitude := net.magnitude_micros()) >= INT64_SCAN_MAX_MICROS:
         return None
     he = net.half_edges()
     n = net.n
     if cols.regs is None:  # the run's first array event: no register is kept, so the load below reads every one
-        cols.regs, cols.x, cols.g = [None] * (n + 1), np.zeros(n + 1, dtype=np.int64), np.zeros((2, n + 1), dtype=np.int64)
-        cols.pointer = np.zeros(len(he.dst), dtype=bool)
+        cols.regs, cols.fields = [None] * (n + 1), np.zeros((4, n + 1), dtype=np.int64)
     if cols.regs != regs:
         if not _load_rows(net, cols, regs, [i for i, (kept, r) in enumerate(zip(cols.regs, regs)) if kept is not r]):
             return None  # the rows keep their old objects in cols.regs, so the next load reads them again
         cols.regs[:] = regs
-    x, g, pointer = cols.x, cols.g, cols.pointer
-    g0, g1 = g
+    fields = cols.fields
+    x, g0, g1, parent = fields
+    g = fields[1:3]
     g_max = max(int(g.max()), -int(g.min()))
     x_max = max(1, int(x.max()), -int(x.min()))
     if 2 * (he.max_degree + 1) * g_max + 2 * magnitude * x_max >= INT64_SCAN_MAX_MICROS:
         return None
-    w, bias, src, dst, rev = he.w, he.bias, he.src, he.dst, he.rev
+    w, bias, src, dst = he.w, he.bias, he.src, he.dst
     if ids is not cols.ids:  # sync-all hands out one frozenset per run, so its events sort once
-        cols.ids, cols.act = ids, _in_units(np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids))), n)
+        _check_ends(min(ids), max(ids), n)  # before numpy reads an id, which may not fit int64
+        cols.ids, cols.act = ids, np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
     act = cols.act
 
-    points_at_me = pointer[rev]
+    points_at_me = parent[dst] == src
     non_pointing = he.degree - he.row_sums(points_at_me)
     # tree_direct_step: point at the only non-pointing neighbor, so a unit
-    # has at most one new pointer: its parent, 0 for none
+    # has at most one new pointer: its new parent, 0 for none
     new_pointer = ~points_at_me & (non_pointing == 1)[src]
     child = src[new_pointer]
-    parent, parent_w = np.zeros((2, n + 1), dtype=np.int64)
-    parent[child], parent_w[child] = dst[new_pointer], w[new_pointer]
+    new = np.zeros((4, n + 1), dtype=np.int64)  # the event's x, g0, g1 and parent, as the columns
+    new_x, new_g0, new_g1, new_parent = new
+    parent_w = np.zeros(n + 1, dtype=np.int64)
+    new_parent[child], parent_w[child] = dst[new_pointer], w[new_pointer]
     # goodness_step
     s0 = he.row_sums(np.where(points_at_me, g0[dst], 0))
     s1 = he.row_sums(np.where(points_at_me, g1[dst], 0)) + bias
-    new_g0 = np.maximum(s0, s1)
-    new_g1 = np.maximum(s0, s1 + parent_w)
+    np.maximum(s0, s1, out=new_g0)
+    np.maximum(s0, s1 + parent_w, out=new_g1)
     # activation_step: the threshold rule on units off the tree
     threshold = he.row_sums(w * x[dst]) + bias >= 0
-    tree = s1 - s0 + parent_w * x[parent] >= 0
-    new_x = np.where(non_pointing > 1, threshold, tree).astype(np.int64)
+    tree = s1 - s0 + parent_w * x[new_parent] >= 0
+    new_x[:] = np.where(non_pointing > 1, threshold, tree)
 
     # the commit: the columns hold the registers' fields, so their compares are the deltas
-    dx, dg0, dg1 = new_x != x, new_g0 != g0, new_g1 != g1
-    moved = he.row_sums(new_pointer != pointer) > 0
-    changed = act[(dx | dg0 | dg1 | moved)[act]]
+    diff = new != fields
+    changed = act[diff.any(axis=0)[act]]
+    new, diff = new[:, changed], diff[:, changed]
     deltas: list = []
-    for i, xi, g0i, g1i, p, cx, c0, c1, mv in zip(
-        changed.tolist(),
-        new_x[changed].tolist(),
-        new_g0[changed].tolist(),
-        new_g1[changed].tolist(),
-        parent[changed].tolist(),
-        dx[changed].tolist(),
-        dg0[changed].tolist(),
-        dg1[changed].tolist(),
-        moved[changed].tolist(),
-    ):
+    for i, (xi, g0i, g1i, p), (cx, c0, c1, mv) in zip(changed.tolist(), new.T.tolist(), diff.T.tolist()):
         if cx:
             deltas.append((i, "x", xi))
         if c0:
@@ -312,12 +311,7 @@ def _array_event(net: Network, regs: list, ids: frozenset[int], cols: _Columns) 
         regs[i] = _tuple_new(ActivationRegister, (xi, g0i, g1i, points_to, None))
 
     # write the changed units back from the event's columns
-    written = np.zeros(n + 1, dtype=bool)
-    written[changed] = True
-    np.copyto(x, new_x, where=written)
-    np.copyto(g0, new_g0, where=written)
-    np.copyto(g1, new_g1, where=written)
-    np.copyto(pointer, new_pointer, where=written[src])
+    fields[:, changed] = new
     cols.regs[:] = regs
     return tuple(deltas)
 
@@ -338,8 +332,8 @@ def apply_event(
     Mutates the register list in place (only at the activated indices
     whose fields changed; every other register stays the same object)
     and returns the field-level deltas, ordered by node id and then by
-    field (x, g0, g1, points_to, cutset_g1).  An id outside 1..n raises
-    ValueError before any register changes.
+    field (x, g0, g1, points_to, cutset_g1).  An id outside 1..n, or a
+    bool, raises ValueError before any register changes.
 
     An activate event with an empty cutset and at least ARRAY_MIN_UNITS
     + n // 12 units runs as one array pass (`_array_event`) on `columns`,
@@ -354,13 +348,15 @@ def apply_event(
     deltas: list = []
     if len(ids) == 1:
         (i,) = ids
-        if 1 <= i <= net.n:  # a singleton outside 1..n goes on, to be refused below
+        if 1 <= i <= net.n and i is not True:  # a singleton outside 1..n, or True, goes on, to be refused below
             _commit(regs, i, _unit_update(net, regs, i, rule, cutset, rng, temperature), deltas)
             return tuple(deltas)
     if _takes_array_pass(net, rule, cutset, ids):
         if (array := _array_event(net, regs, ids, _Columns() if columns is None else columns)) is not None:
             return array
-    updates = {i: _unit_update(net, regs, i, rule, cutset, rng, temperature) for i in _in_units(sorted(ids), net.n)}
+    if order := sorted(ids):
+        _check_ends(order[0], order[-1], net.n)
+    updates = {i: _unit_update(net, regs, i, rule, cutset, rng, temperature) for i in order}
     for i, new in updates.items():
         _commit(regs, i, new, deltas)
     return tuple(deltas)
@@ -457,7 +453,8 @@ def assignment_of(regs: Sequence) -> tuple[int, ...]:
 
 def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=frozenset(), rng=None, temperature=None) -> Iterator:
     """Apply `scheduler`'s events to `regs` in place, without end, yielding each
-    `(ids, deltas)`; an empty event or one outside 1..n raises ValueError first.
+    `(ids, deltas)`; an empty event, one outside 1..n or one holding a bool
+    raises ValueError first.
 
     `regs` may change only through these events, since a per-unit flag
     records which units are dirty.  Every unit starts dirty; running a unit
@@ -492,6 +489,7 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
             yield ids, deltas
             continue
         else:
+            _check_ends(min(ids), n, n)  # ids <= units holds, so only True fails: a clean unit 1 would keep it from apply_event
             active = [i for i in ids if dirty[i]]
             if not active:
                 yield ids, ()

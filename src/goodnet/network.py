@@ -49,15 +49,16 @@ class HalfEdges:
 
     Row i (row 0 is empty) holds the ``degree[i]`` half-edges out of i,
     to its neighbors in ascending id order, as in `Network.micros_adjacency`:
-    half-edge e runs ``src[e] -> dst[e]`` with weight ``w[e]`` in micros
-    and ``rev[e]`` is the half-edge ``dst[e] -> src[e]``.  ``bias`` holds
-    the node biases in micros.  Every array is int64 and read-only.
+    half-edge e runs ``src[e] -> dst[e]`` with weight ``w[e]`` in micros.
+    ``bias`` holds the node biases in micros.  Every array is int64 and
+    read-only.  The array pass keeps a unit's pointer as one parent per
+    node, so half-edge e leads to a unit that points back at ``src[e]``
+    when ``parent[dst[e]] == src[e]``.
     """
 
     src: np.ndarray
     dst: np.ndarray
     w: np.ndarray
-    rev: np.ndarray
     bias: np.ndarray
     degree: np.ndarray
     max_degree: int
@@ -184,15 +185,10 @@ class Network:
             degree = np.array([len(a) for _, a in adj], dtype=np.int64)
             indptr = np.zeros(n + 2, dtype=np.int64)
             np.cumsum(degree, out=indptr[1:])
-            src = np.repeat(np.arange(n + 1, dtype=np.int64), degree)
-            dst = np.array([j for _, a in adj for j, _ in a], dtype=np.int64)
-            # (src, dst) keys ascend along the half-edges, so each reverse is one search
-            rev = np.searchsorted(src * (n + 1) + dst, dst * (n + 1) + src)
             arrays = dict(
-                src=src,
-                dst=dst,
+                src=np.repeat(np.arange(n + 1, dtype=np.int64), degree),
+                dst=np.array([j for _, a in adj for j, _ in a], dtype=np.int64),
                 w=np.array([w for _, a in adj for _, w in a], dtype=np.int64),
-                rev=rev,
                 bias=np.array([b for b, _ in adj], dtype=np.int64),
                 degree=degree,
                 _nonempty=degree > 0,

@@ -118,15 +118,12 @@ class FairExclusion(Scheduler):
     def __init__(self, seed: int):
         self._rng = seeded_rng(seed, "fair-excl")
         self._step = 0
-        self._cursor = 0
 
     def next_set(self, n: int) -> frozenset[int]:
-        forced = self._step % 2 == 1
+        step = self._step
         self._step += 1
-        if forced:
-            pick = self._cursor % n + 1
-            self._cursor += 1
-            return frozenset({pick})
+        if step % 2:  # the (step // 2)-th forced singleton
+            return frozenset({step // 2 % n + 1})
         size = self._rng.randint(1, n)
         return frozenset(self._rng.sample(range(1, n + 1), size))
 

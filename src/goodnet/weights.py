@@ -52,14 +52,9 @@ def parse_micros(text: str) -> int:
     sign = whole[:1]
     if sign == "-" or sign == "+":
         whole = whole[1:]
-    if point and not is_ascii_digits(frac):
+    if not is_ascii_digits(whole) or point and not is_ascii_digits(frac):
         raise ValueError(f"malformed number: {text!r}")
-    try:
-        micros = parse_digits(whole, "whole part") * SCALE
-    except ValueError as err:
-        if str(err).startswith("bad "):  # not a digit run; a too-long one keeps its own refusal
-            raise ValueError(f"malformed number: {text!r}") from None
-        raise
+    micros = parse_digits(whole, "whole part") * SCALE  # refuses a digit run past MAX_DIGITS
     if len(frac) > 6:
         raise ValueError(f"more than 6 fractional digits: {text!r}")
     if point:

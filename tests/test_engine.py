@@ -687,7 +687,17 @@ def test_events_outside_the_units_are_refused_before_any_register_changes(ids, m
     start = list(regs)
     bad = [49 if i == 6 else i for i in outside]
     event = frozenset(big.nodes()) | set(bad)
-    raised = []
+    raised = array_pass_refusals(monkeypatch)
+    with pytest.raises(ValueError, match=rf"node {bad[0]}, outside the units 1\.\.48"):
+        apply_event(big, regs, event, "activate")
+    assert raised == [event]
+    assert all(new is old for new, old in zip(regs, start, strict=True))
+
+
+def array_pass_refusals(monkeypatch) -> list:
+    """Patch engine._array_event to log the ids of each event it raises
+    ValueError on."""
+    raised: list = []
     real = engine._array_event
 
     def array_event(*args):
@@ -698,9 +708,75 @@ def test_events_outside_the_units_are_refused_before_any_register_changes(ids, m
             raise
 
     monkeypatch.setattr(engine, "_array_event", array_event)
-    with pytest.raises(ValueError, match=rf"node {bad[0]}, outside the units 1\.\.48"):
-        apply_event(big, regs, event, "activate")
-    assert raised == [event]
+    return raised
+
+
+def assert_apply_event_refuses(net, ids, named, rule="activate", cutset=frozenset(), **boltzmann):
+    """`apply_event` on random registers raises the ValueError naming the
+    id `named` and 1..n, through the array pass when `ids` is array-sized,
+    and changes no register."""
+    regs = initial_registers(net, "random", cutset, seed=2)
+    start = list(regs)
+    with pytest.raises(ValueError, match=rf"node {named}, outside the units 1\.\.{net.n}$"):
+        apply_event(net, regs, frozenset(ids), rule, cutset, **boltzmann)
+    assert all(new is old for new, old in zip(regs, start, strict=True))
+
+
+@pytest.mark.parametrize("path", ["singleton", "per-unit", "array"])
+def test_an_id_past_int64_is_refused_by_name_on_every_path(path, monkeypatch):
+    # numpy cannot read 2**70 as an int64 id, so the array pass checks the
+    # ends of an event before it does
+    net = random_network("sparse", 48, m=6, seed=5)
+    raised = array_pass_refusals(monkeypatch)
+    ids = {"singleton": {2**70}, "per-unit": {1, 2**70}, "array": set(net.nodes()) | {2**70}}[path]
+    assert_apply_event_refuses(net, ids, 2**70)
+    assert raised == ([frozenset(ids)] if path == "array" else [])
+
+
+@pytest.mark.parametrize("path", ["singleton", "mixed", "array"])
+@pytest.mark.parametrize("rule", RULES)
+def test_a_bool_id_is_refused_by_name_on_every_path(path, rule, monkeypatch):
+    # True == 1 passes every range check, so it is refused by its type:
+    # a set of ids in 1..n holds True only as its smallest.  Only an
+    # activate event reaches the array pass
+    net = random_network("sparse", 48, m=6, seed=5)
+    raised = array_pass_refusals(monkeypatch)
+    ids = {"singleton": {True}, "mixed": {True, 3}, "array": (set(net.nodes()) - {1}) | {True}}[path]
+    assert True in ids and all(type(i) is not bool for i in ids - {1})
+    cutset = frozenset({4}) if rule == "activate-with-cutset" else frozenset()
+    boltzmann = {"rng": random.Random(1), "temperature": W(1)} if rule == "boltzmann" else {}
+    assert_apply_event_refuses(net, ids, True, rule, cutset, **boltzmann)
+    assert raised == ([frozenset(ids)] if path == "array" and rule == "activate" else [])
+
+
+class Scripted(Scheduler):
+    """Hands out `sets` in turn, then the last one again."""
+
+    def __init__(self, *sets):
+        self.sets = [frozenset(ids) for ids in sets]
+        self.calls = 0
+
+    def next_set(self, n: int) -> frozenset[int]:
+        self.calls += 1
+        return self.sets[min(self.calls, len(self.sets)) - 1]
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("sets", [[{True}], [{1}, {True, 3}], [{True, 2, 3}]], ids=["true", "clean-1-then-true-3", "true-2-3"])
+def test_a_scheduler_that_yields_a_bool_id_is_refused_before_any_register_changes(rule, sets):
+    # in [{1}, {True, 3}] unit 1 is clean at the second event, so steps
+    # would hand apply_event only unit 3 and yield the ids with True in them
+    net = fig1()
+    temperature = W(1) if rule == "boltzmann" else None
+    with pytest.raises(ValueError, match=r"True"):
+        run(net, rule, Scripted(*sets), seed=1, temperature=temperature, collect_trace=lambda ev: None)
+    regs = initial_registers(net, "random", seed=1)
+    events = steps(net, regs, rule, Scripted(*sets), rng=random.Random(1), temperature=temperature)
+    for _ in sets[:-1]:
+        next(events)
+    start = list(regs)
+    with pytest.raises(ValueError, match=r"node True, outside the units 1\.\.5$"):
+        next(events)
     assert all(new is old for new, old in zip(regs, start, strict=True))
 
 
@@ -927,17 +1003,22 @@ def assert_event_matches_reference(net, regs, ids, rule, cutset, cols=None):
 
 
 def assert_columns_describe_their_list(net, cols):
-    """The columns `cols` are int64 and hold the registers of the list
-    they name, `cols.regs`, field for field (None names no register yet);
-    none of those registers has per-neighbor pairs."""
+    """The columns `cols` are one int64 block and hold the registers of
+    the list they name, `cols.regs`, field for field (None names no
+    register yet): x, g0, g1, and a parent that is the one id the register
+    points at, or 0 for none, and so on each half-edge i -> j is j exactly
+    when j is in regs[i].points_to.  None of those registers has
+    per-neighbor pairs."""
     regs, he = cols.regs, net.half_edges()
-    assert all(c.dtype == np.int64 for c in (cols.x, cols.g))
+    assert cols.fields.dtype == np.int64 and cols.fields.shape == (4, net.n + 1)
+    x, g0, g1, parent = cols.fields.tolist()
     for i in net.nodes():
         if regs[i] is not None:
-            assert (cols.x[i], cols.g[0, i], cols.g[1, i], regs[i].cutset_g1) == (regs[i].x, regs[i].g0, regs[i].g1, None)
-    for e, (i, j) in enumerate(zip(he.src.tolist(), he.dst.tolist())):
+            assert (x[i], g0[i], g1[i], regs[i].cutset_g1) == (regs[i].x, regs[i].g0, regs[i].g1, None)
+            assert regs[i].points_to == (frozenset({parent[i]}) if parent[i] else frozenset())
+    for i, j in zip(he.src.tolist(), he.dst.tolist()):
         if regs[i] is not None:
-            assert cols.pointer[e] == (j in regs[i].points_to)
+            assert (parent[i] == j) == (j in regs[i].points_to)
 
 
 def array_events_run(monkeypatch) -> list:
@@ -954,10 +1035,11 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
     # five links into node 1.  At scale 10**12 (3e12 links) every weight
     # fits in int64 but the sums pass 2**63: 2 * magnitude alone reaches
     # the bound, so every event runs per unit before the array pass builds
-    # its CSR arrays or columns.  At scale 1 only the bounded registers
-    # go per unit: the array pass runs again, on columns that stayed int64,
-    # as the register lists alternate and as the bounded goodness settles.
-    # Hopfield and cutset events never reach the array pass
+    # its CSR arrays or columns.  At scale 1 the bounded registers go per
+    # unit, and so does each perturbed list's first event, since node 1
+    # starts with three pointers: the array pass runs again, on columns
+    # that stayed int64, as the register lists alternate and as the bounded
+    # goodness settles.  Hopfield and cutset events never reach the array pass
     monkeypatch.setattr(engine, "ARRAY_MIN_UNITS", 0)  # every event on these 6 nodes tries the array pass
     ran = array_events_run(monkeypatch)
     for scale in (10**12, 1):
@@ -983,7 +1065,7 @@ def test_array_pass_sums_past_int64_stay_exact(rule, monkeypatch):
             assert ran == [False] * 9 and net._half_edges is None and cols.regs is None
         else:
             assert net.half_edges().w.dtype == np.int64
-            assert ran[:3] == [True, True, False] and ran[-2:] == [True, True]
+            assert ran[:3] == [False, True, False] and ran[-2:] == [False, True]
             assert any(ran[3:7])
 
 
@@ -1245,22 +1327,34 @@ def test_a_register_past_int64_runs_its_event_per_unit(rule, monkeypatch):
     assert ran == ([True, False, True, False, True] if rule == "activate" else [])
 
 
-@pytest.mark.parametrize("case", ["hopfield", "activate-with-cutset", "cutset", "stray-pointer", "pairs", "past-int64"])
+ARRAY_PASS_CASES = ["hopfield", "activate-with-cutset", "cutset", "loadable", "stray-pointer", "two-pointers", "zero-pointer", "pairs", "past-int64"]
+
+
+@pytest.mark.parametrize("case", ARRAY_PASS_CASES)
 def test_only_activate_events_without_a_cutset_and_loadable_registers_take_the_array_pass(case, monkeypatch):
-    # one synchronous event over 48 units, past the cutoff of 16 + 48 // 12:
-    # hopfield and cutset-rule events, and activate events with a cutset,
-    # never call the array pass; activate events on a register with a
-    # pointer at a non-neighbor, with pairs outside the cutset or with a
-    # value past int64 call it and get None.  Each runs per unit, and the
-    # next activate event on registers a run produced takes the pass again
+    # one synchronous event over 48 units, past the cutoff of 16 + 48 // 12,
+    # on perturbed registers cut to at most one pointer each: hopfield and
+    # cutset-rule events, and activate events with a cutset, never call the
+    # array pass; an activate event takes it, but one on a register with a
+    # pointer at a non-neighbor, two pointers, a pointer at 0, pairs
+    # outside the cutset or a value past int64 calls it and gets None.
+    # Each of those runs per unit, and the next activate event on
+    # registers a run produced takes the pass again
     net = random_network("sparse", 48, m=6, seed=5)
     rule = case if case in ("hopfield", "activate-with-cutset") else "activate"
     cutset = greedy_cutset(net).members if case in ("activate-with-cutset", "cutset") else frozenset()
     assert cutset or case not in ("activate-with-cutset", "cutset")
     regs = perturb(net, initial_registers(net, "zeros", cutset if rule == "activate-with-cutset" else frozenset()), 3)
-    stray = next(j for j in net.nodes() if j != 7 and j not in dict(net.neighbors(7)))
+    regs[1:] = [r._replace(points_to=frozenset(sorted(r.points_to)[:1])) for r in regs[1:]]
+    neighbors = [j for j, _ in net.neighbors(7)]
+    stray = next(j for j in net.nodes() if j != 7 and j not in neighbors)
     if case == "stray-pointer":
-        regs[7] = regs[7]._replace(points_to=regs[7].points_to | {stray})
+        regs[7] = regs[7]._replace(points_to=frozenset({stray}))
+    elif case == "two-pointers":
+        regs[7] = regs[7]._replace(points_to=frozenset(neighbors[:2]))
+        assert len(regs[7].points_to) == 2
+    elif case == "zero-pointer":
+        regs[7] = regs[7]._replace(points_to=frozenset({0}))
     elif case == "pairs":
         regs[7] = regs[7]._replace(cutset_g1=tuple((j, 5 * 10**6) for j, _ in net.neighbors(7)))
     elif case == "past-int64":
@@ -1269,10 +1363,60 @@ def test_only_activate_events_without_a_cutset_and_loadable_registers_take_the_a
     ids = frozenset(net.nodes())
     assert len(ids) >= engine.ARRAY_MIN_UNITS + net.n // 12
     assert_event_matches_reference(net, regs, ids, rule, cutset)
-    assert ran == ([False] if takes_array_pass(rule, cutset) else [])
+    assert ran == ([case == "loadable"] if takes_array_pass(rule, cutset) else [])
     produced = run(net, "activate", CentralRoundRobin(), init="random", seed=4, max_passes=1).registers
     assert_event_matches_reference(net, produced, ids, "activate", frozenset())
     assert ran[-1] is True
+
+
+def loads_as_a_parent(net, i, reg) -> bool:
+    """Whether the array pass can hold register `reg` of node i as one
+    parent column entry: no per-neighbor pairs and at most one pointer,
+    at a neighbor."""
+    return reg.cutset_g1 is None and len(reg.points_to) <= 1 and reg.points_to <= {j for j, _ in net.neighbors(i)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_registers_without_one_parent_run_per_unit_until_each_holds_one(data):
+    # registers with two or more pointers, a pointer at 0 or a pointer at
+    # a node that is not a neighbor have no one parent to load: every
+    # array-sized event on a list holding one runs per unit, and equals the
+    # reference.  An event over every unit leaves each with at most one
+    # pointer, at a neighbor, and the next array-sized event takes the pass
+    n = data.draw(st.integers(17, 40))
+    net = random_network("sparse", n, m=data.draw(st.integers(0, 6)), seed=data.draw(st.integers(0, 2**32 - 1)))
+    seed = data.draw(st.integers(0, 2**16))
+    regs = initial_registers(net, "random", seed=seed)
+    if data.draw(st.booleans()):
+        regs = perturb(net, regs, seed)
+    for i in data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4)):
+        nbs = [j for j, _ in net.neighbors(i)]
+        strays = [j for j in net.nodes() if j != i and j not in nbs]
+        kinds = ["zero"] + ["two"] * (len(nbs) >= 2) + ["stray"] * bool(strays)
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "zero":
+            points = frozenset({0}) | data.draw(st.frozensets(st.sampled_from(nbs), max_size=1) if nbs else st.just(frozenset()))
+        elif kind == "two":
+            points = frozenset(data.draw(st.lists(st.sampled_from(nbs), min_size=2, max_size=3, unique=True)))
+        else:
+            points = frozenset({data.draw(st.sampled_from(strays))})
+        regs[i] = regs[i]._replace(points_to=points)
+    with pytest.MonkeyPatch.context() as patch:  # not the monkeypatch fixture, which every hypothesis example would share
+        ran = array_events_run(patch)
+        cols = _Columns()
+        units = st.integers(1, n)
+        small = n - engine.ARRAY_MIN_UNITS - n // 12  # the most units an array-sized event may leave out
+        for _ in range(data.draw(st.integers(1, 4))):
+            ids = frozenset(net.nodes()) - data.draw(st.frozensets(units, max_size=small))
+            loads = all(loads_as_a_parent(net, i, regs[i]) for i in net.nodes())
+            assert_event_matches_reference(net, regs, ids, "activate", frozenset(), cols)
+            assert ran[-1] is loads
+        assert_event_matches_reference(net, regs, net.nodes(), "activate", frozenset(), cols)
+        assert all(loads_as_a_parent(net, i, regs[i]) for i in net.nodes())
+        assert_event_matches_reference(net, regs, frozenset(net.nodes()) - data.draw(st.frozensets(units, max_size=small)), "activate", frozenset(), cols)
+        assert ran[-1] is True
+        assert_columns_describe_their_list(net, cols)
 
 
 def test_registers_are_immutable():

@@ -245,7 +245,7 @@ def test_network_copies_and_pickles(clone):
     assert twin.micros_adjacency() == adjacency and twin.micros_adjacency() is not adjacency
     twin_half_edges = twin.half_edges()
     assert twin_half_edges is not half_edges
-    assert twin_half_edges.rev.tolist() == half_edges.rev.tolist()
+    assert twin_half_edges.src.tolist() == half_edges.src.tolist()
     assert twin_half_edges.dst.tolist() == half_edges.dst.tolist()
 
 
@@ -289,7 +289,7 @@ def test_every_half_edge_array_refuses_a_write(net):
     # every run on a net reads its half-edges, so none may write them
     half_edges = net.half_edges()
     arrays = {name: value for name, value in vars(half_edges).items() if name != "max_degree"}
-    assert len(arrays) == 8
+    assert len(arrays) == 7
     for name, array in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
