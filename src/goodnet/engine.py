@@ -343,8 +343,11 @@ def apply_event(
     does not load, runs the rule steps of :mod:`goodnet.rules` one unit at
     a time; boltzmann's per-unit random draws keep their order.  Of an
     event of two or more units on the per-unit path, under any rule but
-    boltzmann, `steps` hands over only the dirty units.
+    boltzmann, `steps` hands over only the dirty units.  A rule outside
+    RULES raises ValueError before any register changes.
     """
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     deltas: list = []
     if len(ids) == 1:
         (i,) = ids
@@ -453,8 +456,9 @@ def assignment_of(regs: Sequence) -> tuple[int, ...]:
 
 def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=frozenset(), rng=None, temperature=None) -> Iterator:
     """Apply `scheduler`'s events to `regs` in place, without end, yielding each
-    `(ids, deltas)`; an empty event, one outside 1..n or one holding a bool
-    raises ValueError first.
+    `(ids, deltas)`; a rule outside RULES raises ValueError before the
+    first event, and an empty event, one outside 1..n or one holding a
+    bool raises it before any register changes.
 
     `regs` may change only through these events, since a per-unit flag
     records which units are dirty.  Every unit starts dirty; running a unit
@@ -468,6 +472,8 @@ def steps(net: Network, regs: list, rule: str, scheduler: Scheduler, cutset=froz
     every unit dirty: the pass computes every node anyway, and boltzmann's
     random draws keep their order.  A singleton runs its unit.  The yielded
     `ids` are the scheduled ones, and the deltas those of the whole event."""
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     n = net.n
     columns = _Columns()
     units = frozenset(net.nodes())

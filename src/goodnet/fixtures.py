@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Iterable, Sequence
 
 from .network import MAX_NODES, Network
 from .schedulers import seeded_rng
@@ -106,49 +105,23 @@ def fixture(name: str) -> Network:
     raise ValueError(f"unknown fixture {name!r}")
 
 
-class _AbsentPairs(Sequence):
-    """The node pairs (i, j), i < j, that are not tree edges, in
-    lexicographic order, indexed without being listed.
-
-    Row i holds the pairs (i, j) for j > i except i's tree children; an
-    index is found by bisecting the running row lengths, then stepping
-    over the row's children that lie at or below the candidate j.
-    """
-
-    def __init__(self, n: int, tree_edges: Iterable[tuple[int, int]]):
-        children: list[list[int]] = [[] for _ in range(n + 1)]
-        for parent, child in tree_edges:
-            children[parent].append(child)
-        self._children = [sorted(c) for c in children]
-        self._ends = list(itertools.accumulate(n - i - len(self._children[i]) for i in range(1, n + 1)))
-
-    def __len__(self) -> int:
-        return self._ends[-1]
-
-    def __getitem__(self, k: int) -> tuple[int, int]:
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        row = bisect.bisect_right(self._ends, k)
-        i = row + 1
-        j = i + 1 + k - (self._ends[row - 1] if row else 0)
-        for child in self._children[i]:
-            if child > j:
-                break
-            j += 1
-        return i, j
-
-
 def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
     """Seeded random instance whose weights and biases are integers drawn
     uniformly from -5..5 (both ends included).
 
     kind 'tree' is a uniform random recursive tree and 'sparse' a tree
-    plus m extra edges (so any cycle cutset needs at most m nodes); a
-    'tree' with m != 0 and any other kind raise ValueError.  A 'tree'
-    is the 'sparse' net with m=0 for the same seed.
+    plus m extra edges (so any cycle cutset needs at most m nodes); n < 1,
+    m < 0, more extra edges than absent node pairs, a 'tree' with m != 0
+    and any other kind raise ValueError.  A 'tree' is the 'sparse' net
+    with m=0 for the same seed.  The extra edges are m indices drawn by
+    `random.Random.sample` from range(L), for the L absent pairs (i, j),
+    i < j, in lexicographic order; each index is mapped to its pair
+    without the pairs being listed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if kind not in ("tree", "sparse"):
         raise ValueError(f"unknown network kind {kind!r}")
     if kind == "tree" and m != 0:
@@ -161,10 +134,24 @@ def random_network(kind: str, n: int, m: int = 0, seed: int = 0) -> Network:
     # each tree edge (parent, v), parent < v, draws its parent, then its weight
     edges = {(rng.randint(1, v - 1), v): rw() for v in range(2, n + 1)}
     if m:
-        missing = _AbsentPairs(n, edges)
-        if m > len(missing):
+        # row i of the absent pairs holds (i, j) for j > i except i's tree
+        # children (listed in ascending order, as the tree edges were drawn);
+        # index k is found by bisecting the running row lengths, then
+        # stepping over the row's children at or below the candidate j
+        children: list[list[int]] = [[] for _ in range(n + 1)]
+        for parent, child in edges:
+            children[parent].append(child)
+        ends = list(itertools.accumulate(n - i - len(children[i]) for i in range(1, n + 1)))
+        if m > ends[-1]:
             raise ValueError(f"cannot add {m} extra edges to {n} nodes")
-        for key in rng.sample(missing, m):
-            edges[key] = rw()
+        for k in rng.sample(range(ends[-1]), m):
+            row = bisect.bisect_right(ends, k)
+            i = row + 1
+            j = i + 1 + k - (ends[row - 1] if row else 0)
+            for child in children[i]:
+                if child > j:
+                    break
+                j += 1
+            edges[i, j] = rw()
     bias = [0] + [rw() for _ in range(n)]
     return Network._from_micros(n, edges, bias)

@@ -286,6 +286,8 @@ def parse_network(text: str) -> Network:
     `weights.parse_micros` (ASCII digits, at most six fractional digits)
     straight into the net's int micros, with no `Weight` built.  A repeated bias, a self-loop or a
     duplicate edge is refused.  Each check raises a ParseError naming its line.
+    A line ends only at LF, CR LF or CR, the newlines `open()` reads; any
+    other character `str.splitlines` breaks at is whitespace within a line.
     """
     n = 0
     edges: dict[tuple[int, int], int] = {}
@@ -295,7 +297,9 @@ def parse_network(text: str) -> Network:
     # its id tokens and each is read once; a refused token raises on every
     # line it appears on
     node_id = functools.cache(lambda token: _node_id(token, n))
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
             continue

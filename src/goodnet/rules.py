@@ -206,21 +206,39 @@ def boltzmann_step(view: LocalView, temperature, rng) -> int:
 # legality
 
 
-def _derive_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: set[int], nodes: Iterable[int]) -> None:
-    """Grow ``legal`` to the least fixed point of the legality condition.
+def update_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: set[int], moved: Iterable[int]) -> None:
+    """Carry ``legal``, the least fixed point of the legality condition
+    before the nodes ``moved`` changed their pointers, over to the least
+    fixed point of ``pointers``; from the empty set with every node moved
+    it derives the legal set afresh (`legality_map`).
 
     A node may turn legal when it has at most one pointer, aimed at a
     neighbor (its parent), and every other neighbor (a child) points
-    back at it; it does turn legal once every child is legal.  Each of
-    ``nodes`` (none of them in ``legal``) is examined, and so is the
-    parent of every node that turns legal; an eligible node waits for
-    its children from the leaves up, so mutually-supporting pointer
-    rings never enter.  Nodes left out of ``nodes`` and never reached
-    keep their current membership, so the result is the least fixed
-    point only if every node that can still turn legal is reachable.
+    back at it; it does turn legal once every child is legal.  Only the
+    moved nodes and their neighbors see their own condition change, so
+    legality can flip only on them and on the legal chains above them.
+    Those are cleared, walking up the pointers while the nodes are still
+    legal, and examined again; so is the parent of every node that turns
+    legal.  An eligible node waits for its children from the leaves up,
+    so mutually-supporting pointer rings never enter, and the walk keeps
+    a ring closed by the move out.
     """
     none: frozenset[int] = frozenset()
     adjacency = net.micros_adjacency()
+    seeds = set(moved)
+    if len(seeds) < net.n:  # else every node is a seed already
+        for v in moved:
+            seeds.update([j for j, _ in adjacency[v][1]])
+    cleared = list(seeds)
+    stack = [v for v in seeds if v in legal]
+    legal.difference_update(seeds)
+    while stack:
+        for p in pointers.get(stack.pop(), none):
+            if p in legal:
+                legal.discard(p)
+                cleared.append(p)
+                stack.append(p)
+
     waiting: dict[int, int] = {}  # eligible node -> children not yet legal
     seen: set[int] = set()
     ready: list[int] = []
@@ -243,7 +261,7 @@ def _derive_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: s
             if not missing:
                 ready.append(i)
 
-    for i in nodes:
+    for i in cleared:
         examine(i)
     while ready:
         v = ready.pop()
@@ -259,42 +277,16 @@ def _derive_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: s
                 examine(p)
 
 
-def update_legal(net: Network, pointers: Mapping[int, frozenset[int]], legal: set[int], moved: Iterable[int]) -> None:
-    """Carry ``legal``, the least fixed point before the nodes ``moved``
-    changed their pointers, over to the fixed point of ``pointers``.
-
-    Only the moved nodes and their neighbors see their own condition
-    change, so legality can flip only on them and on the legal chains
-    above them.  Those are cleared, walking up the pointers while the
-    nodes are still legal, and derived again from the leaves up; the
-    walk keeps a pointer ring closed by the move out of the fixed point.
-    """
-    adjacency = net.micros_adjacency()
-    seeds = set(moved)
-    for v in moved:
-        seeds.update([j for j, _ in adjacency[v][1]])
-    cleared = list(seeds)
-    stack = [v for v in seeds if v in legal]
-    legal.difference_update(seeds)
-    while stack:
-        for p in pointers.get(stack.pop(), ()):
-            if p in legal:
-                legal.discard(p)
-                cleared.append(p)
-                stack.append(p)
-    _derive_legal(net, pointers, legal, cleared)
-
-
 def legality_map(net: Network, pointers: Mapping[int, frozenset[int]]) -> set[int]:
     """The legal nodes of a pointer snapshot, in O(n + m) time.
 
     A node is legal if it is a root (points at nobody, every neighbor
     points at it and is legal) or an intermediate (points at exactly one
     neighbor, every other neighbor points at it and is legal).  The set
-    is the least fixed point of that condition (see :func:`_derive_legal`,
-    run here from every node with nothing legal yet), so mutually
-    supporting pointer rings do not count.
+    is the least fixed point of that condition, so mutually supporting
+    pointer rings do not count: :func:`update_legal` from the empty set
+    with every node moved.
     """
     legal: set[int] = set()
-    _derive_legal(net, pointers, legal, net.nodes())
+    update_legal(net, pointers, legal, net.nodes())
     return legal

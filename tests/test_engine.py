@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import threading
 from itertools import islice
 from unittest import mock
@@ -777,6 +778,37 @@ def test_a_scheduler_that_yields_a_bool_id_is_refused_before_any_register_change
     start = list(regs)
     with pytest.raises(ValueError, match=r"node True, outside the units 1\.\.5$"):
         next(events)
+    assert all(new is old for new, old in zip(regs, start, strict=True))
+
+
+@pytest.mark.parametrize("path", ["singleton", "per-unit", "array"])
+@pytest.mark.parametrize("rule", ["hopfeld", "bogus", "Activate"])
+def test_an_unknown_rule_is_refused_before_any_register_changes(path, rule):
+    # an unknown name once ran the tree rule: "hopfeld" on fig1 from zeros
+    # moved unit 1's pointer where hopfield changes only x
+    net = random_network("sparse", 48, m=6, seed=5)
+    ids = frozenset({"singleton": {1}, "per-unit": {1, 2, 3}, "array": set(net.nodes())}[path])
+    assert engine._takes_array_pass(net, "activate", frozenset(), ids) == (path == "array")
+    regs = initial_registers(net, "random", seed=2)
+    start = list(regs)
+    with pytest.raises(ValueError, match=f"^unknown rule {re.escape(repr(rule))}$"):
+        apply_event(net, regs, ids, rule)
+    assert all(new is old for new, old in zip(regs, start, strict=True))
+    regs = initial_registers(fig1(), "zeros")
+    start = list(regs)
+    with pytest.raises(ValueError, match=f"^unknown rule {re.escape(repr(rule))}$"):
+        apply_event(fig1(), regs, frozenset({1}), rule)
+    assert all(new is old for new, old in zip(regs, start, strict=True))
+
+
+def test_steps_refuse_an_unknown_rule_before_the_first_event():
+    net = fig1()
+    regs = initial_registers(net, "zeros")
+    start = list(regs)
+    scheduler = Scripted({1})
+    with pytest.raises(ValueError, match="^unknown rule 'bogus'$"):
+        next(steps(net, regs, "bogus", scheduler))
+    assert scheduler.calls == 0
     assert all(new is old for new, old in zip(regs, start, strict=True))
 
 

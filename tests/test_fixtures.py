@@ -16,8 +16,8 @@ from goodnet import (
 
 from goodnet.experiments import uniform_chain
 from goodnet import fixtures
-from goodnet.fixtures import _AbsentPairs
 from goodnet.network import MAX_NODES
+from goodnet.schedulers import seeded_rng
 
 from helpers import D, W, enumerate_optima, sparse_network_reference
 
@@ -154,15 +154,29 @@ def test_uniform_chain_is_the_chain_of_unit_weights_and_biases():
             uniform_chain(n)
 
 
-def test_absent_pairs_index_the_lexicographic_complement_of_the_tree():
+def test_extra_edge_indices_map_to_the_lexicographic_complement_of_the_tree(monkeypatch):
+    # random_network samples m indices of range(L) for the L absent pairs;
+    # index k must add the k-th pair of the brute-force list
     for seed in range(5):
         tree = random_network("tree", 9, seed=seed)
         edges = {(i, j) for i, j, _ in tree.edges()}
         expected = [(i, j) for i in range(1, 10) for j in range(i + 1, 10) if (i, j) not in edges]
-        pairs = _AbsentPairs(9, edges)
-        assert len(pairs) == len(expected) and list(pairs) == expected
-        with pytest.raises(IndexError):
-            pairs[len(pairs)]
+        for k, pair in enumerate(expected):
+            drawn = []
+
+            def pick(population, m, k=k, drawn=drawn):
+                drawn.append((population, m))
+                return [k]
+
+            def rng(seed, what, pick=pick):
+                generator = seeded_rng(seed, what)
+                generator.sample = pick
+                return generator
+
+            monkeypatch.setattr(fixtures, "seeded_rng", rng)
+            net = random_network("sparse", 9, m=1, seed=seed)
+            assert drawn == [(range(len(expected)), 1)]
+            assert {(i, j) for i, j, _ in net.edges()} == edges | {pair}, (seed, k)
 
 
 def test_random_network_infeasible():
@@ -175,6 +189,12 @@ def test_random_network_infeasible():
     for kind in ("tree", "sparse"):
         with pytest.raises(ValueError, match="n must be >= 1"):
             random_network(kind, 0, seed=0)
+
+
+def test_random_network_refuses_a_negative_m_by_name():
+    for kind in ("tree", "sparse"):
+        with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
+            random_network(kind, 6, m=-1, seed=1)
 
 
 def test_fixture_lookup():

@@ -171,6 +171,30 @@ def test_parse_errors_name_line(text, lineno):
     assert f"line {lineno}" in str(err.value)
 
 
+BREAKERS = {"vt": "\v", "ff": "\f", "nel": "\x85", "ls": "\u2028"}
+NEWLINES = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+@pytest.mark.parametrize("newline", NEWLINES.values(), ids=NEWLINES.keys())
+@pytest.mark.parametrize("breaker", BREAKERS.values(), ids=BREAKERS.keys())
+def test_lines_end_only_at_the_newlines_open_reads(breaker, newline):
+    # str.splitlines also breaks at VT, FF, NEL, LS and more; inside a line
+    # those are whitespace, so the edge below is read as surplus bias tokens
+    # on line 2 of a two-line file
+    text = f"nodes 2{newline}bias 1 1{breaker}edge 1 3 1{newline}"
+    with pytest.raises(ParseError) as err:
+        parse_network(text)
+    assert (err.value.line, str(err.value)) == (2, "line 2: 'bias' takes node id and value")
+    # a breaker before a newline adds no line: the error stays on line 3
+    text = f"nodes 2{breaker}{newline}bias 1 1{newline}edge 1 3 1"
+    with pytest.raises(ParseError) as err:
+        parse_network(text)
+    assert (err.value.line, str(err.value)) == (3, "line 3: node id 3 out of range 1..2")
+    # and between tokens it separates them
+    net = parse_network(f"nodes{breaker}2{newline}edge 1{breaker}2 1.5{breaker}{newline}bias{breaker}2 -1")
+    assert net == Network(2, [(1, 2, D("1.5"))], {2: W(-1)})
+
+
 @pytest.mark.parametrize(
     "text, lineno, message",
     [
